@@ -77,7 +77,7 @@ void BM_Nsga2PlanSearch(benchmark::State& state) {
     const double cost = x[0] * x[2] + x[1] * x[3];
     const double thr = x[0] / (0.1 + 0.01 * x[0] / (x[1] * x[3]) +
                                0.48 / x[2] + 0.2 / x[1]);
-    return std::vector<double>{cost, 1.0 / std::max(1.0, thr)};
+    return Nsga2::Objectives{cost, 1.0 / std::max(1.0, thr)};
   };
   for (auto _ : state) {
     Nsga2 nsga2(bounds, objective, options);
@@ -86,6 +86,22 @@ void BM_Nsga2PlanSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Nsga2PlanSearch)->Args({32, 20})->Args({48, 40});
+
+// The front peel alone, on a population shaped like the brain's integer
+// plan space: values on an 8x8 lattice, so ties and duplicates abound.
+void BM_NonDominatedSort(benchmark::State& state) {
+  Rng rng(5);
+  std::vector<Nsga2::Objectives> objectives(static_cast<size_t>(state.range(0)));
+  for (auto& o : objectives) {
+    o = {static_cast<double>(rng.UniformInt(uint64_t{8})),
+         static_cast<double>(rng.UniformInt(uint64_t{8}))};
+  }
+  for (auto _ : state) {
+    auto fronts = Nsga2::NonDominatedSort(objectives);
+    benchmark::DoNotOptimize(fronts);
+  }
+}
+BENCHMARK(BM_NonDominatedSort)->Arg(64);
 
 void BM_ShardQueueCycle(benchmark::State& state) {
   for (auto _ : state) {

@@ -4,9 +4,38 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <map>
+#include <numeric>
 
 namespace dlrover {
+namespace {
+
+// Crowding distance of each of front[0, n) into distance[0, n); `order`
+// is n entries of scratch. std::sort is unstable, so tied objective values
+// leave `order` depending on the sequence it starts from: keeping this
+// comparator over this input sequence is part of the output contract.
+void CrowdingInto(const Nsga2Objectives* objs, const size_t* front, size_t n,
+                  double* distance, size_t* order) {
+  std::fill(distance, distance + n, 0.0);
+  if (n == 0) return;
+  for (size_t obj = 0; obj < 2; ++obj) {
+    std::iota(order, order + n, size_t{0});
+    std::sort(order, order + n, [&](size_t a, size_t b) {
+      return objs[front[a]][obj] < objs[front[b]][obj];
+    });
+    distance[order[0]] = std::numeric_limits<double>::infinity();
+    distance[order[n - 1]] = std::numeric_limits<double>::infinity();
+    const double span = objs[front[order[n - 1]]][obj] -
+                        objs[front[order[0]]][obj];
+    if (span <= 0.0) continue;
+    for (size_t i = 1; i + 1 < n; ++i) {
+      distance[order[i]] += (objs[front[order[i + 1]]][obj] -
+                             objs[front[order[i - 1]]][obj]) /
+                            span;
+    }
+  }
+}
+
+}  // namespace
 
 Nsga2::Nsga2(std::vector<DecisionBounds> bounds, ObjectiveFn objective,
              const Nsga2Options& options)
@@ -20,138 +49,166 @@ Nsga2::Nsga2(std::vector<DecisionBounds> bounds, ObjectiveFn objective,
   }
 }
 
-bool Nsga2::Dominates(const std::vector<double>& a,
-                      const std::vector<double>& b) {
-  assert(a.size() == b.size());
-  bool strictly_better = false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] > b[i]) return false;
-    if (a[i] < b[i]) strictly_better = true;
+void Nsga2::FrontPeel::Reserve(size_t n) {
+  for (auto* v : {&lex_, &rank_, &last_, &grouped_, &members_, &pos_, &key_,
+                  &window_}) {
+    v->reserve(n);
   }
-  return strictly_better;
+  begin_.reserve(n + 1);
+}
+
+// Two objectives admit an O(N log N) peel: visit the points in (f0, f1,
+// index) order and put each in the first front whose latest member does
+// not dominate it. That member has the smallest f1 of its front, so it
+// dominates the point iff some member does, and domination by front r
+// implies domination by every front before r, so the search can bisect.
+//
+// The fronts must then be emitted in the member order of Deb's all-pairs
+// sort, which releases a point when its last dominator in the previous
+// front is processed. In (f0, f1) order a front's f1 never rises, so the
+// dominators of a point in the previous front are the contiguous run with
+// f0 <= its f0 and f1 <= its f1, and both ends of that run only advance
+// as the point moves along its own front: a sliding-window maximum over
+// the previous front's positions finds each point's last dominator.
+void Nsga2::FrontPeel::Sort(const Objectives* objs, size_t n) {
+  lex_.resize(n);
+  std::iota(lex_.begin(), lex_.end(), size_t{0});
+  std::sort(lex_.begin(), lex_.end(), [objs](size_t a, size_t b) {
+    if (objs[a][0] != objs[b][0]) return objs[a][0] < objs[b][0];
+    if (objs[a][1] != objs[b][1]) return objs[a][1] < objs[b][1];
+    return a < b;
+  });
+  rank_.resize(n);
+  last_.clear();
+  for (size_t p : lex_) {
+    size_t lo = 0;
+    size_t hi = last_.size();
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (Dominates(objs[last_[mid]], objs[p])) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    if (lo == last_.size()) {
+      last_.push_back(p);
+    } else {
+      last_[lo] = p;
+    }
+    rank_[p] = lo;
+  }
+
+  // Group by front, keeping (f0, f1) order within each.
+  const size_t fronts = last_.size();
+  begin_.assign(fronts + 1, 0);
+  for (size_t p = 0; p < n; ++p) ++begin_[rank_[p] + 1];
+  std::partial_sum(begin_.begin(), begin_.end(), begin_.begin());
+  grouped_.resize(n);
+  key_.resize(n);  // fill cursor per front, then last-dominator positions
+  std::copy(begin_.begin(), begin_.end() - 1, key_.begin());
+  for (size_t p : lex_) grouped_[key_[rank_[p]]++] = p;
+
+  members_.resize(n);
+  pos_.resize(n);
+  window_.resize(n);
+  for (size_t r = 0; r < fronts; ++r) {
+    const size_t b = begin_[r];
+    const size_t e = begin_[r + 1];
+    if (r == 0) {
+      std::copy(grouped_.begin() + b, grouped_.begin() + e,
+                members_.begin() + b);
+      std::sort(members_.begin() + b, members_.begin() + e);
+    } else {
+      const size_t* prev = grouped_.data() + begin_[r - 1];
+      const size_t prev_n = b - begin_[r - 1];
+      size_t lo = 0;    // first of prev with f1 <= the point's f1
+      size_t hi = 0;    // one past the last of prev with f0 <= its f0
+      size_t head = 0;  // window_[head, tail): indices into prev whose
+      size_t tail = 0;  // positions decrease from head to tail
+      for (size_t i = b; i < e; ++i) {
+        const size_t p = grouped_[i];
+        while (hi < prev_n && objs[prev[hi]][0] <= objs[p][0]) {
+          while (tail > head && pos_[prev[window_[tail - 1]]] < pos_[prev[hi]]) {
+            --tail;
+          }
+          window_[tail++] = hi++;
+        }
+        while (lo < hi && objs[prev[lo]][1] > objs[p][1]) ++lo;
+        while (window_[head] < lo) ++head;
+        key_[p] = pos_[prev[window_[head]]];
+      }
+      std::copy(grouped_.begin() + b, grouped_.begin() + e,
+                members_.begin() + b);
+      std::sort(members_.begin() + b, members_.begin() + e,
+                [this](size_t a, size_t c) {
+                  return key_[a] != key_[c] ? key_[a] < key_[c] : a < c;
+                });
+    }
+    for (size_t i = b; i < e; ++i) pos_[members_[i]] = i - b;
+  }
 }
 
 std::vector<std::vector<size_t>> Nsga2::NonDominatedSort(
-    const std::vector<std::vector<double>>& objectives) {
-  const size_t n = objectives.size();
-  std::vector<int> domination_count(n, 0);
-  std::vector<std::vector<size_t>> dominated_by(n);
-  std::vector<std::vector<size_t>> fronts;
-  std::vector<size_t> current;
-
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      if (Dominates(objectives[i], objectives[j])) {
-        dominated_by[i].push_back(j);
-      } else if (Dominates(objectives[j], objectives[i])) {
-        ++domination_count[i];
-      }
-    }
-    if (domination_count[i] == 0) current.push_back(i);
-  }
-  while (!current.empty()) {
-    fronts.push_back(current);
-    std::vector<size_t> next;
-    for (size_t i : current) {
-      for (size_t j : dominated_by[i]) {
-        if (--domination_count[j] == 0) next.push_back(j);
-      }
-    }
-    current = std::move(next);
+    const std::vector<Objectives>& objectives) {
+  FrontPeel peel;
+  peel.Sort(objectives.data(), objectives.size());
+  std::vector<std::vector<size_t>> fronts(peel.num_fronts());
+  for (size_t r = 0; r < fronts.size(); ++r) {
+    fronts[r].assign(peel.members().begin() + peel.begin(r),
+                     peel.members().begin() + peel.begin(r + 1));
   }
   return fronts;
 }
 
 std::vector<double> Nsga2::CrowdingDistances(
-    const std::vector<std::vector<double>>& objectives,
+    const std::vector<Objectives>& objectives,
     const std::vector<size_t>& front) {
-  const size_t n = front.size();
-  std::vector<double> distance(n, 0.0);
-  if (n == 0) return distance;
-  const size_t num_objectives = objectives[front[0]].size();
-  std::vector<size_t> order(n);
-  for (size_t obj = 0; obj < num_objectives; ++obj) {
-    for (size_t i = 0; i < n; ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return objectives[front[a]][obj] < objectives[front[b]][obj];
-    });
-    distance[order.front()] = std::numeric_limits<double>::infinity();
-    distance[order.back()] = std::numeric_limits<double>::infinity();
-    const double span = objectives[front[order.back()]][obj] -
-                        objectives[front[order.front()]][obj];
-    if (span <= 0.0) continue;
-    for (size_t i = 1; i + 1 < n; ++i) {
-      distance[order[i]] += (objectives[front[order[i + 1]]][obj] -
-                             objectives[front[order[i - 1]]][obj]) /
-                            span;
-    }
-  }
+  std::vector<double> distance(front.size());
+  std::vector<size_t> order(front.size());
+  CrowdingInto(objectives.data(), front.data(), front.size(), distance.data(),
+               order.data());
   return distance;
 }
 
-std::vector<double> Nsga2::RandomVector() {
-  std::vector<double> x(bounds_.size());
-  for (size_t i = 0; i < bounds_.size(); ++i) {
-    x[i] = rng_.Uniform(bounds_[i].lo, bounds_[i].hi);
-  }
-  Clamp(x);
-  return x;
-}
-
-void Nsga2::Clamp(std::vector<double>& x) const {
+void Nsga2::Clamp(double* x) const {
   for (size_t i = 0; i < bounds_.size(); ++i) {
     x[i] = std::clamp(x[i], bounds_[i].lo, bounds_[i].hi);
     if (bounds_[i].integer) x[i] = std::round(x[i]);
   }
 }
 
-void Nsga2::Evaluate(Nsga2Individual& ind) const {
-  ind.objectives = objective_(ind.x);
+void Nsga2::Evaluate(size_t slot) {
+  std::copy_n(X(slot), bounds_.size(), eval_x_.begin());
+  obj_[slot] = objective_(eval_x_);
 }
 
-void Nsga2::EvaluateAll(std::vector<Nsga2Individual>& pop) const {
-  if (options_.pool == nullptr || pop.size() < 2) {
-    for (auto& ind : pop) Evaluate(ind);
-    return;
-  }
-  // Each chunk writes only its own individuals' objective vectors, and the
-  // objective itself is a pure function of the decision vector, so the
-  // parallel result is identical to the sequential one.
-  options_.pool->ParallelFor(0, pop.size(), 0,
-                             [&](size_t begin, size_t end) {
-                               for (size_t i = begin; i < end; ++i) {
-                                 Evaluate(pop[i]);
-                               }
-                             });
-}
-
-void Nsga2::AssignRankAndCrowding(std::vector<Nsga2Individual>& pop) const {
-  std::vector<std::vector<double>> objs;
-  objs.reserve(pop.size());
-  for (const auto& ind : pop) objs.push_back(ind.objectives);
-  const auto fronts = NonDominatedSort(objs);
-  for (size_t r = 0; r < fronts.size(); ++r) {
-    const auto crowding = CrowdingDistances(objs, fronts[r]);
-    for (size_t i = 0; i < fronts[r].size(); ++i) {
-      pop[fronts[r][i]].rank = static_cast<int>(r);
-      pop[fronts[r][i]].crowding = crowding[i];
+void Nsga2::AssignRankAndCrowding(size_t n) {
+  peel_.Sort(obj_.data(), n);
+  const std::vector<size_t>& members = peel_.members();
+  for (size_t r = 0; r < peel_.num_fronts(); ++r) {
+    const size_t b = peel_.begin(r);
+    const size_t size = peel_.begin(r + 1) - b;
+    CrowdingInto(obj_.data(), members.data() + b, size, distance_.data(),
+                 order_.data());
+    for (size_t i = 0; i < size; ++i) {
+      rank_[members[b + i]] = static_cast<int>(r);
+      crowding_[members[b + i]] = distance_[i];
     }
   }
 }
 
-size_t Nsga2::TournamentPick(const std::vector<Nsga2Individual>& pop) {
-  const size_t a = rng_.UniformInt(pop.size());
-  const size_t b = rng_.UniformInt(pop.size());
-  if (pop[a].rank != pop[b].rank) return pop[a].rank < pop[b].rank ? a : b;
-  return pop[a].crowding >= pop[b].crowding ? a : b;
+size_t Nsga2::TournamentPick(size_t n) {
+  const size_t a = rng_.UniformInt(n);
+  const size_t b = rng_.UniformInt(n);
+  if (rank_[a] != rank_[b]) return rank_[a] < rank_[b] ? a : b;
+  return crowding_[a] >= crowding_[b] ? a : b;
 }
 
-void Nsga2::SbxCrossover(const std::vector<double>& p1,
-                         const std::vector<double>& p2,
-                         std::vector<double>& c1, std::vector<double>& c2) {
-  c1 = p1;
-  c2 = p2;
+void Nsga2::SbxCrossover(const double* p1, const double* p2, double* c1,
+                         double* c2) {
+  std::copy_n(p1, bounds_.size(), c1);
+  std::copy_n(p2, bounds_.size(), c2);
   if (!rng_.Bernoulli(options_.crossover_prob)) return;
   for (size_t i = 0; i < bounds_.size(); ++i) {
     if (!rng_.Bernoulli(0.5)) continue;
@@ -169,7 +226,7 @@ void Nsga2::SbxCrossover(const std::vector<double>& p1,
   Clamp(c2);
 }
 
-void Nsga2::PolynomialMutation(std::vector<double>& x) {
+void Nsga2::PolynomialMutation(double* x) {
   for (size_t i = 0; i < bounds_.size(); ++i) {
     if (!rng_.Bernoulli(options_.mutation_prob)) continue;
     const double span = bounds_[i].hi - bounds_[i].lo;
@@ -185,72 +242,93 @@ void Nsga2::PolynomialMutation(std::vector<double>& x) {
 }
 
 std::vector<Nsga2Individual> Nsga2::Run() {
-  // Variation (selection, crossover, mutation) draws from the sequential
-  // RNG stream; evaluation is batched afterwards so it can fan out over a
-  // thread pool without perturbing that stream — the evolution is
-  // bit-identical at any pool size.
-  std::vector<Nsga2Individual> pop(static_cast<size_t>(options_.population));
-  for (auto& ind : pop) ind.x = RandomVector();
-  EvaluateAll(pop);
-  AssignRankAndCrowding(pop);
+  const size_t n = static_cast<size_t>(options_.population);
+  const size_t dims = bounds_.size();
+  x_.assign(2 * n * dims, 0.0);
+  next_x_.assign(2 * n * dims, 0.0);
+  obj_.assign(2 * n, Objectives{});
+  next_obj_.assign(2 * n, Objectives{});
+  rank_.assign(n, 0);
+  crowding_.assign(n, 0.0);
+  spare_.assign(dims, 0.0);
+  eval_x_.assign(dims, 0.0);
+  selected_.assign(n, 0);
+  order_.assign(2 * n, 0);
+  distance_.assign(2 * n, 0.0);
+  peel_.Reserve(2 * n);
+
+  // All randomness is drawn in the variation phase, in the same order as
+  // the textbook loop; evaluation of the whole brood follows it.
+  for (size_t i = 0; i < n; ++i) {
+    double* x = X(i);
+    for (size_t d = 0; d < dims; ++d) {
+      x[d] = rng_.Uniform(bounds_[d].lo, bounds_[d].hi);
+    }
+    Clamp(x);
+  }
+  for (size_t i = 0; i < n; ++i) Evaluate(i);
+  AssignRankAndCrowding(n);
 
   for (int gen = 0; gen < options_.generations; ++gen) {
-    std::vector<Nsga2Individual> offspring;
-    offspring.reserve(pop.size());
-    while (offspring.size() < pop.size()) {
-      const auto& p1 = pop[TournamentPick(pop)];
-      const auto& p2 = pop[TournamentPick(pop)];
-      Nsga2Individual c1;
-      Nsga2Individual c2;
-      SbxCrossover(p1.x, p2.x, c1.x, c2.x);
-      PolynomialMutation(c1.x);
-      PolynomialMutation(c2.x);
-      offspring.push_back(std::move(c1));
-      if (offspring.size() < pop.size()) offspring.push_back(std::move(c2));
+    // Offspring fill slots [n, 2n). An odd population still breeds (and
+    // mutates) the last pair's second child, into `spare_`.
+    for (size_t made = 0; made < n; made += 2) {
+      const size_t p1 = TournamentPick(n);
+      const size_t p2 = TournamentPick(n);
+      double* c1 = X(n + made);
+      double* c2 = made + 1 < n ? X(n + made + 1) : spare_.data();
+      SbxCrossover(X(p1), X(p2), c1, c2);
+      PolynomialMutation(c1);
+      PolynomialMutation(c2);
     }
-    EvaluateAll(offspring);
+    for (size_t i = n; i < 2 * n; ++i) Evaluate(i);
 
-    // Environmental selection over the combined population.
-    std::vector<Nsga2Individual> combined;
-    combined.reserve(pop.size() + offspring.size());
-    for (auto& ind : pop) combined.push_back(std::move(ind));
-    for (auto& ind : offspring) combined.push_back(std::move(ind));
-    std::vector<std::vector<double>> objs;
-    objs.reserve(combined.size());
-    for (const auto& ind : combined) objs.push_back(ind.objectives);
-    const auto fronts = NonDominatedSort(objs);
-
-    std::vector<Nsga2Individual> next;
-    next.reserve(pop.size());
-    for (const auto& front : fronts) {
-      if (next.size() >= pop.size()) break;
-      if (next.size() + front.size() <= pop.size()) {
-        for (size_t i : front) next.push_back(std::move(combined[i]));
-      } else {
-        const auto crowding = CrowdingDistances(objs, front);
-        std::vector<size_t> order(front.size());
-        for (size_t i = 0; i < front.size(); ++i) order[i] = i;
-        std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-          return crowding[a] > crowding[b];
-        });
-        for (size_t i : order) {
-          if (next.size() >= pop.size()) break;
-          next.push_back(std::move(combined[front[i]]));
-        }
+    // Environmental selection over population + offspring.
+    peel_.Sort(obj_.data(), 2 * n);
+    const std::vector<size_t>& members = peel_.members();
+    size_t kept = 0;
+    for (size_t r = 0; r < peel_.num_fronts() && kept < n; ++r) {
+      const size_t b = peel_.begin(r);
+      const size_t size = peel_.begin(r + 1) - b;
+      if (kept + size <= n) {
+        for (size_t i = 0; i < size; ++i) selected_[kept++] = members[b + i];
+        continue;
       }
+      CrowdingInto(obj_.data(), members.data() + b, size, distance_.data(),
+                   order_.data());
+      std::iota(order_.begin(), order_.begin() + size, size_t{0});
+      std::sort(order_.begin(), order_.begin() + size,
+                [this](size_t a, size_t c) {
+                  return distance_[a] > distance_[c];
+                });
+      for (size_t i = 0; kept < n; ++i) selected_[kept++] = members[b + order_[i]];
     }
-    pop = std::move(next);
-    AssignRankAndCrowding(pop);
+    for (size_t i = 0; i < n; ++i) {
+      std::copy_n(X(selected_[i]), dims, next_x_.data() + i * dims);
+      next_obj_[i] = obj_[selected_[i]];
+    }
+    x_.swap(next_x_);
+    obj_.swap(next_obj_);
+    AssignRankAndCrowding(n);
   }
 
-  // Collect the final non-dominated front, deduplicated by decision vector.
+  // The final non-dominated front, first occurrence of each decision
+  // vector only.
   std::vector<Nsga2Individual> front;
-  std::map<std::vector<double>, bool> seen;
-  for (auto& ind : pop) {
-    if (ind.rank != 0) continue;
-    if (seen.count(ind.x) > 0) continue;
-    seen[ind.x] = true;
-    front.push_back(std::move(ind));
+  front.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (rank_[i] != 0) continue;
+    const double* x = X(i);
+    const bool seen =
+        std::any_of(front.begin(), front.end(), [&](const Nsga2Individual& f) {
+          return std::equal(f.x.begin(), f.x.end(), x);
+        });
+    if (seen) continue;
+    Nsga2Individual& ind = front.emplace_back();
+    ind.x.assign(x, x + dims);
+    ind.objectives = obj_[i];
+    ind.rank = 0;
+    ind.crowding = crowding_[i];
   }
   return front;
 }

@@ -1,12 +1,12 @@
 #ifndef DLROVER_BRAIN_NSGA2_H_
 #define DLROVER_BRAIN_NSGA2_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "common/rng.h"
-#include "runtime/thread_pool.h"
 
 namespace dlrover {
 
@@ -26,34 +26,36 @@ struct Nsga2Options {
   double eta_crossover = 15.0; // SBX distribution index
   double eta_mutation = 20.0;  // polynomial mutation index
   uint64_t seed = 7;
-  /// Optional pool (non-owning) for parallel population evaluation. The
-  /// objective must be thread-safe (it is required to be deterministic and
-  /// is called on const data only). Null runs the evaluation sequentially;
-  /// results are identical either way, because all randomness happens in
-  /// the sequential variation phase and evaluation writes only the
-  /// individual's own objective vector.
-  ThreadPool* pool = nullptr;
 };
 
-/// A candidate solution with its objective vector (all minimized).
+/// The two objective values of a candidate, both minimized. The paper's
+/// problem has exactly two: (ResourceCost, 1/ThroughputGain).
+using Nsga2Objectives = std::array<double, 2>;
+
+/// A candidate solution with its objective values.
 struct Nsga2Individual {
   std::vector<double> x;
-  std::vector<double> objectives;
+  Nsga2Objectives objectives{};
   int rank = 0;
   double crowding = 0.0;
 };
 
-/// NSGA-II (Deb et al.) implemented from scratch: fast non-dominated
-/// sorting, crowding-distance diversity preservation, binary tournament
-/// selection, simulated binary crossover, polynomial mutation. The paper
-/// uses NSGA-II to generate the Pareto frontier of job resource plans over
-/// the (ResourceCost, 1/ThroughputGain) objectives.
+/// NSGA-II (Deb et al.) implemented from scratch for two objectives:
+/// non-dominated sorting, crowding-distance diversity preservation, binary
+/// tournament selection, simulated binary crossover, polynomial mutation.
+/// The paper uses NSGA-II to generate the Pareto frontier of job resource
+/// plans over the (ResourceCost, 1/ThroughputGain) objectives.
+///
+/// The population lives in flat buffers reused across generations, so a
+/// generation allocates nothing; evaluation runs sequentially on the
+/// caller's thread.
 class Nsga2 {
  public:
-  /// Objective function: maps a decision vector to objective values, all to
-  /// be minimized. Must be deterministic.
-  using ObjectiveFn =
-      std::function<std::vector<double>(const std::vector<double>&)>;
+  using Objectives = Nsga2Objectives;
+  /// Objective function: maps a decision vector to its two objective
+  /// values, both to be minimized. Must be deterministic and never return
+  /// NaN.
+  using ObjectiveFn = std::function<Objectives(const std::vector<double>&)>;
 
   Nsga2(std::vector<DecisionBounds> bounds, ObjectiveFn objective,
         const Nsga2Options& options);
@@ -62,40 +64,79 @@ class Nsga2 {
   /// deduplicated by decision vector.
   std::vector<Nsga2Individual> Run();
 
-  /// Fast non-dominated sort. Returns fronts of indices into `objectives`,
-  /// best front first. Exposed for tests.
+  /// Non-dominated sort. Returns fronts of indices into `objectives`, best
+  /// front first. Front 0 lists its members by ascending index; front k+1
+  /// lists them by (position in front k of the member's last dominator in
+  /// front k, index). That is the order Deb's all-pairs sort emits, and
+  /// crowding ties depend on it. Exposed for tests.
   static std::vector<std::vector<size_t>> NonDominatedSort(
-      const std::vector<std::vector<double>>& objectives);
+      const std::vector<Objectives>& objectives);
 
   /// Crowding distance of each member of one front (larger = lonelier).
   /// Exposed for tests.
   static std::vector<double> CrowdingDistances(
-      const std::vector<std::vector<double>>& objectives,
+      const std::vector<Objectives>& objectives,
       const std::vector<size_t>& front);
 
-  /// True if objective vector `a` Pareto-dominates `b` (<= everywhere,
-  /// < somewhere).
-  static bool Dominates(const std::vector<double>& a,
-                        const std::vector<double>& b);
+  /// True if `a` Pareto-dominates `b` (<= in both, < in at least one).
+  static bool Dominates(const Objectives& a, const Objectives& b) {
+    return !(a[0] > b[0]) && !(a[1] > b[1]) && (a[0] < b[0] || a[1] < b[1]);
+  }
 
  private:
-  std::vector<double> RandomVector();
-  void Clamp(std::vector<double>& x) const;
-  void Evaluate(Nsga2Individual& ind) const;
-  /// Evaluates every individual in `pop`, fanning out over options_.pool
-  /// when set (deterministic: see Nsga2Options::pool).
-  void EvaluateAll(std::vector<Nsga2Individual>& pop) const;
-  size_t TournamentPick(const std::vector<Nsga2Individual>& pop);
-  void SbxCrossover(const std::vector<double>& p1,
-                    const std::vector<double>& p2, std::vector<double>& c1,
-                    std::vector<double>& c2);
-  void PolynomialMutation(std::vector<double>& x);
-  void AssignRankAndCrowding(std::vector<Nsga2Individual>& pop) const;
+  /// Sort-based two-objective front peel with reusable scratch. After
+  /// Sort(objs, n), front r is members()[begin(r), begin(r + 1)) in the
+  /// order documented on NonDominatedSort.
+  class FrontPeel {
+   public:
+    /// Sizes the scratch for up to `n` points, so Sort() allocates nothing.
+    void Reserve(size_t n);
+    void Sort(const Objectives* objs, size_t n);
+    size_t num_fronts() const { return begin_.size() - 1; }
+    size_t begin(size_t r) const { return begin_[r]; }
+    const std::vector<size_t>& members() const { return members_; }
+
+   private:
+    std::vector<size_t> lex_;      // indices by (f0, f1, index)
+    std::vector<size_t> rank_;     // front of each index
+    std::vector<size_t> last_;     // lex-last member of each front so far
+    std::vector<size_t> grouped_;  // lex order, grouped by front
+    std::vector<size_t> members_;  // emitted order, grouped by front
+    std::vector<size_t> begin_;    // front offsets into grouped_/members_
+    std::vector<size_t> pos_;      // position of each index in its front
+    std::vector<size_t> key_;      // position of its last dominator
+    std::vector<size_t> window_;   // sliding-maximum deque
+  };
+
+  double* X(size_t slot) { return x_.data() + slot * bounds_.size(); }
+  void Clamp(double* x) const;
+  void Evaluate(size_t slot);
+  size_t TournamentPick(size_t n);
+  void SbxCrossover(const double* p1, const double* p2, double* c1,
+                    double* c2);
+  void PolynomialMutation(double* x);
+  /// Ranks slots [0, n) and sets each one's crowding within its front.
+  void AssignRankAndCrowding(size_t n);
 
   std::vector<DecisionBounds> bounds_;
   ObjectiveFn objective_;
   Nsga2Options options_;
   Rng rng_;
+
+  // Slots [0, N) hold the population, [N, 2N) its offspring; the `next_`
+  // buffers receive the survivors and are swapped in each generation.
+  std::vector<double> x_;
+  std::vector<double> next_x_;
+  std::vector<Objectives> obj_;
+  std::vector<Objectives> next_obj_;
+  std::vector<int> rank_;
+  std::vector<double> crowding_;
+  std::vector<double> spare_;   // the odd child a full brood discards
+  std::vector<double> eval_x_;  // argument passed to the objective
+  FrontPeel peel_;
+  std::vector<size_t> selected_;
+  std::vector<size_t> order_;
+  std::vector<double> distance_;
 };
 
 }  // namespace dlrover

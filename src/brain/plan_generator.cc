@@ -61,7 +61,7 @@ std::vector<PlanCandidate> PlanGenerator::Generate(
 
   // Objectives: minimize (RC(A), 1/TG(A)). Non-positive TG maps to a large
   // finite penalty so the front retains only genuinely improving plans.
-  auto objective = [&](const std::vector<double>& x) -> std::vector<double> {
+  auto objective = [&](const std::vector<double>& x) -> Nsga2::Objectives {
     const JobConfig config = to_config(x);
     const PlanCandidate plan =
         Score(model, params, batch_size, current, config, current_throughput,

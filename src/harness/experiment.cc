@@ -8,7 +8,6 @@
 #include "baselines/elastic_scheduler.h"
 #include "baselines/optimus.h"
 #include "master/job_master.h"
-#include "runtime/thread_pool.h"
 #include "sim/simulator.h"
 
 namespace dlrover {
@@ -303,7 +302,6 @@ SingleJobResult RunSingleJob(const SingleJobScenario& scenario) {
       options.round_interval = scenario.round_interval;
       options.budget = cluster.TotalCapacity();
       options.plan.nsga2.seed = scenario.seed * 17 + 5;
-      options.plan.nsga2.pool = &SharedThreadPool();
       brain = std::make_unique<ClusterBrain>(&sim, options);
       brain->AttachCluster(&cluster);
       if (scenario.warm_start) {
@@ -448,7 +446,6 @@ FleetSimulation::FleetSimulation(Simulator* sim, const FleetScenario& scenario,
   brain_options.plan.nsga2.population = 32;
   brain_options.plan.nsga2.generations = 20;
   brain_options.plan.nsga2.seed = scenario_.seed * 19 + 2;
-  brain_options.plan.nsga2.pool = &SharedThreadPool();
   brain_ = std::make_unique<ClusterBrain>(sim_, brain_options);
   brain_->AttachCluster(&cluster_);
   if (scenario_.seed_history) {

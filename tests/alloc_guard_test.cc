@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "brain/nsga2.h"
 #include "cluster/cluster.h"
 #include "cluster/placement_index.h"
 #include "common/alloc_counter.h"
@@ -281,6 +282,32 @@ TEST(AllocGuardTest, WarmShardedWindowDispatchIsAllocationFree) {
       << "sharded window dispatch allocated " << (after - before)
       << " times across " << (engine.windows_run() - windows_before)
       << " warm windows";
+}
+
+// NSGA-II keeps its population in buffers sized once per search, so a
+// search's allocations do not depend on how many generations it runs.
+// Run() reserves the emitted front up front; beyond that it allocates one
+// decision vector per emitted member.
+TEST(AllocGuardTest, Nsga2GenerationsAreAllocationFree) {
+  const std::vector<DecisionBounds> bounds = {
+      {1, 40, true}, {1, 8, true}, {1, 16, true}, {1, 16, true}};
+  const auto objective = [](const std::vector<double>& x) {
+    return Nsga2::Objectives{x[0] * x[2] + x[1] * x[3],
+                             1.0 / (x[0] + x[1] * x[3] / (x[1] + x[3]))};
+  };
+  const auto allocations_beyond_front = [&](int generations) {
+    Nsga2Options options;
+    options.population = 32;
+    options.generations = generations;
+    Nsga2 nsga2(bounds, objective, options);
+    const uint64_t before = AllocationCount();
+    const std::vector<Nsga2Individual> front = nsga2.Run();
+    const uint64_t after = AllocationCount();
+    return after - before - front.size();
+  };
+  const uint64_t setup = allocations_beyond_front(0);
+  EXPECT_EQ(allocations_beyond_front(1), setup);
+  EXPECT_EQ(allocations_beyond_front(40), setup);
 }
 
 }  // namespace

@@ -208,35 +208,43 @@ TEST(SweepEngineTest, ExternalPoolIsUsedAndNotOwned) {
   // `pool` must still be usable after the engine goes away.
 }
 
-// The sweep hands NSGA-II a pool for population evaluation; that fan-out
-// must not change the optimizer's output. All randomness lives in the
-// sequential variation phase, so pooled and sequential evaluation walk the
-// same RNG stream.
-TEST(SweepEngineTest, Nsga2PoolEvaluationMatchesSequential) {
+// NSGA-II keeps all of its search state in the instance, so searches
+// running at once on a sweep's threads (as the brain's planning rounds do
+// across fleet lanes) must each reproduce the single-threaded result.
+TEST(SweepEngineTest, ConcurrentNsga2SearchesMatchSequential) {
   const std::vector<DecisionBounds> bounds = {
       {1.0, 32.0, true}, {0.5, 16.0, false}};
   const auto objective = [](const std::vector<double>& x) {
     // A simple two-objective tradeoff: cost vs inverse throughput.
     const double cost = x[0] * x[1];
     const double inv_gain = 1.0 / (1.0 + x[0] * 0.7 + x[1] * 0.3);
-    return std::vector<double>{cost, inv_gain};
+    return Nsga2::Objectives{cost, inv_gain};
   };
   Nsga2Options options;
   options.population = 24;
   options.generations = 12;
   options.seed = 11;
+  const auto search = [&](int) {
+    Nsga2 nsga2(bounds, objective, options);
+    return nsga2.Run();
+  };
+  const std::vector<Nsga2Individual> expected = search(0);
 
-  Nsga2 sequential(bounds, objective, options);
-  const std::vector<Nsga2Individual> a = sequential.Run();
-
-  options.pool = &SharedThreadPool();
-  Nsga2 pooled(bounds, objective, options);
-  const std::vector<Nsga2Individual> b = pooled.Run();
-
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].x, b[i].x) << "individual " << i;
-    EXPECT_EQ(a[i].objectives, b[i].objectives) << "individual " << i;
+  SweepOptions sweep_options;
+  sweep_options.num_threads = 4;
+  SweepEngine engine(sweep_options);
+  const std::vector<std::vector<Nsga2Individual>> fronts =
+      engine.Map(std::vector<int>(16, 0), search);
+  for (size_t task = 0; task < fronts.size(); ++task) {
+    const std::vector<Nsga2Individual>& front = fronts[task];
+    ASSERT_EQ(front.size(), expected.size()) << "task " << task;
+    for (size_t i = 0; i < front.size(); ++i) {
+      EXPECT_EQ(front[i].x, expected[i].x) << "task " << task << " #" << i;
+      EXPECT_EQ(front[i].objectives, expected[i].objectives)
+          << "task " << task << " #" << i;
+      EXPECT_EQ(front[i].crowding, expected[i].crowding)
+          << "task " << task << " #" << i;
+    }
   }
 }
 

@@ -3,7 +3,7 @@
 // stack — simulator, cluster, training job, brain, baselines, harness —
 // into an instrumented binary and runs a small multi-threaded sweep, so
 // tier-1 `ctest` exercises the concurrent sweep path (shared ConfigDb
-// cache, WellTunedConfig statics, pooled NSGA-II evaluation) under
+// cache, WellTunedConfig statics, concurrent NSGA-II searches) under
 // ThreadSanitizer. No gtest here: TSan makes the process exit nonzero when
 // it reports a race, logic failures return 1.
 
