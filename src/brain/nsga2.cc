@@ -7,36 +7,6 @@
 #include <numeric>
 
 namespace dlrover {
-namespace {
-
-// Crowding distance of each of front[0, n) into distance[0, n); `order`
-// is n entries of scratch. std::sort is unstable, so tied objective values
-// leave `order` depending on the sequence it starts from: keeping this
-// comparator over this input sequence is part of the output contract.
-void CrowdingInto(const Nsga2Objectives* objs, const size_t* front, size_t n,
-                  double* distance, size_t* order) {
-  std::fill(distance, distance + n, 0.0);
-  if (n == 0) return;
-  for (size_t obj = 0; obj < 2; ++obj) {
-    std::iota(order, order + n, size_t{0});
-    std::sort(order, order + n, [&](size_t a, size_t b) {
-      return objs[front[a]][obj] < objs[front[b]][obj];
-    });
-    distance[order[0]] = std::numeric_limits<double>::infinity();
-    distance[order[n - 1]] = std::numeric_limits<double>::infinity();
-    const double span = objs[front[order[n - 1]]][obj] -
-                        objs[front[order[0]]][obj];
-    if (span <= 0.0) continue;
-    for (size_t i = 1; i + 1 < n; ++i) {
-      distance[order[i]] += (objs[front[order[i + 1]]][obj] -
-                             objs[front[order[i - 1]]][obj]) /
-                            span;
-    }
-  }
-}
-
-}  // namespace
-
 Nsga2::Nsga2(std::vector<DecisionBounds> bounds, ObjectiveFn objective,
              const Nsga2Options& options)
     : bounds_(std::move(bounds)),
@@ -50,11 +20,14 @@ Nsga2::Nsga2(std::vector<DecisionBounds> bounds, ObjectiveFn objective,
 }
 
 void Nsga2::FrontPeel::Reserve(size_t n) {
-  for (auto* v : {&lex_, &rank_, &last_, &grouped_, &members_, &pos_, &key_,
+  lex_.reserve(n);
+  last_.reserve(n);
+  for (auto* v : {&rank_, &grouped_, &by_index_, &members_, &pos_, &key_,
                   &window_}) {
     v->reserve(n);
   }
   begin_.reserve(n + 1);
+  count_.reserve(n + 1);
 }
 
 // Two objectives admit an O(N log N) peel: visit the points in (f0, f1,
@@ -69,56 +42,61 @@ void Nsga2::FrontPeel::Reserve(size_t n) {
 // dominators of a point in the previous front are the contiguous run with
 // f0 <= its f0 and f1 <= its f1, and both ends of that run only advance
 // as the point moves along its own front: a sliding-window maximum over
-// the previous front's positions finds each point's last dominator.
+// the previous front's positions finds each point's last dominator. The
+// (last dominator, index) order is then a counting sort away.
 void Nsga2::FrontPeel::Sort(const Objectives* objs, size_t n) {
   lex_.resize(n);
-  std::iota(lex_.begin(), lex_.end(), size_t{0});
-  std::sort(lex_.begin(), lex_.end(), [objs](size_t a, size_t b) {
-    if (objs[a][0] != objs[b][0]) return objs[a][0] < objs[b][0];
-    if (objs[a][1] != objs[b][1]) return objs[a][1] < objs[b][1];
-    return a < b;
+  for (size_t i = 0; i < n; ++i) lex_[i] = {objs[i][0], objs[i][1], i};
+  std::sort(lex_.begin(), lex_.end(), [](const LexKey& a, const LexKey& b) {
+    if (a.f0 != b.f0) return a.f0 < b.f0;
+    if (a.f1 != b.f1) return a.f1 < b.f1;
+    return a.index < b.index;
   });
   rank_.resize(n);
   last_.clear();
-  for (size_t p : lex_) {
+  for (const LexKey& k : lex_) {
+    const Objectives point = {k.f0, k.f1};
     size_t lo = 0;
     size_t hi = last_.size();
     while (lo < hi) {
       const size_t mid = lo + (hi - lo) / 2;
-      if (Dominates(objs[last_[mid]], objs[p])) {
+      if (Dominates(last_[mid], point)) {
         lo = mid + 1;
       } else {
         hi = mid;
       }
     }
     if (lo == last_.size()) {
-      last_.push_back(p);
+      last_.push_back(point);
     } else {
-      last_[lo] = p;
+      last_[lo] = point;
     }
-    rank_[p] = lo;
+    rank_[k.index] = lo;
   }
 
-  // Group by front, keeping (f0, f1) order within each.
+  // Group by front twice: in (f0, f1) order for the dominator windows, and
+  // in index order, the order of front 0 and the tie-break of the others.
   const size_t fronts = last_.size();
   begin_.assign(fronts + 1, 0);
   for (size_t p = 0; p < n; ++p) ++begin_[rank_[p] + 1];
   std::partial_sum(begin_.begin(), begin_.end(), begin_.begin());
   grouped_.resize(n);
-  key_.resize(n);  // fill cursor per front, then last-dominator positions
-  std::copy(begin_.begin(), begin_.end() - 1, key_.begin());
-  for (size_t p : lex_) grouped_[key_[rank_[p]]++] = p;
+  by_index_.resize(n);
+  count_.assign(begin_.begin(), begin_.end() - 1);
+  for (const LexKey& k : lex_) grouped_[count_[rank_[k.index]]++] = k.index;
+  count_.assign(begin_.begin(), begin_.end() - 1);
+  for (size_t p = 0; p < n; ++p) by_index_[count_[rank_[p]]++] = p;
 
   members_.resize(n);
   pos_.resize(n);
+  key_.resize(n);
   window_.resize(n);
   for (size_t r = 0; r < fronts; ++r) {
     const size_t b = begin_[r];
     const size_t e = begin_[r + 1];
     if (r == 0) {
-      std::copy(grouped_.begin() + b, grouped_.begin() + e,
+      std::copy(by_index_.begin() + b, by_index_.begin() + e,
                 members_.begin() + b);
-      std::sort(members_.begin() + b, members_.begin() + e);
     } else {
       const size_t* prev = grouped_.data() + begin_[r - 1];
       const size_t prev_n = b - begin_[r - 1];
@@ -129,7 +107,8 @@ void Nsga2::FrontPeel::Sort(const Objectives* objs, size_t n) {
       for (size_t i = b; i < e; ++i) {
         const size_t p = grouped_[i];
         while (hi < prev_n && objs[prev[hi]][0] <= objs[p][0]) {
-          while (tail > head && pos_[prev[window_[tail - 1]]] < pos_[prev[hi]]) {
+          while (tail > head &&
+                 pos_[prev[window_[tail - 1]]] < pos_[prev[hi]]) {
             --tail;
           }
           window_[tail++] = hi++;
@@ -138,12 +117,13 @@ void Nsga2::FrontPeel::Sort(const Objectives* objs, size_t n) {
         while (window_[head] < lo) ++head;
         key_[p] = pos_[prev[window_[head]]];
       }
-      std::copy(grouped_.begin() + b, grouped_.begin() + e,
-                members_.begin() + b);
-      std::sort(members_.begin() + b, members_.begin() + e,
-                [this](size_t a, size_t c) {
-                  return key_[a] != key_[c] ? key_[a] < key_[c] : a < c;
-                });
+      count_.assign(prev_n + 1, 0);
+      for (size_t i = b; i < e; ++i) ++count_[key_[by_index_[i]] + 1];
+      std::partial_sum(count_.begin(), count_.end(), count_.begin());
+      for (size_t i = b; i < e; ++i) {
+        const size_t p = by_index_[i];
+        members_[b + count_[key_[p]]++] = p;
+      }
     }
     for (size_t i = b; i < e; ++i) pos_[members_[i]] = i - b;
   }
@@ -153,21 +133,43 @@ std::vector<std::vector<size_t>> Nsga2::NonDominatedSort(
     const std::vector<Objectives>& objectives) {
   FrontPeel peel;
   peel.Sort(objectives.data(), objectives.size());
-  std::vector<std::vector<size_t>> fronts(peel.num_fronts());
+  const std::vector<size_t>& members = peel.members();
+  const std::vector<size_t>& begins = peel.begins();
+  std::vector<std::vector<size_t>> fronts(begins.size() - 1);
   for (size_t r = 0; r < fronts.size(); ++r) {
-    fronts[r].assign(peel.members().begin() + peel.begin(r),
-                     peel.members().begin() + peel.begin(r + 1));
+    fronts[r].assign(members.begin() + begins[r],
+                     members.begin() + begins[r + 1]);
   }
   return fronts;
+}
+
+void Nsga2::Crowding(const Objectives* objs, const size_t* front, size_t n,
+                     double* distance, SortItem* scratch) {
+  std::fill(distance, distance + n, 0.0);
+  if (n == 0) return;
+  for (size_t obj = 0; obj < 2; ++obj) {
+    for (size_t i = 0; i < n; ++i) scratch[i] = {objs[front[i]][obj], i};
+    std::sort(scratch, scratch + n, [](const SortItem& a, const SortItem& b) {
+      return a.value < b.value;
+    });
+    distance[scratch[0].index] = std::numeric_limits<double>::infinity();
+    distance[scratch[n - 1].index] = std::numeric_limits<double>::infinity();
+    const double span = scratch[n - 1].value - scratch[0].value;
+    if (span <= 0.0) continue;
+    for (size_t i = 1; i + 1 < n; ++i) {
+      distance[scratch[i].index] +=
+          (scratch[i + 1].value - scratch[i - 1].value) / span;
+    }
+  }
 }
 
 std::vector<double> Nsga2::CrowdingDistances(
     const std::vector<Objectives>& objectives,
     const std::vector<size_t>& front) {
   std::vector<double> distance(front.size());
-  std::vector<size_t> order(front.size());
-  CrowdingInto(objectives.data(), front.data(), front.size(), distance.data(),
-               order.data());
+  std::vector<SortItem> scratch(front.size());
+  Crowding(objectives.data(), front.data(), front.size(), distance.data(),
+           scratch.data());
   return distance;
 }
 
@@ -181,21 +183,74 @@ void Nsga2::Clamp(double* x) const {
 void Nsga2::Evaluate(size_t slot) {
   std::copy_n(X(slot), bounds_.size(), eval_x_.begin());
   obj_[slot] = objective_(eval_x_);
+  // The front peel sorts by objective value, which NaN would break.
+  assert(!std::isnan(obj_[slot][0]) && !std::isnan(obj_[slot][1]));
 }
 
-void Nsga2::AssignRankAndCrowding(size_t n) {
-  peel_.Sort(obj_.data(), n);
-  const std::vector<size_t>& members = peel_.members();
-  for (size_t r = 0; r < peel_.num_fronts(); ++r) {
-    const size_t b = peel_.begin(r);
-    const size_t size = peel_.begin(r + 1) - b;
-    CrowdingInto(obj_.data(), members.data() + b, size, distance_.data(),
-                 order_.data());
+void Nsga2::RankAndCrowd(const size_t* members, const size_t* begin,
+                         size_t fronts) {
+  for (size_t r = 0; r < fronts; ++r) {
+    const size_t* front = members + begin[r];
+    const size_t size = begin[r + 1] - begin[r];
+    Crowding(obj_.data(), front, size, distance_.data(), items_.data());
     for (size_t i = 0; i < size; ++i) {
-      rank_[members[b + i]] = static_cast<int>(r);
-      crowding_[members[b + i]] = distance_[i];
+      rank_[front[i]] = static_cast<int>(r);
+      crowding_[front[i]] = distance_[i];
     }
   }
+}
+
+void Nsga2::SelectSurvivors(size_t n) {
+  peel_.Sort(obj_.data(), 2 * n);
+  const std::vector<size_t>& members = peel_.members();
+  const std::vector<size_t>& begins = peel_.begins();
+  // Whole fronts while they fit, then the loneliest (largest crowding
+  // distance) members of the first front that does not.
+  size_t whole = 0;
+  while (whole + 1 < begins.size() && begins[whole + 1] <= n) ++whole;
+  const size_t kept = begins[whole];
+  std::copy_n(members.begin(), kept, selected_.begin());
+  if (kept < n) {
+    const size_t size = begins[whole + 1] - kept;
+    Crowding(obj_.data(), members.data() + kept, size, distance_.data(),
+             items_.data());
+    for (size_t i = 0; i < size; ++i) items_[i] = {distance_[i], i};
+    std::sort(items_.begin(), items_.begin() + size,
+              [](const SortItem& a, const SortItem& b) {
+                return a.value > b.value;
+              });
+    for (size_t i = 0; kept + i < n; ++i) {
+      selected_[kept + i] = members[kept + items_[i].index];
+    }
+  }
+  const size_t dims = bounds_.size();
+  for (size_t i = 0; i < n; ++i) {
+    std::copy_n(X(selected_[i]), dims, next_x_.data() + i * dims);
+    next_obj_[i] = obj_[selected_[i]];
+  }
+  x_.swap(next_x_);
+  obj_.swap(next_obj_);
+
+  // Rank the survivors as a fresh peel of slots [0, n) would. Every
+  // dominator of a survivor is in a whole front, so fronts keep their
+  // members; whole fronts, now in consecutive slots, keep their order; the
+  // cut front is ordered by (position of its last dominator in the
+  // previous front, slot), or by slot alone when it is front 0.
+  std::iota(survivors_.begin(), survivors_.end(), size_t{0});
+  std::copy_n(begins.begin(), whole + 1, survivor_begin_.begin());
+  size_t fronts = whole;
+  if (kept < n) {
+    survivor_begin_[++fronts] = n;
+    if (whole > 0) {
+      std::sort(survivors_.begin() + kept, survivors_.end(),
+                [this](size_t a, size_t b) {
+                  const size_t ka = peel_.last_dominator_pos(selected_[a]);
+                  const size_t kb = peel_.last_dominator_pos(selected_[b]);
+                  return ka != kb ? ka < kb : a < b;
+                });
+    }
+  }
+  RankAndCrowd(survivors_.data(), survivor_begin_.data(), fronts);
 }
 
 size_t Nsga2::TournamentPick(size_t n) {
@@ -253,7 +308,9 @@ std::vector<Nsga2Individual> Nsga2::Run() {
   spare_.assign(dims, 0.0);
   eval_x_.assign(dims, 0.0);
   selected_.assign(n, 0);
-  order_.assign(2 * n, 0);
+  survivors_.assign(n, 0);
+  survivor_begin_.assign(n + 1, 0);
+  items_.assign(2 * n, SortItem{0.0, 0});
   distance_.assign(2 * n, 0.0);
   peel_.Reserve(2 * n);
 
@@ -267,7 +324,9 @@ std::vector<Nsga2Individual> Nsga2::Run() {
     Clamp(x);
   }
   for (size_t i = 0; i < n; ++i) Evaluate(i);
-  AssignRankAndCrowding(n);
+  peel_.Sort(obj_.data(), n);
+  RankAndCrowd(peel_.members().data(), peel_.begins().data(),
+               peel_.begins().size() - 1);
 
   for (int gen = 0; gen < options_.generations; ++gen) {
     // Offspring fill slots [n, 2n). An odd population still breeds (and
@@ -283,33 +342,7 @@ std::vector<Nsga2Individual> Nsga2::Run() {
     }
     for (size_t i = n; i < 2 * n; ++i) Evaluate(i);
 
-    // Environmental selection over population + offspring.
-    peel_.Sort(obj_.data(), 2 * n);
-    const std::vector<size_t>& members = peel_.members();
-    size_t kept = 0;
-    for (size_t r = 0; r < peel_.num_fronts() && kept < n; ++r) {
-      const size_t b = peel_.begin(r);
-      const size_t size = peel_.begin(r + 1) - b;
-      if (kept + size <= n) {
-        for (size_t i = 0; i < size; ++i) selected_[kept++] = members[b + i];
-        continue;
-      }
-      CrowdingInto(obj_.data(), members.data() + b, size, distance_.data(),
-                   order_.data());
-      std::iota(order_.begin(), order_.begin() + size, size_t{0});
-      std::sort(order_.begin(), order_.begin() + size,
-                [this](size_t a, size_t c) {
-                  return distance_[a] > distance_[c];
-                });
-      for (size_t i = 0; kept < n; ++i) selected_[kept++] = members[b + order_[i]];
-    }
-    for (size_t i = 0; i < n; ++i) {
-      std::copy_n(X(selected_[i]), dims, next_x_.data() + i * dims);
-      next_obj_[i] = obj_[selected_[i]];
-    }
-    x_.swap(next_x_);
-    obj_.swap(next_obj_);
-    AssignRankAndCrowding(n);
+    SelectSurvivors(n);
   }
 
   // The final non-dominated front, first occurrence of each decision

@@ -84,30 +84,52 @@ class Nsga2 {
   }
 
  private:
+  /// A sort key carried with the index it belongs to.
+  struct SortItem {
+    double value;
+    size_t index;
+  };
+
   /// Sort-based two-objective front peel with reusable scratch. After
-  /// Sort(objs, n), front r is members()[begin(r), begin(r + 1)) in the
-  /// order documented on NonDominatedSort.
+  /// Sort(objs, n), front r is members()[begins()[r], begins()[r + 1]) in
+  /// the order documented on NonDominatedSort.
   class FrontPeel {
    public:
     /// Sizes the scratch for up to `n` points, so Sort() allocates nothing.
     void Reserve(size_t n);
     void Sort(const Objectives* objs, size_t n);
-    size_t num_fronts() const { return begin_.size() - 1; }
-    size_t begin(size_t r) const { return begin_[r]; }
     const std::vector<size_t>& members() const { return members_; }
+    /// Front offsets into members(); one more than the number of fronts.
+    const std::vector<size_t>& begins() const { return begin_; }
+    /// For a point outside front 0: the position of its last dominator
+    /// within the previous front.
+    size_t last_dominator_pos(size_t p) const { return key_[p]; }
 
    private:
-    std::vector<size_t> lex_;      // indices by (f0, f1, index)
+    struct LexKey {
+      double f0;
+      double f1;
+      size_t index;
+    };
+    std::vector<LexKey> lex_;      // points by (f0, f1, index)
     std::vector<size_t> rank_;     // front of each index
-    std::vector<size_t> last_;     // lex-last member of each front so far
-    std::vector<size_t> grouped_;  // lex order, grouped by front
+    std::vector<Objectives> last_; // lex-last member of each front so far
+    std::vector<size_t> grouped_;  // (f0, f1) order, grouped by front
+    std::vector<size_t> by_index_; // index order, grouped by front
     std::vector<size_t> members_;  // emitted order, grouped by front
-    std::vector<size_t> begin_;    // front offsets into grouped_/members_
+    std::vector<size_t> begin_;    // front offsets into the groupings
+    std::vector<size_t> count_;    // counting-sort scratch
     std::vector<size_t> pos_;      // position of each index in its front
     std::vector<size_t> key_;      // position of its last dominator
     std::vector<size_t> window_;   // sliding-maximum deque
   };
 
+  /// Crowding distances of front[0, n) into distance[0, n); `scratch`
+  /// holds n items. Ties between equal objective values fall as the
+  /// unstable std::sort leaves them, so this comparator over this input
+  /// sequence is part of the output contract.
+  static void Crowding(const Objectives* objs, const size_t* front, size_t n,
+                       double* distance, SortItem* scratch);
   double* X(size_t slot) { return x_.data() + slot * bounds_.size(); }
   void Clamp(double* x) const;
   void Evaluate(size_t slot);
@@ -115,8 +137,12 @@ class Nsga2 {
   void SbxCrossover(const double* p1, const double* p2, double* c1,
                     double* c2);
   void PolynomialMutation(double* x);
-  /// Ranks slots [0, n) and sets each one's crowding within its front.
-  void AssignRankAndCrowding(size_t n);
+  /// Sets rank_ and crowding_ of every slot listed in
+  /// members[begin[r], begin[r + 1]) for each front r < fronts.
+  void RankAndCrowd(const size_t* members, const size_t* begin, size_t fronts);
+  /// Environmental selection: moves the best n of the 2n slots into slots
+  /// [0, n) and ranks them.
+  void SelectSurvivors(size_t n);
 
   std::vector<DecisionBounds> bounds_;
   ObjectiveFn objective_;
@@ -134,8 +160,10 @@ class Nsga2 {
   std::vector<double> spare_;   // the odd child a full brood discards
   std::vector<double> eval_x_;  // argument passed to the objective
   FrontPeel peel_;
-  std::vector<size_t> selected_;
-  std::vector<size_t> order_;
+  std::vector<size_t> selected_;  // the slot each survivor comes from
+  std::vector<size_t> survivors_; // survivors' fronts in emitted order
+  std::vector<size_t> survivor_begin_;
+  std::vector<SortItem> items_;
   std::vector<double> distance_;
 };
 
