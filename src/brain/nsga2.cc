@@ -7,6 +7,7 @@
 #include <numeric>
 
 namespace dlrover {
+
 Nsga2::Nsga2(std::vector<DecisionBounds> bounds, ObjectiveFn objective,
              const Nsga2Options& options)
     : bounds_(std::move(bounds)),
