@@ -125,7 +125,6 @@ PodId Cluster::CreatePod(PodSpec spec, std::function<void(Pod&)> on_running,
   const PodId id = pod->id;
   Pod& ref = *pod;
   slots_[slot].pod = pod.get();
-  if (options_.legacy_pod_index) legacy_index_.emplace(id, pod.get());
   directory_.push_back(std::move(pod));
   ++counters_.pods_created;
 
@@ -546,7 +545,6 @@ void Cluster::Terminate(Pod& pod, PodPhase phase, PodStopReason reason) {
   pod.phase = phase;
   pod.end_time = sim_->Now();
   pod.usage = {};
-  if (options_.legacy_pod_index) legacy_index_.erase(pod.id);
   ++mutation_version_;
   if (options_.use_placement_index && options_.validate_placement_index) {
     ValidatePlacementIndex();
@@ -630,13 +628,6 @@ void Cluster::PumpPendingQueue() {
 }
 
 Pod* Cluster::Resolve(PodId id) const {
-  if (options_.legacy_pod_index) {
-    // Pay the pre-slab cost: a tree walk over the live-pod map. Misses
-    // (terminal or stale ids) fall through to the slab so semantics stay
-    // identical to the optimized path.
-    auto it = legacy_index_.find(id);
-    if (it != legacy_index_.end()) return it->second;
-  }
   const uint64_t slot_plus_one = id >> 32;
   if (slot_plus_one == 0 || slot_plus_one > slots_.size()) return nullptr;
   const PodSlot& s = slots_[slot_plus_one - 1];
@@ -740,42 +731,6 @@ void Cluster::ReportUsage(PodId id, const ResourceSpec& usage) {
     LogDelta(ClusterCommitLog::Kind::kUsage, usage - pod->usage);
   }
   pod->usage = usage;
-}
-
-ResourceSpec Cluster::ScanCapacity() const {
-  ResourceSpec total;
-  for (const Node& node : nodes_) {
-    if (node.healthy) total += node.capacity;
-  }
-  return total;
-}
-
-ResourceSpec Cluster::ScanAllocated() const {
-  ResourceSpec total;
-  for (const Node& node : nodes_) {
-    if (node.healthy) total += node.allocated;
-  }
-  return total;
-}
-
-ResourceSpec Cluster::ScanUsage() const {
-  ResourceSpec total;
-  for (const auto& pod : directory_) {
-    if (pod->phase == PodPhase::kRunning) total += pod->usage;
-  }
-  return total;
-}
-
-ResourceSpec Cluster::TotalCapacity() const {
-  return options_.incremental_accounting ? capacity_total_ : ScanCapacity();
-}
-
-ResourceSpec Cluster::TotalAllocated() const {
-  return options_.incremental_accounting ? allocated_total_ : ScanAllocated();
-}
-
-ResourceSpec Cluster::TotalUsage() const {
-  return options_.incremental_accounting ? usage_total_ : ScanUsage();
 }
 
 ClusterUsage Cluster::Usage() const {

@@ -2,7 +2,6 @@
 #define DLROVER_CLUSTER_CLUSTER_H_
 
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,23 +59,13 @@ struct ClusterOptions {
   /// Retry interval for the pending queue.
   Duration reschedule_interval = Seconds(15);
   uint64_t seed = 17;
-  /// Maintain running capacity/allocated/usage totals so TotalCapacity /
-  /// TotalAllocated / TotalUsage / Usage are O(1). When false the totals are
-  /// recomputed by scanning nodes and the whole pod directory on every call
-  /// (the pre-optimization behaviour, kept for perf comparison benches).
-  bool incremental_accounting = true;
-  /// Routes every pod lookup through a std::map index maintained alongside
-  /// the slab, reconstructing the pre-slab lookup cost model (tree walk,
-  /// node allocation per pod) for before/after benches. Results are
-  /// identical either way.
-  bool legacy_pod_index = false;
   /// Serve best-fit placement from the O(log n) PlacementIndex (ordered
   /// free-capacity treap + per-node priority-bucketed pod aggregates +
   /// creation-ordered running-pod directory) instead of the legacy O(nodes)
   /// scan / O(nodes x pods log pods) victim search / full-directory sweep.
   /// Decisions are identical either way — same node, same victims, same
-  /// order — which the parity property tests assert; the legacy arm is kept
-  /// for those tests and for before/after benches.
+  /// order — which the parity property tests assert; the scan arm is kept
+  /// as their reference and as bench_placement's baseline.
   bool use_placement_index = true;
   /// Cross-validates the PlacementIndex against a fresh scan of the node and
   /// pod state after every index mutation (O(nodes + pods) per check — test
@@ -223,11 +212,11 @@ class Cluster {
   void ReportUsage(PodId id, const ResourceSpec& usage);
 
   /// Total cluster capacity across healthy nodes.
-  ResourceSpec TotalCapacity() const;
+  ResourceSpec TotalCapacity() const { return capacity_total_; }
   /// Sum of requests of placed (Starting/Running) pods.
-  ResourceSpec TotalAllocated() const;
+  ResourceSpec TotalAllocated() const { return allocated_total_; }
   /// Sum of live usage reported by running pods.
-  ResourceSpec TotalUsage() const;
+  ResourceSpec TotalUsage() const { return usage_total_; }
   ClusterUsage Usage() const;
 
   /// Number of pods waiting in the pending queue.
@@ -324,10 +313,6 @@ class Cluster {
   /// Slab lookup without const fuss; shared by GetPod/GetMutablePod.
   Pod* Resolve(PodId id) const;
 
-  ResourceSpec ScanCapacity() const;
-  ResourceSpec ScanAllocated() const;
-  ResourceSpec ScanUsage() const;
-
   Simulator* sim_;
   ClusterOptions options_;
   Rng rng_;
@@ -336,8 +321,6 @@ class Cluster {
   std::vector<std::unique_ptr<Pod>> directory_;
   std::vector<PodSlot> slots_;
   std::vector<uint32_t> free_slots_;
-  /// Live-pod map maintained only under options_.legacy_pod_index.
-  std::map<PodId, Pod*> legacy_index_;
   /// O(log n) scheduling indexes, maintained under use_placement_index.
   PlacementIndex placement_index_;
   RunningPodIndex running_index_;
@@ -364,7 +347,7 @@ class Cluster {
   bool fleet_scarcity_ = false;
   ClusterCommitLog* commit_log_ = nullptr;
   ControlChannel* control_ = nullptr;
-  /// Running totals (valid when options_.incremental_accounting).
+  /// Running totals behind TotalCapacity/TotalAllocated/TotalUsage.
   ResourceSpec capacity_total_;
   ResourceSpec allocated_total_;
   ResourceSpec usage_total_;

@@ -193,7 +193,7 @@ void ControlChannel::Attempt(uint32_t slot) {
         rng_.Uniform(0.5, 1.5);
     const uint32_t gen = m2.gen;
     m2.retry_event = sim_->ScheduleAfter(
-        backoff, [this, slot, gen] { RetryFire(slot, gen); }, "ctl_retry");
+        backoff, [this, slot, gen] { RetryFire(slot, gen); });
   }
 }
 
@@ -213,10 +213,9 @@ void ControlChannel::ScheduleDelivery(uint32_t slot, bool duplicate_copy) {
           : 0;
   ++m.inflight;
   const uint32_t gen = m.gen;
-  sim_->ScheduleAfter(
-      latency,
-      [this, slot, gen, attempt_epoch] { Deliver(slot, gen, attempt_epoch); },
-      "ctl_deliver");
+  sim_->ScheduleAfter(latency, [this, slot, gen, attempt_epoch] {
+    Deliver(slot, gen, attempt_epoch);
+  });
 }
 
 void ControlChannel::Deliver(uint32_t slot, uint32_t gen,
@@ -268,25 +267,22 @@ void ControlChannel::Deliver(uint32_t slot, uint32_t gen,
         const Duration latency =
             rng_.Uniform(options_.min_latency, options_.max_latency);
         ++m.inflight;
-        sim_->ScheduleAfter(
-            latency,
-            [this, slot, gen] {
-              Message& mm = slots_[slot];
-              if (!mm.armed || mm.gen != gen) return;
-              assert(mm.inflight > 0);
-              --mm.inflight;
-              if (!mm.acked) {
-                mm.acked = true;
-                if (mm.retry_event != 0) {
-                  sim_->Cancel(mm.retry_event);
-                  mm.retry_event = 0;
-                }
-                Close(slot);
-                return;
-              }
-              MaybeRelease(slot);
-            },
-            "ctl_ack");
+        sim_->ScheduleAfter(latency, [this, slot, gen] {
+          Message& mm = slots_[slot];
+          if (!mm.armed || mm.gen != gen) return;
+          assert(mm.inflight > 0);
+          --mm.inflight;
+          if (!mm.acked) {
+            mm.acked = true;
+            if (mm.retry_event != 0) {
+              sim_->Cancel(mm.retry_event);
+              mm.retry_event = 0;
+            }
+            Close(slot);
+            return;
+          }
+          MaybeRelease(slot);
+        });
       }
     }
   }
@@ -324,14 +320,11 @@ void ControlChannel::PartitionNode(NodeId node, Duration duration) {
   node_partition_until_[idx] = std::max(node_partition_until_[idx], until);
   ++stats_.node_partitions;
   Record(ControlEventKind::kNodePartitionStart, node, 0);
-  sim_->ScheduleAt(
-      node_partition_until_[idx],
-      [this, node] {
-        if (!NodePartitioned(node)) {
-          Record(ControlEventKind::kNodePartitionEnd, node, 0);
-        }
-      },
-      "ctl_node_heal");
+  sim_->ScheduleAt(node_partition_until_[idx], [this, node] {
+    if (!NodePartitioned(node)) {
+      Record(ControlEventKind::kNodePartitionEnd, node, 0);
+    }
+  });
 }
 
 void ControlChannel::PartitionCell(Duration duration) {
@@ -339,14 +332,11 @@ void ControlChannel::PartitionCell(Duration duration) {
   cell_partition_until_ = std::max(cell_partition_until_, until);
   ++stats_.cell_partitions;
   Record(ControlEventKind::kCellPartitionStart, 0, 0);
-  sim_->ScheduleAt(
-      cell_partition_until_,
-      [this] {
-        if (!CellPartitioned()) {
-          Record(ControlEventKind::kCellPartitionEnd, 0, 0);
-        }
-      },
-      "ctl_cell_heal");
+  sim_->ScheduleAt(cell_partition_until_, [this] {
+    if (!CellPartitioned()) {
+      Record(ControlEventKind::kCellPartitionEnd, 0, 0);
+    }
+  });
 }
 
 bool ControlChannel::NodePartitioned(NodeId node) const {
@@ -408,18 +398,15 @@ int ControlChannel::CrashMasterByOrdinal(size_t ordinal) {
     Record(ControlEventKind::kMasterCrash, h, m.epoch);
     if (m.endpoint) m.endpoint->OnMasterCrash();
     if (options_.failover_enabled) {
-      sim_->ScheduleAfter(
-          options_.master_restart_delay,
-          [this, h] {
-            MasterSlot& mm = masters_[h];
-            if (!mm.registered || mm.up) return;
-            mm.up = true;
-            ++mm.epoch;
-            ++stats_.master_restarts;
-            Record(ControlEventKind::kMasterRestart, h, mm.epoch);
-            if (mm.endpoint) mm.endpoint->OnMasterRestart();
-          },
-          "ctl_master_restart");
+      sim_->ScheduleAfter(options_.master_restart_delay, [this, h] {
+        MasterSlot& mm = masters_[h];
+        if (!mm.registered || mm.up) return;
+        mm.up = true;
+        ++mm.epoch;
+        ++stats_.master_restarts;
+        Record(ControlEventKind::kMasterRestart, h, mm.epoch);
+        if (mm.endpoint) mm.endpoint->OnMasterRestart();
+      });
     }
     return static_cast<int>(h);
   }

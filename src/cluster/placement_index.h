@@ -20,7 +20,7 @@ int PriorityBucket(PriorityClass p);
 ///
 /// The structure answers the scheduler's best-fit query — "healthy node with
 /// the least remaining CPU that still fits the request" — in O(log n)
-/// instead of the O(n) scan the legacy hot path pays per placement attempt,
+/// instead of the O(n) scan the linear placement arm pays per attempt,
 /// and keeps per-node, priority-bucketed aggregates that let the preemption
 /// path reject hopeless nodes in O(1) instead of sorting every pod on every
 /// node per victim search.

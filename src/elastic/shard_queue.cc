@@ -33,7 +33,6 @@ StatusOr<DataShard> ShardQueue::NextShardLocked(uint64_t max_batches) {
     // this range earlier must not be able to complete the re-served copy.
     shard.index = next_index_++;
     outstanding_.push_back(shard);
-    if (options_.legacy_index) legacy_outstanding_.emplace(shard.index, shard);
     return shard;
   }
 
@@ -46,7 +45,6 @@ StatusOr<DataShard> ShardQueue::NextShardLocked(uint64_t max_batches) {
   shard.end_batch = std::min(cursor_ + want, options_.total_batches);
   cursor_ = shard.end_batch;
   outstanding_.push_back(shard);
-  if (options_.legacy_index) legacy_outstanding_.emplace(shard.index, shard);
   return shard;
 }
 
@@ -90,7 +88,6 @@ StatusOr<DataShard> ShardQueue::WaitNextShardFor(double timeout_seconds,
 
 Status ShardQueue::ReportCompleted(const DataShard& shard) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (options_.legacy_index) legacy_outstanding_.erase(shard.index);
   auto it = std::find_if(
       outstanding_.begin(), outstanding_.end(),
       [&](const DataShard& s) { return s.index == shard.index; });
@@ -110,7 +107,6 @@ Status ShardQueue::ReportCompleted(const DataShard& shard) {
 Status ShardQueue::ReportFailed(const DataShard& shard,
                                 uint64_t processed_batches) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (options_.legacy_index) legacy_outstanding_.erase(shard.index);
   auto it = std::find_if(
       outstanding_.begin(), outstanding_.end(),
       [&](const DataShard& s) { return s.index == shard.index; });
@@ -166,7 +162,6 @@ void ShardQueue::FastForwardTo(uint64_t batches) {
   completed_batches_ = batches;
   requeued_.clear();
   outstanding_.clear();
-  legacy_outstanding_.clear();
   cv_.notify_all();
 }
 
@@ -201,7 +196,6 @@ void ShardQueue::RestoreState(const ShardQueueSnapshot& snapshot) {
   completed_batches_ = snapshot.completed_batches;
   requeued_.clear();
   outstanding_.clear();
-  legacy_outstanding_.clear();
   for (const DataShard& range : snapshot.pending) {
     if (range.end_batch <= range.start_batch) continue;
     DataShard shard = range;

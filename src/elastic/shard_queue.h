@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <vector>
 
@@ -51,10 +50,6 @@ struct ShardQueueOptions {
   uint64_t default_shard_batches = 128;
   /// Lower bound when shrinking shards for stragglers.
   uint64_t min_shard_batches = 16;
-  /// Mirrors outstanding-shard bookkeeping through the pre-optimization
-  /// std::map (a tree-node allocation per dispatch), reconstructing the old
-  /// cost model for before/after benches. Results are identical either way.
-  bool legacy_index = false;
 };
 
 /// The shards queue: partitions training data into numerous small
@@ -156,8 +151,6 @@ class ShardQueue {
   /// real point — reuses its capacity, so the steady-state dispatch path
   /// stops allocating a map node per served shard.
   std::vector<DataShard> outstanding_;
-  /// Mirror maintained only under options_.legacy_index (cost model).
-  std::map<uint64_t, DataShard> legacy_outstanding_;
 };
 
 }  // namespace dlrover

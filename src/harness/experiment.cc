@@ -394,19 +394,9 @@ Distribution FleetResult::JctDistribution(bool dlrover_only,
 
 namespace {
 
-/// Setup that must precede the Cluster constructor (its pump task captures
-/// the dispatch mode); called from FleetSimulation's member-init list.
-Simulator* PrepareFleetSim(Simulator* sim, const FleetScenario& scenario) {
-  sim->set_boxed_callbacks(scenario.legacy_hot_path);
-  return sim;
-}
-
 ClusterOptions FleetClusterOptions(const FleetScenario& scenario) {
   ClusterOptions cluster_options = scenario.cluster;
   cluster_options.seed = scenario.seed * 13 + 1;
-  cluster_options.incremental_accounting = !scenario.legacy_hot_path;
-  cluster_options.legacy_pod_index = scenario.legacy_hot_path;
-  cluster_options.use_placement_index = !scenario.legacy_hot_path;
   return cluster_options;
 }
 
@@ -414,7 +404,7 @@ ClusterOptions FleetClusterOptions(const FleetScenario& scenario) {
 
 FleetSimulation::FleetSimulation(Simulator* sim, const FleetScenario& scenario,
                                  std::vector<GeneratedJob> trace)
-    : sim_(PrepareFleetSim(sim, scenario)),
+    : sim_(sim),
       scenario_(scenario),
       trace_(std::move(trace)),
       cluster_(sim_, FleetClusterOptions(scenario)) {
@@ -496,8 +486,6 @@ void FleetSimulation::ScheduleArrivals() {
     sim_->ScheduleAt(gen.arrival, [this, i, manual_config] {
       const GeneratedJob& g = trace_[i];
       JobSpec spec = g.spec;
-      spec.memoize_iteration = !scenario_.legacy_hot_path;
-      spec.legacy_shard_index = scenario_.legacy_hot_path;
       JobConfig config;
       if (outcomes_[i].used_dlrover) {
         spec.data_mode = DataMode::kDynamicSharding;

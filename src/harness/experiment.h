@@ -122,11 +122,6 @@ struct FleetScenario {
   bool seed_history = true;
   Duration horizon = Hours(36);
   uint64_t seed = 99;
-  /// Disables the O(1) hot-path optimizations (incremental cluster
-  /// accounting, memoized iteration model) and reruns their per-call scan
-  /// paths instead. Outcomes are identical either way; bench_fleet_scale
-  /// uses this as the before/after baseline.
-  bool legacy_hot_path = false;
 };
 
 struct FleetResult {

@@ -60,7 +60,6 @@ TrainingJob::TrainingJob(Simulator* sim, Cluster* cluster, const JobSpec& spec,
   if (spec_.data_mode == DataMode::kDynamicSharding) {
     ShardQueueOptions options;
     options.total_batches = spec_.total_steps;
-    options.legacy_index = spec_.legacy_shard_index;
     shard_queue_ = std::make_unique<ShardQueue>(options);
   }
   if (spec_.history_reserve > 0) history_.reserve(spec_.history_reserve);
@@ -286,12 +285,6 @@ void TrainingJob::StartNextShard(WorkerState& worker) {
 double TrainingJob::WorkerIterTime(const WorkerState& worker) const {
   const Pod* pod = cluster_->GetPod(worker.pod);
   const double speed = pod != nullptr ? pod->speed_factor : 1.0;
-  if (!spec_.memoize_iteration) {
-    return ComputeIteration(profile_, env_, spec_.batch_size,
-                            ActiveWorkerCount(), config_, speed,
-                            CurrentPsGroupState())
-        .Total();
-  }
   return CachedIteration(ActiveWorkerCount(), speed).Total();
 }
 
@@ -301,9 +294,8 @@ IterationBreakdown TrainingJob::CachedIteration(int active_workers,
   if (cluster_version != iter_cache_cluster_version_ ||
       job_version_ != iter_cache_job_version_ ||
       active_workers != iter_cache_active_) {
-    // New generation: rebuild the PS-group snapshot (exactly what
-    // CurrentPsGroupState produces, reusing the vectors' capacity) and drop
-    // the per-speed entries.
+    // New generation: rebuild the PS-group snapshot (live PS shares and pod
+    // speeds, reusing the vectors' capacity) and drop the per-speed entries.
     group_cache_.shares.clear();
     group_cache_.speeds.clear();
     for (const auto& ps : ps_) {
@@ -332,21 +324,6 @@ IterationBreakdown TrainingJob::CachedIteration(int active_workers,
       ComputeIteration(profile_, env_, spec_.batch_size, active_workers,
                        config_, worker_speed, group_cache_)});
   return iter_cache_.back().iter;
-}
-
-PsGroupState TrainingJob::CurrentPsGroupState() const {
-  PsGroupState state;
-  for (const auto& ps : ps_) {
-    if (ps->retired) continue;
-    const Pod* pod = cluster_->GetPod(ps->pod);
-    state.shares.push_back(ps->share);
-    state.speeds.push_back(pod != nullptr ? pod->speed_factor : 1.0);
-  }
-  if (state.shares.empty()) {
-    state.shares.push_back(1.0);
-    state.speeds.push_back(1.0);
-  }
-  return state;
 }
 
 void TrainingJob::OnShardComplete(WorkerState& worker) {
@@ -1306,23 +1283,15 @@ void TrainingJob::UpdateMemoryAndUsage() {
       static_cast<double>(batches_done()) *
       static_cast<double>(spec_.batch_size));
   const int active = std::max(1, ActiveWorkerCount());
-  const bool memoize = spec_.memoize_iteration;
-  // Unmemoized path keeps its own group copy; the memoized path reuses the
-  // cache's snapshot (valid for this tick once CachedIteration ran).
-  PsGroupState local_group;
-  if (!memoize) local_group = CurrentPsGroupState();
-  const IterationBreakdown healthy =
-      memoize ? CachedIteration(active, 1.0)
-              : ComputeIteration(profile_, env_, spec_.batch_size, active,
-                                 config_, 1.0, local_group);
-  const PsGroupState& group = memoize ? group_cache_ : local_group;
+  const IterationBreakdown healthy = CachedIteration(active, 1.0);
   const double t_iter = std::max(1e-9, healthy.Total());
 
   // Parameter servers: memory tracks embedding growth; CPU tracks the share
   // of the iteration spent in updates + lookups, scaled by each PS's load
-  // relative to a balanced peer.
+  // relative to a balanced peer. group_cache_ is this tick's PS-group
+  // snapshot: CachedIteration above brought it up to date.
   const double balanced_inv_p =
-      1.0 / std::max<size_t>(1, group.shares.size());
+      1.0 / std::max<size_t>(1, group_cache_.shares.size());
   std::vector<PsState*>& live_ps = live_ps_scratch_;
   live_ps.clear();
   for (auto& ps : ps_) {
@@ -1350,9 +1319,7 @@ void TrainingJob::UpdateMemoryAndUsage() {
     Pod* pod = cluster_->GetMutablePod(w->pod);
     if (pod == nullptr) continue;
     const IterationBreakdown mine =
-        memoize ? CachedIteration(active, pod->speed_factor)
-                : ComputeIteration(profile_, env_, spec_.batch_size, active,
-                                   config_, pod->speed_factor, local_group);
+        CachedIteration(active, pod->speed_factor);
     const double t_mine = std::max(1e-9, mine.Total());
     ResourceSpec usage;
     usage.cpu =

@@ -82,18 +82,10 @@ struct JobSpec {
   /// Models TensorFlow's tensor-granularity placement (paper: hot PSes).
   std::vector<double> ps_shares;
   uint64_t seed = 1234;
-  /// Memoize the §4.1 iteration law on (active workers, config, PS-group
-  /// state, worker speed) so steady-state shard dispatch skips re-deriving
-  /// Eqns 2–5. The cache is exact (the law is a pure function); disabling it
-  /// reproduces the pre-optimization evaluation path for perf comparisons.
-  bool memoize_iteration = true;
   /// Pre-reserve this many ThroughputSample slots (0 = grow on demand).
   /// Long-horizon runs that must stay allocation-free in steady state set
   /// this to cover the whole horizon's profile ticks.
   size_t history_reserve = 0;
-  /// Routes shard bookkeeping through the pre-optimization std::map (see
-  /// ShardQueueOptions::legacy_index); only for before/after benches.
-  bool legacy_shard_index = false;
   /// Pod-relaunch backoff: the i-th consecutive relaunch of a failed worker
   /// (or PS) waits base * 2^(i-1), capped, with deterministic seeded jitter
   /// in [0.5, 1.5) — so a crash-looping pod cannot hammer the scheduler.
@@ -349,7 +341,6 @@ class TrainingJob {
   void OnShardComplete(WorkerState& worker);
   void InterruptWorker(WorkerState& worker);  // requeue with partial credit
   double WorkerIterTime(const WorkerState& worker) const;
-  PsGroupState CurrentPsGroupState() const;
   /// Memoized ComputeIteration. The cache key is (cluster mutation version,
   /// job mutation version, active worker count); worker speed selects an
   /// entry within the cached generation. Any pod phase/speed change bumps
@@ -468,8 +459,8 @@ class TrainingJob {
   SimTime window_start_ = 0.0;
   double last_throughput_ = 0.0;
 
-  // Iteration-law memoization (see CachedIteration). The group cache
-  // replicates CurrentPsGroupState for the cached generation; entries map a
+  // Iteration-law memoization (see CachedIteration). The group cache holds
+  // the live PS shares and speeds for the cached generation; entries map a
   // worker speed to its precomputed breakdown.
   struct IterCacheEntry {
     double speed = 0.0;

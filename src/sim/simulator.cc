@@ -1,7 +1,6 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 namespace dlrover {
@@ -31,12 +30,7 @@ void Simulator::ReleaseSlot(uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-EventId Simulator::ScheduleAt(SimTime at, Callback cb, std::string label) {
-  (void)label;  // Labels are for debugging; not stored in release builds.
-  if (boxed_callbacks_) {
-    auto boxed = std::make_unique<Callback>(std::move(cb));
-    cb = Callback([b = std::move(boxed)] { (*b)(); });
-  }
+EventId Simulator::ScheduleAt(SimTime at, Callback cb) {
   const SimTime when = std::max(at, now_);
   const uint32_t slot = ArmSlot(std::move(cb));
   const uint32_t gen = slots_[slot].gen;
@@ -44,10 +38,8 @@ EventId Simulator::ScheduleAt(SimTime at, Callback cb, std::string label) {
   return MakeId(slot, gen);
 }
 
-EventId Simulator::ScheduleAfter(Duration delay, Callback cb,
-                                 std::string label) {
-  return ScheduleAt(now_ + std::max(0.0, delay), std::move(cb),
-                    std::move(label));
+EventId Simulator::ScheduleAfter(Duration delay, Callback cb) {
+  return ScheduleAt(now_ + std::max(0.0, delay), std::move(cb));
 }
 
 bool Simulator::Cancel(EventId id) {

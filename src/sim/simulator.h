@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <queue>
-#include <string>
 #include <vector>
 
 #include "common/inline_callback.h"
@@ -48,10 +47,10 @@ class Simulator {
   /// Schedules `cb` to run at absolute time `at` (>= Now()). Returns an id
   /// that can be passed to Cancel(). Scheduling in the past is clamped to
   /// Now() and the event fires on the next Step.
-  EventId ScheduleAt(SimTime at, Callback cb, std::string label = "");
+  EventId ScheduleAt(SimTime at, Callback cb);
 
   /// Schedules `cb` to run `delay` seconds from now.
-  EventId ScheduleAfter(Duration delay, Callback cb, std::string label = "");
+  EventId ScheduleAfter(Duration delay, Callback cb);
 
   /// Cancels a pending event. Returns true only if the event existed and
   /// had not yet fired; ids of already-fired (or never-scheduled, or
@@ -77,12 +76,6 @@ class Simulator {
 
   /// Runs until the event queue is fully drained.
   void RunToCompletion();
-
-  /// Emulates the pre-inline-callback dispatch cost model for before/after
-  /// benchmarking: every scheduled callback is boxed on the heap behind an
-  /// extra indirection, the way std::function stored out-of-line captures.
-  /// Execution order and results are identical either way.
-  void set_boxed_callbacks(bool boxed) { boxed_callbacks_ = boxed; }
 
   /// Number of events executed so far (for tests and microbenches).
   uint64_t executed_events() const { return executed_events_; }
@@ -125,7 +118,6 @@ class Simulator {
   void ReleaseSlot(uint32_t slot);
 
   SimTime now_ = 0.0;
-  bool boxed_callbacks_ = false;
   uint64_t next_seq_ = 0;
   uint64_t executed_events_ = 0;
   size_t live_events_ = 0;

@@ -221,44 +221,86 @@ TEST(ClusterTest, UnderScarcityFalseOnZeroCapacity) {
   EXPECT_FALSE(cluster.UnderScarcity());
 }
 
-// Incremental totals must agree with a fresh per-node scan at every point
-// of the pod lifecycle, including node failure.
+// Reference totals recomputed from scratch: healthy nodes' capacity and
+// allocation (cordoned nodes included), and the usage of running pods.
+struct ScannedTotals {
+  ResourceSpec capacity;
+  ResourceSpec allocated;
+  ResourceSpec usage;
+};
+
+ScannedTotals ScanTotals(const Cluster& cluster) {
+  ScannedTotals totals;
+  for (size_t i = 0; i < cluster.num_nodes(); ++i) {
+    const Node& node = cluster.GetNode(static_cast<NodeId>(i));
+    if (!node.healthy) continue;
+    totals.capacity += node.capacity;
+    totals.allocated += node.allocated;
+  }
+  cluster.VisitPods([&](const Pod& pod) {
+    if (pod.phase == PodPhase::kRunning) totals.usage += pod.usage;
+  });
+  return totals;
+}
+
+void ExpectTotalsMatchScan(const Cluster& cluster, const char* step) {
+  SCOPED_TRACE(step);
+  const ScannedTotals scan = ScanTotals(cluster);
+  EXPECT_DOUBLE_EQ(cluster.TotalCapacity().cpu, scan.capacity.cpu);
+  EXPECT_DOUBLE_EQ(cluster.TotalCapacity().memory, scan.capacity.memory);
+  EXPECT_DOUBLE_EQ(cluster.TotalAllocated().cpu, scan.allocated.cpu);
+  EXPECT_DOUBLE_EQ(cluster.TotalAllocated().memory, scan.allocated.memory);
+  EXPECT_DOUBLE_EQ(cluster.TotalUsage().cpu, scan.usage.cpu);
+  EXPECT_DOUBLE_EQ(cluster.TotalUsage().memory, scan.usage.memory);
+}
+
+// The running totals must agree with a fresh scan of nodes and pods at
+// every point of the pod lifecycle and of the node lifecycle: failure,
+// cordon, repair of a cordoned node and uncordon.
 TEST(ClusterTest, IncrementalAccountingMatchesScan) {
   Simulator sim;
-  ClusterOptions scan_options = TinyCluster(3, 16.0);
-  scan_options.incremental_accounting = false;
-  Simulator scan_sim;
-
-  auto check = [](Cluster& incremental, Cluster& scan) {
-    EXPECT_DOUBLE_EQ(incremental.TotalCapacity().cpu,
-                     scan.TotalCapacity().cpu);
-    EXPECT_DOUBLE_EQ(incremental.TotalAllocated().cpu,
-                     scan.TotalAllocated().cpu);
-    EXPECT_DOUBLE_EQ(incremental.TotalUsage().cpu, scan.TotalUsage().cpu);
-    EXPECT_DOUBLE_EQ(incremental.TotalAllocated().memory,
-                     scan.TotalAllocated().memory);
-  };
-
-  Cluster incremental(&sim, TinyCluster(3, 16.0));
-  Cluster scan(&scan_sim, scan_options);
-  std::vector<PodId> a, b;
+  Cluster cluster(&sim, TinyCluster(3, 16.0));
+  std::vector<PodId> pods;
   for (int i = 0; i < 5; ++i) {
-    a.push_back(incremental.CreatePod(TrainingPod(6.0), nullptr, nullptr));
-    b.push_back(scan.CreatePod(TrainingPod(6.0), nullptr, nullptr));
+    pods.push_back(cluster.CreatePod(TrainingPod(6.0), nullptr, nullptr));
   }
+  ExpectTotalsMatchScan(cluster, "created");
   sim.RunUntil(Seconds(20));
-  scan_sim.RunUntil(Seconds(20));
-  incremental.ReportUsage(a[0], {3.0, GiB(3)});
-  scan.ReportUsage(b[0], {3.0, GiB(3)});
-  check(incremental, scan);
+  for (size_t i = 0; i < pods.size(); ++i) {
+    const double share = static_cast<double>(i + 1);
+    cluster.ReportUsage(pods[i], {share, GiB(share)});
+  }
+  ExpectTotalsMatchScan(cluster, "usage");
 
-  incremental.KillPod(a[1]);
-  scan.KillPod(b[1]);
-  check(incremental, scan);
+  cluster.KillPod(pods[1]);
+  ExpectTotalsMatchScan(cluster, "kill");
 
-  incremental.FailNode(0);
-  scan.FailNode(0);
-  check(incremental, scan);
+  cluster.CordonNode(1);
+  ExpectTotalsMatchScan(cluster, "cordon");
+  EXPECT_DOUBLE_EQ(cluster.TotalCapacity().cpu, 48.0);
+
+  cluster.FailNode(0);
+  ExpectTotalsMatchScan(cluster, "fail");
+  cluster.FailNode(1);
+  ExpectTotalsMatchScan(cluster, "fail cordoned");
+
+  // Replacements queue up: only node 2 is healthy and uncordoned.
+  for (int i = 0; i < 3; ++i) {
+    pods.push_back(cluster.CreatePod(TrainingPod(6.0), nullptr, nullptr));
+  }
+  ExpectTotalsMatchScan(cluster, "pending");
+
+  cluster.RecoverNode(0);
+  cluster.RecoverNode(1);
+  ExpectTotalsMatchScan(cluster, "recover");
+  EXPECT_TRUE(cluster.IsCordoned(1));
+
+  cluster.UncordonNode(1);
+  ExpectTotalsMatchScan(cluster, "uncordon");
+  sim.RunUntil(Seconds(60));
+  for (PodId id : pods) cluster.ReportUsage(id, {2.5, GiB(2)});
+  ExpectTotalsMatchScan(cluster, "usage after repair");
+  EXPECT_GT(cluster.TotalUsage().cpu, 0.0);
 }
 
 // Regression: killing pods from inside a preemption-victim callback must
