@@ -514,12 +514,14 @@ Status MiniDlrm::ImportState(const DlrmStateBlob& blob) {
 // Allocation-free batch hot path (ExecMode::kThreads workers).
 //
 // Same math as TakeSnapshot / ForwardBackward / ApplyGradients, restructured
-// around flat reusable buffers: the per-sample field vectors live directly in
-// the concatenated x0 buffer, embedding rows are gathered once per batch into
-// a flat array indexed by a slot table, and gradients accumulate into
-// per-worker flat arrays that PushBatch scatters in one sharded pass. Every
-// floating-point statement keeps the legacy order, so losses and updates are
-// bit-identical (pinned by mini_dlrm_test.FastPathMatchesLegacyBitExact).
+// around flat reusable buffers: every sample's field vectors live in one
+// batch-major x0 buffer, the MLP tower runs once per layer over the whole
+// batch through the exact-order layer kernels, embedding rows are gathered
+// once per batch into a flat array indexed by a slot table, and gradients
+// accumulate into per-worker flat arrays that PushBatch scatters in one
+// sharded pass. Every accumulator receives its terms in the legacy order, so
+// losses and updates are bit-identical (pinned by mini_dlrm_test's
+// FastPathTest).
 // ---------------------------------------------------------------------------
 
 void MiniDlrm::EnsureWork(DlrmBatchWork* work) const {
@@ -527,23 +529,19 @@ void MiniDlrm::EnsureWork(DlrmBatchWork* work) const {
   Rng dummy(0);
   work->dense_grads = MakeDenseParams(config_, n0_, /*zero=*/true, &dummy);
   const size_t n0 = static_cast<size_t>(n0_);
-  work->x0.resize(n0);
   work->dfields.resize(n0);
   work->dx0.resize(n0);
   const size_t layers = work->dense_grads.mlp_w.size();
   work->mlp_pre.resize(layers);
   work->mlp_post.resize(layers);
+  size_t widest = 0;
+  for (const Matrix& w : work->dense_grads.mlp_w) {
+    widest = std::max(widest, w.data().size());
+  }
+  work->wt.resize(widest);
   if (config_.arch == ModelKind::kDcn) {
-    work->cross_x.assign(static_cast<size_t>(config_.cross_layers) + 1,
-                         std::vector<double>(n0));
-    work->cross_s.resize(static_cast<size_t>(config_.cross_layers));
     work->dxl.resize(n0);
     work->dprev.resize(n0);
-  }
-  if (config_.arch == ModelKind::kXDeepFm) {
-    work->fm_t.resize(static_cast<size_t>(config_.fm_maps) * (1 + kNumCat));
-    work->fm_f.resize(static_cast<size_t>(config_.fm_maps));
-    work->fm_s.resize(static_cast<size_t>(config_.fm_maps));
   }
   work->initialized = true;
 }
@@ -593,137 +591,159 @@ void MiniDlrm::PullBatch(DlrmBatchWork* work) const {
                     &work->store_scratch);
 }
 
-double MiniDlrm::ForwardSampleFast(const CriteoSample& sample,
-                                   size_t sample_idx,
-                                   DlrmBatchWork& work) const {
+void MiniDlrm::AssembleFields(DlrmBatchWork& work) const {
   const int d = config_.emb_dim;
-  double* x0 = work.x0.data();
-
-  // Field 0: projected dense features.
-  for (int r = 0; r < d; ++r) {
-    double acc = 0.0;
-    for (int c = 0; c < kNumDense; ++c) {
-      acc += work.dense.dense_proj(static_cast<size_t>(r),
-                                   static_cast<size_t>(c)) *
-             sample.dense[static_cast<size_t>(c)];
+  const size_t n0 = static_cast<size_t>(n0_);
+  for (size_t s = 0; s < work.batch.samples.size(); ++s) {
+    const CriteoSample& sample = work.batch.samples[s];
+    double* x0 = &work.x0[s * n0];
+    // Field 0: projected dense features.
+    for (int r = 0; r < d; ++r) {
+      double acc = 0.0;
+      for (int c = 0; c < kNumDense; ++c) {
+        acc += work.dense.dense_proj(static_cast<size_t>(r),
+                                     static_cast<size_t>(c)) *
+               sample.dense[static_cast<size_t>(c)];
+      }
+      x0[r] = acc;
     }
-    x0[r] = acc;
-  }
-  // Fields 1..26: gathered embedding rows, straight into x0's field slices.
-  double wide_logit = 0.0;
-  const uint32_t* slots = &work.slot[sample_idx * kNumCat];
-  for (int f = 0; f < kNumCat; ++f) {
-    const uint32_t slot = slots[f];
-    const double* row = &work.rows[static_cast<size_t>(slot) * d];
-    std::copy(row, row + d, x0 + static_cast<size_t>(f + 1) * d);
-    if (config_.arch == ModelKind::kWideDeep) {
-      wide_logit += work.wide[slot];
+    // Fields 1..26: gathered embedding rows, straight into x0's field slices.
+    const uint32_t* slots = &work.slot[s * kNumCat];
+    for (int f = 0; f < kNumCat; ++f) {
+      const double* row = &work.rows[static_cast<size_t>(slots[f]) * d];
+      std::copy(row, row + d, x0 + static_cast<size_t>(f + 1) * d);
     }
   }
+}
 
-  // MLP tower.
-  const std::vector<double>* act = &work.x0;
-  for (size_t l = 0; l < work.dense.mlp_w.size(); ++l) {
-    const bool last = l + 1 == work.dense.mlp_w.size();
-    work.dense.mlp_w[l].ApplyBiasAct(*act, work.dense.mlp_b[l],
-                                     /*relu=*/!last, &work.mlp_post[l],
-                                     &work.mlp_pre[l]);
-    act = &work.mlp_post[l];
+void MiniDlrm::TowerForward(DlrmBatchWork& work) const {
+  // One layer at a time over the whole batch: pre = W x + b (the kernel's
+  // sum, then the bias, as in Matrix::ApplyBiasAct), post = ReLU(pre)
+  // except on the output layer.
+  const size_t ns = work.batch.samples.size();
+  const size_t layers = work.dense.mlp_w.size();
+  const double* act = work.x0.data();
+  for (size_t l = 0; l < layers; ++l) {
+    const Matrix& w = work.dense.mlp_w[l];
+    const std::vector<double>& bias = work.dense.mlp_b[l];
+    const size_t out = w.rows();
+    const bool relu = l + 1 < layers;
+    work.mlp_pre[l].resize(ns * out);
+    work.mlp_post[l].resize(ns * out);
+    double* pre = work.mlp_pre[l].data();
+    double* post = work.mlp_post[l].data();
+    KernelLayerForward(w.data().data(), act, ns, out, w.cols(),
+                       work.wt.data(), pre);
+    for (size_t s = 0; s < ns; ++s) {
+      for (size_t o = 0; o < out; ++o) {
+        double& acc = pre[s * out + o];
+        acc += bias[o];
+        post[s * out + o] = relu ? std::max(0.0, acc) : acc;
+      }
+    }
+    act = post;
   }
-  double logit = (*act)[0] + work.dense.bias;
+}
 
-  // Architecture head.
+double MiniDlrm::HeadForward(size_t s, double logit,
+                             DlrmBatchWork& work) const {
+  const int d = config_.emb_dim;
+  const size_t n = static_cast<size_t>(n0_);
+  const double* x0 = &work.x0[s * n];
   if (config_.arch == ModelKind::kWideDeep) {
+    double wide_logit = 0.0;
+    const uint32_t* slots = &work.slot[s * kNumCat];
+    for (int f = 0; f < kNumCat; ++f) wide_logit += work.wide[slots[f]];
     logit += wide_logit;
   } else if (config_.arch == ModelKind::kDcn) {
-    work.cross_x[0] = work.x0;
-    for (size_t l = 0; l < work.dense.cross_w.size(); ++l) {
-      const std::vector<double>& xl = work.cross_x[l];
-      double s = 0.0;
-      for (size_t i = 0; i < xl.size(); ++i) {
-        s += work.dense.cross_w[l][i] * xl[i];
+    // x_0 is x0 itself; x_1..x_L are this sample's rows of cross_x.
+    const size_t layers = work.dense.cross_w.size();
+    double* cross_x = work.cross_x.data() + s * layers * n;
+    const double* xl = x0;
+    for (size_t l = 0; l < layers; ++l) {
+      double sum = 0.0;
+      for (size_t i = 0; i < n; ++i) sum += work.dense.cross_w[l][i] * xl[i];
+      work.cross_s[s * layers + l] = sum;
+      double* next = cross_x + l * n;
+      for (size_t i = 0; i < n; ++i) {
+        next[i] = x0[i] * sum + work.dense.cross_b[l][i] + xl[i];
       }
-      work.cross_s[l] = s;
-      std::vector<double>& next = work.cross_x[l + 1];
-      for (size_t i = 0; i < xl.size(); ++i) {
-        next[i] = work.x0[i] * s + work.dense.cross_b[l][i] + xl[i];
-      }
+      xl = next;
     }
-    const std::vector<double>& xl = work.cross_x.back();
-    for (size_t i = 0; i < xl.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
       logit += work.dense.cross_out_w[i] * xl[i];
     }
   } else if (config_.arch == ModelKind::kXDeepFm) {
     const int fields = 1 + kNumCat;
-    for (int h = 0; h < config_.fm_maps; ++h) {
+    const size_t maps = static_cast<size_t>(config_.fm_maps);
+    double* fm_t = work.fm_t.data() + s * maps * fields;
+    for (size_t h = 0; h < maps; ++h) {
       double fsum = 0.0;
       double qsum = 0.0;
       for (int i = 0; i < fields; ++i) {
         double t = 0.0;
         for (int r = 0; r < d; ++r) {
-          t += work.dense.fm_proj[static_cast<size_t>(h)]
-                                 [static_cast<size_t>(r)] *
-               x0[i * d + r];
+          t += work.dense.fm_proj[h][static_cast<size_t>(r)] * x0[i * d + r];
         }
-        work.fm_t[static_cast<size_t>(h * fields + i)] = t;
+        fm_t[h * fields + i] = t;
         fsum += t;
         qsum += t * t;
       }
-      work.fm_f[static_cast<size_t>(h)] = fsum;
-      const double s = 0.5 * (fsum * fsum - qsum);
-      work.fm_s[static_cast<size_t>(h)] = s;
-      logit += work.dense.fm_w[static_cast<size_t>(h)] * s;
+      work.fm_f[s * maps + h] = fsum;
+      const double sq = 0.5 * (fsum * fsum - qsum);
+      work.fm_s[s * maps + h] = sq;
+      logit += work.dense.fm_w[h] * sq;
     }
   }
   return logit;
 }
 
-void MiniDlrm::BackwardSampleFast(const CriteoSample& sample,
-                                  size_t sample_idx, double dlogit,
-                                  DlrmBatchWork& work) const {
+const double* MiniDlrm::TowerBackward(DlrmBatchWork& work) const {
+  // Layer by layer from the output, over the whole batch: db sums delta in
+  // sample order, dW adds each sample's rank-1 term in sample order, and the
+  // input gradient restarts from 0.0 per sample, all as in the per-sample
+  // loop. delta starts as dlogit (the output layer is one wide).
+  const size_t ns = work.batch.samples.size();
+  const double* delta = work.dlogit.data();
+  double* grad_in = work.prev.data();
+  double* spare = work.delta.data();
+  for (size_t l = work.dense.mlp_w.size(); l-- > 0;) {
+    const Matrix& w = work.dense.mlp_w[l];
+    const size_t out = w.rows();
+    const size_t in = w.cols();
+    const double* input =
+        l == 0 ? work.x0.data() : work.mlp_post[l - 1].data();
+    std::vector<double>& gb = work.dense_grads.mlp_b[l];
+    for (size_t s = 0; s < ns; ++s) {
+      for (size_t o = 0; o < out; ++o) gb[o] += delta[s * out + o];
+    }
+    KernelLayerWeightGrad(delta, input, ns, out, in,
+                          work.dense_grads.mlp_w[l].data().data());
+    KernelLayerInputGrad(w.data().data(), delta, ns, out, in, grad_in);
+    if (l == 0) break;
+    // Through the ReLU of layer l-1.
+    const double* pre = work.mlp_pre[l - 1].data();
+    for (size_t i = 0; i < ns * in; ++i) {
+      if (pre[i] <= 0.0) grad_in[i] = 0.0;
+    }
+    delta = grad_in;
+    std::swap(grad_in, spare);
+  }
+  return grad_in;
+}
+
+void MiniDlrm::SampleBackward(size_t s, const double* tower_dx0,
+                              DlrmBatchWork& work) const {
   const int d = config_.emb_dim;
   const int fields = 1 + kNumCat;
+  const size_t n = static_cast<size_t>(n0_);
+  const CriteoSample& sample = work.batch.samples[s];
+  const double dlogit = work.dlogit[s];
+  const double* x0 = &work.x0[s * n];
+  const uint32_t* slots = &work.slot[s * kNumCat];
   std::fill(work.dfields.begin(), work.dfields.end(), 0.0);
-  std::fill(work.dx0.begin(), work.dx0.end(), 0.0);
-  const uint32_t* slots = &work.slot[sample_idx * kNumCat];
-
-  work.dense_grads.bias += dlogit;
-
-  // --- MLP backward ---
-  {
-    work.delta.assign(1, dlogit);  // gradient at the output layer
-    for (size_t l = work.dense.mlp_w.size(); l-- > 0;) {
-      const std::vector<double>& input =
-          l == 0 ? work.x0 : work.mlp_post[l - 1];
-      // dW = delta (x) input; db = delta.
-      Matrix& gw = work.dense_grads.mlp_w[l];
-      std::vector<double>& gb = work.dense_grads.mlp_b[l];
-      for (size_t o = 0; o < work.delta.size(); ++o) {
-        gb[o] += work.delta[o];
-        for (size_t i = 0; i < input.size(); ++i) {
-          gw(o, i) += work.delta[o] * input[i];
-        }
-      }
-      // Propagate to the previous layer.
-      work.prev.assign(input.size(), 0.0);
-      for (size_t o = 0; o < work.delta.size(); ++o) {
-        for (size_t i = 0; i < input.size(); ++i) {
-          work.prev[i] += work.dense.mlp_w[l](o, i) * work.delta[o];
-        }
-      }
-      if (l > 0) {
-        // Through the ReLU of layer l-1.
-        for (size_t i = 0; i < work.prev.size(); ++i) {
-          if (work.mlp_pre[l - 1][i] <= 0.0) work.prev[i] = 0.0;
-        }
-        std::swap(work.delta, work.prev);
-      } else {
-        for (size_t i = 0; i < work.prev.size(); ++i) {
-          work.dx0[i] += work.prev[i];
-        }
-      }
-    }
-  }
+  // dx0 starts from 0.0 and takes the tower's contribution first.
+  for (size_t i = 0; i < n; ++i) work.dx0[i] = 0.0 + tower_dx0[s * n + i];
 
   // --- Head backward ---
   if (config_.arch == ModelKind::kWideDeep) {
@@ -731,20 +751,22 @@ void MiniDlrm::BackwardSampleFast(const CriteoSample& sample,
       work.wide_grads[slots[f]] += dlogit;
     }
   } else if (config_.arch == ModelKind::kDcn) {
-    const size_t n = static_cast<size_t>(n0_);
-    const std::vector<double>& x_last = work.cross_x.back();
+    const size_t layers = work.dense.cross_w.size();
+    const double* cross_x = work.cross_x.data() + s * layers * n;
+    auto x_at = [&](size_t l) { return l == 0 ? x0 : cross_x + (l - 1) * n; };
+    const double* x_last = x_at(layers);
     for (size_t i = 0; i < n; ++i) {
       work.dense_grads.cross_out_w[i] += dlogit * x_last[i];
       work.dxl[i] = dlogit * work.dense.cross_out_w[i];
     }
-    for (size_t l = work.dense.cross_w.size(); l-- > 0;) {
-      const std::vector<double>& xl = work.cross_x[l];
-      const double s = work.cross_s[l];
+    for (size_t l = layers; l-- > 0;) {
+      const double* xl = x_at(l);
+      const double sum = work.cross_s[s * layers + l];
       double ds = 0.0;
       for (size_t i = 0; i < n; ++i) {
-        ds += work.dxl[i] * work.x0[i];
+        ds += work.dxl[i] * x0[i];
         work.dense_grads.cross_b[l][i] += work.dxl[i];
-        work.dx0[i] += work.dxl[i] * s;
+        work.dx0[i] += work.dxl[i] * sum;
       }
       for (size_t i = 0; i < n; ++i) {
         work.dense_grads.cross_w[l][i] += ds * xl[i];
@@ -754,21 +776,21 @@ void MiniDlrm::BackwardSampleFast(const CriteoSample& sample,
     }
     for (size_t i = 0; i < n; ++i) work.dx0[i] += work.dxl[i];
   } else if (config_.arch == ModelKind::kXDeepFm) {
-    for (int h = 0; h < config_.fm_maps; ++h) {
-      const double s = work.fm_s[static_cast<size_t>(h)];
-      work.dense_grads.fm_w[static_cast<size_t>(h)] += dlogit * s;
-      const double ds = dlogit * work.dense.fm_w[static_cast<size_t>(h)];
-      const double f_sum = work.fm_f[static_cast<size_t>(h)];
+    const size_t maps = static_cast<size_t>(config_.fm_maps);
+    const double* fm_t = work.fm_t.data() + s * maps * fields;
+    for (size_t h = 0; h < maps; ++h) {
+      const double sq = work.fm_s[s * maps + h];
+      work.dense_grads.fm_w[h] += dlogit * sq;
+      const double ds = dlogit * work.dense.fm_w[h];
+      const double f_sum = work.fm_f[s * maps + h];
       for (int i = 0; i < fields; ++i) {
-        const double t = work.fm_t[static_cast<size_t>(h * fields + i)];
+        const double t = fm_t[h * fields + i];
         const double dt = ds * (f_sum - t);
         for (int r = 0; r < d; ++r) {
-          work.dense_grads.fm_proj[static_cast<size_t>(h)]
-                                  [static_cast<size_t>(r)] +=
-              dt * work.x0[static_cast<size_t>(i * d + r)];
+          work.dense_grads.fm_proj[h][static_cast<size_t>(r)] +=
+              dt * x0[i * d + r];
           work.dfields[static_cast<size_t>(i * d + r)] +=
-              dt * work.dense.fm_proj[static_cast<size_t>(h)]
-                                     [static_cast<size_t>(r)];
+              dt * work.dense.fm_proj[h][static_cast<size_t>(r)];
         }
       }
     }
@@ -776,9 +798,7 @@ void MiniDlrm::BackwardSampleFast(const CriteoSample& sample,
 
   // dx0 slices feed field gradients (flat layout: same element order as the
   // legacy per-field loop).
-  for (size_t i = 0; i < work.dx0.size(); ++i) {
-    work.dfields[i] += work.dx0[i];
-  }
+  for (size_t i = 0; i < n; ++i) work.dfields[i] += work.dx0[i];
 
   // Field 0 -> dense projection weights.
   for (int r = 0; r < d; ++r) {
@@ -800,19 +820,46 @@ void MiniDlrm::BackwardSampleFast(const CriteoSample& sample,
 
 double MiniDlrm::ComputeBatch(DlrmBatchWork* work) const {
   assert(work->initialized && !work->batch.samples.empty());
-  VisitDenseParams(work->dense_grads, [](double& v) { v = 0.0; });
+  DlrmBatchWork& w = *work;
+  VisitDenseParams(w.dense_grads, [](double& v) { v = 0.0; });
   // row_grads / wide_grads were zeroed by PullBatch when it sized them.
-  const double inv_n = 1.0 / static_cast<double>(work->batch.size());
+  const size_t ns = w.batch.samples.size();
+  const size_t n0 = static_cast<size_t>(n0_);
+  size_t widest_in = 0;
+  for (const Matrix& m : w.dense.mlp_w) {
+    widest_in = std::max(widest_in, m.cols());
+  }
+  w.x0.resize(ns * n0);
+  w.dlogit.resize(ns);
+  w.delta.resize(ns * widest_in);
+  w.prev.resize(ns * widest_in);
+  if (config_.arch == ModelKind::kDcn) {
+    const size_t layers = static_cast<size_t>(config_.cross_layers);
+    w.cross_x.resize(ns * layers * n0);
+    w.cross_s.resize(ns * layers);
+  } else if (config_.arch == ModelKind::kXDeepFm) {
+    const size_t maps = static_cast<size_t>(config_.fm_maps);
+    w.fm_t.resize(ns * maps * (1 + kNumCat));
+    w.fm_f.resize(ns * maps);
+    w.fm_s.resize(ns * maps);
+  }
+
+  AssembleFields(w);
+  TowerForward(w);
+  const double* tower_out = w.mlp_post.back().data();  // ns x 1
+  const double inv_n = 1.0 / static_cast<double>(ns);
   double loss = 0.0;
-  for (size_t s = 0; s < work->batch.samples.size(); ++s) {
-    const CriteoSample& sample = work->batch.samples[s];
-    const double logit = ForwardSampleFast(sample, s, *work);
+  for (size_t s = 0; s < ns; ++s) {
+    const double logit = HeadForward(s, tower_out[s] + w.dense.bias, w);
     const double p = Sigmoid(logit);
-    const double y = sample.label;
+    const double y = w.batch.samples[s].label;
     const double eps = 1e-12;
     loss += -(y * std::log(p + eps) + (1.0 - y) * std::log(1.0 - p + eps));
-    BackwardSampleFast(sample, s, (p - y) * inv_n, *work);
+    w.dlogit[s] = (p - y) * inv_n;
+    w.dense_grads.bias += w.dlogit[s];
   }
+  const double* tower_dx0 = TowerBackward(w);
+  for (size_t s = 0; s < ns; ++s) SampleBackward(s, tower_dx0, w);
   return loss * inv_n;
 }
 

@@ -98,22 +98,26 @@ struct DlrmBatchWork {
   std::vector<double> row_grads;   // keys.size() * emb_dim
   std::vector<double> wide_grads;  // keys.size() (Wide&Deep only)
 
-  // Forward/backward scratch (flat, reused). x0 doubles as the
-  // concatenated field vector: field f lives at [f * emb_dim, ...).
-  std::vector<double> x0;
-  std::vector<std::vector<double>> mlp_pre;
-  std::vector<std::vector<double>> mlp_post;
+  // Forward/backward scratch (flat, reused), batch-major: sample s owns
+  // row s of every ns x width buffer. x0 holds the concatenated field
+  // vectors: field f of sample s lives at [s * n0 + f * emb_dim, ...).
+  std::vector<double> x0;                     // ns x n0
+  std::vector<std::vector<double>> mlp_pre;   // per layer: ns x out
+  std::vector<std::vector<double>> mlp_post;  // per layer: ns x out
+  std::vector<double> wt;       // one layer's weights, transposed
+  std::vector<double> dlogit;   // ns
+  std::vector<double> delta;    // ns x widest layer input
+  std::vector<double> prev;     // ns x widest layer input
+  std::vector<double> cross_x;  // DCN: ns x cross_layers x n0 (x_1..x_L)
+  std::vector<double> cross_s;  // DCN: ns x cross_layers
+  std::vector<double> fm_t;     // xDeepFM: ns x fm_maps x 27
+  std::vector<double> fm_f;     // xDeepFM: ns x fm_maps
+  std::vector<double> fm_s;     // xDeepFM: ns x fm_maps
+  // Per-sample backward scratch (n0 each).
   std::vector<double> dfields;
   std::vector<double> dx0;
-  std::vector<double> delta;
-  std::vector<double> prev;
-  std::vector<std::vector<double>> cross_x;  // DCN: x_0 .. x_L
-  std::vector<double> cross_s;
-  std::vector<double> dxl;
-  std::vector<double> dprev;
-  std::vector<double> fm_t;  // xDeepFM: fm_maps x 27, flat
-  std::vector<double> fm_f;
-  std::vector<double> fm_s;
+  std::vector<double> dxl;    // DCN
+  std::vector<double> dprev;  // DCN
 
   // Key-dedup and stripe-grouping scratch.
   std::vector<std::pair<uint64_t, uint32_t>> key_scratch;
@@ -162,11 +166,13 @@ class MiniDlrm {
   ///                  deduplicated keys (one lock round-trip per touched
   ///                  stripe instead of one per key);
   ///   ComputeBatch — forward/backward into the worker's private gradient
-  ///                  accumulators; returns mean logloss;
+  ///                  accumulators, running the MLP tower once per layer
+  ///                  over the whole batch; returns mean logloss;
   ///   PushBatch    — merges the accumulators into the live model: dense
   ///                  axpy under the write lock, then the sharded sparse
   ///                  scatter with per-stripe locking.
-  /// The arithmetic is statement-for-statement identical to the legacy
+  /// Every loss term and gradient accumulator receives the same
+  /// floating-point operations, in the same order, as in the legacy
   /// TakeSnapshot / ForwardBackward / ApplyGradients path: for the same
   /// batch against the same parameters both produce bit-identical losses
   /// and parameter updates (pinned by mini_dlrm_test). Thread-safe with
@@ -219,13 +225,20 @@ class MiniDlrm {
 
   /// Sizes the fixed (batch-independent) buffers of `work` on first use.
   void EnsureWork(DlrmBatchWork* work) const;
-  /// Flat-buffer twins of ForwardSample/BackwardSample with identical
-  /// floating-point statement order; sparse grads go to work.row_grads /
+  /// The phases of ComputeBatch. The tower runs once per layer over the
+  /// whole batch; the heads run per sample, in sample order. Every
+  /// floating-point statement keeps the order of the legacy per-sample
+  /// ForwardSample/BackwardSample, so each gradient accumulator receives
+  /// the same terms in the same order. Sparse grads go to work.row_grads /
   /// work.wide_grads via the batch's slot table.
-  double ForwardSampleFast(const CriteoSample& sample, size_t sample_idx,
-                           DlrmBatchWork& work) const;
-  void BackwardSampleFast(const CriteoSample& sample, size_t sample_idx,
-                          double dlogit, DlrmBatchWork& work) const;
+  void AssembleFields(DlrmBatchWork& work) const;
+  void TowerForward(DlrmBatchWork& work) const;
+  double HeadForward(size_t s, double logit, DlrmBatchWork& work) const;
+  /// Returns the tower's gradient at x0, ns x n0 (inside work.delta or
+  /// work.prev).
+  const double* TowerBackward(DlrmBatchWork& work) const;
+  void SampleBackward(size_t s, const double* tower_dx0,
+                      DlrmBatchWork& work) const;
   /// Dense half of a push; caller holds params_mu_ exclusively. Shared by
   /// ApplyGradients and PushBatch so both apply bit-identical updates.
   void ApplyDenseGradientsLocked(const DenseParams& grads,

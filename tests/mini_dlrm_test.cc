@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "dlrm/criteo_synth.h"
 #include "dlrm/metrics.h"
@@ -197,20 +199,36 @@ TEST(MiniDlrmTest, DeterministicAcrossMaterializationOrder) {
   }
 }
 
+// Every dense gradient, flattened. Comparing gradients per batch catches a
+// changed summation order that the parameter update would round away.
+std::vector<double> FlatDense(const DenseParams& p) {
+  std::vector<double> flat = p.dense_proj.data();
+  for (const Matrix& m : p.mlp_w) {
+    flat.insert(flat.end(), m.data().begin(), m.data().end());
+  }
+  for (const auto* group : {&p.mlp_b, &p.cross_w, &p.cross_b, &p.fm_proj}) {
+    for (const std::vector<double>& v : *group) {
+      flat.insert(flat.end(), v.begin(), v.end());
+    }
+  }
+  flat.insert(flat.end(), p.cross_out_w.begin(), p.cross_out_w.end());
+  flat.insert(flat.end(), p.fm_w.begin(), p.fm_w.end());
+  flat.push_back(p.bias);
+  return flat;
+}
+
 // The allocation-free batch hot path (PullBatch / ComputeBatch / PushBatch)
 // must be arithmetically indistinguishable from the legacy snapshot path:
 // train two identically-initialized models, one per path, and demand
-// bit-identical losses every step and a bit-identical final state.
-class FastPathTest : public ::testing::TestWithParam<ModelKind> {};
-
-TEST_P(FastPathTest, MatchesLegacyBitExact) {
-  const MiniDlrmConfig config = SmallConfig(GetParam());
+// bit-identical losses and dense gradients every step and a bit-identical
+// final state.
+void ExpectFastPathMatchesLegacy(const MiniDlrmConfig& config,
+                                 uint64_t batch_size) {
   CriteoSynth data(9);
   MiniDlrm legacy(config);
   MiniDlrm fast(config);
   DlrmBatchWork work;
   const double lr = 0.05;
-  const uint64_t batch_size = 16;
 
   for (int b = 0; b < 6; ++b) {
     const CriteoBatch batch = data.Batch(b * batch_size, batch_size);
@@ -225,6 +243,12 @@ TEST_P(FastPathTest, MatchesLegacyBitExact) {
     fast.PushBatch(&work, lr);
 
     EXPECT_EQ(legacy_loss, fast_loss) << "batch " << b;
+    const std::vector<double> legacy_grads = FlatDense(grads.dense);
+    const std::vector<double> fast_grads = FlatDense(work.dense_grads);
+    ASSERT_EQ(legacy_grads.size(), fast_grads.size());
+    EXPECT_EQ(0, std::memcmp(legacy_grads.data(), fast_grads.data(),
+                             legacy_grads.size() * sizeof(double)))
+        << "dense gradients differ in batch " << b;
   }
 
   DlrmStateBlob legacy_state;
@@ -244,6 +268,23 @@ TEST_P(FastPathTest, MatchesLegacyBitExact) {
   // And the models keep agreeing on fresh data.
   const CriteoBatch held_out = data.Batch(100000, 64);
   EXPECT_EQ(legacy.Evaluate(held_out), fast.Evaluate(held_out));
+}
+
+class FastPathTest : public ::testing::TestWithParam<ModelKind> {};
+
+TEST_P(FastPathTest, MatchesLegacyBitExact) {
+  ExpectFastPathMatchesLegacy(SmallConfig(GetParam()), /*batch_size=*/16);
+}
+
+// SmallConfig's widths (n0 108, layers 8 and 4, batch 16) are multiples of
+// every tile width of the batched layer kernels. Odd widths and an odd
+// batch send every sample, output and input remainder path through the
+// same bit-exact comparison.
+TEST_P(FastPathTest, MatchesLegacyBitExactOnOddShapes) {
+  MiniDlrmConfig config = SmallConfig(GetParam());
+  config.emb_dim = 3;
+  config.mlp_hidden = {7, 5};
+  ExpectFastPathMatchesLegacy(config, /*batch_size=*/13);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllArchitectures, FastPathTest,
