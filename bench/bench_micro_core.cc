@@ -130,7 +130,7 @@ void BM_EventQueueThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueThroughput);
 
-void BM_MiniDlrmForwardBackward(benchmark::State& state) {
+void BM_MiniDlrmComputeBatch(benchmark::State& state) {
   MiniDlrmConfig config;
   config.arch = static_cast<ModelKind>(state.range(0));
   config.emb_dim = 8;
@@ -138,15 +138,15 @@ void BM_MiniDlrmForwardBackward(benchmark::State& state) {
   config.mlp_hidden = {32, 16};
   MiniDlrm model(config);
   CriteoSynth data(5);
-  const CriteoBatch batch = data.Batch(0, 64);
-  const ParamSnapshot snap = model.TakeSnapshot(batch);
+  DlrmBatchWork work;
+  data.FillBatch(0, 64, &work.batch);
+  model.PullBatch(&work);
   for (auto _ : state) {
-    DlrmGradients grads;
-    const double loss = model.ForwardBackward(batch, snap, &grads);
+    const double loss = model.ComputeBatch(&work);
     benchmark::DoNotOptimize(loss);
   }
 }
-BENCHMARK(BM_MiniDlrmForwardBackward)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_MiniDlrmComputeBatch)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_IterationModel(benchmark::State& state) {
   const ModelProfile profile = GetModelProfile(ModelKind::kDcn);

@@ -2,17 +2,15 @@
 // mini-DLRM in ExecMode::kThreads across a deduplicated 1/2/4/8/hw thread
 // sweep (plus the deterministic kTicks reference) and reports samples/sec,
 // speedup over one thread, scaling efficiency, and the per-phase breakdown
-// of where worker time goes — pull (data + snapshot + gather), compute
+// of where worker time goes — pull (data + dense copy + gather), compute
 // (forward/backward), push (sharded gradient application), commit-gate
-// wait, state-lock wait, and shard-queue wait. A second sweep arm repeats
-// the widths with the SIMD (AVX2/FMA) dense kernels when the CPU has them.
+// wait, state-lock wait, and shard-queue wait.
 //
-// Every point runs kRepetitions times, interleaved across widths and arms
-// so host drift hits all points alike; tables and JSON report the median
-// (with min/max in the JSON). Each arm's speedup and efficiency are
-// relative to that arm's own threads:1 median, and the SIMD arm also
-// reports kernel_speedup_vs_scalar against the scalar point of the same
-// width. Results are written to BENCH_micro_train_throughput.json.
+// Every point runs kRepetitions times, interleaved across widths so host
+// drift hits all points alike; tables and JSON report the median (with
+// min/max in the JSON). Speedup and efficiency are relative to the
+// threads:1 median. Results are written to
+// BENCH_micro_train_throughput.json.
 //
 // Scaling is bounded by the hardware the bench runs on — the JSON records
 // hardware_threads so a 1-core CI box reporting ~1x is interpretable.
@@ -24,7 +22,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/dense_kernels.h"
 #include "dlrm/async_trainer.h"
 #include "harness/reporting.h"
 
@@ -33,7 +30,6 @@ namespace {
 
 struct RunResult {
   std::string label;
-  std::string kernels;  // "scalar" | "simd"
   int threads = 0;
   double seconds = 0.0;
   double samples_per_sec = 0.0;
@@ -87,12 +83,9 @@ RunResult TimeRun(ExecMode mode, int threads, const CriteoSynth& data) {
   const auto stop = std::chrono::steady_clock::now();
 
   RunResult out;
-  out.kernels =
-      ActiveDenseKernelMode() == DenseKernelMode::kSimd ? "simd" : "scalar";
   out.label = mode == ExecMode::kTicks
                   ? "ticks"
                   : StrFormat("threads:%d", threads);
-  if (out.kernels == "simd") out.label += "+simd";
   out.threads = threads;
   out.seconds = std::chrono::duration<double>(stop - start).count();
   const double samples = static_cast<double>(result.batches_committed) *
@@ -105,8 +98,8 @@ RunResult TimeRun(ExecMode mode, int threads, const CriteoSynth& data) {
 
 constexpr int kRepetitions = 3;
 
-/// One sweep point (mode, kernels, width) over its repetitions, which
-/// SortReps orders by samples/sec once the sweep is done.
+/// One sweep point (mode, width) over its repetitions, which SortReps
+/// orders by samples/sec once the sweep is done.
 struct Point {
   std::vector<RunResult> reps;
 
@@ -122,13 +115,8 @@ struct Point {
   double Rate() const { return Median().samples_per_sec; }
 };
 
-/// One kernel arm of the sweep: the points in width order, and the
-/// threads:1 rate its speedups and efficiencies are relative to.
-struct Arm {
-  std::vector<Point> points;
-  double base = 0.0;
-};
-
+/// The threads:1 median rate that speedups and efficiencies are relative
+/// to (0 when the sweep has no 1-thread point).
 double ThreadsOneRate(const std::vector<Point>& points) {
   for (const Point& p : points) {
     if (p.Median().threads == 1) return p.Rate();
@@ -136,34 +124,17 @@ double ThreadsOneRate(const std::vector<Point>& points) {
   return 0.0;
 }
 
-/// kernel_speedup_vs_scalar of a SIMD point: its median rate over the
-/// scalar arm's median at the same width (0 when there is none).
-double KernelSpeedup(const Point& simd, const Arm& scalar) {
-  for (const Point& p : scalar.points) {
-    if (p.Median().threads == simd.Median().threads) {
-      return simd.Rate() / p.Rate();
-    }
-  }
-  return 0.0;
-}
-
-void PrintSweepTable(const Arm& arm, const Arm* scalar) {
-  std::vector<std::string> header = {"mode", "samples/sec", "speedup",
-                                     "efficiency", "final AUC"};
-  if (scalar != nullptr) header.push_back("vs scalar");
-  TablePrinter table(header);
-  for (const Point& p : arm.points) {
+void PrintSweepTable(const std::vector<Point>& points, double base) {
+  TablePrinter table(
+      {"mode", "samples/sec", "speedup", "efficiency", "final AUC"});
+  for (const Point& p : points) {
     const RunResult& r = p.Median();
-    const double speedup = p.Rate() / arm.base;
+    const double speedup = p.Rate() / base;
     const double eff = r.threads > 0 ? speedup / r.threads : 0.0;
-    std::vector<std::string> row = {
-        r.label, StrFormat("%.0f", p.Rate()), StrFormat("%.2fx", speedup),
-        r.threads > 0 ? FormatPercent(eff) : "-",
-        StrFormat("%.4f", r.final_auc)};
-    if (scalar != nullptr) {
-      row.push_back(StrFormat("%.2fx", KernelSpeedup(p, *scalar)));
-    }
-    table.AddRow(row);
+    table.AddRow({r.label, StrFormat("%.0f", p.Rate()),
+                  StrFormat("%.2fx", speedup),
+                  r.threads > 0 ? FormatPercent(eff) : "-",
+                  StrFormat("%.4f", r.final_auc)});
   }
   table.Print();
 }
@@ -189,32 +160,24 @@ void PrintPhaseTable(const std::vector<Point>& points) {
   table.Print();
 }
 
-void WritePointJson(FILE* json, const Point& p, const Arm& arm,
-                    const Arm* scalar, bool last) {
+void WritePointJson(FILE* json, const Point& p, double base, bool last) {
   const RunResult& r = p.Median();
-  const double speedup = p.Rate() / arm.base;
+  const double speedup = p.Rate() / base;
   std::fprintf(
       json,
-      "    {\"mode\": \"%s\", \"kernels\": \"%s\", \"threads\": %d, "
+      "    {\"mode\": \"%s\", \"threads\": %d, "
       "\"repetitions\": %zu, \"seconds\": %.4f, \"samples_per_sec\": %.1f, "
       "\"samples_per_sec_min\": %.1f, \"samples_per_sec_max\": %.1f, "
-      "\"speedup_vs_1thread\": %.3f, \"efficiency\": %.3f, ",
-      r.label.c_str(), r.kernels.c_str(), r.threads, p.reps.size(),
-      r.seconds, p.Rate(), p.reps.front().samples_per_sec,
-      p.reps.back().samples_per_sec, speedup,
-      r.threads > 0 ? speedup / r.threads : 0.0);
-  if (scalar != nullptr) {
-    std::fprintf(json, "\"kernel_speedup_vs_scalar\": %.3f, ",
-                 KernelSpeedup(p, *scalar));
-  }
-  std::fprintf(
-      json,
+      "\"speedup_vs_1thread\": %.3f, \"efficiency\": %.3f, "
       "\"final_auc\": %.4f,\n"
       "     \"phases\": {\"pull_s\": %.4f, \"compute_s\": %.4f, "
       "\"push_s\": %.4f, \"commit_wait_s\": %.4f, \"lock_wait_s\": %.4f, "
       "\"queue_wait_s\": %.4f, \"batches\": %llu}}%s\n",
-      r.final_auc, r.phases.pull_s, r.phases.compute_s, r.phases.push_s,
-      r.phases.commit_wait_s, r.phases.lock_wait_s, r.phases.queue_wait_s,
+      r.label.c_str(), r.threads, p.reps.size(), r.seconds, p.Rate(),
+      p.reps.front().samples_per_sec, p.reps.back().samples_per_sec, speedup,
+      r.threads > 0 ? speedup / r.threads : 0.0, r.final_auc, r.phases.pull_s,
+      r.phases.compute_s, r.phases.push_s, r.phases.commit_wait_s,
+      r.phases.lock_wait_s, r.phases.queue_wait_s,
       static_cast<unsigned long long>(r.phases.batches), last ? "" : ",");
 }
 
@@ -227,45 +190,24 @@ void Run() {
   // 1-thread baseline is not penalized with cold-start costs.
   TimeRun(ExecMode::kThreads, 1, data);
 
-  // Scalar arm: kTicks reference, then the widths. SIMD arm: the widths
-  // with the AVX2/FMA kernels, when the CPU has them. Repetitions are
-  // interleaved: each round runs every point of both arms once. The SIMD
-  // mode is opt-in per run and restored after — the scalar kernels stay
-  // the bit-identical default everywhere else.
-  const bool simd = SimdKernelsAvailable();
-  Arm scalar_arm;
-  Arm simd_arm;
-  scalar_arm.points.resize(widths.size() + 1);
-  if (simd) simd_arm.points.resize(widths.size());
+  // The kTicks reference, then the widths. Repetitions are interleaved:
+  // each round runs every point once.
+  std::vector<Point> points(widths.size() + 1);
   for (int rep = 0; rep < kRepetitions; ++rep) {
-    scalar_arm.points[0].reps.push_back(TimeRun(ExecMode::kTicks, 0, data));
+    points[0].reps.push_back(TimeRun(ExecMode::kTicks, 0, data));
     for (size_t w = 0; w < widths.size(); ++w) {
-      scalar_arm.points[w + 1].reps.push_back(
+      points[w + 1].reps.push_back(
           TimeRun(ExecMode::kThreads, widths[w], data));
-      if (simd) {
-        SetDenseKernelMode(DenseKernelMode::kSimd);
-        simd_arm.points[w].reps.push_back(
-            TimeRun(ExecMode::kThreads, widths[w], data));
-        SetDenseKernelMode(DenseKernelMode::kScalar);
-      }
     }
   }
-  for (Arm* arm : {&scalar_arm, &simd_arm}) {
-    for (Point& p : arm->points) p.SortReps();
-    arm->base = ThreadsOneRate(arm->points);
-  }
+  for (Point& p : points) p.SortReps();
+  const double base = ThreadsOneRate(points);
 
   std::printf("median of %d interleaved repetitions per point\n",
               kRepetitions);
-  PrintSweepTable(scalar_arm, nullptr);
-  if (simd) {
-    std::printf("\nsimd (avx2/fma) dense kernels:\n");
-    PrintSweepTable(simd_arm, &scalar_arm);
-  } else {
-    std::printf("simd kernels unavailable on this CPU (needs AVX2+FMA)\n");
-  }
+  PrintSweepTable(points, base);
   std::printf("\nphase breakdown (share of worker-busy seconds):\n");
-  PrintPhaseTable(scalar_arm.points);
+  PrintPhaseTable(points);
   std::printf("hardware threads: %u\n",
               std::thread::hardware_concurrency());
 
@@ -277,15 +219,9 @@ void Run() {
   std::fprintf(json, "  \"batch_size\": %llu,\n",
                static_cast<unsigned long long>(BenchOptions().batch_size));
   std::fprintf(json, "  \"repetitions\": %d,\n", kRepetitions);
-  std::fprintf(json, "  \"simd_available\": %s,\n", simd ? "true" : "false");
   std::fprintf(json, "  \"runs\": [\n");
-  const size_t total = scalar_arm.points.size() + simd_arm.points.size();
-  size_t written = 0;
-  for (const Point& p : scalar_arm.points) {
-    WritePointJson(json, p, scalar_arm, nullptr, ++written == total);
-  }
-  for (const Point& p : simd_arm.points) {
-    WritePointJson(json, p, simd_arm, &scalar_arm, ++written == total);
+  for (size_t i = 0; i < points.size(); ++i) {
+    WritePointJson(json, points[i], base, i + 1 == points.size());
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);

@@ -1,93 +1,10 @@
 #include "common/dense_kernels.h"
 
-#include <atomic>
 #include <cstring>
-
-#if defined(__x86_64__) || defined(__i386__)
-#define DLROVER_X86 1
-#include <immintrin.h>
-#else
-#define DLROVER_X86 0
-#endif
 
 namespace dlrover {
 
 namespace {
-
-std::atomic<int> g_mode{static_cast<int>(DenseKernelMode::kScalar)};
-
-double DotScalar(const double* a, const double* b, size_t n) {
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-void AxpyScalar(size_t n, double alpha, const double* x, double* y) {
-  for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
-#if DLROVER_X86
-
-__attribute__((target("avx2,fma"))) double DotAvx2(const double* a,
-                                                   const double* b,
-                                                   size_t n) {
-  // Four independent 4-lane accumulators hide FMA latency; the final
-  // horizontal reduction fixes one deterministic summation order, so the
-  // SIMD result is reproducible run to run (just not equal to scalar).
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  __m256d acc2 = _mm256_setzero_pd();
-  __m256d acc3 = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i),
-                           _mm256_loadu_pd(b + i), acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 4),
-                           _mm256_loadu_pd(b + i + 4), acc1);
-    acc2 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 8),
-                           _mm256_loadu_pd(b + i + 8), acc2);
-    acc3 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 12),
-                           _mm256_loadu_pd(b + i + 12), acc3);
-  }
-  for (; i + 4 <= n; i += 4) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i),
-                           _mm256_loadu_pd(b + i), acc0);
-  }
-  acc0 = _mm256_add_pd(_mm256_add_pd(acc0, acc1), _mm256_add_pd(acc2, acc3));
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc0);
-  double acc = ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3];
-  for (; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-__attribute__((target("avx2,fma"))) void AxpyAvx2(size_t n, double alpha,
-                                                  const double* x, double* y) {
-  const __m256d va = _mm256_set1_pd(alpha);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_pd(y + i, _mm256_fmadd_pd(va, _mm256_loadu_pd(x + i),
-                                            _mm256_loadu_pd(y + i)));
-    _mm256_storeu_pd(y + i + 4,
-                     _mm256_fmadd_pd(va, _mm256_loadu_pd(x + i + 4),
-                                     _mm256_loadu_pd(y + i + 4)));
-  }
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(y + i, _mm256_fmadd_pd(va, _mm256_loadu_pd(x + i),
-                                            _mm256_loadu_pd(y + i)));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-bool CpuHasAvx2Fma() {
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-}
-
-#else
-
-bool CpuHasAvx2Fma() { return false; }
-
-#endif  // DLROVER_X86
 
 // Two doubles, element-wise. `+` and `*` on it round each lane exactly like
 // the scalar operation; baseline x86-64 compiles them to SSE2 mulpd/addpd
@@ -179,40 +96,14 @@ void SumProducts(const double* a, const double* b, size_t rs, size_t ks,
 
 }  // namespace
 
-bool SimdKernelsAvailable() {
-  static const bool available = CpuHasAvx2Fma();
-  return available;
-}
-
-DenseKernelMode SetDenseKernelMode(DenseKernelMode mode) {
-  if (mode == DenseKernelMode::kSimd && !SimdKernelsAvailable()) {
-    mode = DenseKernelMode::kScalar;
-  }
-  g_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-  return mode;
-}
-
-DenseKernelMode ActiveDenseKernelMode() {
-  return static_cast<DenseKernelMode>(g_mode.load(std::memory_order_relaxed));
-}
-
 double KernelDot(const double* a, const double* b, size_t n) {
-#if DLROVER_X86
-  if (ActiveDenseKernelMode() == DenseKernelMode::kSimd) {
-    return DotAvx2(a, b, n);
-  }
-#endif
-  return DotScalar(a, b, n);
+  double acc = 0.0;
+  for (size_t i = 0; i < n; ++i) acc += a[i] * b[i];
+  return acc;
 }
 
 void KernelAxpy(size_t n, double alpha, const double* x, double* y) {
-#if DLROVER_X86
-  if (ActiveDenseKernelMode() == DenseKernelMode::kSimd) {
-    AxpyAvx2(n, alpha, x, y);
-    return;
-  }
-#endif
-  AxpyScalar(n, alpha, x, y);
+  for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
 void KernelLayerForward(const double* w, const double* x, size_t ns,

@@ -5,49 +5,22 @@
 
 namespace dlrover {
 
-/// Dense inner loops shared by Matrix, the SGD apply and the mini-DLRM
-/// batch hot path. Two families live here:
-///
-/// KernelDot / KernelAxpy are runtime-selected. kScalar is the default and
-/// is bit-identical to the historical loops: the same operations in the
-/// same order, no fused multiply-add, so kTicks goldens and every figure
-/// bench stay byte-stable. kSimd switches these two kernels to AVX2/FMA
-/// variants when the CPU supports them (checked at dispatch time;
-/// unsupported hardware silently keeps the scalar path). The SIMD
-/// reductions reassociate partial sums and contract mul+add into FMA, so
-/// results differ from scalar in the low bits — callers opt in per process
-/// (the throughput bench, perf builds), never by default.
+/// Dense inner loops shared by the least-squares fitter, the SGD apply and
+/// the mini-DLRM batch cycle. Every kernel is exact-order: each result is
+/// computed with the same operations, in the same order, as the plain
+/// scalar loop its comment gives, and never with fused multiply-add, so the
+/// kTicks goldens and every figure bench stay byte-stable.
 ///
 /// The batched MLP-layer kernels (KernelLayerForward, KernelLayerWeightGrad,
-/// KernelLayerInputGrad) are exact-order in every mode: each output element
-/// is accumulated with the same operations, in the same order, as the
-/// per-sample scalar loop it replaces. They gain speed only by computing
-/// independent output elements together (register tiles of samples x
-/// outputs, 2-wide vectors across independent elements, baseline SSE2 on
-/// x86-64), never by splitting or reordering one element's sum, and never
-/// with FMA. DenseKernelMode does not affect them.
-enum class DenseKernelMode : int {
-  kScalar = 0,
-  kSimd = 1,
-};
+/// KernelLayerInputGrad) gain speed only by computing independent output
+/// elements together (register tiles of samples x outputs, 2-wide vectors
+/// across independent elements, baseline SSE2 on x86-64), never by
+/// splitting or reordering one element's sum.
 
-/// Selects the kernel implementation for the whole process. Thread-safe to
-/// call, but intended for startup/bench configuration, not mid-training
-/// flips. Returns the mode actually in effect (kScalar when SIMD was
-/// requested but the CPU lacks AVX2+FMA).
-DenseKernelMode SetDenseKernelMode(DenseKernelMode mode);
-
-/// The mode currently in effect.
-DenseKernelMode ActiveDenseKernelMode();
-
-/// True when this CPU can run the AVX2+FMA kernels.
-bool SimdKernelsAvailable();
-
-/// sum_i a[i] * b[i]. Scalar mode accumulates left to right (bit-identical
-/// to the historical loop); SIMD mode uses 4-lane FMA partial sums.
+/// sum_i a[i] * b[i], accumulated from 0.0 left to right.
 double KernelDot(const double* a, const double* b, size_t n);
 
-/// y[i] += alpha * x[i]. Element-wise; scalar mode is mul-then-add.
+/// y[i] += alpha * x[i]: multiply, then add, element by element.
 void KernelAxpy(size_t n, double alpha, const double* x, double* y);
 
 // Batched MLP layer over `ns` samples. All arrays are flat and row-major:

@@ -32,35 +32,6 @@ Matrix Matrix::Transpose() const {
   return t;
 }
 
-Matrix Matrix::Multiply(const Matrix& other) const {
-  assert(cols_ == other.rows_);
-  Matrix out(rows_, other.cols_, 0.0);
-  // Tile over (rows of A, inner dimension): within a tile, the kBlock rows
-  // of `other` being streamed fit in cache and are reused by every row of
-  // the A-tile. For a fixed output element the k index still advances
-  // monotonically, so floating-point results match the untiled loop bit for
-  // bit. 64x64 doubles per operand tile = 32 KiB, sized for typical L1+L2.
-  constexpr size_t kBlock = 64;
-  const size_t n = other.cols_;
-  for (size_t rr = 0; rr < rows_; rr += kBlock) {
-    const size_t r_end = std::min(rr + kBlock, rows_);
-    for (size_t kk = 0; kk < cols_; kk += kBlock) {
-      const size_t k_end = std::min(kk + kBlock, cols_);
-      for (size_t r = rr; r < r_end; ++r) {
-        const double* a_row = &data_[r * cols_];
-        double* out_row = &out.data_[r * n];
-        for (size_t k = kk; k < k_end; ++k) {
-          const double v = a_row[k];
-          if (v == 0.0) continue;
-          const double* b_row = &other.data_[k * n];
-          KernelAxpy(n, v, b_row, out_row);
-        }
-      }
-    }
-  }
-  return out;
-}
-
 std::vector<double> Matrix::Apply(const std::vector<double>& x) const {
   assert(x.size() == cols_);
   std::vector<double> y(rows_, 0.0);
@@ -69,23 +40,6 @@ std::vector<double> Matrix::Apply(const std::vector<double>& x) const {
     y[r] = KernelDot(&data_[r * cols_], xp, cols_);
   }
   return y;
-}
-
-void Matrix::ApplyBiasAct(const std::vector<double>& x,
-                          const std::vector<double>& bias, bool relu,
-                          std::vector<double>* y,
-                          std::vector<double>* pre) const {
-  assert(x.size() == cols_);
-  assert(bias.size() == rows_);
-  y->resize(rows_);
-  if (pre != nullptr) pre->resize(rows_);
-  const double* xp = x.data();
-  for (size_t r = 0; r < rows_; ++r) {
-    double acc = KernelDot(&data_[r * cols_], xp, cols_);
-    acc += bias[r];
-    if (pre != nullptr) (*pre)[r] = acc;
-    (*y)[r] = relu ? std::max(0.0, acc) : acc;
-  }
 }
 
 StatusOr<std::vector<double>> LeastSquares(const Matrix& a,

@@ -10,9 +10,10 @@
 
 namespace dlrover {
 
-/// Minimal dense row-major matrix of doubles; just enough linear algebra for
-/// the least-squares solvers used by the perf-model fitter (QR factorization
-/// with Householder reflections) and for the mini-DLRM dense layers.
+/// Minimal dense row-major matrix of doubles, with just the linear algebra
+/// the least-squares solvers below need (the perf-model fitter's QR
+/// factorization with Householder reflections and NNLS). The mini-DLRM also
+/// keeps its dense weights in it, as plain storage.
 class Matrix {
  public:
   Matrix() = default;
@@ -41,29 +42,8 @@ class Matrix {
 
   Matrix Transpose() const;
 
-  /// Matrix product; requires cols() == other.rows(). Cache-blocked over
-  /// (rows, inner) tiles so a tile of `other` rows stays hot in L1/L2; per
-  /// output element the inner-dimension accumulation order is unchanged, so
-  /// results are bit-identical to the naive triple loop. The row update runs
-  /// through the runtime-dispatched dense kernels (common/dense_kernels.h):
-  /// the default scalar mode keeps bit-identity, the opt-in SIMD mode
-  /// vectorizes it with AVX2/FMA.
-  Matrix Multiply(const Matrix& other) const;
-
   /// Matrix-vector product; requires cols() == x.size().
   std::vector<double> Apply(const std::vector<double>& x) const;
-
-  /// Fused y = act(W x + bias) for the MLP tower hot path: one pass over
-  /// the weights, no intermediate vector. `relu` selects max(0, .) as the
-  /// activation, otherwise identity. Writes pre-activation values into
-  /// `pre` when non-null (backward needs them). Accumulation order matches
-  /// Apply() + separate bias add, so the fused path is bit-identical to the
-  /// unfused one. Row dot products go through the runtime-dispatched dense
-  /// kernels: scalar (default, bit-identical) or opt-in AVX2/FMA.
-  void ApplyBiasAct(const std::vector<double>& x,
-                    const std::vector<double>& bias, bool relu,
-                    std::vector<double>* y,
-                    std::vector<double>* pre = nullptr) const;
 
  private:
   size_t rows_ = 0;

@@ -88,8 +88,7 @@ void AsyncPsTrainer::RepartitionStatic() {
     w->part_cursor = start + i;
     w->part_stride = active.size();
     w->shard.reset();
-    w->batch.reset();
-    w->snapshot.reset();
+    w->in_batch = false;
     w->progress = 0.0;
   }
 }
@@ -123,22 +122,22 @@ bool AsyncPsTrainer::FetchWork(Worker& worker) {
 void AsyncPsTrainer::StartBatch(Worker& worker, uint64_t batch_index) {
   const auto t0 = PhaseClock::now();
   worker.batch_index = batch_index;
-  worker.batch = data_->Batch(batch_index * options_.batch_size,
-                              options_.batch_size);
+  worker.in_batch = true;
+  data_->FillBatch(batch_index * options_.batch_size, options_.batch_size,
+                   &worker.work.batch);
   // Pull: the parameters this gradient will be computed against. Slow
   // workers take many ticks to finish, so by push time this is stale.
-  worker.snapshot = model_->TakeSnapshot(*worker.batch);
+  model_->PullBatch(&worker.work);
   result_.phases.pull_s += SecondsSince(t0);
 }
 
 void AsyncPsTrainer::FinishBatch(Worker& worker) {
   const auto compute_t0 = PhaseClock::now();
-  DlrmGradients grads;
-  model_->ForwardBackward(*worker.batch, *worker.snapshot, &grads);
+  model_->ComputeBatch(&worker.work);
   const auto push_t0 = PhaseClock::now();
   result_.phases.compute_s +=
       std::chrono::duration<double>(push_t0 - compute_t0).count();
-  model_->ApplyGradients(grads, options_.learning_rate);
+  model_->PushBatch(&worker.work, options_.learning_rate);
   result_.phases.push_s += SecondsSince(push_t0);
   ++result_.phases.batches;
 
@@ -153,8 +152,7 @@ void AsyncPsTrainer::FinishBatch(Worker& worker) {
   } else {
     worker.part_cursor += worker.part_stride;
   }
-  worker.batch.reset();
-  worker.snapshot.reset();
+  worker.in_batch = false;
 }
 
 void AsyncPsTrainer::FireEvents() {
@@ -285,7 +283,7 @@ TrainResult AsyncPsTrainer::RunTicks() {
     for (size_t i = 0; i < workers_.size(); ++i) {
       Worker& w = workers_[i];
       if (!w.active) continue;
-      if (!w.batch.has_value()) {
+      if (!w.in_batch) {
         if (!FetchWork(w)) continue;
       }
       anyone_working = true;

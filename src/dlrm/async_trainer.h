@@ -144,7 +144,7 @@ struct FaultToleranceStats {
 /// on unconditionally: two steady_clock reads per phase per batch, ~100ns
 /// against multi-millisecond batches.
 struct PhaseBreakdown {
-  double pull_s = 0.0;         // data gen + dense snapshot + sparse gather
+  double pull_s = 0.0;         // data gen + dense copy + sparse gather
   double compute_s = 0.0;      // forward/backward
   double push_s = 0.0;         // gradient application (dense + sharded sparse)
   double commit_wait_s = 0.0;  // acquiring the shared commit gate
@@ -202,8 +202,10 @@ class AsyncPsTrainer {
     double progress = 0.0;  // accumulated ticks toward the current batch
     std::optional<DataShard> shard;
     uint64_t shard_pos = 0;  // batches completed within the shard
-    std::optional<ParamSnapshot> snapshot;
-    std::optional<CriteoBatch> batch;
+    // The in-flight batch: pulled at StartBatch, computed and pushed at
+    // FinishBatch, so slow workers push against stale parameters.
+    DlrmBatchWork work;
+    bool in_batch = false;
     uint64_t batch_index = 0;
     // Static-partition mode: strided ownership (worker trains batches
     // cursor, cursor+stride, ... — how file-sharded input pipelines split a

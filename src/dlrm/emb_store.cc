@@ -162,7 +162,7 @@ void EmbStore::ScatterApply(const uint64_t* keys, size_t n,
       std::vector<double>& row =
           MaterializeRowLocked(stripe, feature, bucket, key);
       // row += (-lr) * grad: IEEE-identical to the per-key
-      // `row[r] -= lr * grad[r]` (negation is exact), SIMD-able in kSimd.
+      // `row[r] -= lr * grad[r]` (negation is exact).
       KernelAxpy(dim, -learning_rate, row_grads + i * dim, row.data());
       if (wide_grads != nullptr) {
         double& w = stripe.wide.try_emplace(key, 0.0).first->second;

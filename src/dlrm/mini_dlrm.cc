@@ -71,376 +71,12 @@ DenseParams MakeDenseParams(const MiniDlrmConfig& config, int n0,
 
 }  // namespace
 
-struct MiniDlrm::SampleCache {
-  std::vector<std::vector<double>> fields;  // 27 x emb_dim
-  std::vector<double> x0;
-  std::vector<std::vector<double>> mlp_pre;   // pre-activation per layer
-  std::vector<std::vector<double>> mlp_post;  // post-activation per layer
-  std::vector<std::vector<double>> cross_x;   // x_0 .. x_L
-  std::vector<double> cross_s;                // s_l = w_l . x_l
-  std::vector<std::vector<double>> fm_t;      // fm_maps x 27
-  std::vector<double> fm_f;                   // fm_maps
-  std::vector<double> fm_s;                   // fm_maps
-  double logit = 0.0;
-};
-
 MiniDlrm::MiniDlrm(const MiniDlrmConfig& config)
     : config_(config),
       store_(MakeStoreOptions(config)),
       init_rng_(config.seed) {
   n0_ = (1 + kNumCat) * config_.emb_dim;
   params_ = MakeDenseParams(config_, n0_, /*zero=*/false, &init_rng_);
-}
-
-ParamSnapshot MiniDlrm::TakeSnapshot(const CriteoBatch& batch) const {
-  ParamSnapshot snap;
-  {
-    // The dense pull is one consistent version (no torn reads of a
-    // concurrent push); embedding rows are pulled per stripe afterwards and
-    // may be newer — exactly the per-key staleness a real PS exhibits.
-    std::shared_lock<std::shared_mutex> lock(params_mu_);
-    snap.dense = params_;
-  }
-  snap.rows.emb.resize(kNumCat);
-  snap.rows.wide.resize(kNumCat);
-  for (const CriteoSample& sample : batch.samples) {
-    for (int f = 0; f < kNumCat; ++f) {
-      const uint64_t bucket = Bucket(f, sample.cats[f]);
-      auto& table = snap.rows.emb[static_cast<size_t>(f)];
-      if (table.count(bucket) == 0) {
-        table.emplace(bucket, store_.GetRow(f, bucket));
-      }
-      if (config_.arch == ModelKind::kWideDeep) {
-        auto& wide = snap.rows.wide[static_cast<size_t>(f)];
-        if (wide.count(bucket) == 0) {
-          wide.emplace(bucket, store_.GetWide(f, bucket));
-        }
-      }
-    }
-  }
-  return snap;
-}
-
-double MiniDlrm::ForwardSample(const CriteoSample& sample,
-                               const DenseParams& dense,
-                               const SparseRows& rows,
-                               SampleCache* cache) const {
-  const int d = config_.emb_dim;
-  cache->fields.assign(1 + kNumCat, std::vector<double>(d, 0.0));
-
-  // Field 0: projected dense features.
-  for (int r = 0; r < d; ++r) {
-    double acc = 0.0;
-    for (int c = 0; c < kNumDense; ++c) {
-      acc += dense.dense_proj(static_cast<size_t>(r),
-                              static_cast<size_t>(c)) *
-             sample.dense[static_cast<size_t>(c)];
-    }
-    cache->fields[0][static_cast<size_t>(r)] = acc;
-  }
-  // Fields 1..26: embedding rows.
-  double wide_logit = 0.0;
-  for (int f = 0; f < kNumCat; ++f) {
-    const uint64_t bucket = Bucket(f, sample.cats[f]);
-    const auto& table = rows.emb[static_cast<size_t>(f)];
-    const auto it = table.find(bucket);
-    assert(it != table.end() && "snapshot missing an embedding row");
-    cache->fields[static_cast<size_t>(f + 1)] = it->second;
-    if (config_.arch == ModelKind::kWideDeep) {
-      const auto& wide = rows.wide[static_cast<size_t>(f)];
-      const auto wit = wide.find(bucket);
-      if (wit != wide.end()) wide_logit += wit->second;
-    }
-  }
-
-  // x0: concatenated fields.
-  cache->x0.resize(static_cast<size_t>(n0_));
-  for (int f = 0; f <= kNumCat; ++f) {
-    for (int r = 0; r < d; ++r) {
-      cache->x0[static_cast<size_t>(f * d + r)] =
-          cache->fields[static_cast<size_t>(f)][static_cast<size_t>(r)];
-    }
-  }
-
-  // MLP tower: fused W*x + bias + ReLU, one pass per layer.
-  cache->mlp_pre.resize(dense.mlp_w.size());
-  cache->mlp_post.resize(dense.mlp_w.size());
-  const std::vector<double>* act = &cache->x0;
-  for (size_t l = 0; l < dense.mlp_w.size(); ++l) {
-    const bool last = l + 1 == dense.mlp_w.size();
-    dense.mlp_w[l].ApplyBiasAct(*act, dense.mlp_b[l], /*relu=*/!last,
-                                &cache->mlp_post[l], &cache->mlp_pre[l]);
-    act = &cache->mlp_post[l];
-  }
-  double logit = (*act)[0] + dense.bias;
-
-  // Architecture head.
-  if (config_.arch == ModelKind::kWideDeep) {
-    logit += wide_logit;
-  } else if (config_.arch == ModelKind::kDcn) {
-    cache->cross_x.clear();
-    cache->cross_s.clear();
-    cache->cross_x.push_back(cache->x0);
-    for (size_t l = 0; l < dense.cross_w.size(); ++l) {
-      const std::vector<double>& xl = cache->cross_x.back();
-      double s = 0.0;
-      for (size_t i = 0; i < xl.size(); ++i) s += dense.cross_w[l][i] * xl[i];
-      cache->cross_s.push_back(s);
-      std::vector<double> next(xl.size());
-      for (size_t i = 0; i < xl.size(); ++i) {
-        next[i] = cache->x0[i] * s + dense.cross_b[l][i] + xl[i];
-      }
-      cache->cross_x.push_back(std::move(next));
-    }
-    const std::vector<double>& xl = cache->cross_x.back();
-    for (size_t i = 0; i < xl.size(); ++i) {
-      logit += dense.cross_out_w[i] * xl[i];
-    }
-  } else if (config_.arch == ModelKind::kXDeepFm) {
-    const int fields = 1 + kNumCat;
-    cache->fm_t.assign(static_cast<size_t>(config_.fm_maps),
-                       std::vector<double>(static_cast<size_t>(fields), 0.0));
-    cache->fm_f.assign(static_cast<size_t>(config_.fm_maps), 0.0);
-    cache->fm_s.assign(static_cast<size_t>(config_.fm_maps), 0.0);
-    for (int h = 0; h < config_.fm_maps; ++h) {
-      double fsum = 0.0;
-      double qsum = 0.0;
-      for (int i = 0; i < fields; ++i) {
-        double t = 0.0;
-        for (int r = 0; r < d; ++r) {
-          t += dense.fm_proj[static_cast<size_t>(h)][static_cast<size_t>(r)] *
-               cache->fields[static_cast<size_t>(i)][static_cast<size_t>(r)];
-        }
-        cache->fm_t[static_cast<size_t>(h)][static_cast<size_t>(i)] = t;
-        fsum += t;
-        qsum += t * t;
-      }
-      cache->fm_f[static_cast<size_t>(h)] = fsum;
-      const double s = 0.5 * (fsum * fsum - qsum);
-      cache->fm_s[static_cast<size_t>(h)] = s;
-      logit += dense.fm_w[static_cast<size_t>(h)] * s;
-    }
-  }
-  cache->logit = logit;
-  return logit;
-}
-
-void MiniDlrm::BackwardSample(const CriteoSample& sample,
-                              const DenseParams& dense,
-                              const SparseRows& rows,
-                              const SampleCache& cache, double dlogit,
-                              DlrmGradients* grads) const {
-  const int d = config_.emb_dim;
-  const int fields = 1 + kNumCat;
-  std::vector<std::vector<double>> dfields(
-      static_cast<size_t>(fields), std::vector<double>(d, 0.0));
-  std::vector<double> dx0(static_cast<size_t>(n0_), 0.0);
-
-  grads->dense.bias += dlogit;
-
-  // --- MLP backward ---
-  {
-    std::vector<double> delta = {dlogit};  // gradient at the output layer
-    for (size_t l = dense.mlp_w.size(); l-- > 0;) {
-      const std::vector<double>& input =
-          l == 0 ? cache.x0 : cache.mlp_post[l - 1];
-      // dW = delta (x) input; db = delta.
-      Matrix& gw = grads->dense.mlp_w[l];
-      std::vector<double>& gb = grads->dense.mlp_b[l];
-      for (size_t o = 0; o < delta.size(); ++o) {
-        gb[o] += delta[o];
-        for (size_t i = 0; i < input.size(); ++i) {
-          gw(o, i) += delta[o] * input[i];
-        }
-      }
-      // Propagate to the previous layer.
-      std::vector<double> prev(input.size(), 0.0);
-      for (size_t o = 0; o < delta.size(); ++o) {
-        for (size_t i = 0; i < input.size(); ++i) {
-          prev[i] += dense.mlp_w[l](o, i) * delta[o];
-        }
-      }
-      if (l > 0) {
-        // Through the ReLU of layer l-1.
-        for (size_t i = 0; i < prev.size(); ++i) {
-          if (cache.mlp_pre[l - 1][i] <= 0.0) prev[i] = 0.0;
-        }
-        delta = std::move(prev);
-      } else {
-        for (size_t i = 0; i < prev.size(); ++i) dx0[i] += prev[i];
-      }
-    }
-  }
-
-  // --- Head backward ---
-  if (config_.arch == ModelKind::kWideDeep) {
-    for (int f = 0; f < kNumCat; ++f) {
-      const uint64_t bucket = Bucket(f, sample.cats[f]);
-      grads->rows.wide[static_cast<size_t>(f)][bucket] += dlogit;
-    }
-  } else if (config_.arch == ModelKind::kDcn) {
-    const size_t n = static_cast<size_t>(n0_);
-    std::vector<double> dxl(n, 0.0);
-    const std::vector<double>& x_last = cache.cross_x.back();
-    for (size_t i = 0; i < n; ++i) {
-      grads->dense.cross_out_w[i] += dlogit * x_last[i];
-      dxl[i] = dlogit * dense.cross_out_w[i];
-    }
-    for (size_t l = dense.cross_w.size(); l-- > 0;) {
-      const std::vector<double>& xl = cache.cross_x[l];
-      const double s = cache.cross_s[l];
-      double ds = 0.0;
-      for (size_t i = 0; i < n; ++i) {
-        ds += dxl[i] * cache.x0[i];
-        grads->dense.cross_b[l][i] += dxl[i];
-        dx0[i] += dxl[i] * s;
-      }
-      std::vector<double> dprev(n, 0.0);
-      for (size_t i = 0; i < n; ++i) {
-        grads->dense.cross_w[l][i] += ds * xl[i];
-        dprev[i] = dxl[i] + ds * dense.cross_w[l][i];
-      }
-      dxl = std::move(dprev);
-    }
-    for (size_t i = 0; i < n; ++i) dx0[i] += dxl[i];  // x_0 is x0 itself
-  } else if (config_.arch == ModelKind::kXDeepFm) {
-    for (int h = 0; h < config_.fm_maps; ++h) {
-      const double s = cache.fm_s[static_cast<size_t>(h)];
-      grads->dense.fm_w[static_cast<size_t>(h)] += dlogit * s;
-      const double ds = dlogit * dense.fm_w[static_cast<size_t>(h)];
-      const double f_sum = cache.fm_f[static_cast<size_t>(h)];
-      for (int i = 0; i < fields; ++i) {
-        const double t = cache.fm_t[static_cast<size_t>(h)][static_cast<size_t>(i)];
-        const double dt = ds * (f_sum - t);
-        for (int r = 0; r < d; ++r) {
-          grads->dense.fm_proj[static_cast<size_t>(h)][static_cast<size_t>(r)] +=
-              dt * cache.fields[static_cast<size_t>(i)][static_cast<size_t>(r)];
-          dfields[static_cast<size_t>(i)][static_cast<size_t>(r)] +=
-              dt * dense.fm_proj[static_cast<size_t>(h)][static_cast<size_t>(r)];
-        }
-      }
-    }
-  }
-
-  // dx0 slices feed field gradients.
-  for (int f = 0; f < fields; ++f) {
-    for (int r = 0; r < d; ++r) {
-      dfields[static_cast<size_t>(f)][static_cast<size_t>(r)] +=
-          dx0[static_cast<size_t>(f * d + r)];
-    }
-  }
-
-  // Field 0 -> dense projection weights.
-  for (int r = 0; r < d; ++r) {
-    const double df = dfields[0][static_cast<size_t>(r)];
-    if (df == 0.0) continue;
-    for (int c = 0; c < kNumDense; ++c) {
-      grads->dense.dense_proj(static_cast<size_t>(r),
-                              static_cast<size_t>(c)) +=
-          df * sample.dense[static_cast<size_t>(c)];
-    }
-  }
-  // Fields 1..26 -> embedding rows.
-  for (int f = 0; f < kNumCat; ++f) {
-    const uint64_t bucket = Bucket(f, sample.cats[f]);
-    auto& row = grads->rows.emb[static_cast<size_t>(f)];
-    auto it = row.find(bucket);
-    if (it == row.end()) {
-      it = row.emplace(bucket,
-                       std::vector<double>(static_cast<size_t>(d), 0.0))
-               .first;
-    }
-    for (int r = 0; r < d; ++r) {
-      it->second[static_cast<size_t>(r)] +=
-          dfields[static_cast<size_t>(f + 1)][static_cast<size_t>(r)];
-    }
-  }
-  (void)rows;
-}
-
-double MiniDlrm::ForwardBackward(const CriteoBatch& batch,
-                                 const ParamSnapshot& snapshot,
-                                 DlrmGradients* grads) const {
-  assert(!batch.samples.empty());
-  Rng dummy(0);
-  grads->dense = MakeDenseParams(config_, n0_, /*zero=*/true, &dummy);
-  grads->rows.emb.assign(kNumCat, {});
-  grads->rows.wide.assign(kNumCat, {});
-
-  const double inv_n = 1.0 / static_cast<double>(batch.size());
-  double loss = 0.0;
-  SampleCache cache;
-  for (const CriteoSample& sample : batch.samples) {
-    const double logit =
-        ForwardSample(sample, snapshot.dense, snapshot.rows, &cache);
-    const double p = Sigmoid(logit);
-    const double y = sample.label;
-    const double eps = 1e-12;
-    loss += -(y * std::log(p + eps) + (1.0 - y) * std::log(1.0 - p + eps));
-    BackwardSample(sample, snapshot.dense, snapshot.rows, cache,
-                   (p - y) * inv_n, grads);
-  }
-  return loss * inv_n;
-}
-
-void MiniDlrm::ApplyDenseGradientsLocked(const DenseParams& grads,
-                                         double learning_rate) {
-  // p += (-lr) * g throughout: IEEE-identical to the historical
-  // `p[i] -= lr * g[i]` (negation is exact), and SIMD-able under
-  // DenseKernelMode::kSimd.
-  const double neg_lr = -learning_rate;
-  auto axpy = [neg_lr](const std::vector<double>& g, std::vector<double>& p) {
-    KernelAxpy(p.size(), neg_lr, g.data(), p.data());
-  };
-  KernelAxpy(params_.dense_proj.data().size(), neg_lr,
-             grads.dense_proj.data().data(), params_.dense_proj.data().data());
-  for (size_t l = 0; l < params_.mlp_w.size(); ++l) {
-    KernelAxpy(params_.mlp_w[l].data().size(), neg_lr,
-               grads.mlp_w[l].data().data(), params_.mlp_w[l].data().data());
-    axpy(grads.mlp_b[l], params_.mlp_b[l]);
-  }
-  for (size_t l = 0; l < params_.cross_w.size(); ++l) {
-    axpy(grads.cross_w[l], params_.cross_w[l]);
-    axpy(grads.cross_b[l], params_.cross_b[l]);
-  }
-  if (!params_.cross_out_w.empty()) {
-    axpy(grads.cross_out_w, params_.cross_out_w);
-  }
-  for (size_t h = 0; h < params_.fm_proj.size(); ++h) {
-    axpy(grads.fm_proj[h], params_.fm_proj[h]);
-  }
-  if (!params_.fm_w.empty()) axpy(grads.fm_w, params_.fm_w);
-  params_.bias -= learning_rate * grads.bias;
-}
-
-void MiniDlrm::ApplyGradients(const DlrmGradients& grads,
-                              double learning_rate) {
-  const double lr = learning_rate;
-  std::unique_lock<std::shared_mutex> lock(params_mu_);
-  ApplyDenseGradientsLocked(grads.dense, lr);
-  lock.unlock();
-
-  // Sparse push: per-stripe locking inside the store, no global lock.
-  for (int f = 0; f < kNumCat; ++f) {
-    for (const auto& [bucket, grow] : grads.rows.emb[static_cast<size_t>(f)]) {
-      store_.ApplyRowGradient(f, bucket, grow, lr);
-    }
-    for (const auto& [bucket, gw] : grads.rows.wide[static_cast<size_t>(f)]) {
-      store_.ApplyWideGradient(f, bucket, gw, lr);
-    }
-  }
-}
-
-std::vector<double> MiniDlrm::Predict(const CriteoBatch& batch) const {
-  const ParamSnapshot snap = TakeSnapshot(batch);
-  std::vector<double> probs;
-  probs.reserve(batch.size());
-  SampleCache cache;
-  for (const CriteoSample& sample : batch.samples) {
-    probs.push_back(Sigmoid(ForwardSample(sample, snap.dense, snap.rows,
-                                          &cache)));
-  }
-  return probs;
 }
 
 double MiniDlrm::Evaluate(const CriteoBatch& batch) const {
@@ -511,17 +147,13 @@ Status MiniDlrm::ImportState(const DlrmStateBlob& blob) {
 }
 
 // ---------------------------------------------------------------------------
-// Allocation-free batch hot path (ExecMode::kThreads workers).
-//
-// Same math as TakeSnapshot / ForwardBackward / ApplyGradients, restructured
-// around flat reusable buffers: every sample's field vectors live in one
-// batch-major x0 buffer, the MLP tower runs once per layer over the whole
-// batch through the exact-order layer kernels, embedding rows are gathered
-// once per batch into a flat array indexed by a slot table, and gradients
-// accumulate into per-worker flat arrays that PushBatch scatters in one
-// sharded pass. Every accumulator receives its terms in the legacy order, so
-// losses and updates are bit-identical (pinned by mini_dlrm_test's
-// FastPathTest).
+// The batch cycle. Every sample's field vectors live in one batch-major x0
+// buffer, the MLP tower runs once per layer over the whole batch through
+// the exact-order layer kernels, embedding rows are gathered once per batch
+// into a flat array indexed by a slot table, and gradients accumulate into
+// per-worker flat arrays that PushBatch scatters in one sharded pass. Every
+// accumulator receives its terms in sample order, so losses and updates are
+// reproducible bit for bit (pinned by dlrm_golden_test).
 // ---------------------------------------------------------------------------
 
 void MiniDlrm::EnsureWork(DlrmBatchWork* work) const {
@@ -546,23 +178,25 @@ void MiniDlrm::EnsureWork(DlrmBatchWork* work) const {
   work->initialized = true;
 }
 
-void MiniDlrm::PullBatch(DlrmBatchWork* work) const {
-  EnsureWork(work);
-  {
-    // One consistent dense version, as in TakeSnapshot. Copy-assignment
-    // reuses the destination buffers: no allocations once warmed.
-    std::shared_lock<std::shared_mutex> lock(params_mu_);
-    work->dense = params_;
-  }
-  // Dedup the batch's (feature, bucket) keys: sort (key, position) pairs,
+void MiniDlrm::PullDense(DlrmBatchWork* work) const {
+  // The dense pull is one consistent version (no torn reads of a concurrent
+  // push); embedding rows are gathered per stripe afterwards and may be
+  // newer — exactly the per-key staleness a real PS exhibits.
+  // Copy-assignment reuses the destination buffers: no allocations once
+  // warmed.
+  std::shared_lock<std::shared_mutex> lock(params_mu_);
+  work->dense = params_;
+}
+
+void MiniDlrm::GatherSparse(const CriteoSample* samples, size_t ns,
+                            DlrmBatchWork* work) const {
+  // Dedup the samples' (feature, bucket) keys: sort (key, position) pairs,
   // then compact equal runs into one slot each.
-  const size_t nsamples = work->batch.samples.size();
-  work->key_scratch.resize(nsamples * kNumCat);
+  work->key_scratch.resize(ns * kNumCat);
   size_t pos = 0;
-  for (size_t s = 0; s < nsamples; ++s) {
-    const CriteoSample& sample = work->batch.samples[s];
+  for (size_t s = 0; s < ns; ++s) {
     for (int f = 0; f < kNumCat; ++f) {
-      const uint64_t bucket = Bucket(f, sample.cats[f]);
+      const uint64_t bucket = Bucket(f, samples[s].cats[f]);
       work->key_scratch[pos] = {store_.PackKey(f, bucket),
                                 static_cast<uint32_t>(pos)};
       ++pos;
@@ -577,25 +211,48 @@ void MiniDlrm::PullBatch(DlrmBatchWork* work) const {
     }
     work->slot[p] = static_cast<uint32_t>(work->keys.size() - 1);
   }
-  const size_t d = static_cast<size_t>(config_.emb_dim);
   const size_t nk = work->keys.size();
-  work->rows.resize(nk * d);
-  work->row_grads.assign(nk * d, 0.0);
+  work->rows.resize(nk * static_cast<size_t>(config_.emb_dim));
   double* wide_out = nullptr;
   if (config_.arch == ModelKind::kWideDeep) {
     work->wide.resize(nk);
-    work->wide_grads.assign(nk, 0.0);
     wide_out = work->wide.data();
   }
   store_.GatherRows(work->keys.data(), nk, work->rows.data(), wide_out,
                     &work->store_scratch);
 }
 
-void MiniDlrm::AssembleFields(DlrmBatchWork& work) const {
+void MiniDlrm::PullBatch(DlrmBatchWork* work) const {
+  EnsureWork(work);
+  PullDense(work);
+  GatherSparse(work->batch.samples.data(), work->batch.samples.size(), work);
+  work->row_grads.assign(work->rows.size(), 0.0);
+  if (config_.arch == ModelKind::kWideDeep) {
+    work->wide_grads.assign(work->wide.size(), 0.0);
+  }
+}
+
+void MiniDlrm::ResizeForward(size_t ns, DlrmBatchWork& work) const {
+  const size_t n0 = static_cast<size_t>(n0_);
+  work.x0.resize(ns * n0);
+  if (config_.arch == ModelKind::kDcn) {
+    const size_t layers = static_cast<size_t>(config_.cross_layers);
+    work.cross_x.resize(ns * layers * n0);
+    work.cross_s.resize(ns * layers);
+  } else if (config_.arch == ModelKind::kXDeepFm) {
+    const size_t maps = static_cast<size_t>(config_.fm_maps);
+    work.fm_t.resize(ns * maps * (1 + kNumCat));
+    work.fm_f.resize(ns * maps);
+    work.fm_s.resize(ns * maps);
+  }
+}
+
+void MiniDlrm::AssembleFields(const CriteoSample* samples, size_t ns,
+                              DlrmBatchWork& work) const {
   const int d = config_.emb_dim;
   const size_t n0 = static_cast<size_t>(n0_);
-  for (size_t s = 0; s < work.batch.samples.size(); ++s) {
-    const CriteoSample& sample = work.batch.samples[s];
+  for (size_t s = 0; s < ns; ++s) {
+    const CriteoSample& sample = samples[s];
     double* x0 = &work.x0[s * n0];
     // Field 0: projected dense features.
     for (int r = 0; r < d; ++r) {
@@ -616,11 +273,9 @@ void MiniDlrm::AssembleFields(DlrmBatchWork& work) const {
   }
 }
 
-void MiniDlrm::TowerForward(DlrmBatchWork& work) const {
+void MiniDlrm::TowerForward(size_t ns, DlrmBatchWork& work) const {
   // One layer at a time over the whole batch: pre = W x + b (the kernel's
-  // sum, then the bias, as in Matrix::ApplyBiasAct), post = ReLU(pre)
-  // except on the output layer.
-  const size_t ns = work.batch.samples.size();
+  // sum, then the bias), post = ReLU(pre) except on the output layer.
   const size_t layers = work.dense.mlp_w.size();
   const double* act = work.x0.data();
   for (size_t l = 0; l < layers; ++l) {
@@ -701,8 +356,8 @@ double MiniDlrm::HeadForward(size_t s, double logit,
 const double* MiniDlrm::TowerBackward(DlrmBatchWork& work) const {
   // Layer by layer from the output, over the whole batch: db sums delta in
   // sample order, dW adds each sample's rank-1 term in sample order, and the
-  // input gradient restarts from 0.0 per sample, all as in the per-sample
-  // loop. delta starts as dlogit (the output layer is one wide).
+  // input gradient restarts from 0.0 per sample, all as a per-sample loop
+  // would. delta starts as dlogit (the output layer is one wide).
   const size_t ns = work.batch.samples.size();
   const double* delta = work.dlogit.data();
   double* grad_in = work.prev.data();
@@ -796,8 +451,7 @@ void MiniDlrm::SampleBackward(size_t s, const double* tower_dx0,
     }
   }
 
-  // dx0 slices feed field gradients (flat layout: same element order as the
-  // legacy per-field loop).
+  // dx0 slices feed field gradients, field by field in element order.
   for (size_t i = 0; i < n; ++i) work.dfields[i] += work.dx0[i];
 
   // Field 0 -> dense projection weights.
@@ -823,36 +477,26 @@ double MiniDlrm::ComputeBatch(DlrmBatchWork* work) const {
   DlrmBatchWork& w = *work;
   VisitDenseParams(w.dense_grads, [](double& v) { v = 0.0; });
   // row_grads / wide_grads were zeroed by PullBatch when it sized them.
+  const CriteoSample* samples = w.batch.samples.data();
   const size_t ns = w.batch.samples.size();
-  const size_t n0 = static_cast<size_t>(n0_);
   size_t widest_in = 0;
   for (const Matrix& m : w.dense.mlp_w) {
     widest_in = std::max(widest_in, m.cols());
   }
-  w.x0.resize(ns * n0);
+  ResizeForward(ns, w);
   w.dlogit.resize(ns);
   w.delta.resize(ns * widest_in);
   w.prev.resize(ns * widest_in);
-  if (config_.arch == ModelKind::kDcn) {
-    const size_t layers = static_cast<size_t>(config_.cross_layers);
-    w.cross_x.resize(ns * layers * n0);
-    w.cross_s.resize(ns * layers);
-  } else if (config_.arch == ModelKind::kXDeepFm) {
-    const size_t maps = static_cast<size_t>(config_.fm_maps);
-    w.fm_t.resize(ns * maps * (1 + kNumCat));
-    w.fm_f.resize(ns * maps);
-    w.fm_s.resize(ns * maps);
-  }
 
-  AssembleFields(w);
-  TowerForward(w);
+  AssembleFields(samples, ns, w);
+  TowerForward(ns, w);
   const double* tower_out = w.mlp_post.back().data();  // ns x 1
   const double inv_n = 1.0 / static_cast<double>(ns);
   double loss = 0.0;
   for (size_t s = 0; s < ns; ++s) {
     const double logit = HeadForward(s, tower_out[s] + w.dense.bias, w);
     const double p = Sigmoid(logit);
-    const double y = w.batch.samples[s].label;
+    const double y = samples[s].label;
     const double eps = 1e-12;
     loss += -(y * std::log(p + eps) + (1.0 - y) * std::log(1.0 - p + eps));
     w.dlogit[s] = (p - y) * inv_n;
@@ -865,8 +509,30 @@ double MiniDlrm::ComputeBatch(DlrmBatchWork* work) const {
 
 void MiniDlrm::PushBatch(DlrmBatchWork* work, double learning_rate) {
   {
+    // p += (-lr) * g throughout: IEEE-identical to `p[i] -= lr * g[i]`
+    // (negation is exact).
+    const double neg_lr = -learning_rate;
+    auto axpy = [neg_lr](const std::vector<double>& g,
+                         std::vector<double>& p) {
+      KernelAxpy(p.size(), neg_lr, g.data(), p.data());
+    };
+    const DenseParams& grads = work->dense_grads;
     std::unique_lock<std::shared_mutex> lock(params_mu_);
-    ApplyDenseGradientsLocked(work->dense_grads, learning_rate);
+    axpy(grads.dense_proj.data(), params_.dense_proj.data());
+    for (size_t l = 0; l < params_.mlp_w.size(); ++l) {
+      axpy(grads.mlp_w[l].data(), params_.mlp_w[l].data());
+      axpy(grads.mlp_b[l], params_.mlp_b[l]);
+    }
+    for (size_t l = 0; l < params_.cross_w.size(); ++l) {
+      axpy(grads.cross_w[l], params_.cross_w[l]);
+      axpy(grads.cross_b[l], params_.cross_b[l]);
+    }
+    axpy(grads.cross_out_w, params_.cross_out_w);
+    for (size_t h = 0; h < params_.fm_proj.size(); ++h) {
+      axpy(grads.fm_proj[h], params_.fm_proj[h]);
+    }
+    axpy(grads.fm_w, params_.fm_w);
+    params_.bias -= learning_rate * grads.bias;
   }
   const double* wide_grads = config_.arch == ModelKind::kWideDeep
                                  ? work->wide_grads.data()
@@ -874,6 +540,29 @@ void MiniDlrm::PushBatch(DlrmBatchWork* work, double learning_rate) {
   store_.ScatterApply(work->keys.data(), work->keys.size(),
                       work->row_grads.data(), wide_grads, learning_rate,
                       &work->store_scratch);
+}
+
+std::vector<double> MiniDlrm::Predict(const CriteoBatch& batch) const {
+  std::vector<double> probs;
+  probs.reserve(batch.size());
+  if (batch.samples.empty()) return probs;
+  DlrmBatchWork work;
+  EnsureWork(&work);
+  PullDense(&work);
+  for (size_t begin = 0; begin < batch.size(); begin += kPredictChunk) {
+    const CriteoSample* samples = batch.samples.data() + begin;
+    const size_t ns = std::min(kPredictChunk, batch.size() - begin);
+    GatherSparse(samples, ns, &work);
+    ResizeForward(ns, work);
+    AssembleFields(samples, ns, work);
+    TowerForward(ns, work);
+    const double* tower_out = work.mlp_post.back().data();  // ns x 1
+    for (size_t s = 0; s < ns; ++s) {
+      probs.push_back(
+          Sigmoid(HeadForward(s, tower_out[s] + work.dense.bias, work)));
+    }
+  }
+  return probs;
 }
 
 }  // namespace dlrover

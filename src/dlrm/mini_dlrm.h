@@ -1,9 +1,9 @@
 #ifndef DLROVER_DLRM_MINI_DLRM_H_
 #define DLROVER_DLRM_MINI_DLRM_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <shared_mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/matrix.h"
@@ -29,8 +29,9 @@ struct MiniDlrmConfig {
   uint64_t seed = 7;
 };
 
-/// Dense (non-embedding) parameters: copied wholesale into worker
-/// snapshots, like pulling the dense part from a PS.
+/// Dense (non-embedding) parameters: copied wholesale into a worker's
+/// DlrmBatchWork at pull time, like pulling the dense part from a PS. The
+/// per-worker gradient accumulators use the same shapes.
 struct DenseParams {
   Matrix dense_proj;                     // emb_dim x 13
   std::vector<Matrix> mlp_w;             // per layer: out x in
@@ -43,27 +44,6 @@ struct DenseParams {
   double bias = 0.0;
 };
 
-/// Sparse gradients/rows keyed by (feature, bucket).
-struct SparseRows {
-  /// embedding rows: per feature, bucket -> vector<emb_dim>.
-  std::vector<std::unordered_map<uint64_t, std::vector<double>>> emb;
-  /// wide scalar weights (Wide&Deep head): per feature, bucket -> value.
-  std::vector<std::unordered_map<uint64_t, double>> wide;
-};
-
-/// A worker's pulled view of the parameters: full dense copy + only the
-/// embedding/wide rows its batch touches (as a real PS worker pulls).
-struct ParamSnapshot {
-  DenseParams dense;
-  SparseRows rows;
-};
-
-/// Gradients produced by one mini-batch, mirroring the snapshot layout.
-struct DlrmGradients {
-  DenseParams dense;  // same shapes, holding gradient values
-  SparseRows rows;
-};
-
 /// Serialized full model state: every dense parameter flattened in a fixed
 /// traversal order plus the canonical sparse-store dump. This is the
 /// payload a model checkpoint stores and checksums; the layout depends only
@@ -73,16 +53,16 @@ struct DlrmStateBlob {
   EmbStoreSnapshot sparse;
 };
 
-/// Reusable per-worker workspace for the allocation-free batch hot path
-/// (MiniDlrm::PullBatch / ComputeBatch / PushBatch). Owns every buffer one
-/// training step needs: the pulled dense copy, the batch's unique sparse
-/// keys with their gathered rows, the per-worker gradient accumulators that
-/// PushBatch merges into the live model at commit, and the flat
-/// forward/backward scratch. All buffers are sized on first use and reused
-/// after that, so a warmed steady-state batch performs zero heap
-/// allocations. One instance per worker; never shared across threads.
-/// Treat the members as opaque — only `batch` is caller-filled (via
-/// CriteoSynth::FillBatch), everything else belongs to MiniDlrm.
+/// Reusable per-worker workspace of the batch cycle (MiniDlrm::PullBatch /
+/// ComputeBatch / PushBatch). Owns every buffer one training step needs:
+/// the pulled dense copy, the batch's unique sparse keys with their
+/// gathered rows, the per-worker gradient accumulators that PushBatch
+/// merges into the live model at commit, and the flat forward/backward
+/// scratch. All buffers are sized on first use and reused after that, so a
+/// warmed steady-state batch performs zero heap allocations. One instance
+/// per worker; never shared across threads. Treat the members as opaque —
+/// only `batch` is caller-filled (via CriteoSynth::FillBatch), everything
+/// else belongs to MiniDlrm.
 struct DlrmBatchWork {
   CriteoBatch batch;
 
@@ -133,56 +113,45 @@ struct DlrmBatchWork {
 ///               (a CIN approximation; see DESIGN.md);
 ///   DCN       — MLP tower + explicit cross-layer head.
 /// Training is exception-free, deterministic given the seed, and built for
-/// async-PS semantics: TakeSnapshot / ForwardBackward(snapshot) /
-/// ApplyGradients emulate pull / compute / push.
+/// async-PS semantics: every worker trains through one batch cycle,
+/// PullBatch / ComputeBatch / PushBatch, which emulates pull / compute /
+/// push. Predict runs the forward half of the same cycle.
 ///
-/// Thread safety: TakeSnapshot, ForwardBackward, ApplyGradients, Predict,
-/// Evaluate and MaterializedRows may be called concurrently from worker
-/// threads (ExecMode::kThreads). The dense parameters are guarded by a
-/// reader/writer lock (snapshots read-lock, pushes write-lock); embedding
-/// and wide rows live in a lock-striped EmbStore so concurrent pulls and
-/// pushes contend only per stripe. dense_params() is NOT synchronized —
-/// single-threaded test use only.
+/// Thread safety: PullBatch, ComputeBatch, PushBatch (one DlrmBatchWork per
+/// worker), Predict, Evaluate and MaterializedRows may be called
+/// concurrently from worker threads (ExecMode::kThreads). The dense
+/// parameters are guarded by a reader/writer lock (pulls read-lock, pushes
+/// write-lock); embedding and wide rows live in a lock-striped EmbStore so
+/// concurrent pulls and pushes contend only per stripe.
 class MiniDlrm {
  public:
   explicit MiniDlrm(const MiniDlrmConfig& config);
 
-  /// Pulls the parameters a worker needs to process `batch`.
-  ParamSnapshot TakeSnapshot(const CriteoBatch& batch) const;
-
-  /// Computes mean logloss and gradients of `batch` against `snapshot`
-  /// (possibly stale). Gradients are averaged over the batch.
-  double ForwardBackward(const CriteoBatch& batch,
-                         const ParamSnapshot& snapshot,
-                         DlrmGradients* grads) const;
-
-  /// Pushes gradients into the live parameters (async SGD step).
-  void ApplyGradients(const DlrmGradients& grads, double learning_rate);
-
-  /// Allocation-free batch hot path used by ExecMode::kThreads workers.
-  /// The three calls mirror pull / compute / push against a per-worker
-  /// workspace:
+  /// The allocation-free batch cycle, pull / compute / push against a
+  /// per-worker workspace:
   ///   PullBatch    — dense copy + batched sparse gather of the batch's
   ///                  deduplicated keys (one lock round-trip per touched
-  ///                  stripe instead of one per key);
+  ///                  stripe instead of one per key); zeroes the sparse
+  ///                  gradient accumulators;
   ///   ComputeBatch — forward/backward into the worker's private gradient
   ///                  accumulators, running the MLP tower once per layer
-  ///                  over the whole batch; returns mean logloss;
-  ///   PushBatch    — merges the accumulators into the live model: dense
-  ///                  axpy under the write lock, then the sharded sparse
-  ///                  scatter with per-stripe locking.
-  /// Every loss term and gradient accumulator receives the same
-  /// floating-point operations, in the same order, as in the legacy
-  /// TakeSnapshot / ForwardBackward / ApplyGradients path: for the same
-  /// batch against the same parameters both produce bit-identical losses
-  /// and parameter updates (pinned by mini_dlrm_test). Thread-safe with
-  /// one DlrmBatchWork per worker.
+  ///                  over the whole batch; returns mean logloss, with
+  ///                  gradients averaged over the batch;
+  ///   PushBatch    — merges the accumulators into the live model (async
+  ///                  SGD step): dense axpy under the write lock, then the
+  ///                  sharded sparse scatter with per-stripe locking.
+  /// Every accumulator receives its terms in sample order, so losses and
+  /// updates are reproducible bit for bit (pinned by dlrm_golden_test).
   void PullBatch(DlrmBatchWork* work) const;
   double ComputeBatch(DlrmBatchWork* work) const;
   void PushBatch(DlrmBatchWork* work, double learning_rate);
 
-  /// Click probabilities under the live parameters.
+  /// Click probabilities under the live parameters: one dense pull, then
+  /// the forward phases of ComputeBatch over chunks of kPredictChunk
+  /// samples, so a large evaluation set never sits in batch-major buffers
+  /// at once. Each probability depends only on its own sample.
   std::vector<double> Predict(const CriteoBatch& batch) const;
+  static constexpr size_t kPredictChunk = 128;
 
   /// Mean logloss of the live parameters on a batch.
   double Evaluate(const CriteoBatch& batch) const;
@@ -203,46 +172,37 @@ class MiniDlrm {
   Status ImportState(const DlrmStateBlob& blob);
 
   const MiniDlrmConfig& config() const { return config_; }
-  int input_width() const { return n0_; }
-
-  /// Direct parameter access for tests (gradient checking).
-  DenseParams& dense_params() { return params_; }
-  const DenseParams& dense_params() const { return params_; }
 
  private:
-  struct SampleCache;  // forward activations for one sample
-
   uint64_t Bucket(int feature, uint64_t id) const {
     return (id * 0x9e3779b97f4a7c15ull + static_cast<uint64_t>(feature)) %
            config_.hash_buckets;
   }
 
-  double ForwardSample(const CriteoSample& sample, const DenseParams& dense,
-                       const SparseRows& rows, SampleCache* cache) const;
-  void BackwardSample(const CriteoSample& sample, const DenseParams& dense,
-                      const SparseRows& rows, const SampleCache& cache,
-                      double dlogit, DlrmGradients* grads) const;
-
   /// Sizes the fixed (batch-independent) buffers of `work` on first use.
   void EnsureWork(DlrmBatchWork* work) const;
-  /// The phases of ComputeBatch. The tower runs once per layer over the
-  /// whole batch; the heads run per sample, in sample order. Every
-  /// floating-point statement keeps the order of the legacy per-sample
-  /// ForwardSample/BackwardSample, so each gradient accumulator receives
-  /// the same terms in the same order. Sparse grads go to work.row_grads /
-  /// work.wide_grads via the batch's slot table.
-  void AssembleFields(DlrmBatchWork& work) const;
-  void TowerForward(DlrmBatchWork& work) const;
+  /// The two halves of a pull, shared by PullBatch and Predict: one
+  /// consistent copy of the dense parameters, and the deduplicated gather
+  /// of the rows `ns` samples touch (keys, slot table, rows, wide weights).
+  void PullDense(DlrmBatchWork* work) const;
+  void GatherSparse(const CriteoSample* samples, size_t ns,
+                    DlrmBatchWork* work) const;
+  /// The phases of the cycle. The tower runs once per layer over the whole
+  /// batch; the heads run per sample, in sample order. Each gradient
+  /// accumulator receives its terms in sample order, and each sum keeps
+  /// one fixed order (see the exact-order kernels in dense_kernels.h).
+  /// Sparse grads go to work.row_grads / work.wide_grads via the batch's
+  /// slot table.
+  void ResizeForward(size_t ns, DlrmBatchWork& work) const;
+  void AssembleFields(const CriteoSample* samples, size_t ns,
+                      DlrmBatchWork& work) const;
+  void TowerForward(size_t ns, DlrmBatchWork& work) const;
   double HeadForward(size_t s, double logit, DlrmBatchWork& work) const;
   /// Returns the tower's gradient at x0, ns x n0 (inside work.delta or
   /// work.prev).
   const double* TowerBackward(DlrmBatchWork& work) const;
   void SampleBackward(size_t s, const double* tower_dx0,
                       DlrmBatchWork& work) const;
-  /// Dense half of a push; caller holds params_mu_ exclusively. Shared by
-  /// ApplyGradients and PushBatch so both apply bit-identical updates.
-  void ApplyDenseGradientsLocked(const DenseParams& grads,
-                                 double learning_rate);
 
   MiniDlrmConfig config_;
   int n0_ = 0;  // concatenated field width = (1 + 26) * emb_dim

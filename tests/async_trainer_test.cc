@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/dense_kernels.h"
 #include "dlrm/metrics.h"
 
 namespace dlrover {
@@ -184,33 +183,6 @@ TEST(AsyncTrainerTest, ThreadsModeConvergesLikeTickMode) {
         << threads << " threads";
     EXPECT_GT(result.phases.BusySeconds(), 0.0) << threads << " threads";
   }
-}
-
-TEST(AsyncTrainerTest, ThreadsModeConvergesWithSimdKernels) {
-  // The SIMD kernels reassociate reductions, so floats differ from scalar —
-  // but learning must not. Run the threaded trainer under kSimd and demand
-  // tick-mode-equivalent held-out metrics. No-op (scalar fallback) on
-  // hardware without AVX2+FMA.
-  const DenseKernelMode applied = SetDenseKernelMode(DenseKernelMode::kSimd);
-  CriteoSynth data(99);
-  auto run = [&](ExecMode mode) {
-    MiniDlrm model(SmallModel());
-    AsyncTrainerOptions options = SmallRun(17);
-    options.total_batches = 1200;
-    options.exec_mode = mode;
-    options.num_threads = 4;
-    AsyncPsTrainer trainer(&model, &data, options);
-    return trainer.Run();
-  };
-  const TrainResult ticks = run(ExecMode::kTicks);
-  const TrainResult threads = run(ExecMode::kThreads);
-  SetDenseKernelMode(DenseKernelMode::kScalar);
-  if (applied != DenseKernelMode::kSimd) {
-    GTEST_SKIP() << "CPU lacks AVX2+FMA; SIMD path not exercised";
-  }
-  EXPECT_EQ(threads.batches_committed, ticks.batches_committed);
-  EXPECT_LT(std::fabs(threads.final_logloss - ticks.final_logloss), 0.02);
-  EXPECT_LT(std::fabs(threads.final_auc - ticks.final_auc), 0.03);
 }
 
 TEST(AsyncTrainerTest, CurveIsRecordedAndLossImproves) {

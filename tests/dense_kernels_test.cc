@@ -2,20 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <vector>
 
 namespace dlrover {
 namespace {
-
-// The test binary flips the process-wide kernel mode; restore scalar so
-// test order never changes what other tests in this binary run against.
-class DenseKernelsTest : public ::testing::Test {
- protected:
-  void TearDown() override { SetDenseKernelMode(DenseKernelMode::kScalar); }
-};
 
 std::vector<double> Ramp(size_t n, double scale) {
   std::vector<double> v(n);
@@ -25,7 +17,7 @@ std::vector<double> Ramp(size_t n, double scale) {
   return v;
 }
 
-TEST_F(DenseKernelsTest, ScalarDotIsLeftToRightSum) {
+TEST(DenseKernelsTest, ScalarDotIsLeftToRightSum) {
   // Bit-identical to the historical accumulation loop, for any length
   // (the goldens depend on this).
   for (size_t n : {0u, 1u, 3u, 4u, 15u, 16u, 17u, 64u, 129u}) {
@@ -37,7 +29,7 @@ TEST_F(DenseKernelsTest, ScalarDotIsLeftToRightSum) {
   }
 }
 
-TEST_F(DenseKernelsTest, ScalarAxpyMatchesElementwise) {
+TEST(DenseKernelsTest, ScalarAxpyMatchesElementwise) {
   for (size_t n : {0u, 1u, 5u, 8u, 13u, 32u, 100u}) {
     const std::vector<double> x = Ramp(n, 2.1);
     std::vector<double> y = Ramp(n, 0.4);
@@ -46,51 +38,6 @@ TEST_F(DenseKernelsTest, ScalarAxpyMatchesElementwise) {
     for (size_t i = 0; i < n; ++i) expect[i] += alpha * x[i];
     KernelAxpy(n, alpha, x.data(), y.data());
     EXPECT_EQ(y, expect) << "n=" << n;
-  }
-}
-
-TEST_F(DenseKernelsTest, ModeSwitchRoundTripsAndGatesOnCpu) {
-  ASSERT_EQ(ActiveDenseKernelMode(), DenseKernelMode::kScalar);
-  const DenseKernelMode applied = SetDenseKernelMode(DenseKernelMode::kSimd);
-  if (SimdKernelsAvailable()) {
-    EXPECT_EQ(applied, DenseKernelMode::kSimd);
-    EXPECT_EQ(ActiveDenseKernelMode(), DenseKernelMode::kSimd);
-  } else {
-    // Requesting SIMD on unsupported hardware silently keeps scalar.
-    EXPECT_EQ(applied, DenseKernelMode::kScalar);
-    EXPECT_EQ(ActiveDenseKernelMode(), DenseKernelMode::kScalar);
-  }
-  EXPECT_EQ(SetDenseKernelMode(DenseKernelMode::kScalar),
-            DenseKernelMode::kScalar);
-}
-
-TEST_F(DenseKernelsTest, SimdAgreesWithScalarToRounding) {
-  if (SetDenseKernelMode(DenseKernelMode::kSimd) != DenseKernelMode::kSimd) {
-    GTEST_SKIP() << "CPU lacks AVX2+FMA";
-  }
-  // Reassociated reductions differ only in accumulated rounding: demand
-  // near-equality at a tolerance far below any gradient signal, across
-  // lengths covering every unrolled-loop remainder case.
-  for (size_t n : {1u, 4u, 7u, 16u, 19u, 64u, 100u, 257u}) {
-    const std::vector<double> a = Ramp(n, 1.3);
-    const std::vector<double> b = Ramp(n, -0.7);
-    const double simd = KernelDot(a.data(), b.data(), n);
-    SetDenseKernelMode(DenseKernelMode::kScalar);
-    const double scalar = KernelDot(a.data(), b.data(), n);
-    SetDenseKernelMode(DenseKernelMode::kSimd);
-    EXPECT_NEAR(simd, scalar, 1e-12 * (1.0 + std::fabs(scalar))) << "n=" << n;
-
-    std::vector<double> y_simd = Ramp(n, 0.4);
-    KernelAxpy(n, 0.25, a.data(), y_simd.data());
-    SetDenseKernelMode(DenseKernelMode::kScalar);
-    std::vector<double> y_scalar = Ramp(n, 0.4);
-    KernelAxpy(n, 0.25, a.data(), y_scalar.data());
-    SetDenseKernelMode(DenseKernelMode::kSimd);
-    for (size_t i = 0; i < n; ++i) {
-      // Element-wise FMA differs from mul+add by at most one rounding.
-      EXPECT_NEAR(y_simd[i], y_scalar[i], 1e-15 * (1.0 + std::fabs(y_scalar[i])))
-          << "n=" << n << " i=" << i;
-    }
   }
 }
 
@@ -115,27 +62,21 @@ bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
 
 // Runs `check(ns, out, in)` over shapes that reach every tile remainder of
 // the layer kernels (row tiles of 4, then 3/2/1 rows; column tiles of 4,
-// then up to 3 single columns), under both kernel modes (they must not
-// care).
+// then up to 3 single columns).
 template <typename Check>
 void ForEachLayerShape(Check check) {
-  for (DenseKernelMode mode :
-       {DenseKernelMode::kScalar, DenseKernelMode::kSimd}) {
-    SetDenseKernelMode(mode);
-    for (size_t ns : {1u, 3u, 4u, 5u, 13u}) {
-      for (size_t out : {1u, 3u, 4u, 7u}) {
-        for (size_t in : {1u, 3u, 5u, 7u, 8u, 13u}) {
-          SCOPED_TRACE(::testing::Message()
-                       << "ns=" << ns << " out=" << out << " in=" << in
-                       << " mode=" << static_cast<int>(mode));
-          check(ns, out, in);
-        }
+  for (size_t ns : {1u, 3u, 4u, 5u, 13u}) {
+    for (size_t out : {1u, 3u, 4u, 7u}) {
+      for (size_t in : {1u, 3u, 5u, 7u, 8u, 13u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "ns=" << ns << " out=" << out << " in=" << in);
+        check(ns, out, in);
       }
     }
   }
 }
 
-TEST_F(DenseKernelsTest, LayerForwardMatchesScalarDotOrder) {
+TEST(DenseKernelsTest, LayerForwardMatchesScalarDotOrder) {
   ForEachLayerShape([](size_t ns, size_t out, size_t in) {
     const std::vector<double> w = Salted(out * in, 1.3, 0);
     const std::vector<double> x = Salted(ns * in, -0.7, 2);
@@ -154,7 +95,7 @@ TEST_F(DenseKernelsTest, LayerForwardMatchesScalarDotOrder) {
   });
 }
 
-TEST_F(DenseKernelsTest, LayerWeightGradMatchesSampleOrder) {
+TEST(DenseKernelsTest, LayerWeightGradMatchesSampleOrder) {
   ForEachLayerShape([](size_t ns, size_t out, size_t in) {
     const std::vector<double> d = Salted(ns * out, 0.9, 1);
     const std::vector<double> x = Salted(ns * in, -1.1, 3);
@@ -172,7 +113,7 @@ TEST_F(DenseKernelsTest, LayerWeightGradMatchesSampleOrder) {
   });
 }
 
-TEST_F(DenseKernelsTest, LayerInputGradMatchesOutputOrder) {
+TEST(DenseKernelsTest, LayerInputGradMatchesOutputOrder) {
   ForEachLayerShape([](size_t ns, size_t out, size_t in) {
     const std::vector<double> w = Salted(out * in, 1.3, 0);
     const std::vector<double> d = Salted(ns * out, -0.6, 2);

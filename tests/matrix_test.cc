@@ -11,13 +11,6 @@ namespace {
 
 TEST(MatrixTest, BasicOps) {
   const Matrix a({{1, 2}, {3, 4}});
-  const Matrix b({{5, 6}, {7, 8}});
-  const Matrix c = a.Multiply(b);
-  EXPECT_DOUBLE_EQ(c(0, 0), 19);
-  EXPECT_DOUBLE_EQ(c(0, 1), 22);
-  EXPECT_DOUBLE_EQ(c(1, 0), 43);
-  EXPECT_DOUBLE_EQ(c(1, 1), 50);
-
   const Matrix t = a.Transpose();
   EXPECT_DOUBLE_EQ(t(0, 1), 3);
   EXPECT_DOUBLE_EQ(t(1, 0), 2);

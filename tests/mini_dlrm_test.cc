@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -24,25 +25,48 @@ MiniDlrmConfig SmallConfig(ModelKind arch) {
   return config;
 }
 
-// Numerical gradient check of the dense parameters: perturb each parameter,
-// compare the loss delta against the analytic gradient.
+// One SGD step through the batch cycle on samples [start, start + n).
+void TrainStep(MiniDlrm* model, const CriteoSynth& data, uint64_t start,
+               uint64_t n, double learning_rate, DlrmBatchWork* work) {
+  data.FillBatch(start, n, &work->batch);
+  model->PullBatch(work);
+  model->ComputeBatch(work);
+  model->PushBatch(work, learning_rate);
+}
+
+// Numerical gradient checks against ComputeBatch: perturb one pulled value
+// in the workspace, recompute the loss, compare the loss delta against the
+// analytic gradient. Only the pulled copies in `work` change, so every
+// ComputeBatch call sees the same batch against the same parameters.
+// Analytic gradients are read after the first ComputeBatch: the dense
+// accumulators are re-zeroed by every call, but row_grads only by
+// PullBatch, so later calls keep adding to them.
 class GradCheckTest : public ::testing::TestWithParam<ModelKind> {};
+
+void ExpectMatchesNumerical(const char* name, double* param,
+                            double analytic, MiniDlrm& model,
+                            DlrmBatchWork* work) {
+  const double eps = 1e-5;
+  const double original = *param;
+  *param = original + eps;
+  const double up = model.ComputeBatch(work);
+  *param = original - eps;
+  const double down = model.ComputeBatch(work);
+  *param = original;
+  const double numerical = (up - down) / (2.0 * eps);
+  EXPECT_NEAR(analytic, numerical, 1e-4 * std::max(1.0, std::fabs(numerical)))
+      << "parameter " << name;
+}
 
 TEST_P(GradCheckTest, DenseGradientsMatchNumerical) {
   const MiniDlrmConfig config = SmallConfig(GetParam());
   MiniDlrm model(config);
   CriteoSynth data(5);
-  const CriteoBatch batch = data.Batch(0, 4);
-  const ParamSnapshot snap = model.TakeSnapshot(batch);
-
-  DlrmGradients grads;
-  model.ForwardBackward(batch, snap, &grads);
-
-  const double eps = 1e-5;
-  auto loss_with = [&](const ParamSnapshot& s) {
-    DlrmGradients scratch;
-    return model.ForwardBackward(batch, s, &scratch);
-  };
+  DlrmBatchWork work;
+  data.FillBatch(0, 4, &work.batch);
+  model.PullBatch(&work);
+  model.ComputeBatch(&work);
+  const DenseParams grads = work.dense_grads;
 
   // Check a sample of parameters across every dense component.
   struct Probe {
@@ -50,43 +74,28 @@ TEST_P(GradCheckTest, DenseGradientsMatchNumerical) {
     double* param;
     double analytic;
   };
-  std::vector<Probe> probes;
-  ParamSnapshot mutated = snap;
-  probes.push_back({"dense_proj", &mutated.dense.dense_proj.data()[3],
-                    grads.dense.dense_proj.data()[3]});
-  probes.push_back({"mlp_w0", &mutated.dense.mlp_w[0].data()[7],
-                    grads.dense.mlp_w[0].data()[7]});
-  probes.push_back({"mlp_b0", &mutated.dense.mlp_b[0][2],
-                    grads.dense.mlp_b[0][2]});
-  probes.push_back({"mlp_w_last", &mutated.dense.mlp_w.back().data()[1],
-                    grads.dense.mlp_w.back().data()[1]});
-  probes.push_back({"bias", &mutated.dense.bias, grads.dense.bias});
+  DenseParams& dense = work.dense;
+  std::vector<Probe> probes = {
+      {"dense_proj", &dense.dense_proj.data()[3], grads.dense_proj.data()[3]},
+      {"mlp_w0", &dense.mlp_w[0].data()[7], grads.mlp_w[0].data()[7]},
+      {"mlp_b0", &dense.mlp_b[0][2], grads.mlp_b[0][2]},
+      {"mlp_w_last", &dense.mlp_w.back().data()[1],
+       grads.mlp_w.back().data()[1]},
+      {"bias", &dense.bias, grads.bias},
+  };
   if (GetParam() == ModelKind::kDcn) {
-    probes.push_back({"cross_w", &mutated.dense.cross_w[0][5],
-                      grads.dense.cross_w[0][5]});
-    probes.push_back({"cross_b", &mutated.dense.cross_b[1][9],
-                      grads.dense.cross_b[1][9]});
-    probes.push_back({"cross_out_w", &mutated.dense.cross_out_w[11],
-                      grads.dense.cross_out_w[11]});
+    probes.push_back({"cross_w", &dense.cross_w[0][5], grads.cross_w[0][5]});
+    probes.push_back({"cross_b", &dense.cross_b[1][9], grads.cross_b[1][9]});
+    probes.push_back(
+        {"cross_out_w", &dense.cross_out_w[11], grads.cross_out_w[11]});
   }
   if (GetParam() == ModelKind::kXDeepFm) {
-    probes.push_back({"fm_proj", &mutated.dense.fm_proj[1][2],
-                      grads.dense.fm_proj[1][2]});
-    probes.push_back({"fm_w", &mutated.dense.fm_w[2],
-                      grads.dense.fm_w[2]});
+    probes.push_back({"fm_proj", &dense.fm_proj[1][2], grads.fm_proj[1][2]});
+    probes.push_back({"fm_w", &dense.fm_w[2], grads.fm_w[2]});
   }
-
   for (const Probe& probe : probes) {
-    const double original = *probe.param;
-    *probe.param = original + eps;
-    const double up = loss_with(mutated);
-    *probe.param = original - eps;
-    const double down = loss_with(mutated);
-    *probe.param = original;
-    const double numerical = (up - down) / (2.0 * eps);
-    EXPECT_NEAR(probe.analytic, numerical,
-                1e-4 * std::max(1.0, std::fabs(numerical)))
-        << "parameter " << probe.name;
+    ExpectMatchesNumerical(probe.name, probe.param, probe.analytic, model,
+                           &work);
   }
 }
 
@@ -94,31 +103,23 @@ TEST_P(GradCheckTest, EmbeddingGradientsMatchNumerical) {
   const MiniDlrmConfig config = SmallConfig(GetParam());
   MiniDlrm model(config);
   CriteoSynth data(6);
-  const CriteoBatch batch = data.Batch(0, 3);
-  const ParamSnapshot snap = model.TakeSnapshot(batch);
+  DlrmBatchWork work;
+  data.FillBatch(0, 3, &work.batch);
+  model.PullBatch(&work);
+  model.ComputeBatch(&work);
 
-  DlrmGradients grads;
-  model.ForwardBackward(batch, snap, &grads);
-
-  // Pick the first touched embedding entry of feature 0.
-  ASSERT_FALSE(snap.rows.emb[0].empty());
-  const uint64_t bucket = snap.rows.emb[0].begin()->first;
-  ASSERT_TRUE(grads.rows.emb[0].count(bucket) > 0);
-  const double analytic = grads.rows.emb[0].at(bucket)[1];
-
-  ParamSnapshot mutated = snap;
-  const double eps = 1e-5;
-  auto loss_with = [&](const ParamSnapshot& s) {
-    DlrmGradients scratch;
-    return model.ForwardBackward(batch, s, &scratch);
-  };
-  const double original = mutated.rows.emb[0][bucket][1];
-  mutated.rows.emb[0][bucket][1] = original + eps;
-  const double up = loss_with(mutated);
-  mutated.rows.emb[0][bucket][1] = original - eps;
-  const double down = loss_with(mutated);
-  const double numerical = (up - down) / (2.0 * eps);
-  EXPECT_NEAR(analytic, numerical, 1e-4 * std::max(1.0, std::fabs(numerical)));
+  // Element 1 of the first gathered row (the smallest key: feature 0), and
+  // for Wide&Deep that key's wide weight.
+  ASSERT_FALSE(work.keys.empty());
+  const double row_analytic = work.row_grads[1];
+  const bool wide = GetParam() == ModelKind::kWideDeep;
+  const double wide_analytic = wide ? work.wide_grads[0] : 0.0;
+  ExpectMatchesNumerical("emb row 0 [1]", &work.rows[1], row_analytic, model,
+                         &work);
+  if (wide) {
+    ExpectMatchesNumerical("wide 0", &work.wide[0], wide_analytic, model,
+                           &work);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllArchitectures, GradCheckTest,
@@ -139,12 +140,9 @@ TEST_P(LearningTest, SgdReducesHeldOutLogLoss) {
   const CriteoBatch test = data.Batch(1'000'000, 1024);
   const double before = model.Evaluate(test);
 
-  for (int step = 0; step < 800; ++step) {
-    const CriteoBatch batch = data.Batch(static_cast<uint64_t>(step) * 64, 64);
-    const ParamSnapshot snap = model.TakeSnapshot(batch);
-    DlrmGradients grads;
-    model.ForwardBackward(batch, snap, &grads);
-    model.ApplyGradients(grads, 0.15);
+  DlrmBatchWork work;
+  for (uint64_t step = 0; step < 800; ++step) {
+    TrainStep(&model, data, step * 64, 64, 0.15, &work);
   }
   const double after = model.Evaluate(test);
   EXPECT_LT(after, before - 0.02)
@@ -166,14 +164,10 @@ TEST(MiniDlrmTest, MaterializedRowsGrowWithData) {
   config.hash_buckets = 1 << 16;
   MiniDlrm model(config);
   CriteoSynth data(9);
+  DlrmBatchWork work;
   size_t prev = 0;
-  for (int step = 0; step < 8; ++step) {
-    const CriteoBatch batch =
-        data.Batch(static_cast<uint64_t>(step) * 256, 256);
-    const ParamSnapshot snap = model.TakeSnapshot(batch);
-    DlrmGradients grads;
-    model.ForwardBackward(batch, snap, &grads);
-    model.ApplyGradients(grads, 0.05);
+  for (uint64_t step = 0; step < 8; ++step) {
+    TrainStep(&model, data, step * 256, 256, 0.05, &work);
     EXPECT_GE(model.MaterializedRows(), prev);
     prev = model.MaterializedRows();
   }
@@ -199,98 +193,36 @@ TEST(MiniDlrmTest, DeterministicAcrossMaterializationOrder) {
   }
 }
 
-// Every dense gradient, flattened. Comparing gradients per batch catches a
-// changed summation order that the parameter update would round away.
-std::vector<double> FlatDense(const DenseParams& p) {
-  std::vector<double> flat = p.dense_proj.data();
-  for (const Matrix& m : p.mlp_w) {
-    flat.insert(flat.end(), m.data().begin(), m.data().end());
-  }
-  for (const auto* group : {&p.mlp_b, &p.cross_w, &p.cross_b, &p.fm_proj}) {
-    for (const std::vector<double>& v : *group) {
-      flat.insert(flat.end(), v.begin(), v.end());
+// Predict evaluates in chunks of kPredictChunk samples; a sample's
+// probability must not depend on which chunk it lands in or on its
+// neighbours. 300 samples give two full chunks and a partial one; an empty
+// batch gives no chunk at all.
+TEST(MiniDlrmTest, PredictIsPerSampleAcrossChunkBoundaries) {
+  constexpr uint64_t kSamples = 300;
+  ASSERT_NE(kSamples % MiniDlrm::kPredictChunk, 0u);
+  for (ModelKind arch :
+       {ModelKind::kWideDeep, ModelKind::kXDeepFm, ModelKind::kDcn}) {
+    SCOPED_TRACE(ModelKindName(arch));
+    MiniDlrm model(SmallConfig(arch));
+    CriteoSynth data(41);
+    DlrmBatchWork work;
+    for (uint64_t step = 0; step < 4; ++step) {
+      TrainStep(&model, data, step * 32, 32, 0.1, &work);
     }
+    const CriteoBatch batch = data.Batch(50000, kSamples);
+    const std::vector<double> probs = model.Predict(batch);
+    ASSERT_EQ(probs.size(), kSamples);
+    CriteoBatch one;
+    for (size_t i = 0; i < kSamples; ++i) {
+      one.samples = {batch.samples[i]};
+      const std::vector<double> alone = model.Predict(one);
+      ASSERT_EQ(alone.size(), 1u);
+      EXPECT_EQ(std::memcmp(&alone[0], &probs[i], sizeof(double)), 0)
+          << "sample " << i;
+    }
+    EXPECT_TRUE(model.Predict(CriteoBatch{}).empty());
   }
-  flat.insert(flat.end(), p.cross_out_w.begin(), p.cross_out_w.end());
-  flat.insert(flat.end(), p.fm_w.begin(), p.fm_w.end());
-  flat.push_back(p.bias);
-  return flat;
 }
-
-// The allocation-free batch hot path (PullBatch / ComputeBatch / PushBatch)
-// must be arithmetically indistinguishable from the legacy snapshot path:
-// train two identically-initialized models, one per path, and demand
-// bit-identical losses and dense gradients every step and a bit-identical
-// final state.
-void ExpectFastPathMatchesLegacy(const MiniDlrmConfig& config,
-                                 uint64_t batch_size) {
-  CriteoSynth data(9);
-  MiniDlrm legacy(config);
-  MiniDlrm fast(config);
-  DlrmBatchWork work;
-  const double lr = 0.05;
-
-  for (int b = 0; b < 6; ++b) {
-    const CriteoBatch batch = data.Batch(b * batch_size, batch_size);
-    const ParamSnapshot snap = legacy.TakeSnapshot(batch);
-    DlrmGradients grads;
-    const double legacy_loss = legacy.ForwardBackward(batch, snap, &grads);
-    legacy.ApplyGradients(grads, lr);
-
-    data.FillBatch(b * batch_size, batch_size, &work.batch);
-    fast.PullBatch(&work);
-    const double fast_loss = fast.ComputeBatch(&work);
-    fast.PushBatch(&work, lr);
-
-    EXPECT_EQ(legacy_loss, fast_loss) << "batch " << b;
-    const std::vector<double> legacy_grads = FlatDense(grads.dense);
-    const std::vector<double> fast_grads = FlatDense(work.dense_grads);
-    ASSERT_EQ(legacy_grads.size(), fast_grads.size());
-    EXPECT_EQ(0, std::memcmp(legacy_grads.data(), fast_grads.data(),
-                             legacy_grads.size() * sizeof(double)))
-        << "dense gradients differ in batch " << b;
-  }
-
-  DlrmStateBlob legacy_state;
-  DlrmStateBlob fast_state;
-  legacy.ExportState(&legacy_state);
-  fast.ExportState(&fast_state);
-  ASSERT_EQ(legacy_state.dense.size(), fast_state.dense.size());
-  for (size_t i = 0; i < legacy_state.dense.size(); ++i) {
-    ASSERT_EQ(legacy_state.dense[i], fast_state.dense[i]) << "dense[" << i
-                                                          << "]";
-  }
-  EXPECT_EQ(legacy_state.sparse.emb_keys, fast_state.sparse.emb_keys);
-  EXPECT_EQ(legacy_state.sparse.emb_values, fast_state.sparse.emb_values);
-  EXPECT_EQ(legacy_state.sparse.wide_keys, fast_state.sparse.wide_keys);
-  EXPECT_EQ(legacy_state.sparse.wide_values, fast_state.sparse.wide_values);
-
-  // And the models keep agreeing on fresh data.
-  const CriteoBatch held_out = data.Batch(100000, 64);
-  EXPECT_EQ(legacy.Evaluate(held_out), fast.Evaluate(held_out));
-}
-
-class FastPathTest : public ::testing::TestWithParam<ModelKind> {};
-
-TEST_P(FastPathTest, MatchesLegacyBitExact) {
-  ExpectFastPathMatchesLegacy(SmallConfig(GetParam()), /*batch_size=*/16);
-}
-
-// SmallConfig's widths (n0 108, layers 8 and 4, batch 16) are multiples of
-// every tile width of the batched layer kernels. Odd widths and an odd
-// batch send every sample, output and input remainder path through the
-// same bit-exact comparison.
-TEST_P(FastPathTest, MatchesLegacyBitExactOnOddShapes) {
-  MiniDlrmConfig config = SmallConfig(GetParam());
-  config.emb_dim = 3;
-  config.mlp_hidden = {7, 5};
-  ExpectFastPathMatchesLegacy(config, /*batch_size=*/13);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllArchitectures, FastPathTest,
-                         ::testing::Values(ModelKind::kWideDeep,
-                                           ModelKind::kXDeepFm,
-                                           ModelKind::kDcn));
 
 }  // namespace
 }  // namespace dlrover

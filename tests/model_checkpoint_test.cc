@@ -18,6 +18,15 @@ MiniDlrmConfig SmallModel() {
   return config;
 }
 
+// One SGD step through the batch cycle on 64 samples from `start`.
+void TrainOn(MiniDlrm* model, const CriteoSynth& data, uint64_t start,
+             DlrmBatchWork* work) {
+  data.FillBatch(start, 64, &work->batch);
+  model->PullBatch(work);
+  model->ComputeBatch(work);
+  model->PushBatch(work, /*learning_rate=*/0.1);
+}
+
 ModelCheckpoint TinyCheckpoint(uint64_t committed) {
   ModelCheckpoint ckpt;
   ckpt.committed_batches = committed;
@@ -144,12 +153,9 @@ TEST(ModelStateTest, ExportImportRoundTripsPredictions) {
   const CriteoBatch probe = data.Batch(0, 64);
 
   MiniDlrm trained(SmallModel());
-  for (int step = 0; step < 20; ++step) {
-    const CriteoBatch batch = data.Batch(1000 + step * 64, 64);
-    const ParamSnapshot snapshot = trained.TakeSnapshot(batch);
-    DlrmGradients grads;
-    trained.ForwardBackward(batch, snapshot, &grads);
-    trained.ApplyGradients(grads, 0.1);
+  DlrmBatchWork work;
+  for (uint64_t step = 0; step < 20; ++step) {
+    TrainOn(&trained, data, 1000 + step * 64, &work);
   }
   DlrmStateBlob blob;
   trained.ExportState(&blob);
@@ -177,20 +183,15 @@ TEST(ModelStateTest, SparseExportIsCanonicalAcrossInsertionOrder) {
   // exported sparse snapshots must be byte-identical (the checkpoint
   // checksum depends on it).
   CriteoSynth data(31);
-  const CriteoBatch a = data.Batch(0, 64);
-  const CriteoBatch b = data.Batch(64 * 7, 64);
-  auto train_on = [](MiniDlrm* m, const CriteoBatch& batch) {
-    const ParamSnapshot snapshot = m->TakeSnapshot(batch);
-    DlrmGradients grads;
-    m->ForwardBackward(batch, snapshot, &grads);
-    m->ApplyGradients(grads, 0.1);
-  };
+  const uint64_t a = 0;
+  const uint64_t b = 64 * 7;
+  DlrmBatchWork work;
   MiniDlrm ab(SmallModel());
-  train_on(&ab, a);
-  train_on(&ab, b);
+  TrainOn(&ab, data, a, &work);
+  TrainOn(&ab, data, b, &work);
   MiniDlrm ba(SmallModel());
-  train_on(&ba, b);
-  train_on(&ba, a);
+  TrainOn(&ba, data, b, &work);
+  TrainOn(&ba, data, a, &work);
 
   DlrmStateBlob blob_ab;
   DlrmStateBlob blob_ba;
