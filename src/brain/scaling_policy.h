@@ -31,9 +31,6 @@ class ScalingPolicy {
   /// Proposes a plan for `job` at the current round; nullopt keeps the
   /// current allocation.
   virtual std::optional<ResourcePlan> Propose(TrainingJob& job) = 0;
-
-  /// Called when a job finishes, for policies that learn across jobs.
-  virtual void OnJobFinished(TrainingJob& job) { (void)job; }
 };
 
 }  // namespace dlrover

@@ -82,14 +82,8 @@ Cluster::Cluster(Simulator* sim, const ClusterOptions& options)
             : 1.0;
     capacity_total_ += node.capacity;
     nodes_.push_back(node);
-    if (options_.use_placement_index) {
-      placement_index_.InsertNode(node.id, node.Available());
-    }
+    placement_index_.InsertNode(node.id, node.Available());
   }
-  // Fixed-size pool: slots are taken by re-entrant preemption depth, and
-  // never growing it keeps references into the pool stable across nested
-  // calls (depths past the pool fall back to the legacy arm's locals).
-  victims_pool_.resize(64);
   pump_task_ = std::make_unique<PeriodicTask>(
       sim_, options.reschedule_interval, [this] { PumpPendingQueue(); });
   pump_task_->Start();
@@ -148,20 +142,10 @@ PodId Cluster::CreatePod(PodSpec spec, std::function<void(Pod&)> on_running,
 bool Cluster::TryPlace(Pod& pod) {
   // Best-fit: choose the healthy node with the least remaining CPU that
   // still fits the request (packs tightly, leaving large holes for big pods).
-  int best = -1;
-  if (options_.use_placement_index) {
-    best = placement_index_.BestFit(pod.spec.request);
-  } else {
-    double best_left = std::numeric_limits<double>::infinity();
-    for (const Node& node : nodes_) {
-      if (!node.healthy || node.cordoned) continue;
-      if (!pod.spec.request.FitsIn(node.Available())) continue;
-      const double left = node.Available().cpu - pod.spec.request.cpu;
-      if (left < best_left) {
-        best_left = left;
-        best = static_cast<int>(node.id);
-      }
-    }
+  const int best = placement_index_.BestFit(pod.spec.request);
+  if (options_.validate_placement_index &&
+      best != ScanBestFit(pod.spec.request)) {
+    DieOutOfSync("best-fit node vs reference scan");
   }
   if (best < 0) return false;
 
@@ -175,11 +159,9 @@ bool Cluster::TryPlace(Pod& pod) {
   pod.speed_factor = node.speed_factor;
   ++counters_.placements;
   ++mutation_version_;
-  if (options_.use_placement_index) {
-    placement_index_.UpdateNode(node.id, node.Available());
-    placement_index_.AddPod(node.id, pod.spec.priority, pod.spec.request);
-    if (options_.validate_placement_index) ValidatePlacementIndex();
-  }
+  placement_index_.UpdateNode(node.id, node.Available());
+  placement_index_.AddPod(node.id, pod.spec.priority, pod.spec.request);
+  if (options_.validate_placement_index) ValidatePlacementIndex();
 
   Duration startup = rng_.Uniform(options_.min_pod_startup,
                                   options_.max_pod_startup);
@@ -197,34 +179,42 @@ bool Cluster::TryPreemptFor(Pod& pod) {
       preempted_at_instant_ >= options_.max_preemptions_per_instant) {
     return false;
   }
-  if (!options_.use_placement_index || preempt_depth_ >= victims_pool_.size()) {
-    return TryPreemptLegacy(pod);
-  }
-  // Indexed victim search: the per-node priority-bucketed aggregates give an
-  // O(1) conservative "can evicting everything below this priority possibly
-  // free enough room?" precheck, so the O(pods log pods) sort-and-fold below
-  // only runs on nodes that can actually help — normally exactly one, where
-  // the exact legacy fold then picks byte-identical victims in byte-identical
-  // order. Scratch buffers are reused across calls; the victim list takes a
-  // per-reentrancy-depth slot because eviction callbacks can preempt again
-  // while it is being walked.
+  // The victim list stays live while eviction callbacks run, and those can
+  // preempt again, so each re-entrancy depth owns a slot. The pool grows by
+  // one slot the first time a depth is reached; deque growth at the back
+  // keeps the outer frames' references valid.
+  if (preempt_depth_ == victims_pool_.size()) victims_pool_.emplace_back();
   std::vector<PodId>& victims = victims_pool_[preempt_depth_];
   ++preempt_depth_;
   struct DepthGuard {
     size_t& depth;
     ~DepthGuard() { --depth; }
   } guard{preempt_depth_};
-  for (Node& node : nodes_) {
+  const bool found = FindVictims(pod, &victims);
+  if (options_.validate_placement_index) {
+    std::vector<PodId> want;
+    if (ScanVictims(pod, &want) != found || (found && want != victims)) {
+      DieOutOfSync("preemption victims vs reference scan");
+    }
+  }
+  return found && EvictVictims(victims);
+}
+
+bool Cluster::FindVictims(const Pod& pod, std::vector<PodId>* victims) {
+  // The per-node priority-bucketed aggregates give an O(1) conservative
+  // "can evicting everything below this priority possibly free enough
+  // room?" precheck, so the O(pods log pods) sort-and-fold below only runs
+  // on nodes that can actually help: normally exactly one.
+  for (const Node& node : nodes_) {
     if (!node.healthy || node.cordoned) continue;
     if (!placement_index_.MaybeFreeable(node.id, node.Available(),
                                         pod.spec.request, pod.spec.priority)) {
       continue;
     }
-    // Exact legacy fold. Sorting cached (priority, id) pairs instead of
-    // re-resolving ids inside the comparator produces the identical
-    // permutation: std::sort's element order depends only on its comparison
-    // outcomes, and comparing the cached priorities answers exactly what the
-    // legacy comparator answered.
+    // Evict lowest priority first. Sorting cached (priority, id) pairs
+    // produces the permutation ScanVictims' comparator on resolved pods
+    // does: std::sort's element order depends only on its comparison
+    // outcomes, and the cached priorities answer exactly the same questions.
     preempt_candidates_.clear();
     for (PodId pid : node.pods) {
       preempt_candidates_.emplace_back(
@@ -234,48 +224,57 @@ bool Cluster::TryPreemptFor(Pod& pod) {
               [](const std::pair<int, PodId>& a,
                  const std::pair<int, PodId>& b) { return a.first < b.first; });
     ResourceSpec would_free = node.Available();
-    victims.clear();
+    victims->clear();
     for (const std::pair<int, PodId>& cand : preempt_candidates_) {
       if (pod.spec.request.FitsIn(would_free)) break;
       if (cand.first >= static_cast<int>(pod.spec.priority)) continue;
       would_free += Resolve(cand.second)->spec.request;
-      victims.push_back(cand.second);
+      victims->push_back(cand.second);
     }
-    if (pod.spec.request.FitsIn(would_free)) {
-      return EvictVictims(victims);
-    }
+    if (pod.spec.request.FitsIn(would_free)) return true;
   }
   return false;
 }
 
-bool Cluster::TryPreemptLegacy(Pod& pod) {
-  // Only higher-priority pods may preempt. Find a node where evicting the
-  // cheapest set of strictly lower-priority pods frees enough room.
-  for (Node& node : nodes_) {
+int Cluster::ScanBestFit(const ResourceSpec& request) const {
+  int best = -1;
+  double best_left = std::numeric_limits<double>::infinity();
+  for (const Node& node : nodes_) {
     if (!node.healthy || node.cordoned) continue;
-    ResourceSpec would_free = node.Available();
-    std::vector<PodId> victims;
-    // Evict lowest priority first.
+    if (!request.FitsIn(node.Available())) continue;
+    const double left = node.Available().cpu - request.cpu;
+    if (left < best_left) {
+      best_left = left;
+      best = static_cast<int>(node.id);
+    }
+  }
+  return best;
+}
+
+bool Cluster::ScanVictims(const Pod& pod, std::vector<PodId>* victims) const {
+  // Only higher-priority pods may preempt. The first node, in id order,
+  // where evicting strictly lower-priority pods (lowest first) frees enough
+  // room supplies the victims.
+  for (const Node& node : nodes_) {
+    if (!node.healthy || node.cordoned) continue;
     std::vector<PodId> candidates = node.pods;
     std::sort(candidates.begin(), candidates.end(),
               [this](PodId a, PodId b) {
                 return static_cast<int>(Resolve(a)->spec.priority) <
                        static_cast<int>(Resolve(b)->spec.priority);
               });
+    ResourceSpec would_free = node.Available();
+    victims->clear();
     for (PodId vid : candidates) {
       if (pod.spec.request.FitsIn(would_free)) break;
-      Pod& victim = *Resolve(vid);
-      if (static_cast<int>(victim.spec.priority) >=
-          static_cast<int>(pod.spec.priority)) {
-        continue;
-      }
+      const Pod& victim = *Resolve(vid);
+      if (victim.spec.priority >= pod.spec.priority) continue;
       would_free += victim.spec.request;
-      victims.push_back(vid);
+      victims->push_back(vid);
     }
-    if (pod.spec.request.FitsIn(would_free)) {
-      return EvictVictims(victims);
-    }
+    if (pod.spec.request.FitsIn(would_free)) return true;
   }
+  victims->clear();
   return false;
 }
 
@@ -304,10 +303,8 @@ void Cluster::FinishStartup(PodId id) {
   pod->phase = PodPhase::kRunning;
   pod->start_time = sim_->Now();
   ++mutation_version_;
-  if (options_.use_placement_index) {
-    running_index_.Insert(pod->spec.priority, pod->creation_seq, pod);
-    if (options_.validate_placement_index) ValidatePlacementIndex();
-  }
+  running_index_.Insert(pod->spec.priority, pod->creation_seq, pod);
+  if (options_.validate_placement_index) ValidatePlacementIndex();
   if (pod->on_running) pod->on_running(*pod);
 }
 
@@ -357,7 +354,7 @@ void Cluster::FailNode(NodeId id) {
                ResourceSpec{} - node.capacity);
     }
     // No-op when the node was cordoned (already out of the tree).
-    if (options_.use_placement_index) placement_index_.RemoveNode(id);
+    placement_index_.RemoveNode(id);
   }
   node.healthy = false;
   ++mutation_version_;
@@ -385,15 +382,11 @@ void Cluster::RecoverNode(NodeId id) {
     // rejoins the totals as cordoned, and the node stays out of placement.
     cordoned_capacity_ += node.capacity;
     LogDelta(ClusterCommitLog::Kind::kCordoned, node.capacity);
-    if (options_.use_placement_index && options_.validate_placement_index) {
-      ValidatePlacementIndex();
-    }
+    if (options_.validate_placement_index) ValidatePlacementIndex();
     return;
   }
-  if (options_.use_placement_index) {
-    placement_index_.InsertNode(id, node.Available());
-    if (options_.validate_placement_index) ValidatePlacementIndex();
-  }
+  placement_index_.InsertNode(id, node.Available());
+  if (options_.validate_placement_index) ValidatePlacementIndex();
   // Restored capacity may unblock pending pods immediately.
   PumpPendingQueue();
 }
@@ -407,10 +400,8 @@ void Cluster::CordonNode(NodeId id) {
   if (node.healthy) {
     cordoned_capacity_ += node.capacity;
     LogDelta(ClusterCommitLog::Kind::kCordoned, node.capacity);
-    if (options_.use_placement_index) {
-      placement_index_.RemoveNode(id);
-      if (options_.validate_placement_index) ValidatePlacementIndex();
-    }
+    placement_index_.RemoveNode(id);
+    if (options_.validate_placement_index) ValidatePlacementIndex();
   }
 }
 
@@ -429,10 +420,8 @@ void Cluster::UncordonNode(NodeId id) {
   if (node.healthy) {
     cordoned_capacity_ -= node.capacity;
     LogDelta(ClusterCommitLog::Kind::kCordoned, ResourceSpec{} - node.capacity);
-    if (options_.use_placement_index) {
-      placement_index_.InsertNode(id, node.Available());
-      if (options_.validate_placement_index) ValidatePlacementIndex();
-    }
+    placement_index_.InsertNode(id, node.Available());
+    if (options_.validate_placement_index) ValidatePlacementIndex();
     // The node is schedulable again: pending pods may fit immediately.
     PumpPendingQueue();
   }
@@ -531,9 +520,7 @@ void Cluster::Terminate(Pod& pod, PodPhase phase, PodStopReason reason) {
   if (pod.phase == PodPhase::kRunning) {
     usage_total_ -= pod.usage;
     LogDelta(ClusterCommitLog::Kind::kUsage, ResourceSpec{} - pod.usage);
-    if (options_.use_placement_index) {
-      running_index_.Remove(pod.spec.priority, pod.creation_seq);
-    }
+    running_index_.Remove(pod.spec.priority, pod.creation_seq);
   }
   if (pod.phase == PodPhase::kStarting || pod.phase == PodPhase::kRunning) {
     ReleaseFromNode(pod);
@@ -546,9 +533,7 @@ void Cluster::Terminate(Pod& pod, PodPhase phase, PodStopReason reason) {
   pod.end_time = sim_->Now();
   pod.usage = {};
   ++mutation_version_;
-  if (options_.use_placement_index && options_.validate_placement_index) {
-    ValidatePlacementIndex();
-  }
+  if (options_.validate_placement_index) ValidatePlacementIndex();
   // Node-health evidence: crash-like deaths of placed pods charge the node.
   // FailNode marks the node unhealthy before crashing its residents, so a
   // whole-node failure storm is not mistaken for grey-fault evidence.
@@ -580,13 +565,11 @@ void Cluster::ReleaseFromNode(Pod& pod) {
   node.allocated.memory = std::max(0.0, node.allocated.memory);
   auto it = std::find(node.pods.begin(), node.pods.end(), pod.id);
   if (it != node.pods.end()) node.pods.erase(it);
-  if (options_.use_placement_index) {
-    placement_index_.RemovePod(node.id, pod.spec.priority, pod.spec.request);
-    // A failed or cordoned node is not in the capacity tree; its key is
-    // refreshed when RecoverNode/UncordonNode re-inserts it.
-    if (node.healthy && !node.cordoned) {
-      placement_index_.UpdateNode(node.id, node.Available());
-    }
+  placement_index_.RemovePod(node.id, pod.spec.priority, pod.spec.request);
+  // A failed or cordoned node is not in the capacity tree; its key is
+  // refreshed when RecoverNode/UncordonNode re-inserts it.
+  if (node.healthy && !node.cordoned) {
+    placement_index_.UpdateNode(node.id, node.Available());
   }
 }
 
@@ -646,40 +629,35 @@ void Cluster::VisitPods(const std::function<void(const Pod&)>& fn) const {
 
 void Cluster::VisitRunningPods(
     PriorityClass priority, const std::function<void(const Pod&)>& fn) const {
-  if (options_.use_placement_index) {
-    running_index_.Visit(priority, fn);
-    return;
-  }
-  for (const auto& pod : directory_) {
-    if (pod->phase == PodPhase::kRunning && pod->spec.priority == priority) {
-      fn(*pod);
-    }
-  }
+  running_index_.Visit(priority, fn);
+}
+
+void Cluster::DieOutOfSync(const char* what) {
+  DLROVER_LOG_STREAM(Error) << "placement index out of sync: " << what;
+  std::abort();
 }
 
 void Cluster::ValidatePlacementIndex() const {
-  auto die = [](const char* what) {
-    DLROVER_LOG_STREAM(Error) << "placement index out of sync: " << what;
-    std::abort();
-  };
   // Capacity tree: every schedulable (healthy, uncordoned) node present with
   // exactly the doubles a fresh Available() computes (bitwise — the index
-  // serves the same values the legacy scan would read); failed and cordoned
+  // serves the same values the reference scan reads); failed and cordoned
   // nodes absent.
   size_t schedulable = 0;
   for (const Node& node : nodes_) {
     ResourceSpec indexed;
     const bool present = placement_index_.GetIndexed(node.id, &indexed);
     if (present != (node.healthy && !node.cordoned)) {
-      die("tree membership vs node health/cordon state");
+      DieOutOfSync("tree membership vs node health/cordon state");
     }
     if (present && (indexed.cpu != node.Available().cpu ||
                     indexed.memory != node.Available().memory)) {
-      die("indexed capacity vs fresh Available()");
+      DieOutOfSync("indexed capacity vs fresh Available()");
     }
     if (node.healthy && !node.cordoned) ++schedulable;
   }
-  if (placement_index_.NumIndexedNodes() != schedulable) die("tree size");
+  if (placement_index_.NumIndexedNodes() != schedulable) {
+    DieOutOfSync("tree size");
+  }
   // Per-node class aggregates: counts must match a fresh scan of node.pods
   // exactly; totals within the MaybeFreeable slack (they are float sums
   // accumulated in a different order).
@@ -688,20 +666,20 @@ void Cluster::ValidatePlacementIndex() const {
     std::array<ResourceSpec, kNumPriorityClasses> total;
     for (PodId pid : node.pods) {
       const Pod* pod = Resolve(pid);
-      if (pod == nullptr) die("unresolvable pod id on node");
+      if (pod == nullptr) DieOutOfSync("unresolvable pod id on node");
       const size_t b = static_cast<size_t>(PriorityBucket(pod->spec.priority));
       ++count[b];
       total[b] += pod->spec.request;
     }
     for (int b = 0; b < kNumPriorityClasses; ++b) {
       if (placement_index_.PodCount(node.id, b) != count[static_cast<size_t>(b)]) {
-        die("aggregate pod count");
+        DieOutOfSync("aggregate pod count");
       }
       const ResourceSpec have = placement_index_.PodTotal(node.id, b);
       const ResourceSpec want = total[static_cast<size_t>(b)];
       if (std::abs(have.cpu - want.cpu) > 1e-6 ||
           std::abs(have.memory - want.memory) > 1e5) {
-        die("aggregate request total drift");
+        DieOutOfSync("aggregate request total drift");
       }
     }
   }
@@ -718,7 +696,7 @@ void Cluster::ValidatePlacementIndex() const {
     }
     std::vector<PodId> have;
     running_index_.Visit(cls, [&](const Pod& pod) { have.push_back(pod.id); });
-    if (have != want) die("running-pod visitation order");
+    if (have != want) DieOutOfSync("running-pod visitation order");
   }
 }
 

@@ -59,17 +59,12 @@ struct ClusterOptions {
   /// Retry interval for the pending queue.
   Duration reschedule_interval = Seconds(15);
   uint64_t seed = 17;
-  /// Serve best-fit placement from the O(log n) PlacementIndex (ordered
-  /// free-capacity treap + per-node priority-bucketed pod aggregates +
-  /// creation-ordered running-pod directory) instead of the legacy O(nodes)
-  /// scan / O(nodes x pods log pods) victim search / full-directory sweep.
-  /// Decisions are identical either way — same node, same victims, same
-  /// order — which the parity property tests assert; the scan arm is kept
-  /// as their reference and as bench_placement's baseline.
-  bool use_placement_index = true;
-  /// Cross-validates the PlacementIndex against a fresh scan of the node and
-  /// pod state after every index mutation (O(nodes + pods) per check — test
-  /// builds only, works under NDEBUG since it is a runtime option).
+  /// Checks the placement indexes against the scans they replace, and
+  /// aborts on the first mismatch: every best-fit and victim decision is
+  /// recomputed by an O(nodes) / O(nodes x pods log pods) reference scan,
+  /// and after every index mutation the whole index is compared with a
+  /// fresh scan of the node and pod state (O(nodes + pods) per check).
+  /// Test builds only; works under NDEBUG since it is a runtime option.
   bool validate_placement_index = false;
   /// Livelock breaker: at most this many pods may be preempted at one
   /// simulated instant. A victim's stop callback can synchronously relaunch
@@ -103,6 +98,17 @@ struct ClusterUsage {
 /// A Kubernetes-like cluster: owns nodes and pods, places pods by best-fit
 /// bin packing, keeps a priority-aware pending queue, and supports
 /// preemption of lower-priority pods by higher-priority requests.
+///
+/// Every placement and victim decision is served by the PlacementIndex
+/// (ordered free-capacity treap + per-node priority-bucketed pod
+/// aggregates) and the running-pod directory (RunningPodIndex). Their
+/// contract is the plain scans: best fit is the healthy, uncordoned node
+/// with the least CPU left after placement (lowest id on ties); victims come
+/// from the first node, in id order, where evicting strictly lower-priority
+/// pods, lowest priority first, frees enough room. Under
+/// ClusterOptions::validate_placement_index each decision is recomputed by
+/// those scans where it is made, so placements driven by the pending-queue
+/// pump are checked too.
 ///
 /// The DLRM system (per the paper, Section 2.1) has no control over the
 /// cluster: it can only request pods and observe their lifecycle, which is
@@ -143,8 +149,8 @@ class Cluster {
   /// No-op on a healthy node.
   void RecoverNode(NodeId id);
 
-  /// Fences a node off from scheduling: it leaves the placement index (and
-  /// the legacy scan skips it) while resident pods keep running. Cordoned
+  /// Fences a node off from scheduling: it leaves the placement index while
+  /// resident pods keep running. Cordoned
   /// capacity stays in TotalCapacity but is reported through the commit log
   /// (Kind::kCordoned) so the fleet ledger sees it. Safe no-op if already
   /// cordoned; composes with FailNode/RecoverNode in any order.
@@ -199,8 +205,7 @@ class Cluster {
   /// Visits the *running* pods of one priority class in creation order —
   /// the exact subsequence a VisitPods sweep filtered on
   /// (phase == kRunning && priority == `priority`) would produce, served
-  /// from the running-pod index in O(matching pods) when the placement
-  /// index is enabled (full-directory fallback otherwise).
+  /// from the running-pod index in O(matching pods).
   void VisitRunningPods(PriorityClass priority,
                         const std::function<void(const Pod&)>& fn) const;
   const Node& GetNode(NodeId id) const { return nodes_[id]; }
@@ -295,14 +300,20 @@ class Cluster {
 
   bool TryPlace(Pod& pod);
   bool TryPreemptFor(Pod& pod);
-  bool TryPreemptLegacy(Pod& pod);
-  /// Shared tail of both preemption arms: spends the per-instant budget and
-  /// evicts `victims` in order. Returns `!victims.empty()` (the legacy
-  /// contract: a node that fits without evictions yields false).
+  /// Indexed victim search: fills `victims` (eviction order) for the first
+  /// node that can make room for `pod` and returns true, or returns false.
+  bool FindVictims(const Pod& pod, std::vector<PodId>* victims);
+  /// Spends the per-instant budget and evicts `victims` in order. Returns
+  /// `!victims.empty()`: a node that fits without evictions yields false.
   bool EvictVictims(const std::vector<PodId>& victims);
+  /// Reference scans behind validate_placement_index: the O(nodes) best-fit
+  /// scan (-1 when nothing fits) and the full victim fold over every node.
+  int ScanBestFit(const ResourceSpec& request) const;
+  bool ScanVictims(const Pod& pod, std::vector<PodId>* victims) const;
   /// Full cross-check of the placement/running indexes against a fresh scan
   /// (enabled by options_.validate_placement_index; aborts on mismatch).
   void ValidatePlacementIndex() const;
+  [[noreturn]] static void DieOutOfSync(const char* what);
   void FinishStartup(PodId id);
   /// Periodic node-health pass: samples per-node memory fractions, ticks the
   /// tracker, and applies its cordon/uncordon actions (cordons drain).
@@ -321,7 +332,7 @@ class Cluster {
   std::vector<std::unique_ptr<Pod>> directory_;
   std::vector<PodSlot> slots_;
   std::vector<uint32_t> free_slots_;
-  /// O(log n) scheduling indexes, maintained under use_placement_index.
+  /// O(log n) scheduling indexes.
   PlacementIndex placement_index_;
   RunningPodIndex running_index_;
   /// Creation ordinal source for Pod::creation_seq.
@@ -330,10 +341,10 @@ class Cluster {
   /// not allocate. `candidates` is fully consumed before any eviction
   /// callback can re-enter, so a single buffer suffices; the victim list is
   /// still live while callbacks run, so re-entrant preemptions take the next
-  /// depth slot (depths beyond the pool fall back to the legacy arm, which
-  /// uses locals).
+  /// depth slot. A deque, because growing it at the back never moves the
+  /// slots outer frames still hold.
   std::vector<std::pair<int, PodId>> preempt_candidates_;
-  std::vector<std::vector<PodId>> victims_pool_;
+  std::deque<std::vector<PodId>> victims_pool_;
   size_t preempt_depth_ = 0;
   std::deque<PodId> pending_;
   bool pumping_ = false;

@@ -7,7 +7,7 @@ namespace dlrover {
 namespace {
 
 /// Must equal ResourceSpec::FitsIn's epsilon: BestFit evaluates the same
-/// fit predicate the legacy scan does, component-wise, during descent.
+/// fit predicate the reference scan does, component-wise, during descent.
 constexpr double kFitEps = 1e-9;
 
 /// Slack bands for MaybeFreeable (see the header): orders of magnitude above
@@ -160,10 +160,6 @@ void PlacementIndex::UpdateNode(NodeId id, const ResourceSpec& available) {
   Insert(root_, static_cast<int>(id));
 }
 
-bool PlacementIndex::ContainsNode(NodeId id) const {
-  return entries_[id].in_tree;
-}
-
 bool PlacementIndex::GetIndexed(NodeId id, ResourceSpec* available) const {
   const Entry& e = entries_[id];
   if (!e.in_tree) return false;
@@ -193,7 +189,7 @@ int PlacementIndex::BestFit(const ResourceSpec& request) const {
   const int first =
       FindFit(root_, request, -std::numeric_limits<double>::infinity());
   if (first == kNil) return -1;
-  // The legacy scan minimizes fl(available_cpu - request_cpu) and keeps the
+  // The reference scan minimizes fl(available_cpu - request_cpu) and keeps the
   // first (lowest-id) node achieving the minimum. The leftmost fitting entry
   // has the minimal available CPU among fitting nodes — and hence the
   // minimal rounded remainder — with the lowest id inside its exact-CPU

@@ -44,7 +44,8 @@ int PriorityBucket(PriorityClass p);
 ///     node count at construction, so steady-state updates and queries never
 ///     touch the heap.
 ///
-/// Tie-breaking is pinned to the legacy scan's rule: the scan minimizes
+/// Tie-breaking is pinned to the reference scan's rule (Cluster's
+/// validate_placement_index oracle): the scan minimizes
 /// fl(available_cpu - request_cpu) with a strict `<`, so among equal minimal
 /// values the lowest node id (first encountered) wins. The treap's
 /// (cpu, id) key order reproduces that for exact CPU ties, and BestFit runs
@@ -62,13 +63,12 @@ class PlacementIndex {
   void RemoveNode(NodeId id);
   /// Re-keys a node after its available capacity changed.
   void UpdateNode(NodeId id, const ResourceSpec& available);
-  bool ContainsNode(NodeId id) const;
   /// Reads back the indexed capacity of a node (validation support).
   /// Returns false when the node is not in the index.
   bool GetIndexed(NodeId id, ResourceSpec* available) const;
   size_t NumIndexedNodes() const { return tree_size_; }
 
-  /// Best-fit query: the node the legacy linear scan would choose for this
+  /// Best-fit query: the node the reference linear scan would choose for this
   /// request, or -1 when no healthy node fits. O(log n).
   int BestFit(const ResourceSpec& request) const;
 
@@ -86,7 +86,7 @@ class PlacementIndex {
   /// true return means "run the exact per-pod fold". The slack absorbs the
   /// rounding difference between the incrementally-maintained class totals
   /// and the scan-order summation the exact fold performs, so the *decision*
-  /// always comes from arithmetic identical to the legacy path.
+  /// always comes from arithmetic identical to the reference scan.
   bool MaybeFreeable(NodeId node, const ResourceSpec& available,
                      const ResourceSpec& request, PriorityClass preemptor) const;
 
@@ -134,7 +134,7 @@ class PlacementIndex {
 /// Creation-ordered directory of *running* pods, bucketed by priority class.
 ///
 /// The failure injector's sweep draws its per-pod hazards in pod creation
-/// order, which the legacy path obtained by walking the entire pod directory
+/// order, which a plain sweep would obtain by walking the entire pod directory
 /// (every pod ever created) once per tick. This index keeps only the
 /// currently-running pods of each class, ordered by creation sequence, so a
 /// sweep enumerates exactly the pods it will draw for — O(running pods of

@@ -52,11 +52,6 @@ void Distribution::Add(double x) {
   sorted_ = false;
 }
 
-void Distribution::AddAll(const std::vector<double>& xs) {
-  samples_.insert(samples_.end(), xs.begin(), xs.end());
-  sorted_ = false;
-}
-
 double Distribution::mean() const {
   if (samples_.empty()) return 0.0;
   return sum() / static_cast<double>(samples_.size());

@@ -35,7 +35,6 @@ class RunningStat {
 class Distribution {
  public:
   void Add(double x);
-  void AddAll(const std::vector<double>& xs);
 
   size_t count() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }

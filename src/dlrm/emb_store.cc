@@ -61,39 +61,6 @@ std::vector<double>& EmbStore::MaterializeRowLocked(Stripe& stripe,
   return stripe.emb.emplace(key, std::move(row)).first->second;
 }
 
-std::vector<double> EmbStore::GetRow(int feature, uint64_t bucket) const {
-  const uint64_t key = Key(feature, bucket);
-  Stripe& stripe = StripeFor(key);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  return MaterializeRowLocked(stripe, feature, bucket, key);
-}
-
-double EmbStore::GetWide(int feature, uint64_t bucket) const {
-  const uint64_t key = Key(feature, bucket);
-  Stripe& stripe = StripeFor(key);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  return stripe.wide.try_emplace(key, 0.0).first->second;
-}
-
-void EmbStore::ApplyRowGradient(int feature, uint64_t bucket,
-                                const std::vector<double>& grad,
-                                double learning_rate) {
-  const uint64_t key = Key(feature, bucket);
-  Stripe& stripe = StripeFor(key);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  std::vector<double>& row = MaterializeRowLocked(stripe, feature, bucket, key);
-  for (size_t r = 0; r < row.size(); ++r) row[r] -= learning_rate * grad[r];
-}
-
-void EmbStore::ApplyWideGradient(int feature, uint64_t bucket, double grad,
-                                 double learning_rate) {
-  const uint64_t key = Key(feature, bucket);
-  Stripe& stripe = StripeFor(key);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  double& w = stripe.wide.try_emplace(key, 0.0).first->second;
-  w -= learning_rate * grad;
-}
-
 void EmbStore::GroupByStripe(const uint64_t* keys, size_t n,
                              BatchScratch* scratch) const {
   scratch->stripe_of.resize(n);
@@ -161,8 +128,8 @@ void EmbStore::ScatterApply(const uint64_t* keys, size_t n,
       const uint64_t bucket = key % options_.hash_buckets;
       std::vector<double>& row =
           MaterializeRowLocked(stripe, feature, bucket, key);
-      // row += (-lr) * grad: IEEE-identical to the per-key
-      // `row[r] -= lr * grad[r]` (negation is exact).
+      // row += (-lr) * grad: IEEE-identical to `row[r] -= lr * grad[r]`
+      // (negation is exact).
       KernelAxpy(dim, -learning_rate, row_grads + i * dim, row.data());
       if (wide_grads != nullptr) {
         double& w = stripe.wide.try_emplace(key, 0.0).first->second;

@@ -54,26 +54,7 @@ class EmbStore {
   EmbStore(const EmbStore&) = delete;
   EmbStore& operator=(const EmbStore&) = delete;
 
-  /// Copy of the embedding row for (feature, bucket), materializing it on
-  /// first touch. Thread-safe; returns by value because a reference into a
-  /// stripe's map would race with concurrent rehashes.
-  std::vector<double> GetRow(int feature, uint64_t bucket) const;
-
-  /// Wide scalar weight for (feature, bucket), materializing 0.0 on first
-  /// touch. Thread-safe.
-  double GetWide(int feature, uint64_t bucket) const;
-
-  /// SGD push: row -= learning_rate * grad (materializes first if needed).
-  /// Thread-safe; the read-modify-write is atomic per row.
-  void ApplyRowGradient(int feature, uint64_t bucket,
-                        const std::vector<double>& grad,
-                        double learning_rate);
-
-  /// SGD push for a wide weight: w -= learning_rate * grad.
-  void ApplyWideGradient(int feature, uint64_t bucket, double grad,
-                         double learning_rate);
-
-  /// Reusable scratch for the batched gather/scatter calls below: holds the
+  /// Reusable scratch for the gather/scatter calls below: holds the
   /// stripe-bucketing work arrays so steady-state batches allocate nothing.
   /// One instance per worker thread; never shared concurrently.
   struct BatchScratch {
@@ -82,8 +63,9 @@ class EmbStore {
     std::vector<uint32_t> order;       // key indices grouped by stripe
   };
 
-  /// Packs (feature, bucket) into the store's canonical key. Batched calls
-  /// take packed keys so one array round-trips pull -> grad -> push.
+  /// Packs (feature, bucket) into the store's canonical key. GatherRows and
+  /// ScatterApply take packed keys so one array round-trips
+  /// pull -> grad -> push.
   uint64_t PackKey(int feature, uint64_t bucket) const {
     return Key(feature, bucket);
   }
@@ -94,17 +76,18 @@ class EmbStore {
   /// `wide_out` is non-null — the wide weights into `wide_out[i]`. Keys are
   /// grouped by stripe first, so each touched stripe's lock is taken exactly
   /// once per call instead of once per key: one lock round-trip covers the
-  /// whole batch. Thread-safe against concurrent per-key and batched calls.
+  /// whole batch. Rows are copied out, never referenced, because a reference
+  /// into a stripe's map would race with concurrent rehashes. Thread-safe.
   void GatherRows(const uint64_t* keys, size_t n, double* rows_out,
                   double* wide_out, BatchScratch* scratch) const;
 
   /// Batched SGD push, the scatter side of GatherRows: for every key,
   /// row -= learning_rate * row_grads[i * emb_dim ...] (and, when
   /// `wide_grads` is non-null, wide -= learning_rate * wide_grads[i]).
-  /// Missing rows are materialized first, matching the per-key calls. Keys
+  /// Missing rows are materialized first (wide weights start at 0.0). Keys
   /// are grouped by stripe: one lock acquisition per touched stripe per
   /// batch — this is the sharded gradient application of the parallel
-  /// trainer. Per-row arithmetic is identical to ApplyRowGradient.
+  /// trainer. Each row's update is atomic; duplicate keys apply in order.
   void ScatterApply(const uint64_t* keys, size_t n, const double* row_grads,
                     const double* wide_grads, double learning_rate,
                     BatchScratch* scratch);

@@ -150,11 +150,6 @@ bool ShardQueue::AllDone() const {
   return completed_batches_ == options_.total_batches;
 }
 
-bool ShardQueue::Exhausted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return requeued_.empty() && cursor_ >= options_.total_batches;
-}
-
 void ShardQueue::FastForwardTo(uint64_t batches) {
   std::lock_guard<std::mutex> lock(mu_);
   batches = std::min(batches, options_.total_batches);

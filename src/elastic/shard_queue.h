@@ -104,8 +104,6 @@ class ShardQueue {
   uint64_t outstanding_batches() const;
   /// True when every batch of the dataset has been completed.
   bool AllDone() const;
-  /// True when no fresh or re-queued data remains to hand out.
-  bool Exhausted() const;
 
   uint64_t total_batches() const { return options_.total_batches; }
 

@@ -19,8 +19,6 @@ ShardedFleetResult RunFleetSharded(const FleetScenario& scenario,
     lanes = static_cast<int>(
         std::max<unsigned>(1, std::thread::hardware_concurrency()));
   }
-  const bool ledger_on = options.fleet_ledger || options.scarcity_coupling ||
-                         options.storm.node_strikes_per_hour > 0.0;
 
   // The full trace is generated once, exactly as RunFleet would, then dealt
   // round-robin: job i lives in cell i % cells, preserving arrival order
@@ -66,10 +64,7 @@ ShardedFleetResult RunFleetSharded(const FleetScenario& scenario,
     fleets.push_back(std::make_unique<FleetSimulation>(
         &engine.shard(c), cell_scenario,
         std::move(slices[static_cast<size_t>(c)])));
-    if (ledger_on) {
-      fleets.back()->cluster().set_commit_log(
-          &logs[static_cast<size_t>(c)]);
-    }
+    fleets.back()->cluster().set_commit_log(&logs[static_cast<size_t>(c)]);
   }
 
   FleetLedger ledger;
@@ -83,7 +78,7 @@ ShardedFleetResult RunFleetSharded(const FleetScenario& scenario,
   bool fleet_scarce = false;
 
   engine.set_barrier_hook([&](SimTime barrier) {
-    if (ledger_on) ledger.Fold(log_ptrs);
+    ledger.Fold(log_ptrs);
     if (options.scarcity_coupling) {
       // Edge-triggered: a send per cell only when the fleet-wide signal
       // flips, delivered through the commit log like any other

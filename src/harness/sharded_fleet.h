@@ -37,9 +37,6 @@ struct ShardedFleetOptions {
   /// Pool for multi-lane execution; defaults to SharedThreadPool() when
   /// more than one lane is requested.
   ThreadPool* pool = nullptr;
-  /// Folds every cell's ClusterCommitLog into a fleet-wide ledger at each
-  /// barrier (O(entries), allocation-free when warm).
-  bool fleet_ledger = true;
   /// Couples the cells through the ledger: when fleet-wide free CPU drops
   /// below `scarcity_threshold`, every cell's cluster enters scarcity mode
   /// (slow startups) until the fleet recovers. Off for parity benches —
@@ -68,7 +65,9 @@ struct ShardedFleetResult {
 /// sharded engine. Jobs are dealt round-robin to cells (job i lives in cell
 /// i % cells) and nodes are split as evenly as the division allows; cell 0
 /// keeps the scenario seed so a 1-cell run is the sequential RunFleet,
-/// while further cells fork deterministic per-cell seeds.
+/// while further cells fork deterministic per-cell seeds. Every cell's
+/// ClusterCommitLog is folded into one fleet-wide ledger at each barrier
+/// (O(entries), allocation-free when warm).
 ///
 /// Guarantees: for a fixed `cells`, the result is byte-identical at every
 /// `shards` value (1, 2, hw, ...), pool or no pool — parity is pinned in

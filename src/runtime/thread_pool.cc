@@ -80,11 +80,6 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
                       [&]() { return state->chunks_done == total_chunks; });
 }
 
-size_t ThreadPool::QueuedTasks() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return tasks_.size();
-}
-
 ThreadPool& SharedThreadPool() {
   // Magic-static: thread-safe one-time construction; joined at exit.
   static ThreadPool pool(0);

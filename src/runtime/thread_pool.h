@@ -61,13 +61,10 @@ class ThreadPool {
   void ParallelFor(size_t begin, size_t end, size_t grain,
                    const std::function<void(size_t, size_t)>& body);
 
-  /// Tasks queued but not yet picked up by a worker.
-  size_t QueuedTasks() const;
-
  private:
   void WorkerLoop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> tasks_;
   bool stop_ = false;

@@ -20,24 +20,15 @@
 #include "dlrm/async_trainer.h"
 #include "dlrm/criteo_synth.h"
 #include "dlrm/mini_dlrm.h"
+#include "fnv1a.h"
 
 namespace dlrover {
 namespace {
 
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-
-uint64_t Fnv1a(const void* data, size_t bytes, uint64_t h = kFnvOffset) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-template <typename T>
-uint64_t Fnv1a(const std::vector<T>& v, uint64_t h = kFnvOffset) {
-  return Fnv1a(v.data(), v.size() * sizeof(T), h);
+uint64_t Digest(const std::vector<double>& v) {
+  Fnv1a h;
+  h.AddBytes(v);
+  return h.value();
 }
 
 // Every dense gradient, flattened in a fixed order. Comparing gradients per
@@ -59,11 +50,13 @@ std::vector<double> FlatDense(const DenseParams& p) {
 }
 
 uint64_t StateDigest(const DlrmStateBlob& blob) {
-  uint64_t h = Fnv1a(blob.dense);
-  h = Fnv1a(blob.sparse.emb_keys, h);
-  h = Fnv1a(blob.sparse.emb_values, h);
-  h = Fnv1a(blob.sparse.wide_keys, h);
-  return Fnv1a(blob.sparse.wide_values, h);
+  Fnv1a h;
+  h.AddBytes(blob.dense);
+  h.AddBytes(blob.sparse.emb_keys);
+  h.AddBytes(blob.sparse.emb_values);
+  h.AddBytes(blob.sparse.wide_keys);
+  h.AddBytes(blob.sparse.wide_values);
+  return h.value();
 }
 
 MiniDlrmConfig SmallConfig(ModelKind arch) {
@@ -98,7 +91,7 @@ void ExpectPathMatchesGolden(const MiniDlrmConfig& config,
     const double loss = model.ComputeBatch(&work);
     model.PushBatch(&work, /*learning_rate=*/0.05);
     EXPECT_EQ(loss, golden.losses[b]) << "batch " << b;
-    EXPECT_EQ(Fnv1a(FlatDense(work.dense_grads)),
+    EXPECT_EQ(Digest(FlatDense(work.dense_grads)),
               golden.dense_grad_digests[b])
         << "dense gradients differ in batch " << b;
   }

@@ -20,18 +20,46 @@ EmbStoreOptions SmallStore() {
   return options;
 }
 
+/// Single-key reads and writes through the batched API (n = 1).
+std::vector<double> Row(const EmbStore& store, int feature, uint64_t bucket) {
+  const uint64_t key = store.PackKey(feature, bucket);
+  std::vector<double> row(static_cast<size_t>(store.options().emb_dim));
+  EmbStore::BatchScratch scratch;
+  store.GatherRows(&key, 1, row.data(), nullptr, &scratch);
+  return row;
+}
+
+double Wide(const EmbStore& store, int feature, uint64_t bucket) {
+  const uint64_t key = store.PackKey(feature, bucket);
+  std::vector<double> row(static_cast<size_t>(store.options().emb_dim));
+  double wide = 0.0;
+  EmbStore::BatchScratch scratch;
+  store.GatherRows(&key, 1, row.data(), &wide, &scratch);
+  return wide;
+}
+
+/// One ScatterApply(n = 1): row -= lr * grad, and wide -= lr * *wide_grad
+/// when `wide_grad` is non-null.
+void Push(EmbStore& store, int feature, uint64_t bucket,
+          const std::vector<double>& grad, const double* wide_grad,
+          double lr) {
+  const uint64_t key = store.PackKey(feature, bucket);
+  EmbStore::BatchScratch scratch;
+  store.ScatterApply(&key, 1, grad.data(), wide_grad, lr, &scratch);
+}
+
 TEST(EmbStoreTest, InitIsDeterministicAndOrderIndependent) {
   EmbStore a(SmallStore());
   EmbStore b(SmallStore());
   // Touch in different orders; values must match key by key.
-  for (int f = 0; f < 26; ++f) a.GetRow(f, static_cast<uint64_t>(f) * 13 + 1);
+  for (int f = 0; f < 26; ++f) Row(a, f, static_cast<uint64_t>(f) * 13 + 1);
   for (int f = 25; f >= 0; --f) {
     const uint64_t bucket = static_cast<uint64_t>(f) * 13 + 1;
-    EXPECT_EQ(a.GetRow(f, bucket), b.GetRow(f, bucket));
+    EXPECT_EQ(Row(a, f, bucket), Row(b, f, bucket));
   }
   // Distinct keys get distinct rows (hash init, not a shared template).
-  EXPECT_NE(a.GetRow(0, 1), a.GetRow(0, 2));
-  EXPECT_NE(a.GetRow(0, 1), a.GetRow(1, 1));
+  EXPECT_NE(Row(a, 0, 1), Row(a, 0, 2));
+  EXPECT_NE(Row(a, 0, 1), Row(a, 1, 1));
 }
 
 TEST(EmbStoreTest, StripeCountRoundsUpToPowerOfTwo) {
@@ -46,26 +74,31 @@ TEST(EmbStoreTest, StripeCountRoundsUpToPowerOfTwo) {
 
 TEST(EmbStoreTest, GradientsAccumulateIntoRows) {
   EmbStore store(SmallStore());
-  const std::vector<double> before = store.GetRow(3, 42);
-  std::vector<double> grad(8, 2.0);
-  store.ApplyRowGradient(3, 42, grad, 0.5);
-  const std::vector<double> after = store.GetRow(3, 42);
+  const std::vector<double> before = Row(store, 3, 42);
+  const std::vector<double> grad(8, 2.0);
+  Push(store, 3, 42, grad, /*wide_grad=*/nullptr, 0.5);
+  const std::vector<double> after = Row(store, 3, 42);
   for (size_t r = 0; r < after.size(); ++r) {
     EXPECT_DOUBLE_EQ(after[r], before[r] - 1.0);
   }
-  EXPECT_DOUBLE_EQ(store.GetWide(3, 42), 0.0);
-  store.ApplyWideGradient(3, 42, 4.0, 0.25);
-  EXPECT_DOUBLE_EQ(store.GetWide(3, 42), -1.0);
+  EXPECT_DOUBLE_EQ(Wide(store, 3, 42), 0.0);
+  const double wide_grad = 4.0;
+  Push(store, 3, 42, std::vector<double>(8, 0.0), &wide_grad, 0.25);
+  EXPECT_DOUBLE_EQ(Wide(store, 3, 42), -1.0);
+  EXPECT_EQ(Row(store, 3, 42), after);  // a zero row gradient is exact
 }
 
 TEST(EmbStoreTest, MaterializedRowsCountsEmbeddingRowsOnly) {
   EmbStore store(SmallStore());
   EXPECT_EQ(store.MaterializedRows(), 0u);
-  store.GetRow(0, 1);
-  store.GetRow(0, 1);  // repeat: no growth
-  store.GetRow(1, 1);
-  store.GetWide(2, 9);  // wide weights don't count
-  EXPECT_EQ(store.MaterializedRows(), 2u);
+  Row(store, 0, 1);
+  Row(store, 0, 1);  // repeat: no growth
+  Wide(store, 1, 1);  // materializes the row and the wide weight
+  EXPECT_EQ(store.MaterializedRows(), 2u);  // wide weights don't count
+  EmbStoreSnapshot snapshot;
+  store.ExportAll(&snapshot);
+  EXPECT_EQ(snapshot.emb_keys.size(), 2u);
+  EXPECT_EQ(snapshot.wide_keys.size(), 1u);
 }
 
 // Concurrency stress: 8 threads hammer an overlapping key set with reads
@@ -79,16 +112,16 @@ TEST(EmbStoreTest, ConcurrentPushesAreAllApplied) {
   constexpr int kKeys = 64;
   constexpr int kPushesPerThread = 250;
   const std::vector<double> grad(8, 1.0);
+  const double wide_grad = 1.0;
 
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&store, &grad, t]() {
+    threads.emplace_back([&store, &grad, &wide_grad, t]() {
       for (int i = 0; i < kPushesPerThread; ++i) {
         const int f = (t * 7 + i) % 26;
         const uint64_t bucket = static_cast<uint64_t>((t + i) % kKeys);
-        store.GetRow(f, bucket);  // concurrent reads interleave with writes
-        store.ApplyRowGradient(f, bucket, grad, 1.0);
-        store.ApplyWideGradient(f, bucket, 1.0, 1.0);
+        Row(store, f, bucket);  // concurrent reads interleave with writes
+        Push(store, f, bucket, grad, &wide_grad, 1.0);
       }
     });
   }
@@ -107,14 +140,13 @@ TEST(EmbStoreTest, ConcurrentPushesAreAllApplied) {
       const int n = pushes[static_cast<size_t>(f)][static_cast<size_t>(k)];
       if (n == 0) continue;
       const std::vector<double> init =
-          pristine.GetRow(f, static_cast<uint64_t>(k));
-      const std::vector<double> got =
-          store.GetRow(f, static_cast<uint64_t>(k));
+          Row(pristine, f, static_cast<uint64_t>(k));
+      const std::vector<double> got = Row(store, f, static_cast<uint64_t>(k));
       for (size_t r = 0; r < got.size(); ++r) {
         EXPECT_NEAR(got[r], init[r] - n, 1e-9)
             << "feature " << f << " bucket " << k;
       }
-      EXPECT_NEAR(store.GetWide(f, static_cast<uint64_t>(k)),
+      EXPECT_NEAR(Wide(store, f, static_cast<uint64_t>(k)),
                   -static_cast<double>(n), 1e-9);
     }
   }
@@ -142,11 +174,11 @@ TEST(EmbStoreBatchedTest, GatherMatchesPerKeyGets) {
   for (size_t i = 0; i < keys.size(); ++i) {
     const int f = static_cast<int>(keys[i] / SmallStore().hash_buckets);
     const uint64_t bucket = keys[i] % SmallStore().hash_buckets;
-    const std::vector<double> expect = store.GetRow(f, bucket);
+    const std::vector<double> expect = Row(store, f, bucket);
     for (size_t r = 0; r < dim; ++r) {
       EXPECT_EQ(rows[i * dim + r], expect[r]) << "key " << i;
     }
-    EXPECT_EQ(wide[i], store.GetWide(f, bucket));
+    EXPECT_EQ(wide[i], Wide(store, f, bucket));
   }
 }
 
@@ -170,6 +202,14 @@ TEST(EmbStoreBatchedTest, ScatterApplyMatchesPerKeyApply) {
     }
   }
 
+  // Initial rows, read before any push: the reference for the arithmetic.
+  std::vector<std::vector<double>> before;
+  for (uint64_t key : keys) {
+    const uint64_t buckets = SmallStore().hash_buckets;
+    before.push_back(
+        Row(batched, static_cast<int>(key / buckets), key % buckets));
+  }
+
   EmbStore::BatchScratch scratch;
   batched.ScatterApply(keys.data(), keys.size(), row_grads.data(),
                        wide_grads.data(), lr, &scratch);
@@ -178,16 +218,20 @@ TEST(EmbStoreBatchedTest, ScatterApplyMatchesPerKeyApply) {
     const uint64_t bucket = keys[i] % SmallStore().hash_buckets;
     const std::vector<double> grad(row_grads.begin() + i * dim,
                                    row_grads.begin() + (i + 1) * dim);
-    perkey.ApplyRowGradient(f, bucket, grad, lr);
-    perkey.ApplyWideGradient(f, bucket, wide_grads[i], lr);
+    Push(perkey, f, bucket, grad, &wide_grads[i], lr);
   }
 
-  // Bitwise identical: the batched axpy keeps the per-key statement order.
+  // Bitwise identical, to one key at a time and to `before - lr * grad`.
   for (size_t i = 0; i < keys.size(); ++i) {
     const int f = static_cast<int>(keys[i] / SmallStore().hash_buckets);
     const uint64_t bucket = keys[i] % SmallStore().hash_buckets;
-    EXPECT_EQ(batched.GetRow(f, bucket), perkey.GetRow(f, bucket));
-    EXPECT_EQ(batched.GetWide(f, bucket), perkey.GetWide(f, bucket));
+    const std::vector<double> got = Row(batched, f, bucket);
+    EXPECT_EQ(got, Row(perkey, f, bucket));
+    for (size_t r = 0; r < dim; ++r) {
+      EXPECT_EQ(got[r], before[i][r] - lr * row_grads[i * dim + r]);
+    }
+    EXPECT_EQ(Wide(batched, f, bucket), Wide(perkey, f, bucket));
+    EXPECT_EQ(Wide(batched, f, bucket), 0.0 - lr * wide_grads[i]);
   }
   EXPECT_EQ(batched.MaterializedRows(), perkey.MaterializedRows());
 }
@@ -199,8 +243,11 @@ TEST(EmbStoreBatchedTest, ScatterWithoutWideLeavesWideUntouched) {
   EmbStore::BatchScratch scratch;
   store.ScatterApply(keys.data(), keys.size(), grads.data(),
                      /*wide_grads=*/nullptr, 0.1, &scratch);
-  EXPECT_EQ(store.GetWide(2, 9), 0.0);
   EXPECT_EQ(store.MaterializedRows(), 2u);
+  EmbStoreSnapshot snapshot;
+  store.ExportAll(&snapshot);
+  EXPECT_TRUE(snapshot.wide_keys.empty());
+  EXPECT_EQ(Wide(store, 2, 9), 0.0);
 }
 
 }  // namespace

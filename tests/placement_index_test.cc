@@ -1,5 +1,5 @@
 // Unit and fuzz coverage for the PlacementIndex / RunningPodIndex pair: the
-// O(log n) structures must answer exactly what the legacy linear scans
+// O(log n) structures must answer exactly what the plain linear scans
 // answer — same node, same tie-break, same float rounding — under arbitrary
 // insert/remove/update interleavings, and the preemption precheck must never
 // reject a node the exact fold could use.
@@ -16,7 +16,7 @@
 namespace dlrover {
 namespace {
 
-/// Mirror of the legacy Cluster::TryPlace scan over a plain node table.
+/// Mirror of the Cluster::ScanBestFit reference scan over a plain node table.
 struct FakeNode {
   ResourceSpec available;
   bool healthy = false;
@@ -45,7 +45,7 @@ TEST(PlacementIndexTest, EmptyIndexHasNoFit) {
 }
 
 TEST(PlacementIndexTest, TieBreakPicksLowestNodeId) {
-  // Homogeneous nodes: every remaining capacity is identical, so the legacy
+  // Homogeneous nodes: every remaining capacity is identical, so the
   // scan keeps the first (lowest-id) node. Insert out of id order to make
   // sure the answer comes from the key order, not insertion order.
   PlacementIndex index(6);
@@ -82,7 +82,7 @@ TEST(PlacementIndexTest, FitEpsilonMatchesLegacyPredicate) {
 TEST(PlacementIndexTest, FuzzBestFitMatchesBruteForce) {
   // Thousands of random mutations (insert / remove / re-key) interleaved
   // with best-fit queries over a mix of request shapes; every query must
-  // agree with the legacy scan replica, including "no fit".
+  // agree with the scan replica, including "no fit".
   Rng rng(20240808);
   constexpr size_t kNodes = 64;
   PlacementIndex index(kNodes);
@@ -128,7 +128,7 @@ TEST(PlacementIndexTest, FuzzBestFitMatchesBruteForce) {
 }
 
 TEST(PlacementIndexTest, FuzzMaybeFreeableIsConservative) {
-  // MaybeFreeable == false must imply the exact legacy fold cannot free
+  // MaybeFreeable == false must imply the exact fold cannot free
   // room: evicting *every* strictly-lower-priority pod still does not fit.
   Rng rng(77);
   constexpr PriorityClass kClasses[] = {
@@ -149,7 +149,7 @@ TEST(PlacementIndexTest, FuzzMaybeFreeableIsConservative) {
     const PriorityClass preemptor = kClasses[rng.UniformInt(4)];
     const ResourceSpec request{rng.Uniform(0.5, 48.0),
                                GiB(rng.Uniform(0.5, 96.0))};
-    // Legacy upper bound: avail plus every strictly-lower-priority request
+    // Scan upper bound: avail plus every strictly-lower-priority request
     // (the fold's final would_free when nothing short of everything fits).
     ResourceSpec would_free = avail;
     for (const auto& pod : pods) {

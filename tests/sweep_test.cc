@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "brain/nsga2.h"
+#include "fleet_fingerprint.h"
 #include "gtest/gtest.h"
 #include "harness/reporting.h"
 
@@ -22,6 +23,7 @@ namespace {
 
 // Exact textual fingerprint of a result: every float printed as %a (hex,
 // lossless), so two fingerprints match iff the results are bit-identical.
+// Fleet results use the shared FleetFingerprint (fleet_fingerprint.h).
 std::string Fingerprint(const SingleJobResult& r) {
   std::string out = StrFormat(
       "state=%d jct=%a recovery=%a events=%" PRIu64
@@ -40,21 +42,6 @@ std::string Fingerprint(const SingleJobResult& r) {
   for (const ThroughputSample& s : r.history) {
     out += StrFormat(" (%a,%a,%d,%" PRIu64 ")", s.time, s.samples_per_sec,
                      s.active_workers, s.batches_done);
-  }
-  return out;
-}
-
-std::string Fingerprint(const FleetResult& r) {
-  std::string out = StrFormat(
-      "jobs=%zu preempted=%" PRIu64 " crashes=%" PRIu64 " strag=%" PRIu64
-      " events=%" PRIu64,
-      r.jobs.size(), r.pods_preempted, r.crashes_injected,
-      r.stragglers_injected, r.executed_events);
-  for (const FleetJobOutcome& j : r.jobs) {
-    out += StrFormat(" [%s done=%d jct=%a pend=%a wcpu=%a pscpu=%a %s]",
-                     j.name.c_str(), j.completed ? 1 : 0, j.jct,
-                     j.pending_time, j.avg_worker_cpu_util,
-                     j.avg_ps_cpu_util, j.fail_reason.c_str());
   }
   return out;
 }
@@ -177,7 +164,7 @@ TEST(SweepEngineTest, FleetSweepDeterministicAcrossThreadCounts) {
   std::vector<std::string> reference;
   reference.reserve(scenarios.size());
   for (const FleetScenario& scenario : scenarios) {
-    reference.push_back(Fingerprint(RunFleet(scenario)));
+    reference.push_back(FleetFingerprint(RunFleet(scenario)));
   }
   std::vector<size_t> counts = {1, 2};
   const size_t hardware = std::thread::hardware_concurrency();
@@ -188,7 +175,7 @@ TEST(SweepEngineTest, FleetSweepDeterministicAcrossThreadCounts) {
     const std::vector<FleetResult> swept = RunFleetSweep(scenarios, options);
     ASSERT_EQ(swept.size(), reference.size());
     for (size_t i = 0; i < swept.size(); ++i) {
-      EXPECT_EQ(Fingerprint(swept[i]), reference[i])
+      EXPECT_EQ(FleetFingerprint(swept[i]), reference[i])
           << "fleet scenario " << i << " diverged at " << threads
           << " threads";
     }

@@ -1,20 +1,35 @@
-// Concurrency smoke test compiled with -fsanitize=thread regardless of the
-// global build flags (see tests/CMakeLists.txt): it recompiles the
-// threading-sensitive sources — ThreadPool, ShardQueue, EmbStore — directly
-// into an instrumented binary, so tier-1 `ctest` always runs the hot
-// synchronization paths under ThreadSanitizer. No gtest here: TSan makes
-// the process exit nonzero when it reports a race, logic failures return 1.
+// ThreadSanitizer smoke scenarios, compiled with -fsanitize=thread
+// regardless of the global build flags (see tests/CMakeLists.txt): every
+// source they exercise is compiled, instrumented, into dlrover_tsan, so
+// tier-1 `ctest` runs the concurrency-critical paths under ThreadSanitizer
+// even on plain builds. One binary, one scenario per run:
+//
+//   tsan_smoke <concurrency|sweep|sharded_sim|node_health|control_plane|chaos>
+//
+// ctest registers each scenario as its own `<scenario>_tsan_smoke` test. No
+// gtest here: TSan makes the process exit nonzero when it reports a race,
+// logic failures exit 1, and an unknown scenario exits 2.
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "dlrm/async_trainer.h"
 #include "dlrm/emb_store.h"
+#include "elastic/chaos.h"
 #include "elastic/shard_queue.h"
+#include "harness/experiment.h"
+#include "harness/sharded_fleet.h"
+#include "harness/sweep.h"
 #include "runtime/thread_pool.h"
+#include "sim/sharded_simulator.h"
 
+namespace dlrover {
 namespace {
 
 #define CHECK_TRUE(cond)                                              \
@@ -26,8 +41,10 @@ namespace {
     }                                                                 \
   } while (0)
 
+// --- concurrency: ThreadPool, ShardQueue and EmbStore under load ---------
+
 void ThreadPoolSmoke() {
-  dlrover::ThreadPool pool(4);
+  ThreadPool pool(4);
   std::atomic<int> counter{0};
   std::vector<std::future<void>> futures;
   for (int i = 0; i < 200; ++i) {
@@ -47,11 +64,11 @@ void ThreadPoolSmoke() {
 
 void ShardQueueSmoke() {
   constexpr uint64_t kTotal = 4000;
-  dlrover::ShardQueueOptions options;
+  ShardQueueOptions options;
   options.total_batches = kTotal;
   options.default_shard_batches = 32;
   options.min_shard_batches = 8;
-  dlrover::ShardQueue queue(options);
+  ShardQueue queue(options);
 
   std::vector<std::atomic<uint32_t>> done(kTotal);
   std::vector<std::thread> threads;
@@ -68,10 +85,9 @@ void ShardQueueSmoke() {
         for (uint64_t b = 0; b < processed; ++b) {
           done[shard->start_batch + b].fetch_add(1);
         }
-        const dlrover::Status s =
-            fail && processed < shard->batches()
-                ? queue.ReportFailed(*shard, processed)
-                : queue.ReportCompleted(*shard);
+        const Status s = fail && processed < shard->batches()
+                             ? queue.ReportFailed(*shard, processed)
+                             : queue.ReportCompleted(*shard);
         CHECK_TRUE(s.ok());
       }
     });
@@ -82,52 +98,28 @@ void ShardQueueSmoke() {
   for (uint64_t b = 0; b < kTotal; ++b) CHECK_TRUE(done[b].load() == 1);
 }
 
-void EmbStoreSmoke() {
-  dlrover::EmbStoreOptions options;
+EmbStoreOptions SmokeStoreOptions() {
+  EmbStoreOptions options;
   options.num_features = 26;
   options.emb_dim = 8;
   options.hash_buckets = 1024;
   options.seed = 7;
   options.stripes = 8;
-  dlrover::EmbStore store(options);
-
-  const std::vector<double> grad(8, 1.0);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&store, &grad, t]() {
-      for (int i = 0; i < 500; ++i) {
-        const int f = (t + i) % 26;
-        const uint64_t bucket = static_cast<uint64_t>(i % 32);
-        store.GetRow(f, bucket);
-        store.ApplyRowGradient(f, bucket, grad, 0.01);
-        store.GetWide(f, bucket);
-        store.ApplyWideGradient(f, bucket, 1.0, 0.01);
-        store.MaterializedRows();
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  CHECK_TRUE(store.MaterializedRows() >= 32);
+  return options;
 }
 
-// Batched gather/scatter under contention: many threads pulling and pushing
+// Batched gather/scatter under contention: many threads pull and push
 // overlapping key sets through GatherRows/ScatterApply while others hammer
-// the per-key API on the same stripes. This is the sharded gradient
+// the same stripes one key at a time. This is the sharded gradient
 // application of the threaded trainer, distilled.
-void EmbStoreBatchedSmoke() {
-  dlrover::EmbStoreOptions options;
-  options.num_features = 26;
-  options.emb_dim = 8;
-  options.hash_buckets = 1024;
-  options.seed = 7;
-  options.stripes = 8;
-  dlrover::EmbStore store(options);
+void EmbStoreSmoke() {
+  EmbStore store(SmokeStoreOptions());
   const size_t dim = 8;
 
   std::vector<std::thread> threads;
   for (int t = 0; t < 6; ++t) {
     threads.emplace_back([&store, t]() {
-      dlrover::EmbStore::BatchScratch scratch;
+      EmbStore::BatchScratch scratch;
       std::vector<uint64_t> keys;
       std::vector<double> rows;
       std::vector<double> wide;
@@ -152,12 +144,16 @@ void EmbStoreBatchedSmoke() {
   }
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&store, t]() {
+      EmbStore::BatchScratch scratch;
+      std::vector<double> row(dim);
+      double wide = 0.0;
       const std::vector<double> grad(dim, 1.0);
+      const double wide_grad = 1.0;
       for (int i = 0; i < 400; ++i) {
-        const int f = (t + i) % 26;
-        const uint64_t bucket = static_cast<uint64_t>(i % 48);
-        store.GetRow(f, bucket);
-        store.ApplyRowGradient(f, bucket, grad, 0.01);
+        const uint64_t key = store.PackKey(
+            (t + i) % 26, static_cast<uint64_t>(i % 48));
+        store.GatherRows(&key, 1, row.data(), &wide, &scratch);
+        store.ScatterApply(&key, 1, grad.data(), &wide_grad, 0.01, &scratch);
         store.MaterializedRows();
       }
     });
@@ -166,13 +162,329 @@ void EmbStoreBatchedSmoke() {
   CHECK_TRUE(store.MaterializedRows() >= 48);
 }
 
-}  // namespace
-
-int main() {
+void ConcurrencySmoke() {
   ThreadPoolSmoke();
   ShardQueueSmoke();
   EmbStoreSmoke();
-  EmbStoreBatchedSmoke();
-  std::printf("tsan smoke: ok\n");
-  return 0;
+}
+
+// --- sweep: the concurrent sweep path (shared ConfigDb cache,
+// WellTunedConfig statics, concurrent NSGA-II searches) ---------------------
+
+void SingleJobSweepSmoke() {
+  std::vector<SingleJobScenario> scenarios;
+  for (SchedulerKind scheduler :
+       {SchedulerKind::kDlrover, SchedulerKind::kEs,
+        SchedulerKind::kManualTuned, SchedulerKind::kOptimus}) {
+    for (uint64_t seed : {3ull, 7ull}) {
+      SingleJobScenario scenario;
+      scenario.scheduler = scheduler;
+      scenario.model = ModelKind::kWideDeep;
+      scenario.total_steps = 40000;
+      scenario.seed = seed;
+      scenarios.push_back(scenario);
+    }
+  }
+
+  SweepOptions options;
+  options.num_threads = 4;
+  const std::vector<SingleJobResult> parallel =
+      RunSingleJobSweep(scenarios, options);
+  CHECK_TRUE(parallel.size() == scenarios.size());
+
+  options.num_threads = 1;
+  const std::vector<SingleJobResult> serial =
+      RunSingleJobSweep(scenarios, options);
+  for (size_t i = 0; i < scenarios.size(); ++i) {
+    CHECK_TRUE(parallel[i].final_state == serial[i].final_state);
+    CHECK_TRUE(parallel[i].jct == serial[i].jct);
+    CHECK_TRUE(parallel[i].executed_events == serial[i].executed_events);
+    CHECK_TRUE(parallel[i].final_config == serial[i].final_config);
+    CHECK_TRUE(parallel[i].executed_events > 0);
+  }
+}
+
+void FleetSweepSmoke() {
+  std::vector<FleetScenario> scenarios;
+  for (uint64_t seed : {5ull, 11ull}) {
+    FleetScenario scenario;
+    scenario.workload.num_jobs = 6;
+    scenario.workload.arrival_span = Hours(2);
+    scenario.horizon = Hours(6);
+    scenario.seed = seed;
+    scenarios.push_back(scenario);
+  }
+  SweepOptions options;
+  options.num_threads = 2;
+  const std::vector<FleetResult> results = RunFleetSweep(scenarios, options);
+  CHECK_TRUE(results.size() == 2);
+  for (const FleetResult& result : results) {
+    CHECK_TRUE(result.jobs.size() == 6);
+    CHECK_TRUE(result.executed_events > 0);
+  }
+}
+
+void SweepSmoke() {
+  SingleJobSweepSmoke();
+  FleetSweepSmoke();
+}
+
+// --- sharded_sim: the conservative window protocol (parallel shard
+// advancement, per-shard outbox writes, barrier commit), re-checking that
+// lane count never changes results ------------------------------------------
+
+// Raw engine: four shards ping effects across shard boundaries for a few
+// hundred windows; the delivery trace on 4 lanes must equal the sequential
+// one exactly.
+void EngineWindowSmoke() {
+  auto run = [](size_t lanes) {
+    ThreadPool pool(4);
+    ShardedSimOptions options;
+    options.num_shards = 4;
+    options.window = 5.0;
+    options.pool = lanes > 1 ? &pool : nullptr;
+    options.parallelism = lanes;
+    ShardedSimulator engine(options);
+    // Every effect targets shard 0, so the trace is only ever written from
+    // shard 0's (sequential) event loop — while shards 1..3 run on other
+    // lanes, which is the concurrency TSan is here to watch.
+    Simulator& sink = engine.shard(0);
+    std::vector<std::pair<SimTime, int>> trace;
+    std::vector<std::unique_ptr<PeriodicTask>> tasks;
+    for (int s = 1; s < 4; ++s) {
+      Simulator& sim = engine.shard(s);
+      tasks.push_back(std::make_unique<PeriodicTask>(
+          &sim, 2.0 + 0.5 * s, [&engine, &trace, &sink, s] {
+            engine.Send(s, 0, engine.Now() + 3.0, [&trace, &sink, s] {
+              trace.emplace_back(sink.Now(), s);
+            });
+          }));
+      tasks.back()->Start();
+    }
+    engine.RunUntil(1000.0);
+    return std::make_pair(trace, engine.cross_shard_sends());
+  };
+  const auto sequential = run(1);
+  const auto parallel = run(4);
+  CHECK_TRUE(sequential.second > 0);
+  CHECK_TRUE(sequential.second == parallel.second);
+  CHECK_TRUE(sequential.first == parallel.first);
+}
+
+// Fleet runner: a three-cell manual fleet advanced on 1, 2, and 4 lanes
+// must produce byte-identical outcomes.
+void ShardedFleetSmoke() {
+  FleetScenario scenario;
+  scenario.dlrover_fraction = 0.0;
+  scenario.workload.num_jobs = 9;
+  scenario.workload.arrival_span = Hours(2);
+  scenario.cluster.num_nodes = 12;
+  scenario.horizon = Hours(6);
+  scenario.seed = 11;
+
+  auto run = [&scenario](int lanes) {
+    ShardedFleetOptions options;
+    options.cells = 3;
+    options.shards = lanes;
+    options.window = Minutes(2);
+    return RunFleetSharded(scenario, options);
+  };
+  const ShardedFleetResult one = run(1);
+  CHECK_TRUE(one.fleet.jobs.size() == 9);
+  CHECK_TRUE(one.fleet.executed_events > 0);
+  CHECK_TRUE(one.windows > 0);
+  for (int lanes : {2, 4}) {
+    const ShardedFleetResult wide = run(lanes);
+    CHECK_TRUE(wide.fleet.executed_events == one.fleet.executed_events);
+    CHECK_TRUE(wide.fleet.pods_preempted == one.fleet.pods_preempted);
+    CHECK_TRUE(wide.windows == one.windows);
+    CHECK_TRUE(wide.cross_shard_sends == one.cross_shard_sends);
+    CHECK_TRUE(wide.ledger_entries == one.ledger_entries);
+    for (size_t i = 0; i < one.fleet.jobs.size(); ++i) {
+      CHECK_TRUE(wide.fleet.jobs[i].completed == one.fleet.jobs[i].completed);
+      CHECK_TRUE(wide.fleet.jobs[i].jct == one.fleet.jobs[i].jct);
+      CHECK_TRUE(wide.fleet.jobs[i].pending_time ==
+                 one.fleet.jobs[i].pending_time);
+    }
+  }
+}
+
+void ShardedSimSmoke() {
+  EngineWindowSmoke();
+  ShardedFleetSmoke();
+}
+
+// --- node_health: a grey-fault campaign with self-healing on multi-lane
+// sharded fleets (cordon/drain/uncordon, drain migration); the fault audit
+// log and the health transition log must not depend on the lane count -----
+
+void NodeHealthSmoke() {
+  FleetScenario scenario;
+  scenario.seed = 53;
+  scenario.workload.num_jobs = 8;
+  scenario.workload.arrival_span = Hours(1);
+  scenario.workload.seed = 29;
+  scenario.cluster.num_nodes = 16;
+  scenario.cluster.enable_node_health = true;
+  scenario.horizon = Hours(4);
+  scenario.enable_background = false;
+  scenario.failures.daily_node_flaky_rate = 3.0;
+  scenario.failures.daily_node_degraded_rate = 3.0;
+  scenario.failures.daily_node_leak_rate = 3.0;
+  scenario.failures.daily_node_crashloop_rate = 3.0;
+
+  ShardedFleetOptions options;
+  options.cells = 2;
+  options.shards = 1;
+  const ShardedFleetResult one_lane = RunFleetSharded(scenario, options);
+  CHECK_TRUE(one_lane.fleet.node_faults_injected > 0);
+  CHECK_TRUE(!one_lane.fleet.fault_log.empty());
+  CHECK_TRUE(!one_lane.fleet.health_log.empty());
+
+  options.shards = 2;
+  const ShardedFleetResult two_lanes = RunFleetSharded(scenario, options);
+  CHECK_TRUE(two_lanes.fleet.fault_log == one_lane.fleet.fault_log);
+  CHECK_TRUE(two_lanes.fleet.health_log == one_lane.fleet.health_log);
+  CHECK_TRUE(two_lanes.fleet.nodes_cordoned == one_lane.fleet.nodes_cordoned);
+  CHECK_TRUE(two_lanes.fleet.nodes_uncordoned ==
+             one_lane.fleet.nodes_uncordoned);
+  CHECK_TRUE(two_lanes.fleet.jobs.size() == one_lane.fleet.jobs.size());
+  for (size_t i = 0; i < one_lane.fleet.jobs.size(); ++i) {
+    CHECK_TRUE(two_lanes.fleet.jobs[i].batches_done ==
+               one_lane.fleet.jobs[i].batches_done);
+  }
+}
+
+// --- control_plane: a partition-chaos campaign (drops, duplicates,
+// reorder, node and cell partitions, master failover) on multi-lane sharded
+// fleets; the control event log and channel counters must not depend on the
+// lane count ----------------------------------------------------------------
+
+void ControlPlaneSmoke() {
+  FleetScenario scenario;
+  scenario.seed = 53;
+  scenario.dlrover_fraction = 1.0;
+  scenario.workload.num_jobs = 8;
+  scenario.workload.arrival_span = Hours(1);
+  scenario.workload.seed = 29;
+  scenario.cluster.num_nodes = 16;
+  scenario.horizon = Hours(4);
+  scenario.enable_background = false;
+  scenario.control.enabled = true;
+  scenario.control.drop_prob = 0.02;
+  scenario.control.duplicate_prob = 0.05;
+  scenario.control.reorder_prob = 0.05;
+  scenario.failures.daily_node_partition_rate = 4.0;
+  scenario.failures.daily_cell_partition_rate = 4.0;
+  scenario.failures.daily_master_crash_rate = 1.0;
+
+  ShardedFleetOptions options;
+  options.cells = 2;
+  options.shards = 1;
+  const ShardedFleetResult one_lane = RunFleetSharded(scenario, options);
+  CHECK_TRUE(one_lane.fleet.control_stats.messages_delivered > 0);
+  CHECK_TRUE(one_lane.fleet.control_faults_injected > 0);
+  CHECK_TRUE(!one_lane.fleet.control_log.empty());
+  // Protections on: no stale plan ever applies, failover is balanced.
+  CHECK_TRUE(one_lane.fleet.control_stats.stale_plan_applies == 0);
+  CHECK_TRUE(one_lane.fleet.stale_plan_applies == 0);
+  CHECK_TRUE(one_lane.fleet.control_stats.master_crashes ==
+             one_lane.fleet.control_stats.master_restarts);
+  for (const FleetJobOutcome& job : one_lane.fleet.jobs) {
+    CHECK_TRUE(job.batches_done <= job.total_steps);
+  }
+
+  options.shards = 2;
+  const ShardedFleetResult two_lanes = RunFleetSharded(scenario, options);
+  CHECK_TRUE(two_lanes.fleet.control_stats == one_lane.fleet.control_stats);
+  CHECK_TRUE(two_lanes.fleet.control_log == one_lane.fleet.control_log);
+  CHECK_TRUE(two_lanes.fleet.control_faults_injected ==
+             one_lane.fleet.control_faults_injected);
+  CHECK_TRUE(two_lanes.fleet.plans_fenced == one_lane.fleet.plans_fenced);
+  CHECK_TRUE(two_lanes.fleet.shard_reports_rejected ==
+             one_lane.fleet.shard_reports_rejected);
+  CHECK_TRUE(two_lanes.fleet.shard_reports_expired ==
+             one_lane.fleet.shard_reports_expired);
+  CHECK_TRUE(two_lanes.fleet.jobs.size() == one_lane.fleet.jobs.size());
+  for (size_t i = 0; i < one_lane.fleet.jobs.size(); ++i) {
+    CHECK_TRUE(two_lanes.fleet.jobs[i].batches_done ==
+               one_lane.fleet.jobs[i].batches_done);
+  }
+}
+
+// --- chaos: the fault-tolerant threaded trainer (supervisor thread,
+// commit gate, checkpoint vault, chaos injector) ----------------------------
+
+void ChaosSmoke() {
+  MiniDlrmConfig config;
+  config.arch = ModelKind::kWideDeep;
+  config.emb_dim = 4;
+  config.hash_buckets = 512;
+  config.mlp_hidden = {8};
+  config.seed = 5;
+  MiniDlrm model(config);
+  CriteoSynth data(31);
+
+  ChaosScheduleOptions chaos_options;
+  chaos_options.seed = 7;
+  chaos_options.total_batches = 240;
+  ChaosInjector chaos = ChaosInjector::FromSeed(chaos_options);
+
+  AsyncTrainerOptions options;
+  options.num_workers = 4;
+  options.batch_size = 32;
+  options.total_batches = 240;
+  options.shard_batches = 8;
+  options.eval_every_batches = 120;
+  options.seed = 3;
+  options.exec_mode = ExecMode::kThreads;
+  options.num_threads = 4;
+  options.fault_tolerance.enabled = true;
+  options.fault_tolerance.checkpoint_every_batches = 48;
+  // TSan slows every batch down ~10x; a lenient timeout keeps the injected
+  // stall (not general slowness) the only heartbeat failure.
+  options.fault_tolerance.heartbeat_timeout_ms = 1000.0;
+  options.fault_tolerance.supervisor_poll_ms = 2.0;
+  options.chaos = &chaos;
+
+  AsyncPsTrainer trainer(&model, &data, options);
+  const TrainResult result = trainer.Run();
+
+  CHECK_TRUE(result.batches_committed == 240);
+  CHECK_TRUE(result.batches_duplicated == 0);
+  CHECK_TRUE(result.batches_skipped == 0);
+  for (uint8_t times : result.times_trained) CHECK_TRUE(times == 1);
+  CHECK_TRUE(chaos.remaining() == 0);
+  CHECK_TRUE(result.ft.checkpoints_taken > 0);
+}
+
+struct Scenario {
+  const char* name;
+  void (*run)();
+};
+
+constexpr Scenario kScenarios[] = {
+    {"concurrency", ConcurrencySmoke},  {"sweep", SweepSmoke},
+    {"sharded_sim", ShardedSimSmoke},   {"node_health", NodeHealthSmoke},
+    {"control_plane", ControlPlaneSmoke}, {"chaos", ChaosSmoke},
+};
+
+}  // namespace
+}  // namespace dlrover
+
+int main(int argc, char** argv) {
+  if (argc == 2) {
+    for (const dlrover::Scenario& scenario : dlrover::kScenarios) {
+      if (std::strcmp(argv[1], scenario.name) != 0) continue;
+      scenario.run();
+      std::printf("%s tsan smoke: ok\n", scenario.name);
+      return 0;
+    }
+  }
+  std::fprintf(stderr, "usage: %s <scenario>; scenarios:", argv[0]);
+  for (const dlrover::Scenario& scenario : dlrover::kScenarios) {
+    std::fprintf(stderr, " %s", scenario.name);
+  }
+  std::fprintf(stderr, "\n");
+  return 2;
 }
