@@ -105,6 +105,7 @@ struct ArmResult {
   uint64_t uncordons = 0;
   int drain_migrations = 0;
   int drain_fallbacks = 0;
+  int seamless_aborts = 0;
   FleetResult fleet;
 };
 
@@ -120,6 +121,7 @@ ArmResult RunArm(const std::string& arm, uint64_t seed,
     out.goodput_batches += job.batches_done;
     out.drain_migrations += job.stats.drain_migrations;
     out.drain_fallbacks += job.stats.drain_fallbacks;
+    out.seamless_aborts += job.stats.seamless_aborts;
   }
   for (const FaultRecord& f : out.fleet.fault_log) {
     if (f.kind >= FaultKind::kFlakyNode && f.kind <= FaultKind::kCrashLoop) {
@@ -480,13 +482,14 @@ int Run(bool gate) {
           "    {\"seed\": %llu, \"arm\": \"%s\", \"goodput_batches\": %llu, "
           "\"completed\": %d, \"jobs\": %d, \"grey_faults\": %llu, "
           "\"cordons\": %llu, \"uncordons\": %llu, \"drain_migrations\": %d, "
-          "\"drain_fallbacks\": %d}%s\n",
+          "\"drain_fallbacks\": %d, \"seamless_aborts\": %d}%s\n",
           static_cast<unsigned long long>(r.seed), r.arm.c_str(),
           static_cast<unsigned long long>(r.goodput_batches), r.completed,
           r.jobs, static_cast<unsigned long long>(r.grey_faults),
           static_cast<unsigned long long>(r.cordons),
           static_cast<unsigned long long>(r.uncordons), r.drain_migrations,
-          r.drain_fallbacks, i + 1 < runs.size() ? "," : "");
+          r.drain_fallbacks, r.seamless_aborts,
+          i + 1 < runs.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n");
     std::fprintf(json, "  \"detection\": [\n");
@@ -536,6 +539,16 @@ int Run(bool gate) {
           static_cast<unsigned long long>(s.master_restarts),
           s.exactly_once_violations,
           i + 1 < partition_scores.size() ? "," : "");
+    }
+    std::fprintf(json, "  ],\n");
+    std::fprintf(json, "  \"partition_arms\": [\n");
+    for (size_t i = 0; i < partition_runs.size(); ++i) {
+      const ArmResult& r = partition_runs[i];
+      std::fprintf(json,
+                   "    {\"seed\": %llu, \"arm\": \"%s\", "
+                   "\"seamless_aborts\": %d}%s\n",
+                   static_cast<unsigned long long>(r.seed), r.arm.c_str(),
+                   r.seamless_aborts, i + 1 < partition_runs.size() ? "," : "");
     }
     std::fprintf(json, "  ]\n}\n");
     std::fclose(json);

@@ -4,10 +4,15 @@
 
 namespace dlrover {
 
+namespace {
+// Local instability-handling tick (drain, straggler mitigation, OOM guard).
+constexpr Duration kTickInterval = Seconds(30);
+}  // namespace
+
 JobMaster::JobMaster(Simulator* sim, TrainingJob* job,
                      const JobMasterOptions& options)
     : sim_(sim), job_(job), options_(options) {
-  task_ = std::make_unique<PeriodicTask>(sim_, options_.tick_interval,
+  task_ = std::make_unique<PeriodicTask>(sim_, kTickInterval,
                                          [this] { Tick(); });
 }
 
@@ -89,7 +94,7 @@ void JobMaster::Tick() {
   // rest of the master's working state is rebuilt from the job itself.
   snapshot_last_plan_seq_ = volatile_last_plan_seq_;
   if (options_.failure_detection) job_->ReapSilentWorkers();
-  if (options_.drain_migration) job_->EvacuateDrainingPods();
+  job_->EvacuateDrainingPods();
   if (options_.straggler_mitigation) job_->MitigateStragglers();
   if (options_.oom_prevention) job_->MaybePreventOom();
 }

@@ -12,26 +12,20 @@
 namespace dlrover {
 
 struct JobMasterOptions {
-  /// Local instability-handling tick (straggler mitigation, OOM guard).
-  Duration tick_interval = Seconds(30);
   bool straggler_mitigation = true;
   bool oom_prevention = true;
   /// Reap workers whose pods run but stopped heartbeating (see
   /// TrainingJob::ReapSilentWorkers). Off by default: killing pods on
   /// heartbeat evidence alone is a policy the experiment must opt into.
   bool failure_detection = false;
-  /// Evacuate pods off draining (cordoned) nodes make-before-break (see
-  /// TrainingJob::EvacuateDrainingPods). On by default: with no node ever
-  /// cordoned — the case unless ClusterOptions::enable_node_health or a test
-  /// drains one — the pass inspects pod placements and does nothing, so the
-  /// event trace is unchanged.
-  bool drain_migration = true;
 };
 
 /// The job-level agent (paper Fig 4): owns the profiler/executor loop for
 /// one training job. Cluster-level decisions come from the brain; the
 /// master handles everything that must react fast and locally — straggler
-/// shard-resizing and the OOM pre-scaling guard.
+/// shard-resizing, the OOM pre-scaling guard, and make-before-break
+/// evacuation off draining nodes (TrainingJob::EvacuateDrainingPods; with
+/// no node ever cordoned the pass only inspects placements).
 ///
 /// With a ControlChannel attached, the master is a crashable process: an
 /// injected crash stops its periodic loop and loses its volatile state

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <type_traits>
 
 #include "cluster/control_channel.h"
 #include "common/logging.h"
@@ -16,6 +17,15 @@ constexpr uint64_t kStaticChunkBatches = 128;
 // Time to re-partition and redistribute training data among workers after a
 // static-mode restart (baseline frameworks re-shard the input pipeline).
 constexpr Duration kRepartitionTime = Seconds(75);
+// Profiling/reporting tick.
+constexpr Duration kProfileInterval = Seconds(30);
+// A job that cannot get all its pods scheduled within this window fails
+// with a scheduling error (the "Scheduling" failure class of Table 4).
+constexpr Duration kPendingTimeout = Minutes(90);
+// Make-before-break drain: when a staged replacement for a worker on a
+// draining node is still not Running after this long, give up waiting
+// (scarcity) and stop-and-restart the victim through the crash path.
+constexpr Duration kDrainFallbackTimeout = Minutes(6);
 }  // namespace
 
 std::string JobStateName(JobState state) {
@@ -67,7 +77,7 @@ TrainingJob::TrainingJob(Simulator* sim, Cluster* cluster, const JobSpec& spec,
   last_checkpoint_.trained_batches = 0;
   last_checkpoint_.saved_at = sim_->Now();
   profile_task_ = std::make_unique<PeriodicTask>(
-      sim_, spec_.profile_interval, [this] { ProfileTick(); });
+      sim_, kProfileInterval, [this] { ProfileTick(); });
   checkpoint_task_ = std::make_unique<PeriodicTask>(
       sim_, spec_.checkpoint_interval, [this] { CheckpointTick(); });
 }
@@ -77,38 +87,25 @@ TrainingJob::~TrainingJob() {
     state_ = JobState::kFailed;
     stats_.fail_reason = "destroyed";
   }
+  // Only live workers ever hold a completion event: staged workers never
+  // dispatch, and retiring a worker interrupts it.
   for (auto& w : workers_) {
-    if (w->completion_event != 0) sim_->Cancel(w->completion_event);
-  }
-  for (auto& w : staged_workers_) {
     if (w->completion_event != 0) sim_->Cancel(w->completion_event);
   }
   KillAllPods(false);
 }
 
 void TrainingJob::Start() {
-  for (int i = 0; i < config_.num_workers; ++i) {
-    auto worker = std::make_unique<WorkerState>();
-    worker->index = next_worker_index_++;
-    workers_.push_back(std::move(worker));
-    CreateWorkerPod(*workers_.back());
-  }
-  std::vector<double> shares = spec_.ps_shares;
-  if (shares.empty() || static_cast<int>(shares.size()) != config_.num_ps) {
-    shares.assign(static_cast<size_t>(config_.num_ps),
-                  1.0 / std::max(1, config_.num_ps));
-  } else {
+  // The initial deployment honours the spec's PS imbalance (normalised);
+  // every later deployment balances its PSes.
+  std::vector<double> shares;
+  if (static_cast<int>(spec_.ps_shares.size()) == config_.num_ps) {
+    shares = spec_.ps_shares;
     double total = 0.0;
     for (double s : shares) total += s;
     for (double& s : shares) s /= total;
   }
-  for (int i = 0; i < config_.num_ps; ++i) {
-    auto ps = std::make_unique<PsState>();
-    ps->index = next_ps_index_++;
-    ps->share = shares[static_cast<size_t>(i)];
-    ps_.push_back(std::move(ps));
-    CreatePsPod(*ps_.back());
-  }
+  BuildDeployment(config_, shares, &workers_, &ps_);
   if (spec_.data_mode == DataMode::kStaticPartition) {
     RepartitionStatic(0);
   }
@@ -117,10 +114,40 @@ void TrainingJob::Start() {
   checkpoint_task_->Start();
 }
 
-void TrainingJob::CreateWorkerPod(WorkerState& worker) {
+TrainingJob::WorkerState& TrainingJob::AddWorker(const JobConfig& config,
+                                                 WorkerSet* set) {
+  set->push_back(std::make_unique<WorkerState>());
+  WorkerState& worker = *set->back();
+  worker.index = next_worker_index_++;
+  CreateWorkerPod(worker, config);
+  return worker;
+}
+
+void TrainingJob::AddPs(const JobConfig& config, double share, PsSet* set) {
+  set->push_back(std::make_unique<PsState>());
+  PsState& ps = *set->back();
+  ps.index = next_ps_index_++;
+  ps.share = share;
+  CreatePsPod(ps, config);
+}
+
+void TrainingJob::BuildDeployment(const JobConfig& config,
+                                  const std::vector<double>& shares,
+                                  WorkerSet* workers, PsSet* ps) {
+  for (int i = 0; i < config.num_workers; ++i) AddWorker(config, workers);
+  for (int i = 0; i < config.num_ps; ++i) {
+    AddPs(config,
+          shares.empty() ? 1.0 / config.num_ps
+                         : shares[static_cast<size_t>(i)],
+          ps);
+  }
+}
+
+void TrainingJob::CreateWorkerPod(WorkerState& worker,
+                                  const JobConfig& config) {
   PodSpec pod_spec;
   pod_spec.name = spec_.name + "-worker-" + std::to_string(worker.index);
-  pod_spec.request = config_.WorkerRequest();
+  pod_spec.request = config.WorkerRequest();
   pod_spec.priority = PriorityClass::kTraining;
   WorkerState* w = &worker;
   worker.pod = cluster_->CreatePod(
@@ -128,10 +155,10 @@ void TrainingJob::CreateWorkerPod(WorkerState& worker) {
       [this, w](Pod&, PodStopReason reason) { OnWorkerStopped(*w, reason); });
 }
 
-void TrainingJob::CreatePsPod(PsState& ps) {
+void TrainingJob::CreatePsPod(PsState& ps, const JobConfig& config) {
   PodSpec pod_spec;
   pod_spec.name = spec_.name + "-ps-" + std::to_string(ps.index);
-  pod_spec.request = config_.PsRequest();
+  pod_spec.request = config.PsRequest();
   pod_spec.priority = PriorityClass::kTraining;
   PsState* p = &ps;
   ps.pod = cluster_->CreatePod(
@@ -173,7 +200,7 @@ void TrainingJob::OnWorkerRunning(WorkerState& worker) {
       InvalidateIterationCache();
     }
   }
-  if (transition_ == TransitionKind::kSeamless) {
+  if (transition_.kind == TransitionKind::kSeamless) {
     FinishMigrationIfReady();
     // Old workers keep training; a staged worker does not dispatch yet.
     return;
@@ -184,17 +211,17 @@ void TrainingJob::OnWorkerRunning(WorkerState& worker) {
 void TrainingJob::OnPsRunning(PsState& ps) {
   ps.pod_running = true;
   ps_relaunch_streak_ = 0;  // a healthy start resets the backoff
-  if (transition_ == TransitionKind::kSeamless) {
+  if (transition_.kind == TransitionKind::kSeamless) {
     FinishMigrationIfReady();
     return;
   }
-  if (transition_ == TransitionKind::kPsRecovery && AllPsRunning()) {
+  if (transition_.kind == TransitionKind::kPsRecovery && AllPsRunning()) {
     // Replacement PS is up: load the checkpoint, then resume.
     const Duration load = CheckpointReadTime();
     stats_.downtime_checkpoint += load;
     sim_->ScheduleAfter(load, [this] {
       if (finished()) return;
-      transition_ = TransitionKind::kNone;
+      transition_.kind = TransitionKind::kNone;
       state_ = JobState::kRunning;
       ResumeTraining();
     });
@@ -208,7 +235,7 @@ void TrainingJob::TryDispatchAll() {
   if (!AllPsRunning()) return;
 
   if (state_ == JobState::kInitializing ||
-      transition_ == TransitionKind::kStopRestart) {
+      transition_.kind == TransitionKind::kStopRestart) {
     // Stop-and-restart (or first start) waits for *all* workers as well.
     bool all_workers = !workers_.empty();
     for (const auto& w : workers_) {
@@ -222,14 +249,15 @@ void TrainingJob::TryDispatchAll() {
     } else {
       // Pods are up after a restart: charge the wait, load the checkpoint,
       // re-partition if static, then resume.
-      stats_.downtime_waiting_pods += sim_->Now() - restart_kill_time_;
+      stats_.downtime_waiting_pods +=
+          sim_->Now() - transition_.restart_kill_time;
       Duration resume_delay = CheckpointReadTime();
       stats_.downtime_checkpoint += resume_delay;
       if (spec_.data_mode == DataMode::kStaticPartition) {
         resume_delay += kRepartitionTime;
         stats_.downtime_repartition += kRepartitionTime;
       }
-      transition_ = TransitionKind::kNone;
+      transition_.kind = TransitionKind::kNone;
       sim_->ScheduleAfter(resume_delay, [this] {
         if (finished()) return;
         state_ = JobState::kRunning;
@@ -522,17 +550,12 @@ void TrainingJob::OnWorkerStopped(WorkerState& worker, PodStopReason reason) {
       worker.evacuating = false;
       return;
     }
-    if (spec_.auto_replace_failed_workers &&
-        transition_ == TransitionKind::kNone) {
+    if (transition_.kind == TransitionKind::kNone) {
       const Duration delay = NextRelaunchDelay(&worker_relaunch_streak_);
       const uint64_t shard_limit = worker.shard_limit;
       auto relaunch = [this, shard_limit] {
-        if (finished() || transition_ != TransitionKind::kNone) return;
-        auto replacement = std::make_unique<WorkerState>();
-        replacement->index = next_worker_index_++;
-        replacement->shard_limit = shard_limit;
-        workers_.push_back(std::move(replacement));
-        CreateWorkerPod(*workers_.back());
+        if (finished() || transition_.kind != TransitionKind::kNone) return;
+        AddWorker(config_, &workers_).shard_limit = shard_limit;
       };
       if (delay <= 0.0) {
         relaunch();
@@ -560,7 +583,7 @@ void TrainingJob::OnPsStopped(PsState& ps, PodStopReason reason) {
   if (was_oom) ++stats_.oom_events;
 
   if (spec_.data_mode == DataMode::kDynamicSharding &&
-      transition_ == TransitionKind::kNone) {
+      transition_.kind == TransitionKind::kNone) {
     RecoverFromPsLoss(ps, was_oom);
   } else {
     RestartFromCheckpoint(was_oom ? "ps oom" : "ps loss");
@@ -569,7 +592,7 @@ void TrainingJob::OnPsStopped(PsState& ps, PodStopReason reason) {
 
 void TrainingJob::RecoverFromPsLoss(PsState& ps, bool was_oom) {
   state_ = JobState::kRestoring;
-  transition_ = TransitionKind::kPsRecovery;
+  transition_.kind = TransitionKind::kPsRecovery;
   PauseTraining();
   // Parameters on the lost PS are gone: training rolls back to the last
   // checkpoint (flash-checkpoint keeps this window tiny).
@@ -583,15 +606,15 @@ void TrainingJob::RecoverFromPsLoss(PsState& ps, bool was_oom) {
   }
   const Duration delay = NextRelaunchDelay(&ps_relaunch_streak_);
   if (delay <= 0.0) {
-    CreatePsPod(ps);  // reuse the same logical PS (same share)
+    CreatePsPod(ps, config_);  // reuse the same logical PS (same share)
   } else {
     stats_.downtime_waiting_pods += delay;
     PsState* p = &ps;
     sim_->ScheduleAfter(delay, [this, p] {
       // A full restart in the meantime rebuilt the PS set; this recovery
       // (and its PsState) is void then.
-      if (finished() || transition_ != TransitionKind::kPsRecovery) return;
-      CreatePsPod(*p);
+      if (finished() || transition_.kind != TransitionKind::kPsRecovery) return;
+      CreatePsPod(*p, config_);
     });
   }
   InvalidateIterationCache();
@@ -605,7 +628,6 @@ void TrainingJob::RestartFromCheckpoint(const std::string& why) {
     return;
   }
   state_ = JobState::kRestoring;
-  transition_ = TransitionKind::kStopRestart;
   PauseTraining();
 
   // Roll data consumption back to the checkpoint.
@@ -616,33 +638,19 @@ void TrainingJob::RestartFromCheckpoint(const std::string& why) {
   }
 
   KillAllPods(false);
-  restart_kill_time_ = sim_->Now();
-
-  // A seamless migration interrupted by this restart leaves staged pods
-  // behind; retire them so they cannot wedge a future migration.
-  for (auto& w : staged_workers_) retired_workers_.push_back(std::move(w));
-  staged_workers_.clear();
-  for (auto& p : staged_ps_) retired_ps_.push_back(std::move(p));
-  staged_ps_.clear();
-  pending_config_.reset();
-  ++migration_epoch_;
+  // Whatever transition this restart interrupts ends here: a seamless
+  // migration's staged pods go to the graveyard so they cannot wedge a
+  // future migration. (Nothing reads the kind before this line: pods report
+  // Running only from a scheduled event, and the kills above reach only
+  // retired members, whose stop handlers return first.)
+  EndTransition();
+  transition_.kind = TransitionKind::kStopRestart;
+  transition_.restart_kill_time = sim_->Now();
 
   // Fresh pod sets with the current configuration.
   workers_.clear();
   ps_.clear();
-  for (int i = 0; i < config_.num_workers; ++i) {
-    auto worker = std::make_unique<WorkerState>();
-    worker->index = next_worker_index_++;
-    workers_.push_back(std::move(worker));
-    CreateWorkerPod(*workers_.back());
-  }
-  for (int i = 0; i < config_.num_ps; ++i) {
-    auto psn = std::make_unique<PsState>();
-    psn->index = next_ps_index_++;
-    psn->share = 1.0 / config_.num_ps;
-    ps_.push_back(std::move(psn));
-    CreatePsPod(*ps_.back());
-  }
+  BuildDeployment(config_, {}, &workers_, &ps_);
   if (spec_.data_mode == DataMode::kStaticPartition) {
     RepartitionStatic(static_completed_);
   }
@@ -673,12 +681,7 @@ Status TrainingJob::ApplyPlan(const JobConfig& new_config,
     ++stats_.scale_operations;
     const int delta = new_config.num_workers - config_.num_workers;
     if (delta > 0) {
-      for (int i = 0; i < delta; ++i) {
-        auto worker = std::make_unique<WorkerState>();
-        worker->index = next_worker_index_++;
-        workers_.push_back(std::move(worker));
-        CreateWorkerPod(*workers_.back());
-      }
+      for (int i = 0; i < delta; ++i) AddWorker(config_, &workers_);
     } else {
       int to_remove = -delta;
       for (auto it = workers_.rbegin();
@@ -694,9 +697,7 @@ Status TrainingJob::ApplyPlan(const JobConfig& new_config,
     config_.num_workers = new_config.num_workers;
     InvalidateIterationCache();
     // The worker group just changed size: the throughput baseline moves.
-    last_disruption_ = sim_->Now();
-    best_smoothed_ = 0.0;
-    ps_slowdown_streak_ = 0;
+    ResetThroughputBaseline();
     return Status::OK();
   }
 
@@ -742,7 +743,7 @@ Status TrainingJob::DeliverPlanFromBrain(const JobConfig& new_config,
 void TrainingJob::BeginStopAndRestart(const JobConfig& new_config) {
   ++stats_.migrations;
   state_ = JobState::kMigrating;
-  transition_ = TransitionKind::kStopRestart;
+  transition_.kind = TransitionKind::kStopRestart;
   PauseTraining();
 
   // Save a checkpoint on the critical path (paper: 5-10 min to RDS).
@@ -750,35 +751,19 @@ void TrainingJob::BeginStopAndRestart(const JobConfig& new_config) {
   stats_.downtime_checkpoint += save;
   sim_->ScheduleAfter(save, [this, new_config] {
     if (finished()) return;
-    last_checkpoint_.saved_at = sim_->Now();
-    last_checkpoint_.trained_batches = batches_done();
-    last_checkpoint_.bytes = ModelBytes();
-    last_checkpoint_.store = spec_.use_flash_checkpoint ? cache_.name()
-                                                        : rds_.name();
+    RecordCheckpoint(batches_done(), ModelBytes());
     // The flash tier persists to RDS off the critical path; without this
     // the migration checkpoint would exist only in volatile memory.
     if (spec_.use_flash_checkpoint) {
       cache_.AsyncFlushToRds(last_checkpoint_.bytes);
     }
     KillAllPods(false);
-    restart_kill_time_ = sim_->Now();
+    transition_.restart_kill_time = sim_->Now();
     config_ = new_config;
     InvalidateIterationCache();
     workers_.clear();
     ps_.clear();
-    for (int i = 0; i < config_.num_workers; ++i) {
-      auto worker = std::make_unique<WorkerState>();
-      worker->index = next_worker_index_++;
-      workers_.push_back(std::move(worker));
-      CreateWorkerPod(*workers_.back());
-    }
-    for (int i = 0; i < config_.num_ps; ++i) {
-      auto psn = std::make_unique<PsState>();
-      psn->index = next_ps_index_++;
-      psn->share = 1.0 / config_.num_ps;
-      ps_.push_back(std::move(psn));
-      CreatePsPod(*ps_.back());
-    }
+    BuildDeployment(config_, {}, &workers_, &ps_);
     if (spec_.data_mode == DataMode::kStaticPartition) {
       RepartitionStatic(static_completed_);
     }
@@ -787,82 +772,39 @@ void TrainingJob::BeginStopAndRestart(const JobConfig& new_config) {
 
 void TrainingJob::BeginSeamless(const JobConfig& new_config) {
   state_ = JobState::kMigrating;
-  transition_ = TransitionKind::kSeamless;
-  pending_config_ = new_config;
+  transition_.kind = TransitionKind::kSeamless;
+  transition_.pending = new_config;
   // Watchdog: if the staged deployment cannot be scheduled (capacity,
   // oversized pods), abort and keep training on the old pods rather than
   // wedging the job in kMigrating forever.
-  const uint64_t epoch = ++migration_epoch_;
+  const uint64_t epoch = ++transition_.epoch;
   sim_->ScheduleAfter(Minutes(12),
                       [this, epoch] { AbortSeamlessIfStuck(epoch); });
   // Stage the full replacement deployment; old pods keep training.
-  for (int i = 0; i < new_config.num_workers; ++i) {
-    auto worker = std::make_unique<WorkerState>();
-    worker->index = next_worker_index_++;
-    staged_workers_.push_back(std::move(worker));
-    WorkerState& w = *staged_workers_.back();
-    PodSpec pod_spec;
-    pod_spec.name = spec_.name + "-worker-" + std::to_string(w.index);
-    pod_spec.request = new_config.WorkerRequest();
-    pod_spec.priority = PriorityClass::kTraining;
-    WorkerState* wp = &w;
-    w.pod = cluster_->CreatePod(
-        std::move(pod_spec), [this, wp](Pod&) { OnWorkerRunning(*wp); },
-        [this, wp](Pod&, PodStopReason reason) {
-          OnWorkerStopped(*wp, reason);
-        });
-  }
-  for (int i = 0; i < new_config.num_ps; ++i) {
-    auto psn = std::make_unique<PsState>();
-    psn->index = next_ps_index_++;
-    psn->share = 1.0 / new_config.num_ps;
-    staged_ps_.push_back(std::move(psn));
-    PsState& p = *staged_ps_.back();
-    PodSpec pod_spec;
-    pod_spec.name = spec_.name + "-ps-" + std::to_string(p.index);
-    pod_spec.request = new_config.PsRequest();
-    pod_spec.priority = PriorityClass::kTraining;
-    PsState* pp = &p;
-    p.pod = cluster_->CreatePod(
-        std::move(pod_spec), [this, pp](Pod&) { OnPsRunning(*pp); },
-        [this, pp](Pod&, PodStopReason reason) { OnPsStopped(*pp, reason); });
-  }
+  BuildDeployment(new_config, {}, &transition_.staged_workers,
+                  &transition_.staged_ps);
 }
 
 void TrainingJob::AbortSeamlessIfStuck(uint64_t epoch) {
   if (finished()) return;
-  if (transition_ != TransitionKind::kSeamless) return;
-  if (epoch != migration_epoch_) return;  // that migration already ended
-  for (auto& w : staged_workers_) {
-    w->retired = true;
-    if (w->pod != 0) cluster_->KillPod(w->pod);
-    retired_workers_.push_back(std::move(w));
-  }
-  staged_workers_.clear();
-  for (auto& p : staged_ps_) {
-    p->retired = true;
-    if (p->pod != 0) cluster_->KillPod(p->pod);
-    retired_ps_.push_back(std::move(p));
-  }
-  staged_ps_.clear();
-  pending_config_.reset();
-  transition_ = TransitionKind::kNone;
+  if (transition_.kind != TransitionKind::kSeamless) return;
+  if (epoch != transition_.epoch) return;  // that migration already ended
+  ++stats_.seamless_aborts;
+  EndTransition();
   state_ = JobState::kRunning;
-  DLROVER_LOG_STREAM(Warning)
-      << spec_.name << ": seamless migration timed out; reverted";
 }
 
 void TrainingJob::FinishMigrationIfReady() {
-  if (transition_ != TransitionKind::kSeamless) return;
-  for (const auto& w : staged_workers_) {
+  if (transition_.kind != TransitionKind::kSeamless) return;
+  for (const auto& w : transition_.staged_workers) {
     if (!w->pod_running) return;
   }
-  for (const auto& p : staged_ps_) {
+  for (const auto& p : transition_.staged_ps) {
     if (!p->pod_running) return;
   }
   // Everything staged is up: pause, hand over state via flash-checkpoint,
   // swap pod sets, resume. Only the checkpoint handoff pauses training.
-  ++migration_epoch_;  // staged set is complete: disarm the watchdog
+  const uint64_t epoch = ++transition_.epoch;  // disarms the watchdog
   PauseTraining();
   const Duration save = CheckpointWriteTime();
   const Duration load = CheckpointReadTime();
@@ -870,44 +812,32 @@ void TrainingJob::FinishMigrationIfReady() {
   if (spec_.use_flash_checkpoint) {
     cache_.AsyncFlushToRds(ModelBytes());
   }
-  sim_->ScheduleAfter(save + load, [this] {
+  sim_->ScheduleAfter(save + load, [this, epoch] {
+    // Known bug (DESIGN.md §16, "The one unguarded site"): this is the one
+    // deferred transition callback that does not drop a stale `epoch`. A
+    // restart inside the hand-off window ends this migration, yet the swap
+    // below still runs.
     if (finished()) return;
-    last_checkpoint_.saved_at = sim_->Now();
-    last_checkpoint_.trained_batches = batches_done();
-    last_checkpoint_.bytes = ModelBytes();
-    last_checkpoint_.store =
-        spec_.use_flash_checkpoint ? cache_.name() : rds_.name();
-
-    for (auto& w : workers_) {
-      if (!w->retired) {
-        InterruptWorker(*w);
-        w->retired = true;
-        cluster_->KillPod(w->pod);
-      }
-      retired_workers_.push_back(std::move(w));
-    }
-    workers_.clear();
-    for (auto& p : ps_) {
-      if (!p->retired) {
-        p->retired = true;
-        cluster_->KillPod(p->pod);
-      }
-      retired_ps_.push_back(std::move(p));
-    }
-    ps_.clear();
-
-    workers_ = std::move(staged_workers_);
-    staged_workers_.clear();
-    ps_ = std::move(staged_ps_);
-    staged_ps_.clear();
-    config_ = *pending_config_;
-    pending_config_.reset();
+    RecordCheckpoint(batches_done(), ModelBytes());
+    RetireMembers(&workers_, false, &retired_workers_);
+    RetireMembers(&ps_, false, &retired_ps_);
+    workers_.swap(transition_.staged_workers);
+    ps_.swap(transition_.staged_ps);
+    config_ = *transition_.pending;
+    EndTransition();
     InvalidateIterationCache();
     ++stats_.migrations;
-    transition_ = TransitionKind::kNone;
     state_ = JobState::kRunning;
     ResumeTraining();
   });
+}
+
+void TrainingJob::EndTransition() {
+  RetireMembers(&transition_.staged_workers, false, &retired_workers_);
+  RetireMembers(&transition_.staged_ps, false, &retired_ps_);
+  transition_.pending.reset();
+  transition_.kind = TransitionKind::kNone;
+  ++transition_.epoch;
 }
 
 void TrainingJob::PauseTraining() {
@@ -922,10 +852,14 @@ void TrainingJob::ResumeTraining() {
   // Any pause (migration, recovery, restart) legitimately moves the job's
   // throughput baseline: re-learn the best rate before trusting the
   // degraded-PS collapse detector again.
+  ResetThroughputBaseline();
+  TryDispatchAll();
+}
+
+void TrainingJob::ResetThroughputBaseline() {
   last_disruption_ = sim_->Now();
   best_smoothed_ = 0.0;
   ps_slowdown_streak_ = 0;
-  TryDispatchAll();
 }
 
 Status TrainingJob::SetWorkerShardLimit(int worker_index,
@@ -992,7 +926,7 @@ int TrainingJob::MitigateStragglers() {
 
 int TrainingJob::ReapSilentWorkers() {
   if (state_ != JobState::kRunning || paused_ ||
-      transition_ != TransitionKind::kNone) {
+      transition_.kind != TransitionKind::kNone) {
     return 0;
   }
   const std::vector<uint64_t> silent = monitor_.DetectFailures(sim_->Now());
@@ -1022,7 +956,7 @@ TrainingJob::WorkerState* TrainingJob::FindWorkerByIndex(int index) {
 
 int TrainingJob::EvacuateDrainingPods() {
   if (finished() || paused_ || state_ != JobState::kRunning ||
-      transition_ != TransitionKind::kNone) {
+      transition_.kind != TransitionKind::kNone) {
     return 0;
   }
   // A draining PS cannot be replaced one-for-one (its parameter shard must
@@ -1070,17 +1004,14 @@ int TrainingJob::EvacuateDrainingPods() {
     if (pod == nullptr || pod->terminal()) continue;
     if (!cluster_->IsDraining(pod->node)) continue;
     victim.evacuating = true;
-    auto replacement = std::make_unique<WorkerState>();
-    replacement->index = next_worker_index_++;
-    replacement->shard_limit = victim.shard_limit;
-    replacement->replace_victim = victim.index;
-    workers_.push_back(std::move(replacement));
-    CreateWorkerPod(*workers_.back());
+    WorkerState& replacement = AddWorker(config_, &workers_);
+    replacement.shard_limit = victim.shard_limit;
+    replacement.replace_victim = victim.index;
     // Scarcity fallback: if the replacement has not reached Running by the
     // deadline, give up on make-before-break for this worker.
     const int victim_index = victim.index;
-    const int repl_index = workers_.back()->index;
-    sim_->ScheduleAfter(spec_.drain_fallback_timeout,
+    const int repl_index = replacement.index;
+    sim_->ScheduleAfter(kDrainFallbackTimeout,
                         [this, victim_index, repl_index] {
                           DrainFallback(victim_index, repl_index);
                         });
@@ -1090,7 +1021,7 @@ int TrainingJob::EvacuateDrainingPods() {
 }
 
 void TrainingJob::DrainFallback(int victim_index, int replacement_index) {
-  if (finished() || transition_ != TransitionKind::kNone) return;
+  if (finished() || transition_.kind != TransitionKind::kNone) return;
   WorkerState* replacement = FindWorkerByIndex(replacement_index);
   // Handoff already happened, the replacement died (its stop handler reset
   // the victim), or a restart rebuilt the worker set: nothing to do.
@@ -1184,18 +1115,33 @@ void TrainingJob::KillAllPods(bool graceful) {
   };
   retire_all(workers_);
   retire_all(ps_);
-  retire_all(staged_workers_);
-  retire_all(staged_ps_);
+  retire_all(transition_.staged_workers);
+  retire_all(transition_.staged_ps);
   InvalidateIterationCache();
-  auto kill_all = [&](auto& members) {
-    for (auto& m : members) {
-      if (m->pod != 0) cluster_->KillPod(m->pod, graceful);
+  RetireMembers(&workers_, graceful);
+  RetireMembers(&ps_, graceful);
+  RetireMembers(&transition_.staged_workers, graceful);
+  RetireMembers(&transition_.staged_ps, graceful);
+}
+
+template <typename Member>
+void TrainingJob::RetireMembers(
+    std::vector<std::unique_ptr<Member>>* members, bool graceful,
+    std::vector<std::unique_ptr<Member>>* graveyard) {
+  for (auto& m : *members) {
+    if (!m->retired) {
+      if constexpr (std::is_same_v<Member, WorkerState>) InterruptWorker(*m);
+      m->retired = true;
     }
-  };
-  kill_all(workers_);
-  kill_all(ps_);
-  kill_all(staged_workers_);
-  kill_all(staged_ps_);
+    // Killing an already-retired member is a no-op: every path that retires
+    // a member also kills its pod (or runs inside that pod's stop handler),
+    // and Cluster::KillPod returns early on a terminal pod, a recycled id
+    // and id 0.
+    cluster_->KillPod(m->pod, graceful);
+  }
+  if (graveyard == nullptr) return;
+  for (auto& m : *members) graveyard->push_back(std::move(m));
+  members->clear();
 }
 
 int TrainingJob::ActiveWorkerCount() const {
@@ -1258,7 +1204,7 @@ void TrainingJob::CheckpointTick() {
   const bool training_live =
       state_ == JobState::kRunning ||
       (state_ == JobState::kMigrating &&
-       transition_ == TransitionKind::kSeamless);
+       transition_.kind == TransitionKind::kSeamless);
   if (!training_live) return;
   // Periodic fault-tolerance checkpoints run asynchronously (snapshot is
   // consistent as of now, becomes durable after the write completes).
@@ -1268,14 +1214,18 @@ void TrainingJob::CheckpointTick() {
   sim_->ScheduleAfter(write, [this, batches, bytes] {
     if (finished()) return;
     if (batches >= last_checkpoint_.trained_batches) {
-      last_checkpoint_.saved_at = sim_->Now();
-      last_checkpoint_.trained_batches = batches;
-      last_checkpoint_.bytes = bytes;
-      last_checkpoint_.store =
-          spec_.use_flash_checkpoint ? cache_.name() : rds_.name();
+      RecordCheckpoint(batches, bytes);
     }
   });
   if (spec_.use_flash_checkpoint) cache_.AsyncFlushToRds(bytes);
+}
+
+void TrainingJob::RecordCheckpoint(uint64_t batches, Bytes bytes) {
+  last_checkpoint_.saved_at = sim_->Now();
+  last_checkpoint_.trained_batches = batches;
+  last_checkpoint_.bytes = bytes;
+  last_checkpoint_.store =
+      spec_.use_flash_checkpoint ? cache_.name() : rds_.name();
 }
 
 void TrainingJob::UpdateMemoryAndUsage() {
@@ -1343,7 +1293,7 @@ void TrainingJob::UpdateMemoryAndUsage() {
 void TrainingJob::ProfileTick() {
   if (finished()) return;
   if (state_ == JobState::kInitializing &&
-      sim_->Now() - stats_.submit_time > spec_.pending_timeout) {
+      sim_->Now() - stats_.submit_time > kPendingTimeout) {
     FailJob("scheduling: pods pending beyond timeout");
     return;
   }
@@ -1412,7 +1362,7 @@ void TrainingJob::MaybeReportPsSlowdown() {
   // fires. The uniform collapse itself — against the job's own best
   // steady-state rate — is the signal, and the PS nodes are the suspects.
   if (state_ != JobState::kRunning || paused_ ||
-      transition_ != TransitionKind::kNone) {
+      transition_.kind != TransitionKind::kNone) {
     return;
   }
   const double smoothed = SmoothedThroughput();
@@ -1421,7 +1371,7 @@ void TrainingJob::MaybeReportPsSlowdown() {
   // Settling window after any rescale/recovery: the baseline is re-learned
   // and no verdicts are issued, so legitimate plan-driven throughput moves
   // can never be mistaken for node degradation.
-  if (sim_->Now() - last_disruption_ < 5.0 * spec_.profile_interval ||
+  if (sim_->Now() - last_disruption_ < 5.0 * kProfileInterval ||
       best_smoothed_ <= 0.0) {
     return;
   }

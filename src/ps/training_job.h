@@ -64,20 +64,13 @@ struct JobSpec {
   uint64_t total_steps = 200000;  // total batches across all workers
   DataMode data_mode = DataMode::kDynamicSharding;
 
-  /// Replace crashed workers with fresh pods (dynamic sharding only).
-  bool auto_replace_failed_workers = true;
   /// Use the in-memory flash-checkpoint tier (vs. RDS) for migrations and
   /// PS recovery.
   bool use_flash_checkpoint = true;
   /// Interval of the periodic fault-tolerance checkpoint.
   Duration checkpoint_interval = Minutes(10);
-  /// Profiling/reporting tick.
-  Duration profile_interval = Seconds(30);
   /// Job gives up after this many full restarts.
   int max_restarts = 5;
-  /// A job that cannot get all its pods scheduled within this window fails
-  /// with a scheduling error (the "Scheduling" failure class of Table 4).
-  Duration pending_timeout = Minutes(90);
   /// Initial imbalance of parameter shares across PSes (empty = balanced).
   /// Models TensorFlow's tensor-granularity placement (paper: hot PSes).
   std::vector<double> ps_shares;
@@ -93,10 +86,6 @@ struct JobSpec {
   /// default) relaunches immediately, byte-identical to the legacy path.
   Duration relaunch_backoff_base = 0.0;
   Duration relaunch_backoff_cap = Seconds(60);
-  /// Make-before-break drain: when a staged replacement for a worker on a
-  /// draining node is still not Running after this long, give up waiting
-  /// (scarcity) and stop-and-restart the victim through the crash path.
-  Duration drain_fallback_timeout = Minutes(6);
 };
 
 /// One profiling snapshot; consumed by the optimizer's model fitter and by
@@ -149,6 +138,9 @@ struct JobStats {
   int shard_reports_expired = 0;
   /// Degraded-PS evidence reports sent to the node-health tracker.
   int ps_slowdown_reports = 0;
+  /// Seamless migrations whose staged pods were not all Running within the
+  /// watchdog window and were reverted onto the old deployment.
+  int seamless_aborts = 0;
   std::string fail_reason;
 
   /// Job completion time; only meaningful once finished.
@@ -241,7 +233,7 @@ class TrainingJob {
   /// land off the node because placement excludes cordoned nodes); draining
   /// workers each get a staged replacement that must reach Running — image
   /// pulled, container up — before the victim is stopped. Under scarcity
-  /// (replacement unschedulable within drain_fallback_timeout, or repeated
+  /// (replacement unschedulable within the drain fallback timeout, or repeated
   /// seamless aborts) the drain falls back to stop-and-restart. Returns how
   /// many evacuations were initiated. No-op when nothing is draining.
   int EvacuateDrainingPods();
@@ -319,9 +311,29 @@ class TrainingJob {
     double share = 0.0;
   };
 
-  // Pod lifecycle plumbing.
-  void CreateWorkerPod(WorkerState& worker);
-  void CreatePsPod(PsState& ps);
+  using WorkerSet = std::vector<std::unique_ptr<WorkerState>>;
+  using PsSet = std::vector<std::unique_ptr<PsState>>;
+
+  // Pod lifecycle plumbing. AddWorker and AddPs are the only places a member
+  // is constructed; each appends a fresh index to `set` and submits its pod
+  // with `config`'s request.
+  WorkerState& AddWorker(const JobConfig& config, WorkerSet* set);
+  void AddPs(const JobConfig& config, double share, PsSet* set);
+  void CreateWorkerPod(WorkerState& worker, const JobConfig& config);
+  void CreatePsPod(PsState& ps, const JobConfig& config);
+  /// Appends `config`'s whole deployment to `workers` and `ps`: every
+  /// worker first, then every PS with the matching entry of `shares`
+  /// (empty = 1/num_ps each).
+  void BuildDeployment(const JobConfig& config,
+                       const std::vector<double>& shares, WorkerSet* workers,
+                       PsSet* ps);
+  /// Retires `members` in order (a worker not yet retired has its shard
+  /// requeued first) and kills their pods; with a `graveyard`, the members
+  /// move there afterwards.
+  template <typename Member>
+  void RetireMembers(std::vector<std::unique_ptr<Member>>* members,
+                     bool graceful,
+                     std::vector<std::unique_ptr<Member>>* graveyard = nullptr);
   void OnWorkerRunning(WorkerState& worker);
   void OnWorkerStopped(WorkerState& worker, PodStopReason reason);
   void OnPsRunning(PsState& ps);
@@ -378,11 +390,20 @@ class TrainingJob {
   void BeginSeamless(const JobConfig& new_config);
   void FinishMigrationIfReady();
   void AbortSeamlessIfStuck(uint64_t epoch);
+  /// Ends the in-flight transition: retires the staged members into the
+  /// graveyard, clears the kind and the pending config, and bumps the epoch.
+  void EndTransition();
   void RecoverFromPsLoss(PsState& ps, bool was_oom);
   void RestartFromCheckpoint(const std::string& why);
   void Complete();
   void FailJob(const std::string& reason);
   void KillAllPods(bool graceful);
+  /// The one writer of last_checkpoint_ after construction: a checkpoint of
+  /// `batches` trained batches and `bytes` of model, durable now.
+  void RecordCheckpoint(uint64_t batches, Bytes bytes);
+  /// A disruption moved the job's throughput: the degraded-PS detector
+  /// re-learns its baseline (see MaybeReportPsSlowdown).
+  void ResetThroughputBaseline();
 
   // Periodic work.
   void ProfileTick();
@@ -400,8 +421,8 @@ class TrainingJob {
   Rng rng_;
 
   JobState state_ = JobState::kInitializing;
-  std::vector<std::unique_ptr<WorkerState>> workers_;
-  std::vector<std::unique_ptr<PsState>> ps_;
+  WorkerSet workers_;
+  PsSet ps_;
   std::unique_ptr<ShardQueue> shard_queue_;  // dynamic mode
   uint64_t static_completed_ = 0;            // static mode: finished batches
   HeartbeatMonitor monitor_;
@@ -412,26 +433,35 @@ class TrainingJob {
   JobStats stats_;
   std::vector<ThroughputSample> history_;
 
-  // Migration bookkeeping.
+  // Transition bookkeeping (DESIGN.md, "Job transitions").
   enum class TransitionKind : int {
     kNone = 0,
     kStopRestart = 1,  // stop-and-restart migration or full restart
     kSeamless = 2,     // staged pods coming up while training continues
     kPsRecovery = 3,   // replacing a single lost PS
   };
+  /// Everything an in-flight transition owns. `epoch` is the staleness
+  /// token of deferred transition callbacks: it bumps when a seamless
+  /// migration begins, when its staged set is complete, and in every
+  /// EndTransition, and a callback that captured an older value belongs to
+  /// a transition that already ended.
+  struct Transition {
+    TransitionKind kind = TransitionKind::kNone;
+    uint64_t epoch = 0;
+    /// The seamless migration's target config.
+    std::optional<JobConfig> pending;
+    /// The seamless migration's replacement deployment.
+    WorkerSet staged_workers;
+    PsSet staged_ps;
+    /// When a stop-and-restart killed the old pods (pod-wait accounting).
+    SimTime restart_kill_time = 0.0;
+  };
+  Transition transition_;
   bool paused_ = false;
-  TransitionKind transition_ = TransitionKind::kNone;
-  std::optional<JobConfig> pending_config_;
-  std::vector<std::unique_ptr<WorkerState>> staged_workers_;
-  std::vector<std::unique_ptr<PsState>> staged_ps_;
-  std::vector<std::unique_ptr<WorkerState>> retired_workers_;
-  std::vector<std::unique_ptr<PsState>> retired_ps_;
-  SimTime restart_kill_time_ = 0.0;
+  WorkerSet retired_workers_;
+  PsSet retired_ps_;
   /// Last OOM-prevention scale-up; throttles repeated bumps.
   SimTime last_oom_scale_ = -1.0e18;
-  /// Monotone id for seamless migrations so timeout events can tell whether
-  /// "their" migration is still in flight.
-  uint64_t migration_epoch_ = 0;
   int next_worker_index_ = 0;
   int next_ps_index_ = 0;
   /// Consecutive relaunches without an intervening healthy start; feeds the

@@ -286,7 +286,7 @@ TEST(DrainMigrationTest, WorkersEvacuateMakeBeforeBreak) {
   cluster_options.node_capacity = {32.0, GiB(192)};
   Cluster cluster(&sim, cluster_options);
   TrainingJob job(&sim, &cluster, DrainSpec(), DrainConfig());
-  JobMaster master(&sim, &job);  // drain_migration defaults on
+  JobMaster master(&sim, &job);  // every master tick runs the drain pass
   job.Start();
   master.Start();
   sim.RunUntil(Minutes(10));

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cluster/cluster.h"
 #include "cluster/failure_injector.h"
 #include "sim/simulator.h"
@@ -35,15 +38,25 @@ JobConfig TunedConfig() {
   return config;
 }
 
-std::vector<PodId> RunningWorkerPods(const Cluster& cluster) {
+// Running pods whose name contains `role` ("-worker-", "-ps-").
+std::vector<PodId> RunningPods(const Cluster& cluster,
+                               const std::string& role = "-worker-") {
   std::vector<PodId> ids;
   cluster.VisitPods([&](const Pod& pod) {
     if (pod.phase == PodPhase::kRunning &&
-        pod.spec.name.find("worker") != std::string::npos) {
+        pod.spec.name.find(role) != std::string::npos) {
       ids.push_back(pod.id);
     }
   });
   return ids;
+}
+
+int LivePods(const Cluster& cluster) {
+  int count = 0;
+  cluster.VisitPods([&](const Pod& pod) {
+    if (!pod.terminal()) ++count;
+  });
+  return count;
 }
 
 TEST(TrainingJobTest, RunsToCompletion) {
@@ -89,7 +102,7 @@ TEST(TrainingJobTest, SurvivesWorkerCrashWithDynamicSharding) {
   ASSERT_EQ(job.state(), JobState::kRunning);
   // Crash two workers: shards must be re-queued, replacements created.
   int crashed = 0;
-  for (PodId id : RunningWorkerPods(cluster)) {
+  for (PodId id : RunningPods(cluster)) {
     if (crashed >= 2) break;
     cluster.FailPod(id, PodStopReason::kCrash);
     ++crashed;
@@ -112,7 +125,7 @@ TEST(TrainingJobTest, StaticPartitionRestartsOnWorkerCrash) {
   job.Start();
   sim.RunUntil(Minutes(5));
   ASSERT_EQ(job.state(), JobState::kRunning);
-  const std::vector<PodId> crash_targets = RunningWorkerPods(cluster);
+  const std::vector<PodId> crash_targets = RunningPods(cluster);
   ASSERT_FALSE(crash_targets.empty());
   cluster.FailPod(crash_targets.front(), PodStopReason::kCrash);
   sim.RunUntil(Hours(8));
@@ -166,6 +179,96 @@ TEST(TrainingJobTest, SeamlessMigrationMuchCheaperThanStopRestart) {
   EXPECT_GT(restart.downtime_checkpoint, Minutes(2));
   EXPECT_GT(restart.downtime_waiting_pods, Seconds(20));
   EXPECT_EQ(seamless.downtime_waiting_pods, 0.0);
+}
+
+TEST(TrainingJobTest, UnplaceableSeamlessPlanIsRevertedByWatchdog) {
+  Simulator sim;
+  Cluster cluster(&sim, SmallCluster());
+  TrainingJob job(&sim, &cluster, QuickSpec(120000), TunedConfig());
+  job.Start();
+  sim.RunUntil(Minutes(5));
+  ASSERT_EQ(job.state(), JobState::kRunning);
+  const uint64_t before = job.batches_done();
+
+  // Every staged worker asks for more CPU than any node has, so the staged
+  // deployment never comes up and the migration can only be aborted.
+  JobConfig oversized = TunedConfig();
+  oversized.worker_cpu = 64.0;
+  ASSERT_TRUE(job.ApplyPlan(oversized, MigrationMode::kSeamless).ok());
+  EXPECT_EQ(job.state(), JobState::kMigrating);
+  sim.RunUntil(sim.Now() + Minutes(11));
+  EXPECT_EQ(job.state(), JobState::kMigrating);
+  EXPECT_EQ(job.stats().seamless_aborts, 0);
+  EXPECT_GT(job.batches_done(), before) << "old pods train while staged";
+
+  sim.RunUntil(sim.Now() + Minutes(2));
+  EXPECT_EQ(job.stats().seamless_aborts, 1);
+  EXPECT_EQ(job.state(), JobState::kRunning);
+  EXPECT_EQ(job.config(), TunedConfig());
+  EXPECT_EQ(job.stats().migrations, 0);
+  // The old deployment is intact and the staged pods are gone.
+  EXPECT_EQ(RunningPods(cluster).size(), 8u);
+  EXPECT_EQ(RunningPods(cluster, "-ps-").size(), 2u);
+  EXPECT_EQ(LivePods(cluster), 10);
+  EXPECT_EQ(job.ActiveWorkerCount(), 8);
+
+  sim.RunUntil(Hours(8));
+  ASSERT_EQ(job.state(), JobState::kCompleted);
+  EXPECT_EQ(job.batches_done(), 120000u);
+  EXPECT_EQ(job.stats().worker_failures, 0);
+}
+
+TEST(TrainingJobTest, PodSetsMatchConfigAcrossEveryTransition) {
+  Simulator sim;
+  Cluster cluster(&sim, SmallCluster());
+  TrainingJob job(&sim, &cluster, QuickSpec(200000), TunedConfig());
+  job.Start();
+  sim.RunUntil(Minutes(5));
+  ASSERT_EQ(job.state(), JobState::kRunning);
+  auto expect_pods_match_config = [&](const char* after) {
+    EXPECT_EQ(job.state(), JobState::kRunning) << after;
+    EXPECT_EQ(RunningPods(cluster).size(),
+              static_cast<size_t>(job.config().num_workers))
+        << after;
+    EXPECT_EQ(RunningPods(cluster, "-ps-").size(),
+              static_cast<size_t>(job.config().num_ps))
+        << after;
+    EXPECT_EQ(LivePods(cluster),
+              job.config().num_workers + job.config().num_ps)
+        << after;
+    EXPECT_EQ(job.ActiveWorkerCount(), job.config().num_workers) << after;
+  };
+
+  JobConfig seamless = TunedConfig();
+  seamless.num_ps = 3;
+  ASSERT_TRUE(job.ApplyPlan(seamless, MigrationMode::kSeamless).ok());
+  sim.RunUntil(sim.Now() + Minutes(10));
+  EXPECT_EQ(job.stats().migrations, 1);
+  EXPECT_EQ(job.config(), seamless);
+  expect_pods_match_config("seamless migration");
+
+  JobConfig restart = seamless;
+  restart.num_workers = 6;
+  restart.worker_cpu = 6.0;
+  ASSERT_TRUE(job.ApplyPlan(restart, MigrationMode::kStopAndRestart).ok());
+  sim.RunUntil(sim.Now() + Minutes(15));
+  EXPECT_EQ(job.stats().migrations, 2);
+  EXPECT_EQ(job.config(), restart);
+  expect_pods_match_config("stop-and-restart");
+
+  const std::vector<PodId> ps_pods = RunningPods(cluster, "-ps-");
+  ASSERT_FALSE(ps_pods.empty());
+  cluster.FailPod(ps_pods.front(), PodStopReason::kCrash);
+  EXPECT_EQ(job.state(), JobState::kRestoring);
+  sim.RunUntil(sim.Now() + Minutes(10));
+  EXPECT_EQ(job.stats().ps_failures, 1);
+  EXPECT_EQ(job.stats().full_restarts, 0);
+  expect_pods_match_config("PS recovery");
+
+  sim.RunUntil(Hours(12));
+  ASSERT_EQ(job.state(), JobState::kCompleted);
+  EXPECT_EQ(job.batches_done(), 200000u);
+  EXPECT_EQ(job.stats().seamless_aborts, 0);
 }
 
 TEST(TrainingJobTest, PsOomTriggersRecoveryAndVerticalScale) {
@@ -223,7 +326,7 @@ TEST(TrainingJobTest, RelaunchBackoffDelaysWorkerReplacement) {
     return count;
   };
   const int before = live_worker_pods();
-  const std::vector<PodId> targets = RunningWorkerPods(cluster);
+  const std::vector<PodId> targets = RunningPods(cluster);
   ASSERT_FALSE(targets.empty());
   cluster.FailPod(targets.front(), PodStopReason::kCrash);
 
@@ -279,7 +382,7 @@ TEST(TrainingJobTest, ReapSilentWorkersReplacesHalfDeadPod) {
   // Degrade one worker pod to near-zero speed: the pod stays Running but
   // will never finish another shard, so its heartbeats stop — the
   // half-dead failure mode heartbeat timeouts exist for.
-  const std::vector<PodId> targets = RunningWorkerPods(cluster);
+  const std::vector<PodId> targets = RunningPods(cluster);
   ASSERT_FALSE(targets.empty());
   cluster.DegradePod(targets.front(), 1e-4);
   sim.RunUntil(sim.Now() + Minutes(10));
@@ -299,7 +402,7 @@ TEST(TrainingJobTest, StragglerMitigationShrinksShards) {
   sim.RunUntil(Minutes(5));
   ASSERT_EQ(job.state(), JobState::kRunning);
   // Degrade one worker pod to 3% speed (paper's straggler experiment).
-  const std::vector<PodId> degrade_targets = RunningWorkerPods(cluster);
+  const std::vector<PodId> degrade_targets = RunningPods(cluster);
   ASSERT_FALSE(degrade_targets.empty());
   cluster.DegradePod(degrade_targets.front(), 0.03);
   PeriodicTask mitigate(&sim, Seconds(30), [&job] { job.MitigateStragglers(); });
