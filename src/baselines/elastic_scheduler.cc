@@ -3,6 +3,18 @@
 #include <algorithm>
 
 namespace dlrover {
+namespace {
+/// Fixed number of workers added/removed per adjustment (the paper notes
+/// ES changes a fixed number of nodes each time).
+constexpr int kStep = 2;
+/// Relative throughput improvement required to keep scaling in the same
+/// direction.
+constexpr double kImproveThreshold = 0.04;
+constexpr int kMinWorkers = 2;
+constexpr int kMaxWorkers = 40;
+/// After stalling, re-probe upward every this many rounds.
+constexpr int kReprobeRounds = 5;
+}  // namespace
 
 std::optional<ResourcePlan> ElasticSchedulerPolicy::Propose(TrainingJob& job) {
   if (job.state() != JobState::kRunning) return std::nullopt;
@@ -13,8 +25,7 @@ std::optional<ResourcePlan> ElasticSchedulerPolicy::Propose(TrainingJob& job) {
   const int workers = job.config().num_workers;
 
   auto make_plan = [&](int new_workers) -> std::optional<ResourcePlan> {
-    new_workers =
-        std::clamp(new_workers, options_.min_workers, options_.max_workers);
+    new_workers = std::clamp(new_workers, kMinWorkers, kMaxWorkers);
     if (new_workers == workers) return std::nullopt;
     ResourcePlan plan;
     plan.config = job.config();
@@ -28,15 +39,15 @@ std::optional<ResourcePlan> ElasticSchedulerPolicy::Propose(TrainingJob& job) {
 
   if (state.last_workers == 0) {
     // First observation: probe upward.
-    return make_plan(workers + options_.step);
+    return make_plan(workers + kStep);
   }
 
   ++state.rounds_since_change;
   if (state.stalled) {
-    if (state.rounds_since_change >= options_.reprobe_rounds) {
+    if (state.rounds_since_change >= kReprobeRounds) {
       state.stalled = false;
       state.direction = +1;
-      return make_plan(workers + options_.step);
+      return make_plan(workers + kStep);
     }
     return std::nullopt;
   }
@@ -47,21 +58,21 @@ std::optional<ResourcePlan> ElasticSchedulerPolicy::Propose(TrainingJob& job) {
   const bool grew = workers > state.last_workers;
   const bool shrank = workers < state.last_workers;
 
-  if ((grew && improvement >= options_.improve_threshold) ||
-      (shrank && improvement >= -options_.improve_threshold / 2)) {
+  if ((grew && improvement >= kImproveThreshold) ||
+      (shrank && improvement >= -kImproveThreshold / 2)) {
     // The move paid off (or shrinking was ~free): continue this direction.
-    return make_plan(workers + state.direction * options_.step);
+    return make_plan(workers + state.direction * kStep);
   }
   if (grew) {
     // Growth stopped paying: give the resources back and stall.
     state.stalled = true;
     state.direction = -1;
-    return make_plan(workers - options_.step);
+    return make_plan(workers - kStep);
   }
   // Shrinking hurt: grow back and stall there.
   state.stalled = true;
   state.direction = +1;
-  return make_plan(workers + options_.step);
+  return make_plan(workers + kStep);
 }
 
 }  // namespace dlrover

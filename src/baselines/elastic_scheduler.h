@@ -7,19 +7,6 @@
 
 namespace dlrover {
 
-struct ElasticSchedulerOptions {
-  /// Fixed number of workers added/removed per adjustment (the paper notes
-  /// ES changes a fixed number of nodes each time).
-  int step = 2;
-  /// Relative throughput improvement required to keep scaling in the same
-  /// direction.
-  double improve_threshold = 0.04;
-  int min_workers = 2;
-  int max_workers = 40;
-  /// After stalling, re-probe upward every this many rounds.
-  int reprobe_rounds = 5;
-};
-
 /// Baseline: Elastic Scheduler (Or et al., MLSys'20) as characterized in
 /// the paper — scales *workers only*, by a fixed step, using hill climbing
 /// on observed throughput. It never touches parameter servers or per-pod
@@ -27,9 +14,6 @@ struct ElasticSchedulerOptions {
 /// the gap DLRover-RM's lookup-aware model exploits.
 class ElasticSchedulerPolicy : public ScalingPolicy {
  public:
-  explicit ElasticSchedulerPolicy(const ElasticSchedulerOptions& options = {})
-      : options_(options) {}
-
   std::string name() const override { return "elastic-scheduler"; }
   std::optional<ResourcePlan> Propose(TrainingJob& job) override;
 
@@ -42,7 +26,6 @@ class ElasticSchedulerPolicy : public ScalingPolicy {
     int rounds_since_change = 0;
   };
 
-  ElasticSchedulerOptions options_;
   std::map<const TrainingJob*, PerJobState> states_;
 };
 

@@ -5,6 +5,12 @@
 #include "perfmodel/profile_ingest.h"
 
 namespace dlrover {
+namespace {
+constexpr int kMaxWorkers = 40;
+constexpr int kMaxPs = 8;
+/// Minimum predicted marginal throughput gain (samples/sec) to act.
+constexpr double kMinGain = 50.0;
+}  // namespace
 
 std::optional<ResourcePlan> OptimusPolicy::Propose(TrainingJob& job) {
   if (job.state() != JobState::kRunning) return std::nullopt;
@@ -48,7 +54,7 @@ std::optional<ResourcePlan> OptimusPolicy::Propose(TrainingJob& job) {
     // configuration shape), Optimus grows by its default action of adding
     // one worker.
     if (state.fitter->observation_count() < 2) return std::nullopt;
-    if (job.config().num_workers + 1 > options_.max_workers) {
+    if (job.config().num_workers + 1 > kMaxWorkers) {
       return std::nullopt;
     }
     ResourcePlan plan;
@@ -64,10 +70,10 @@ std::optional<ResourcePlan> OptimusPolicy::Propose(TrainingJob& job) {
 
   // Gains must clear both an absolute floor and a relative one: Optimus
   // stops once marginal pods stop paying for themselves.
-  double best_gain = std::max(options_.min_gain, 0.05 * base);
+  double best_gain = std::max(kMinGain, 0.05 * base);
   std::optional<JobConfig> best;
 
-  if (current.num_workers + 1 <= options_.max_workers) {
+  if (current.num_workers + 1 <= kMaxWorkers) {
     JobConfig plus_worker = current;
     ++plus_worker.num_workers;
     const double gain = state.model->PredictThroughput(
@@ -78,7 +84,7 @@ std::optional<ResourcePlan> OptimusPolicy::Propose(TrainingJob& job) {
       best = plus_worker;
     }
   }
-  if (current.num_ps + 1 <= options_.max_ps) {
+  if (current.num_ps + 1 <= kMaxPs) {
     JobConfig plus_ps = current;
     ++plus_ps.num_ps;
     const double gain = state.model->PredictThroughput(

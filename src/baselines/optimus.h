@@ -10,10 +10,6 @@
 namespace dlrover {
 
 struct OptimusOptions {
-  int max_workers = 40;
-  int max_ps = 8;
-  /// Minimum predicted marginal throughput gain (samples/sec) to act.
-  double min_gain = 50.0;
   /// Stop adjusting after this many adjustments that realized < 30% of the
   /// predicted gain.
   int max_disappointments = 2;

@@ -7,6 +7,20 @@
 #include "common/logging.h"
 
 namespace dlrover {
+namespace {
+/// Plans must beat the current throughput by this relative margin to be
+/// applied (hysteresis against churn).
+constexpr double kMinRelativeGain = 0.05;
+/// Measured/predicted throughput ratio below which a job is considered
+/// degraded (hot PS / interference); two consecutive degraded rounds
+/// trigger a seamless rebalancing migration.
+constexpr double kDegradedRatio = 0.55;
+/// Sliding window of profiler observations kept per job.
+constexpr size_t kFitterWindow = 240;
+/// Rounds to wait after applying a plan before proposing another for the
+/// same job (lets the new configuration produce clean measurements).
+constexpr int kPlanCooldownRounds = 3;
+}  // namespace
 
 ClusterBrain::ClusterBrain(Simulator* sim, const BrainOptions& options)
     : sim_(sim), options_(options) {
@@ -53,10 +67,10 @@ void ClusterBrain::IngestProfiles(ManagedJob& managed) {
     managed.fitter->AddObservation(obs);
   }
   // Sliding window: drop stale observations so the fit tracks the present.
-  if (managed.fitter->observation_count() > options_.fitter_window) {
+  if (managed.fitter->observation_count() > kFitterWindow) {
     std::vector<PerfObservation> recent(
         managed.fitter->observations().end() -
-            static_cast<long>(options_.fitter_window),
+            static_cast<long>(kFitterWindow),
         managed.fitter->observations().end());
     managed.fitter->Clear();
     for (const auto& obs : recent) managed.fitter->AddObservation(obs);
@@ -86,7 +100,7 @@ void ClusterBrain::HandleInstability(ManagedJob& managed) {
   // (robust even when degraded samples have already polluted the fit).
   const bool below_model = managed.fitted && predicted > 0.0 &&
                            measured > 0.0 &&
-                           measured < options_.degraded_ratio * predicted;
+                           measured < kDegradedRatio * predicted;
   const bool below_best =
       managed.best_throughput > 0.0 && measured > 0.0 &&
       measured < 0.5 * managed.best_throughput;
@@ -191,7 +205,7 @@ void ClusterBrain::RunRound() {
       JobConfig probe = job.config();
       switch (managed.explore_step % 4) {
         case 0: {
-          const int cap = std::min(options_.plan.space.max_workers,
+          const int cap = std::min(PlanGenerator::kDefaultSpace.max_workers,
                                    managed.meta.max_workers_quota);
           const int up = std::min(
               std::max(probe.num_workers + 2, probe.num_workers * 3 / 2),
@@ -204,15 +218,16 @@ void ClusterBrain::RunRound() {
           break;
         }
         case 1: {
-          const int up =
-              std::min(probe.num_ps + 1, options_.plan.space.max_ps);
+          const int up = std::min(probe.num_ps + 1,
+                                  PlanGenerator::kDefaultSpace.max_ps);
           probe.num_ps =
               up != probe.num_ps ? up : std::max(1, probe.num_ps - 1);
           break;
         }
         case 2: {
-          const Cores up = std::min(probe.worker_cpu + 2.0,
-                                    options_.plan.space.max_worker_cpu);
+          const Cores up =
+              std::min(probe.worker_cpu + 2.0,
+                       PlanGenerator::kDefaultSpace.max_worker_cpu);
           probe.worker_cpu =
               up != probe.worker_cpu ? up
                                      : std::max(1.0, probe.worker_cpu - 2.0);
@@ -220,7 +235,7 @@ void ClusterBrain::RunRound() {
         }
         default: {
           const Cores up = std::min(probe.ps_cpu + 2.0,
-                                    options_.plan.space.max_ps_cpu);
+                                    PlanGenerator::kDefaultSpace.max_ps_cpu);
           probe.ps_cpu =
               up != probe.ps_cpu ? up : std::max(1.0, probe.ps_cpu - 2.0);
           break;
@@ -235,14 +250,14 @@ void ClusterBrain::RunRound() {
     if (!managed.fitted || job.state() != JobState::kRunning) continue;
     if (managed.degraded_rounds > 0) continue;  // wait for a clean window
     ++managed.rounds_since_plan;
-    if (managed.rounds_since_plan <= options_.plan_cooldown_rounds) continue;
+    if (managed.rounds_since_plan <= kPlanCooldownRounds) continue;
 
     // Trust region: the fitted model is only trustworthy near observed
     // configurations. Restrict each decision variable to a modest expansion
     // of its observed support (and freeze it entirely when only one value
     // was ever observed) — applying a plan then extends the support, so the
     // region grows organically round over round.
-    PlanSearchSpace space = options_.plan.space;
+    PlanSearchSpace space = PlanGenerator::kDefaultSpace;
     space.max_workers = std::min(space.max_workers,
                                  managed.meta.max_workers_quota);
     {
@@ -292,7 +307,7 @@ void ClusterBrain::RunRound() {
         &space);
     // Hysteresis: drop marginal plans.
     const double floor_gain =
-        options_.min_relative_gain * std::max(1.0, job.SmoothedThroughput());
+        kMinRelativeGain * std::max(1.0, job.SmoothedThroughput());
     request.candidates.erase(
         std::remove_if(request.candidates.begin(), request.candidates.end(),
                        [&](const PlanCandidate& c) {
@@ -320,8 +335,8 @@ void ClusterBrain::RunRound() {
   const auto selected = GreedySelector::Select(requests, budget);
   for (const auto& [id, plan] : selected) {
     ManagedJob& managed = *by_id[id];
-    const Status status = DeliverPlan(
-        managed, plan.config, options_.plan.mode);
+    const Status status =
+        DeliverPlan(managed, plan.config, PlanGenerator::kMode);
     if (status.ok()) {
       ++plans_applied_;
       managed.rounds_since_plan = 0;

@@ -25,18 +25,6 @@ struct BrainOptions {
   ResourceSpec budget{640.0, TiB(3.75)};
   PlanGeneratorOptions plan;
   WarmStartOptions warm_start;
-  /// Plans must beat the current throughput by this relative margin to be
-  /// applied (hysteresis against churn).
-  double min_relative_gain = 0.05;
-  /// Measured/predicted throughput ratio below which a job is considered
-  /// degraded (hot PS / interference); two consecutive degraded rounds
-  /// trigger a seamless rebalancing migration.
-  double degraded_ratio = 0.55;
-  /// Sliding window of profiler observations kept per job.
-  size_t fitter_window = 240;
-  /// Rounds to wait after applying a plan before proposing another for the
-  /// same job (lets the new configuration produce clean measurements).
-  int plan_cooldown_rounds = 3;
 };
 
 /// The cluster brain (paper Fig 4): receives runtime profiles from job

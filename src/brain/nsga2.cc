@@ -7,6 +7,11 @@
 #include <numeric>
 
 namespace dlrover {
+namespace {
+constexpr double kCrossoverProb = 0.9;
+constexpr double kEtaCrossover = 15.0;  // SBX distribution index
+constexpr double kEtaMutation = 20.0;   // polynomial mutation index
+}  // namespace
 
 Nsga2::Nsga2(std::vector<DecisionBounds> bounds, ObjectiveFn objective,
              const Nsga2Options& options)
@@ -15,9 +20,6 @@ Nsga2::Nsga2(std::vector<DecisionBounds> bounds, ObjectiveFn objective,
       options_(options),
       rng_(options.seed) {
   assert(!bounds_.empty());
-  if (options_.mutation_prob <= 0.0) {
-    options_.mutation_prob = 1.0 / static_cast<double>(bounds_.size());
-  }
 }
 
 void Nsga2::FrontPeel::Reserve(size_t n) {
@@ -265,11 +267,11 @@ void Nsga2::SbxCrossover(const double* p1, const double* p2, double* c1,
                          double* c2) {
   std::copy_n(p1, bounds_.size(), c1);
   std::copy_n(p2, bounds_.size(), c2);
-  if (!rng_.Bernoulli(options_.crossover_prob)) return;
+  if (!rng_.Bernoulli(kCrossoverProb)) return;
   for (size_t i = 0; i < bounds_.size(); ++i) {
     if (!rng_.Bernoulli(0.5)) continue;
     const double u = rng_.Uniform();
-    const double eta = options_.eta_crossover;
+    const double eta = kEtaCrossover;
     const double beta =
         u <= 0.5 ? std::pow(2.0 * u, 1.0 / (eta + 1.0))
                  : std::pow(1.0 / (2.0 * (1.0 - u)), 1.0 / (eta + 1.0));
@@ -283,12 +285,14 @@ void Nsga2::SbxCrossover(const double* p1, const double* p2, double* c1,
 }
 
 void Nsga2::PolynomialMutation(double* x) {
+  // Each variable mutates with probability 1/num_vars.
+  const double mutation_prob = 1.0 / static_cast<double>(bounds_.size());
   for (size_t i = 0; i < bounds_.size(); ++i) {
-    if (!rng_.Bernoulli(options_.mutation_prob)) continue;
+    if (!rng_.Bernoulli(mutation_prob)) continue;
     const double span = bounds_[i].hi - bounds_[i].lo;
     if (span <= 0.0) continue;
     const double u = rng_.Uniform();
-    const double eta = options_.eta_mutation;
+    const double eta = kEtaMutation;
     const double delta =
         u < 0.5 ? std::pow(2.0 * u, 1.0 / (eta + 1.0)) - 1.0
                  : 1.0 - std::pow(2.0 * (1.0 - u), 1.0 / (eta + 1.0));

@@ -18,13 +18,11 @@ struct DecisionBounds {
   bool integer = false;
 };
 
+/// Population size, generation count and seed. The variation operators'
+/// rates and distribution indexes are constants in nsga2.cc.
 struct Nsga2Options {
   int population = 48;
   int generations = 40;
-  double crossover_prob = 0.9;
-  double mutation_prob = 0.0;  // 0 = use 1/num_vars
-  double eta_crossover = 15.0; // SBX distribution index
-  double eta_mutation = 20.0;  // polynomial mutation index
   uint64_t seed = 7;
 };
 

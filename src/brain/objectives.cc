@@ -5,6 +5,12 @@
 #include <cstdio>
 
 namespace dlrover {
+namespace {
+/// Remaining-time scale (seconds) that normalizes WG so rho exponentiation
+/// stays numerically tame; epsilon keeps a finished job's weight finite.
+constexpr double kWeightTimeScale = 3600.0;
+constexpr double kWeightEpsilon = 1e-6;
+}  // namespace
 
 double ResourceCost(const JobConfig& config, const PriceTable& prices) {
   return config.TotalCpu() * prices.cpu_core_hour +
@@ -66,8 +72,7 @@ double PriorityWeight(double remaining_samples, double planned_throughput,
                       const WeightOptions& options) {
   const double psi = std::max(1e-9, planned_throughput);
   const double remaining_time = remaining_samples / psi;  // Phi / Psi
-  const double scaled =
-      remaining_time / std::max(1.0, options.time_scale) + options.epsilon;
+  const double scaled = remaining_time / kWeightTimeScale + kWeightEpsilon;
   return 1.0 / std::pow(scaled, options.rho);
 }
 

@@ -58,10 +58,6 @@ double ResourceEfficiency(double throughput_gain, double cost_delta);
 /// plan. rho > 0 prioritizes short jobs (AntGroup uses rho = 2.5).
 struct WeightOptions {
   double rho = 2.5;
-  double epsilon = 1e-6;
-  /// Remaining-time scale (seconds) that normalizes the weight so rho
-  /// exponentiation stays numerically tame.
-  double time_scale = 3600.0;
 };
 
 double PriorityWeight(double remaining_samples, double planned_throughput,

@@ -4,6 +4,13 @@
 #include <cmath>
 
 namespace dlrover {
+namespace {
+constexpr bool kFlashCheckpoint = true;
+constexpr PriceTable kPrices{};
+constexpr ScalingOverheadModel kOverhead{};
+constexpr ThroughputGainOptions kGain{};
+constexpr WeightOptions kWeight{};
+}  // namespace
 
 PlanCandidate PlanGenerator::Score(const ThroughputModel& model,
                                    const PerfModelParams& params,
@@ -17,20 +24,16 @@ PlanCandidate PlanGenerator::Score(const ThroughputModel& model,
   plan.config = candidate;
   plan.predicted_throughput =
       model.PredictThroughput(params, batch_size, candidate);
-  plan.overhead = options_.overhead.Estimate(current, candidate,
-                                             options_.mode,
-                                             options_.flash_checkpoint,
-                                             model_bytes);
-  plan.throughput_gain =
-      ThroughputGain(current_throughput, plan.predicted_throughput,
-                     plan.overhead, options_.gain);
-  plan.resource_cost = ResourceCost(candidate, options_.prices);
-  plan.cost_delta =
-      plan.resource_cost - ResourceCost(current, options_.prices);
+  plan.overhead = kOverhead.Estimate(current, candidate, kMode,
+                                     kFlashCheckpoint, model_bytes);
+  plan.throughput_gain = ThroughputGain(
+      current_throughput, plan.predicted_throughput, plan.overhead, kGain);
+  plan.resource_cost = ResourceCost(candidate, kPrices);
+  plan.cost_delta = plan.resource_cost - ResourceCost(current, kPrices);
   plan.resource_efficiency =
       ResourceEfficiency(plan.throughput_gain, plan.cost_delta);
-  plan.weight = PriorityWeight(remaining_samples, plan.predicted_throughput,
-                               options_.weight);
+  plan.weight =
+      PriorityWeight(remaining_samples, plan.predicted_throughput, kWeight);
   return plan;
 }
 
@@ -40,7 +43,7 @@ std::vector<PlanCandidate> PlanGenerator::Generate(
     double remaining_samples, Bytes model_bytes,
     const PlanSearchSpace* space_override) const {
   const PlanSearchSpace& space =
-      space_override != nullptr ? *space_override : options_.space;
+      space_override != nullptr ? *space_override : kDefaultSpace;
   std::vector<DecisionBounds> bounds = {
       {static_cast<double>(space.min_workers),
        static_cast<double>(space.max_workers), true},  // w

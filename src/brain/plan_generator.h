@@ -26,14 +26,9 @@ struct PlanSearchSpace {
   Cores max_ps_cpu = 16.0;
 };
 
+/// The plan search's settings. The objectives' prices, overhead model and
+/// weights are fixed (the defaults of their structs, in plan_generator.cc).
 struct PlanGeneratorOptions {
-  PlanSearchSpace space;
-  PriceTable prices;
-  ScalingOverheadModel overhead;
-  ThroughputGainOptions gain;
-  WeightOptions weight;
-  MigrationMode mode = MigrationMode::kSeamless;
-  bool flash_checkpoint = true;
   Nsga2Options nsga2;
 };
 
@@ -44,11 +39,17 @@ struct PlanGeneratorOptions {
 /// the current config (the OOM predictor owns memory sizing).
 class PlanGenerator {
  public:
+  /// Search space used when Generate gets no override.
+  static constexpr PlanSearchSpace kDefaultSpace{};
+  /// Plans are applied by seamless migration; Score prices their overhead
+  /// that way (with flash checkpoints).
+  static constexpr MigrationMode kMode = MigrationMode::kSeamless;
+
   explicit PlanGenerator(const PlanGeneratorOptions& options)
       : options_(options) {}
 
   /// `space_override` (optional) narrows the search space for this call;
-  /// pass nullptr to use the configured default.
+  /// pass nullptr to use kDefaultSpace.
   std::vector<PlanCandidate> Generate(const ThroughputModel& model,
                                       const PerfModelParams& params,
                                       uint64_t batch_size,
@@ -66,8 +67,6 @@ class PlanGenerator {
                       const JobConfig& current, const JobConfig& candidate,
                       double current_throughput, double remaining_samples,
                       Bytes model_bytes) const;
-
-  const PlanGeneratorOptions& options() const { return options_; }
 
  private:
   PlanGeneratorOptions options_;

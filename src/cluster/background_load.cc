@@ -4,11 +4,20 @@
 #include <cmath>
 
 namespace dlrover {
+namespace {
+/// Diurnal period: one simulated day.
+constexpr Duration kPeriod = Days(1);
+/// Size of each background pod.
+constexpr ResourceSpec kPodSize{8.0, GiB(32)};
+/// How often the controller reconciles toward the target load.
+constexpr Duration kReconcileInterval = Minutes(10);
+constexpr PriorityClass kPriority = PriorityClass::kOnline;
+}  // namespace
 
 BackgroundLoad::BackgroundLoad(Simulator* sim, Cluster* cluster,
                                const BackgroundLoadOptions& options)
     : sim_(sim), cluster_(cluster), options_(options), rng_(options.seed) {
-  task_ = std::make_unique<PeriodicTask>(sim_, options_.reconcile_interval,
+  task_ = std::make_unique<PeriodicTask>(sim_, kReconcileInterval,
                                          [this] { Reconcile(); });
 }
 
@@ -22,7 +31,7 @@ void BackgroundLoad::Stop() {
 }
 
 double BackgroundLoad::TargetFraction() const {
-  const double phase = 2.0 * M_PI * sim_->Now() / options_.period;
+  const double phase = 2.0 * M_PI * sim_->Now() / kPeriod;
   const double diurnal = std::max(0.0, std::sin(phase));
   return std::clamp(options_.base_fraction + options_.peak_fraction * diurnal,
                     0.0, 0.95);
@@ -48,16 +57,16 @@ void BackgroundLoad::Reconcile() {
   const double target_cpu =
       TargetFraction() * jitter * cluster_->TotalCapacity().cpu;
   const double have_cpu =
-      static_cast<double>(pods_.size()) * options_.pod_size.cpu;
+      static_cast<double>(pods_.size()) * kPodSize.cpu;
 
-  if (have_cpu < target_cpu - options_.pod_size.cpu) {
+  if (have_cpu < target_cpu - kPodSize.cpu) {
     const int to_add = static_cast<int>(
-        (target_cpu - have_cpu) / options_.pod_size.cpu);
+        (target_cpu - have_cpu) / kPodSize.cpu);
     for (int i = 0; i < to_add; ++i) {
       PodSpec spec;
       spec.name = "bg-service";
-      spec.request = options_.pod_size;
-      spec.priority = options_.priority;
+      spec.request = kPodSize;
+      spec.priority = kPriority;
       const PodId id = cluster_->CreatePod(
           std::move(spec),
           [this](Pod& pod) {
@@ -67,9 +76,9 @@ void BackgroundLoad::Reconcile() {
           [this](Pod& pod, PodStopReason) { dead_.push_back(pod.id); });
       pods_.push_back(id);
     }
-  } else if (have_cpu > target_cpu + options_.pod_size.cpu) {
+  } else if (have_cpu > target_cpu + kPodSize.cpu) {
     int to_remove = static_cast<int>(
-        (have_cpu - target_cpu) / options_.pod_size.cpu);
+        (have_cpu - target_cpu) / kPodSize.cpu);
     while (to_remove-- > 0 && !pods_.empty()) {
       cluster_->KillPod(pods_.back());
       pods_.pop_back();

@@ -19,18 +19,11 @@ struct BackgroundLoadOptions {
   double base_fraction = 0.18;
   /// Peak additional fraction during diurnal peaks.
   double peak_fraction = 0.12;
-  /// Diurnal period (one simulated day by default).
-  Duration period = Days(1);
-  /// Size of each background pod.
-  ResourceSpec pod_size{8.0, GiB(32)};
-  /// How often the controller reconciles toward the target load.
-  Duration reconcile_interval = Minutes(10);
-  PriorityClass priority = PriorityClass::kOnline;
   uint64_t seed = 4242;
 };
 
 /// Drives a diurnal high-priority workload: target share =
-/// base + peak * max(0, sin(2*pi*t/period)) plus noise; the controller adds
+/// base + peak * max(0, sin(2*pi*t/day)) plus noise; the controller adds
 /// or removes pods to track it. Because these pods outrank training pods,
 /// rising load preempts training workers exactly as in the paper's cloud.
 class BackgroundLoad {

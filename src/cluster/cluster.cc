@@ -9,6 +9,13 @@
 #include "common/logging.h"
 
 namespace dlrover {
+namespace {
+/// Extra multiplier on startup during resource scarcity (the paper reports
+/// >30 minutes under daytime scarcity).
+constexpr double kScarcityStartupFactor = 3.0;
+/// Retry interval for the pending queue.
+constexpr Duration kRescheduleInterval = Seconds(15);
+}  // namespace
 
 std::string ResourceSpec::ToString() const {
   char buf[64];
@@ -76,22 +83,17 @@ Cluster::Cluster(Simulator* sim, const ClusterOptions& options)
     Node node;
     node.id = static_cast<NodeId>(i);
     node.capacity = options.node_capacity;
-    node.speed_factor =
-        options.heterogeneity_sigma > 0.0
-            ? rng_.LogNormal(1.0, options.heterogeneity_sigma)
-            : 1.0;
     capacity_total_ += node.capacity;
     nodes_.push_back(node);
     placement_index_.InsertNode(node.id, node.Available());
   }
   pump_task_ = std::make_unique<PeriodicTask>(
-      sim_, options.reschedule_interval, [this] { PumpPendingQueue(); });
+      sim_, kRescheduleInterval, [this] { PumpPendingQueue(); });
   pump_task_->Start();
   if (options_.enable_node_health) {
-    health_ = std::make_unique<NodeHealthTracker>(options_.node_health,
-                                                  nodes_.size());
+    health_ = std::make_unique<NodeHealthTracker>(nodes_.size());
     health_task_ = std::make_unique<PeriodicTask>(
-        sim_, options_.node_health.tick_interval, [this] { HealthTick(); });
+        sim_, NodeHealthTracker::kTickInterval, [this] { HealthTick(); });
     health_task_->Start();
   }
 }
@@ -156,7 +158,7 @@ bool Cluster::TryPlace(Pod& pod) {
   node.pods.push_back(pod.id);
   pod.node = node.id;
   pod.phase = PodPhase::kStarting;
-  pod.speed_factor = node.speed_factor;
+  pod.speed_factor = 1.0;  // a placed pod starts at nominal speed
   ++counters_.placements;
   ++mutation_version_;
   placement_index_.UpdateNode(node.id, node.Available());
@@ -165,7 +167,7 @@ bool Cluster::TryPlace(Pod& pod) {
 
   Duration startup = rng_.Uniform(options_.min_pod_startup,
                                   options_.max_pod_startup);
-  if (UnderScarcity()) startup *= options_.scarcity_startup_factor;
+  if (UnderScarcity()) startup *= kScarcityStartupFactor;
   const PodId id = pod.id;
   sim_->ScheduleAfter(startup, [this, id] { FinishStartup(id); });
   return true;

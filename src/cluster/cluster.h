@@ -24,8 +24,6 @@ struct Node {
   NodeId id = 0;
   ResourceSpec capacity;
   ResourceSpec allocated;  // sum of requests of pods placed here
-  /// Hardware speed multiplier; heterogeneous clusters draw this around 1.0.
-  double speed_factor = 1.0;
   bool healthy = true;
   /// Cordoned: excluded from placement and preemption while resident pods
   /// keep running (the node-health control plane fenced it off).
@@ -46,18 +44,11 @@ struct Node {
 struct ClusterOptions {
   int num_nodes = 20;
   ResourceSpec node_capacity{32.0, GiB(192)};
-  /// Stddev of node speed factors (log-space); 0 = homogeneous.
-  double heterogeneity_sigma = 0.0;
   /// Pod startup = image pull + container boot, sampled uniformly.
   Duration min_pod_startup = Seconds(25);
   Duration max_pod_startup = Seconds(60);
-  /// Extra multiplier on startup during resource scarcity (the paper reports
-  /// >30 minutes under daytime scarcity).
-  double scarcity_startup_factor = 3.0;
   /// Fraction of free cluster CPU below which scarcity mode is assumed.
   double scarcity_threshold = 0.10;
-  /// Retry interval for the pending queue.
-  Duration reschedule_interval = Seconds(15);
   uint64_t seed = 17;
   /// Checks the placement indexes against the scans they replace, and
   /// aborts on the first mismatch: every best-fit and victim decision is
@@ -82,7 +73,6 @@ struct ClusterOptions {
   /// ones. Off by default — when off, no tracker exists, no periodic task is
   /// scheduled, and every sim trace is byte-identical to pre-feature builds.
   bool enable_node_health = false;
-  NodeHealthOptions node_health{};
 };
 
 /// Aggregate utilisation sample used by experiment reporting.

@@ -203,7 +203,7 @@ void ControlChannel::ScheduleDelivery(uint32_t slot, bool duplicate_copy) {
   if (rng_.Bernoulli(options_.reorder_prob)) {
     ++stats_.messages_reordered;
     Record(ControlEventKind::kReordered, static_cast<uint64_t>(m.kind), m.seq);
-    latency += options_.reorder_delay;
+    latency += kReorderDelay;
   }
   (void)duplicate_copy;
   const uint64_t attempt_epoch =

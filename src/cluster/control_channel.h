@@ -109,10 +109,8 @@ struct ControlChannelOptions {
   /// Probability a delivered attempt arrives twice (second copy gets its own
   /// latency draw, so it may land out of order).
   double duplicate_prob = 0.0;
-  /// Probability a copy is held `reorder_delay` extra — enough for later
-  /// messages to overtake it.
+  /// Probability a copy is held ControlChannel::kReorderDelay extra.
   double reorder_prob = 0.0;
-  Duration reorder_delay = Seconds(2);
 
   /// Reliable-send policy (plan delivery, shard reports). With retries off
   /// (the unprotected arm) a reliable send degenerates to one attempt and
@@ -163,6 +161,9 @@ class ControlChannel {
  public:
   static constexpr ControlEndpoint kBrain = -2;
   static constexpr ControlEndpoint kMaster = -1;
+  /// Extra hold on a reordered copy: enough for later messages to overtake
+  /// it.
+  static constexpr Duration kReorderDelay = Seconds(2);
 
   ControlChannel(Simulator* sim, const ControlChannelOptions& options);
   ~ControlChannel();

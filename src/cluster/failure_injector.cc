@@ -6,6 +6,31 @@
 #include "cluster/control_channel.h"
 
 namespace dlrover {
+namespace {
+/// Speed factor applied to straggler pods (paper: 3% of tuned CPU).
+constexpr double kStragglerSpeedFactor = 0.03;
+/// Check interval for injection sweeps.
+constexpr Duration kSweepInterval = Minutes(1);
+/// Injection is restricted to pods of this priority class (training pods).
+constexpr PriorityClass kTargetPriority = PriorityClass::kTraining;
+/// Flaky node: each resident running target pod crashes with this
+/// probability per sweep while the fault is active.
+constexpr double kFlakyCrashProb = 0.30;
+/// Degraded node: every resident pod is slowed to this factor for the fault
+/// duration (speed restored to nominal on expiry).
+constexpr double kDegradedSpeedFactor = 0.25;
+/// Memory leak: phantom node usage creeps at kLeakRatePerMin until the
+/// node's used-memory fraction exceeds kLeakOomFraction, after which one
+/// resident target pod is OOM-killed per sweep.
+constexpr Bytes kLeakRatePerMin = GiB(4);
+constexpr double kLeakOomFraction = 0.92;
+/// Grey-fault duration, sampled uniformly at onset.
+constexpr Duration kGreyMinDuration = Minutes(20);
+constexpr Duration kGreyMaxDuration = Minutes(60);
+/// Partition duration, sampled uniformly at onset.
+constexpr Duration kPartitionMinDuration = Minutes(2);
+constexpr Duration kPartitionMaxDuration = Minutes(8);
+}  // namespace
 
 std::string FaultKindName(FaultKind kind) {
   switch (kind) {
@@ -41,7 +66,7 @@ FailureInjector::FailureInjector(Simulator* sim, Cluster* cluster,
   control_enabled_ = options_.daily_node_partition_rate > 0.0 ||
                      options_.daily_cell_partition_rate > 0.0 ||
                      options_.daily_master_crash_rate > 0.0;
-  task_ = std::make_unique<PeriodicTask>(sim_, options_.sweep_interval,
+  task_ = std::make_unique<PeriodicTask>(sim_, kSweepInterval,
                                          [this] { Sweep(); });
 }
 
@@ -52,7 +77,7 @@ void FailureInjector::Sweep() {
   // Convert daily rates to a per-sweep hazard assuming a Poisson process:
   // p_sweep = 1 - exp(-rate * dt). Valid for any rate >= 0 (rates above
   // 1/day simply mean multiple expected events per pod-day).
-  const double dt_days = options_.sweep_interval / Days(1);
+  const double dt_days = kSweepInterval / Days(1);
   const double p_fail =
       1.0 - std::exp(-options_.daily_pod_failure_rate * dt_days);
   const double p_straggle =
@@ -68,7 +93,7 @@ void FailureInjector::Sweep() {
   // nothing.
   to_crash_.clear();
   to_degrade_.clear();
-  cluster_->VisitRunningPods(options_.target_priority, [&](const Pod& pod) {
+  cluster_->VisitRunningPods(kTargetPriority, [&](const Pod& pod) {
     if (rng_.Bernoulli(p_fail)) {
       to_crash_.push_back(pod.id);
     } else if (p_straggle > 0.0 && pod.speed_factor >= 0.5 &&
@@ -91,7 +116,7 @@ void FailureInjector::Sweep() {
     fault_log_.push_back(FaultRecord{
         now, FaultKind::kPodStraggler, id,
         pod != nullptr ? static_cast<uint64_t>(pod->node) : 0, 0.0, 1});
-    cluster_->DegradePod(id, options_.straggler_speed_factor);
+    cluster_->DegradePod(id, kStragglerSpeedFactor);
   }
   // Grey faults ride the same sweep but behind their own guard: with every
   // node rate at 0 no extra RNG is drawn and the sweep above is bit-for-bit
@@ -106,7 +131,7 @@ bool FailureInjector::NodeHasRunningTarget(NodeId node) const {
   for (PodId pid : cluster_->GetNode(node).pods) {
     const Pod* pod = cluster_->GetPod(pid);
     if (pod != nullptr && pod->phase == PodPhase::kRunning &&
-        pod->spec.priority == options_.target_priority) {
+        pod->spec.priority == kTargetPriority) {
       return true;
     }
   }
@@ -123,12 +148,12 @@ void FailureInjector::ExpireFault(const ActiveFault& fault) {
       for (PodId pid : node.pods) {
         const Pod* pod = cluster_->GetPod(pid);
         if (pod != nullptr && !pod->terminal() &&
-            pod->speed_factor == options_.degraded_speed_factor) {
+            pod->speed_factor == kDegradedSpeedFactor) {
           to_degrade_.push_back(pid);
         }
       }
       for (PodId pid : to_degrade_) {
-        cluster_->DegradePod(pid, node.speed_factor);
+        cluster_->DegradePod(pid, 1.0);
       }
       break;
     }
@@ -150,10 +175,10 @@ void FailureInjector::ApplyFault(ActiveFault& fault) {
       for (PodId pid : node.pods) {
         const Pod* pod = cluster_->GetPod(pid);
         if (pod == nullptr || pod->phase != PodPhase::kRunning ||
-            pod->spec.priority != options_.target_priority) {
+            pod->spec.priority != kTargetPriority) {
           continue;
         }
-        if (rng_.Bernoulli(options_.flaky_crash_prob)) {
+        if (rng_.Bernoulli(kFlakyCrashProb)) {
           to_crash_.push_back(pid);
         }
       }
@@ -169,30 +194,30 @@ void FailureInjector::ApplyFault(ActiveFault& fault) {
       for (PodId pid : node.pods) {
         const Pod* pod = cluster_->GetPod(pid);
         if (pod != nullptr && !pod->terminal() &&
-            pod->speed_factor > options_.degraded_speed_factor) {
+            pod->speed_factor > kDegradedSpeedFactor) {
           to_degrade_.push_back(pid);
         }
       }
       for (PodId pid : to_degrade_) {
         ++record.symptoms;
-        cluster_->DegradePod(pid, options_.degraded_speed_factor);
+        cluster_->DegradePod(pid, kDegradedSpeedFactor);
       }
       break;
     }
     case FaultKind::kMemoryLeak: {
       fault.leak_bias +=
-          options_.leak_rate_per_min * (options_.sweep_interval / Minutes(1));
+          kLeakRatePerMin * (kSweepInterval / Minutes(1));
       cluster_->SetNodeUsageBias(fault.node, fault.leak_bias);
       // The creep itself is an observable symptom (node usage slope), even
       // before anything OOMs.
       ++record.symptoms;
       if (cluster_->NodeMemUsedFraction(fault.node) >
-          options_.leak_oom_fraction) {
+          kLeakOomFraction) {
         // The kernel OOM killer takes one resident victim per sweep.
         for (PodId pid : node.pods) {
           const Pod* pod = cluster_->GetPod(pid);
           if (pod != nullptr && pod->phase == PodPhase::kRunning &&
-              pod->spec.priority == options_.target_priority) {
+              pod->spec.priority == kTargetPriority) {
             ++crashes_;
             ++record.symptoms;
             cluster_->FailPod(pid, PodStopReason::kOomKill);
@@ -209,7 +234,7 @@ void FailureInjector::ApplyFault(ActiveFault& fault) {
       for (PodId pid : node.pods) {
         const Pod* pod = cluster_->GetPod(pid);
         if (pod != nullptr && pod->phase == PodPhase::kRunning &&
-            pod->spec.priority == options_.target_priority &&
+            pod->spec.priority == kTargetPriority &&
             pod->start_time >= fault.start) {
           to_crash_.push_back(pid);
         }
@@ -268,8 +293,8 @@ void FailureInjector::GreySweep(double dt_days) {
       if (!cluster_->GetNode(node).healthy) continue;
       if (!NodeHasRunningTarget(node)) continue;
       if (!rng_.Bernoulli(p_onset)) continue;
-      const Duration duration = rng_.Uniform(options_.grey_min_duration,
-                                             options_.grey_max_duration);
+      const Duration duration = rng_.Uniform(kGreyMinDuration,
+                                             kGreyMaxDuration);
       ActiveFault fault;
       fault.kind = kr.kind;
       fault.node = node;
@@ -315,8 +340,8 @@ void FailureInjector::ControlSweep(double dt_days) {
       if (!cluster_->GetNode(node).healthy) continue;
       if (!NodeHasRunningTarget(node)) continue;
       if (!rng_.Bernoulli(p_onset)) continue;
-      const Duration duration = rng_.Uniform(options_.partition_min_duration,
-                                             options_.partition_max_duration);
+      const Duration duration = rng_.Uniform(kPartitionMinDuration,
+                                             kPartitionMaxDuration);
       ActiveControlFault fault;
       fault.kind = FaultKind::kNodePartition;
       fault.node = node;
@@ -338,8 +363,8 @@ void FailureInjector::ControlSweep(double dt_days) {
     const double p_onset =
         1.0 - std::exp(-options_.daily_cell_partition_rate * dt_days);
     if (rng_.Bernoulli(p_onset)) {
-      const Duration duration = rng_.Uniform(options_.partition_min_duration,
-                                             options_.partition_max_duration);
+      const Duration duration = rng_.Uniform(kPartitionMinDuration,
+                                             kPartitionMaxDuration);
       ActiveControlFault fault;
       fault.kind = FaultKind::kCellPartition;
       fault.end = now + duration;

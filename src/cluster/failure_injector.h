@@ -51,47 +51,27 @@ struct FaultRecord {
 };
 
 /// Tunables for cloud-instability injection. Defaults reproduce the paper's
-/// observed rates: 1.5% daily per-pod failure probability and straggler
-/// pods degraded to 3% of nominal speed. The node-scoped grey-fault rates
-/// all default to 0: with them at 0 the injector draws exactly the same RNG
-/// sequence as before they existed, so every pre-existing bench golden is
-/// byte-identical.
+/// observed 1.5% daily per-pod failure probability. The node-scoped
+/// grey-fault rates all default to 0: with them at 0 the injector draws
+/// exactly the same RNG sequence as before they existed, so every
+/// pre-existing bench golden is byte-identical. The fixed fault shapes
+/// (straggler and degraded speeds, leak rate, fault durations) are
+/// constants in failure_injector.cc.
 struct FailureInjectorOptions {
   /// Poisson rate of failures per pod per day (the paper observes 1.5%
   /// daily for a single pod; fleet benches compress exposure upward).
   double daily_pod_failure_rate = 0.015;
   /// Poisson rate of straggler onsets per pod per day.
   double daily_straggler_rate = 0.0;
-  /// Speed factor applied to straggler pods (paper: 3% of tuned CPU).
-  double straggler_speed_factor = 0.03;
-  /// Check interval for injection sweeps.
-  Duration sweep_interval = Minutes(1);
-  /// Restrict injection to pods of this priority class (training pods).
-  PriorityClass target_priority = PriorityClass::kTraining;
   uint64_t seed = 97;
 
   // ---- Node-scoped grey faults (all rates per node per day) ----
-  /// Flaky node: each resident running target pod crashes with
-  /// `flaky_crash_prob` per sweep while the fault is active.
   double daily_node_flaky_rate = 0.0;
-  double flaky_crash_prob = 0.30;
-  /// Degraded node: every resident pod is slowed to `degraded_speed_factor`
-  /// for the fault duration (speed restored to the node's nominal factor on
-  /// expiry).
   double daily_node_degraded_rate = 0.0;
-  double degraded_speed_factor = 0.25;
-  /// Memory leak: phantom node usage creeps at `leak_rate_per_min` until the
-  /// node's used-memory fraction exceeds `leak_oom_fraction`, after which
-  /// one resident target pod is OOM-killed per sweep.
   double daily_node_leak_rate = 0.0;
-  Bytes leak_rate_per_min = GiB(4);
-  double leak_oom_fraction = 0.92;
   /// Crash loop: any target pod that entered Running on the node after fault
   /// onset dies within one sweep of starting.
   double daily_node_crashloop_rate = 0.0;
-  /// Grey-fault duration, sampled uniformly at onset.
-  Duration grey_min_duration = Minutes(20);
-  Duration grey_max_duration = Minutes(60);
 
   // ---- Control-plane faults (require an attached ControlChannel) ----
   /// Node partition: the node's heartbeats / shard reports to the master are
@@ -104,9 +84,6 @@ struct FailureInjectorOptions {
   /// failover machinery restarts it with a bumped epoch (rate per master per
   /// day).
   double daily_master_crash_rate = 0.0;
-  /// Partition duration, sampled uniformly at onset.
-  Duration partition_min_duration = Minutes(2);
-  Duration partition_max_duration = Minutes(8);
 };
 
 /// Periodically sweeps running pods and injects crashes / stragglers with

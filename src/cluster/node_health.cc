@@ -3,6 +3,69 @@
 #include <cmath>
 
 namespace dlrover {
+namespace {
+/// Exponential half-life of the per-node suspicion score.
+constexpr Duration kHalfLife = Minutes(8);
+/// Evidence weights folded into the EWMA suspicion score.
+constexpr double kCrashWeight = 1.0;
+constexpr double kOomWeight = 1.2;
+/// Extra weight when a pod dies within kChurnUptime of entering Running
+/// (relaunch churn: the signature of flaky / crash-looping nodes).
+constexpr double kChurnWeight = 1.0;
+constexpr Duration kChurnUptime = Seconds(90);
+/// Straggler verdicts from the HeartbeatMonitor are tallied per tick by
+/// distinct reported pod. Two or more distinct slow pods on one node is
+/// the node-level degradation signature and adds kStragglerWeight per
+/// pod per tick (cordons within minutes); a lone slow pod is more likely
+/// a pod-scoped problem and adds only kStragglerSingleWeight, sized to
+/// saturate between the suspect and cordon thresholds — the node turns
+/// Suspect but is never cordoned on one pod's word alone.
+constexpr double kStragglerWeight = 0.5;
+constexpr double kStragglerSingleWeight = 0.08;
+/// Degraded-PS evidence (the DESIGN §14 blind spot): a job whose *entire*
+/// worker group sustains a throughput collapse relative to its own best —
+/// with no intra-job straggler flagged and no recent rescale to explain it
+/// — charges the nodes hosting its parameter servers. Tallied per tick by
+/// distinct reporting job: two or more jobs corroborating one node is
+/// near-certain node degradation (kPsSlowdownWeight per job per tick);
+/// a single job's verdict is already heavily gated on the job side
+/// (sustained drop vs own best, straggler-free, disruption-free), so it
+/// carries real weight too — enough to cordon within ~5-6 minutes of
+/// sustained collapse, unlike the one-straggler case.
+constexpr double kPsSlowdownWeight = 0.5;
+constexpr double kPsSlowdownSingleWeight = 0.4;
+/// Leak evidence works on the node's *unaccounted* memory — the share no
+/// resident pod's cgroup explains. Slopes of total node memory are useless
+/// for this: placement and completion churn swings the used fraction by
+/// several percent within minutes, so short-window slopes of the raw
+/// signal land in any band all the time, while the system/kernel share
+/// stays flat on a healthy node no matter what the workload does. The
+/// tracker takes the minimum sample within each kLeakWindow and
+/// differences consecutive window minima (the floor — so even a transient
+/// spike in the unaccounted share cannot fake creep). A floor slope
+/// inside (kLeakSlopeThreshold, kLeakSlopeCeiling] (fraction of node
+/// capacity per second) for kLeakStreak consecutive windows adds
+/// kLeakWeight per window; the ceiling rejects step jumps (a reserved
+/// hugepage pool appearing, say), which also reset the streak — as does
+/// any flat or falling window.
+constexpr Duration kLeakWindow = Minutes(2);
+constexpr double kLeakWeight = 1.2;
+constexpr double kLeakSlopeThreshold = 1.0e-4;
+constexpr double kLeakSlopeCeiling = 1.0e-3;
+constexpr int kLeakStreak = 3;
+/// Hysteresis thresholds on the decayed score. The cordon threshold is
+/// sized so that a burst of independent background pod crashes landing on
+/// one node by coincidence (two or three within minutes, worth ~1-2 each
+/// with churn) stays below it, while any repeating per-node pattern —
+/// crash-looping relaunches, corroborated stragglers, sustained
+/// unaccounted-memory creep — saturates well above it within a few
+/// evidence ticks.
+constexpr double kSuspectThreshold = 1.2;
+constexpr double kCordonThreshold = 3.5;
+/// A suspect node returns to healthy below kClearThreshold; a cordoned one
+/// also waits out NodeHealthTracker::kMinCordon.
+constexpr double kClearThreshold = 0.4;
+}  // namespace
 
 std::string NodeHealthStateName(NodeHealthState state) {
   switch (state) {
@@ -16,14 +79,12 @@ std::string NodeHealthStateName(NodeHealthState state) {
   return "unknown";
 }
 
-NodeHealthTracker::NodeHealthTracker(const NodeHealthOptions& options,
-                                     size_t num_nodes)
-    : options_(options), entries_(num_nodes) {}
+NodeHealthTracker::NodeHealthTracker(size_t num_nodes) : entries_(num_nodes) {}
 
 void NodeHealthTracker::Decay(Entry& e, SimTime now) const {
   if (now <= e.score_time) return;
-  if (e.score > 0.0 && options_.half_life > 0.0) {
-    e.score *= std::exp2(-(now - e.score_time) / options_.half_life);
+  if (e.score > 0.0) {
+    e.score *= std::exp2(-(now - e.score_time) / kHalfLife);
   }
   e.score_time = now;
 }
@@ -39,16 +100,16 @@ void NodeHealthTracker::ObservePodStopped(NodeId node, PodStopReason reason,
   double weight = 0.0;
   switch (reason) {
     case PodStopReason::kCrash:
-      weight = options_.crash_weight;
+      weight = kCrashWeight;
       break;
     case PodStopReason::kOomKill:
-      weight = options_.oom_weight;
+      weight = kOomWeight;
       break;
     default:
       return;  // completions / preemptions / owner kills are not evidence
   }
-  if (uptime >= 0.0 && uptime < options_.churn_uptime) {
-    weight += options_.churn_weight;
+  if (uptime >= 0.0 && uptime < kChurnUptime) {
+    weight += kChurnWeight;
   }
   AddEvidence(node, weight, now);
 }
@@ -82,18 +143,17 @@ void NodeHealthTracker::ObserveNodeMemory(NodeId node, double used_fraction,
     return;
   }
   if (used_fraction < e.window_min) e.window_min = used_fraction;
-  if (now - e.window_start < options_.leak_window) return;
+  if (now - e.window_start < kLeakWindow) return;
   // The window closed: difference its floor against the previous window's.
   // The unaccounted share of a healthy node stays flat, so the floor stays
   // put; leaked memory is never given back, so the floor creeps at the
   // leak rate.
   if (e.prev_min >= 0.0) {
     const double slope = (e.window_min - e.prev_min) / (now - e.window_start);
-    if (slope > options_.leak_slope_threshold &&
-        slope <= options_.leak_slope_ceiling) {
+    if (slope > kLeakSlopeThreshold && slope <= kLeakSlopeCeiling) {
       ++e.rising_streak;
-      if (e.rising_streak >= options_.leak_streak) {
-        AddEvidence(node, options_.leak_weight, now);
+      if (e.rising_streak >= kLeakStreak) {
+        AddEvidence(node, kLeakWeight, now);
       }
     } else {
       e.rising_streak = 0;
@@ -127,8 +187,8 @@ const std::vector<NodeHealthTracker::Action>& NodeHealthTracker::Tick(
       // degradation); a single source is weak evidence.
       const double n = static_cast<double>(e.straggler_sources.size());
       AddEvidence(node,
-                  n >= 2.0 ? options_.straggler_weight * n
-                           : options_.straggler_single_weight,
+                  n >= 2.0 ? kStragglerWeight * n
+                           : kStragglerSingleWeight,
                   now);
       e.straggler_sources.clear();
     }
@@ -138,32 +198,31 @@ const std::vector<NodeHealthTracker::Action>& NodeHealthTracker::Tick(
       // heavily gated at the source (see TrainingJob) and still counts.
       const double n = static_cast<double>(e.ps_slowdown_sources.size());
       AddEvidence(node,
-                  n >= 2.0 ? options_.ps_slowdown_weight * n
-                           : options_.ps_slowdown_single_weight,
+                  n >= 2.0 ? kPsSlowdownWeight * n
+                           : kPsSlowdownSingleWeight,
                   now);
       e.ps_slowdown_sources.clear();
     }
     Decay(e, now);
     switch (e.state) {
       case NodeHealthState::kHealthy:
-        if (e.score >= options_.cordon_threshold) {
+        if (e.score >= kCordonThreshold) {
           Transition(e, node, NodeHealthState::kCordoned, now);
           actions_.push_back(Action{node, /*cordon=*/true});
-        } else if (e.score >= options_.suspect_threshold) {
+        } else if (e.score >= kSuspectThreshold) {
           Transition(e, node, NodeHealthState::kSuspect, now);
         }
         break;
       case NodeHealthState::kSuspect:
-        if (e.score >= options_.cordon_threshold) {
+        if (e.score >= kCordonThreshold) {
           Transition(e, node, NodeHealthState::kCordoned, now);
           actions_.push_back(Action{node, /*cordon=*/true});
-        } else if (e.score < options_.clear_threshold) {
+        } else if (e.score < kClearThreshold) {
           Transition(e, node, NodeHealthState::kHealthy, now);
         }
         break;
       case NodeHealthState::kCordoned:
-        if (now - e.cordoned_at >= options_.min_cordon &&
-            e.score <= options_.clear_threshold) {
+        if (now - e.cordoned_at >= kMinCordon && e.score <= kClearThreshold) {
           Transition(e, node, NodeHealthState::kHealthy, now);
           actions_.push_back(Action{node, /*cordon=*/false});
         }
@@ -175,10 +234,8 @@ const std::vector<NodeHealthTracker::Action>& NodeHealthTracker::Tick(
 
 double NodeHealthTracker::score(NodeId node, SimTime now) const {
   const Entry& e = entries_[node];
-  if (now <= e.score_time || e.score <= 0.0 || options_.half_life <= 0.0) {
-    return e.score;
-  }
-  return e.score * std::exp2(-(now - e.score_time) / options_.half_life);
+  if (now <= e.score_time || e.score <= 0.0) return e.score;
+  return e.score * std::exp2(-(now - e.score_time) / kHalfLife);
 }
 
 }  // namespace dlrover

@@ -21,80 +21,6 @@ enum class NodeHealthState : int {
 
 std::string NodeHealthStateName(NodeHealthState state);
 
-/// Tunables for the evidence-based node-health tracker. The defaults are
-/// chosen so that a single isolated pod crash makes a node Suspect at most
-/// (one crash decays back to Healthy within a few half-lives) while any
-/// repeating per-node pattern — crash bursts, relaunch churn, persistent
-/// stragglers, monotone memory growth — crosses the cordon threshold within
-/// a few evidence ticks.
-struct NodeHealthOptions {
-  /// Cadence of the classification tick (decay + state transitions).
-  Duration tick_interval = Seconds(30);
-  /// Exponential half-life of the per-node suspicion score.
-  Duration half_life = Minutes(8);
-  /// Evidence weights folded into the EWMA suspicion score.
-  double crash_weight = 1.0;
-  double oom_weight = 1.2;
-  /// Extra weight when a pod dies within `churn_uptime` of entering Running
-  /// (relaunch churn: the signature of flaky / crash-looping nodes).
-  double churn_weight = 1.0;
-  Duration churn_uptime = Seconds(90);
-  /// Straggler verdicts from the HeartbeatMonitor are tallied per tick by
-  /// distinct reported pod. Two or more distinct slow pods on one node is
-  /// the node-level degradation signature and adds `straggler_weight` per
-  /// pod per tick (cordons within minutes); a lone slow pod is more likely
-  /// a pod-scoped problem and adds only `straggler_single_weight`, sized to
-  /// saturate between the suspect and cordon thresholds — the node turns
-  /// Suspect but is never cordoned on one pod's word alone.
-  double straggler_weight = 0.5;
-  double straggler_single_weight = 0.08;
-  /// Degraded-PS evidence (the DESIGN §14 blind spot): a job whose *entire*
-  /// worker group sustains a throughput collapse relative to its own best —
-  /// with no intra-job straggler flagged and no recent rescale to explain it
-  /// — charges the nodes hosting its parameter servers. Tallied per tick by
-  /// distinct reporting job: two or more jobs corroborating one node is
-  /// near-certain node degradation (`ps_slowdown_weight` per job per tick);
-  /// a single job's verdict is already heavily gated on the job side
-  /// (sustained drop vs own best, straggler-free, disruption-free), so it
-  /// carries real weight too — enough to cordon within ~5-6 minutes of
-  /// sustained collapse, unlike the one-straggler case.
-  double ps_slowdown_weight = 0.5;
-  double ps_slowdown_single_weight = 0.4;
-  /// Leak evidence works on the node's *unaccounted* memory — the share no
-  /// resident pod's cgroup explains. Slopes of total node memory are useless
-  /// for this: placement and completion churn swings the used fraction by
-  /// several percent within minutes, so short-window slopes of the raw
-  /// signal land in any band all the time, while the system/kernel share
-  /// stays flat on a healthy node no matter what the workload does. The
-  /// tracker takes the minimum sample within each `leak_window` and
-  /// differences consecutive window minima (the floor — so even a transient
-  /// spike in the unaccounted share cannot fake creep). A floor slope
-  /// inside (`leak_slope_threshold`, `leak_slope_ceiling`] (fraction of
-  /// node capacity per second) for `leak_streak` consecutive windows adds
-  /// `leak_weight` per window; the ceiling rejects step jumps (a reserved
-  /// hugepage pool appearing, say), which also reset the streak — as does
-  /// any flat or falling window.
-  Duration leak_window = Minutes(2);
-  double leak_weight = 1.2;
-  double leak_slope_threshold = 1.0e-4;
-  double leak_slope_ceiling = 1.0e-3;
-  int leak_streak = 3;
-  /// Hysteresis thresholds on the decayed score. The cordon threshold is
-  /// sized so that a burst of independent background pod crashes landing on
-  /// one node by coincidence (two or three within minutes, worth ~1-2 each
-  /// with churn) stays below it, while any repeating per-node pattern —
-  /// crash-looping relaunches, corroborated stragglers, sustained
-  /// unaccounted-memory creep — saturates well above it within a few
-  /// evidence ticks.
-  double suspect_threshold = 1.2;
-  double cordon_threshold = 3.5;
-  /// A cordoned node is released only after `min_cordon` has elapsed AND the
-  /// score has decayed below `clear_threshold`; a suspect node returns to
-  /// healthy below `clear_threshold` as well.
-  double clear_threshold = 0.4;
-  Duration min_cordon = Minutes(15);
-};
-
 /// One state transition, kept for scorecards and tests.
 struct NodeHealthEvent {
   SimTime time = 0.0;
@@ -118,9 +44,22 @@ struct NodeHealthEvent {
 /// observations from its existing pod-lifecycle callbacks and drives time by
 /// calling Tick(now); Tick returns the cordon/uncordon actions for the owner
 /// to apply. No RNG, no clock reads, no allocation on warm ticks.
+///
+/// The evidence weights and thresholds are constants in node_health.cc,
+/// chosen so that a single isolated pod crash makes a node Suspect at most
+/// (one crash decays back to Healthy within a few half-lives) while any
+/// repeating per-node pattern — crash bursts, relaunch churn, persistent
+/// stragglers, monotone memory growth — crosses the cordon threshold within
+/// a few evidence ticks.
 class NodeHealthTracker {
  public:
-  NodeHealthTracker(const NodeHealthOptions& options, size_t num_nodes);
+  /// Cadence of the classification tick (decay + state transitions).
+  static constexpr Duration kTickInterval = Seconds(30);
+  /// A cordoned node is released only after kMinCordon has elapsed AND its
+  /// score has decayed below the clear threshold.
+  static constexpr Duration kMinCordon = Minutes(15);
+
+  explicit NodeHealthTracker(size_t num_nodes);
 
   /// Evidence: a placed pod on `node` stopped with `reason` (only crash-like
   /// reasons are worth reporting) after `uptime` seconds in Running
@@ -165,7 +104,7 @@ class NodeHealthTracker {
     NodeHealthState state = NodeHealthState::kHealthy;
     SimTime cordoned_at = 0.0;
     // Usage-floor bookkeeping: minimum sample within the current
-    // `leak_window`, and the previous window's minimum to difference
+    // leak window, and the previous window's minimum to difference
     // against (-1 = not yet populated).
     double window_min = -1.0;
     SimTime window_start = 0.0;
@@ -182,7 +121,6 @@ class NodeHealthTracker {
   void AddEvidence(NodeId node, double weight, SimTime now);
   void Transition(Entry& e, NodeId node, NodeHealthState to, SimTime now);
 
-  NodeHealthOptions options_;
   std::vector<Entry> entries_;
   std::vector<Action> actions_;  // Tick scratch
   std::vector<NodeHealthEvent> log_;

@@ -25,6 +25,21 @@ namespace {
 
 using PhaseClock = std::chrono::steady_clock;
 
+/// Checkpoint generations the in-memory vault retains.
+constexpr size_t kKeepCheckpoints = 3;
+/// Restore-attempt budget and backoff shape (base * 2^attempt, capped,
+/// with deterministic seeded jitter in [0.5, 1.5)).
+constexpr int kMaxRestores = 5;
+constexpr double kRestoreBackoffBaseMs = 1.0;
+constexpr double kRestoreBackoffCapMs = 50.0;
+/// Replacement workers the supervisor may spawn before degrading
+/// gracefully to a smaller fleet.
+constexpr int kMaxReplacements = 64;
+/// Wall-clock slice for ShardQueue::WaitNextShardFor. A worker whose wait
+/// deadline expires re-checks its control flags and retries, so nobody
+/// blocks forever behind a dead shard holder.
+constexpr double kShardWaitTimeoutS = 0.020;
+
 double SecondsSince(PhaseClock::time_point t0) {
   return std::chrono::duration<double>(PhaseClock::now() - t0).count();
 }
@@ -236,13 +251,26 @@ void AsyncPsTrainer::FireEvents() {
   }
 }
 
-void AsyncPsTrainer::Evaluate(TrainResult* result) {
+EvalPoint AsyncPsTrainer::EvalAt(uint64_t batches) const {
   const std::vector<double> probs = model_->Predict(eval_batch_);
   EvalPoint point;
-  point.batches = committed_;
+  point.batches = batches;
   point.test_logloss = LogLoss(probs, eval_labels_);
   point.test_auc = Auc(probs, eval_labels_);
-  result->curve.push_back(point);
+  return point;
+}
+
+void AsyncPsTrainer::Evaluate() { result_.curve.push_back(EvalAt(committed_)); }
+
+TrainResult AsyncPsTrainer::Finish() {
+  Evaluate();
+  result_.batches_committed = committed_;
+  // Ground-truth data accounting from the multiplicity histogram.
+  result_.batches_skipped = static_cast<uint64_t>(std::count(
+      result_.times_trained.begin(), result_.times_trained.end(), 0));
+  result_.final_logloss = result_.curve.back().test_logloss;
+  result_.final_auc = result_.curve.back().test_auc;
+  return std::move(result_);
 }
 
 TrainResult AsyncPsTrainer::Run() {
@@ -259,7 +287,7 @@ TrainResult AsyncPsTrainer::Run() {
 
 TrainResult AsyncPsTrainer::RunTicks() {
   uint64_t last_eval = 0;
-  Evaluate(&result_);
+  Evaluate();
 
   auto work_remains = [&]() {
     if (options_.data_mode == DataMode::kDynamicSharding) {
@@ -294,24 +322,14 @@ TrainResult AsyncPsTrainer::RunTicks() {
         FireEvents();
         if (committed_ - last_eval >= options_.eval_every_batches) {
           last_eval = committed_;
-          Evaluate(&result_);
+          Evaluate();
         }
       }
     }
     if (!anyone_working) break;  // stranded data (static-mode skips)
   }
 
-  Evaluate(&result_);
-  result_.batches_committed = committed_;
-  // Ground-truth data accounting from the multiplicity histogram.
-  uint64_t never_trained = 0;
-  for (uint8_t times : result_.times_trained) {
-    if (times == 0) ++never_trained;
-  }
-  result_.batches_skipped = never_trained;
-  result_.final_logloss = result_.curve.back().test_logloss;
-  result_.final_auc = result_.curve.back().test_auc;
-  return std::move(result_);
+  return Finish();
 }
 
 /// Shared state and logic of ExecMode::kThreads. One instance lives on the
@@ -406,7 +424,7 @@ struct AsyncPsTrainer::ThreadRuntime {
                  ? static_cast<size_t>(trainer->options_.num_threads)
                  : static_cast<size_t>(
                        std::max(1, trainer->options_.num_workers))),
-        vault(trainer->options_.fault_tolerance.keep_checkpoints),
+        vault(kKeepCheckpoints),
         monitor(MonitorOptions(trainer->options_)),
         backoff_rng(trainer->options_.seed ^ 0xb0ffull) {}
 
@@ -427,8 +445,10 @@ struct AsyncPsTrainer::ThreadRuntime {
            chaos->Take(kind, committed_approx.load());
   }
 
+  /// Consecutive expired waits before a worker gives up and exits (how an
+  /// unsupervised fleet avoids hanging when a crashed worker took the last
+  /// outstanding shard to its grave).
   int EffectiveStrikes() const {
-    if (opts.give_up_deadline_strikes > 0) return opts.give_up_deadline_strikes;
     // Chaos without a supervisor can strand shards forever; an unprotected
     // fleet must eventually give up instead of hanging the run.
     if (chaos != nullptr && !ft) return 40;
@@ -589,11 +609,7 @@ struct AsyncPsTrainer::ThreadRuntime {
     }
     if (do_eval) {
       // Predict is thread-safe; only the curve append needs the lock.
-      const std::vector<double> probs = t->model_->Predict(t->eval_batch_);
-      EvalPoint point;
-      point.batches = eval_at;
-      point.test_logloss = LogLoss(probs, t->eval_labels_);
-      point.test_auc = Auc(probs, t->eval_labels_);
+      const EvalPoint point = t->EvalAt(eval_at);
       std::lock_guard<std::mutex> lock(state_mu);
       t->result_.curve.push_back(point);
     }
@@ -601,7 +617,6 @@ struct AsyncPsTrainer::ThreadRuntime {
   }
 
   void WorkerLoop(std::shared_ptr<WorkerCtl> ctl) {
-    const double wait_s = std::max(1.0, opts.shard_wait_timeout_ms) / 1000.0;
     const int max_strikes = EffectiveStrikes();
     int strikes = 0;
     // Everything one batch needs lives in this per-worker workspace; after
@@ -613,7 +628,7 @@ struct AsyncPsTrainer::ThreadRuntime {
            !ctl->hard_crash.load() && !ctl->fenced.load()) {
       const uint64_t my_epoch = epoch.load();
       const auto wait_t0 = PhaseClock::now();
-      auto shard_or = t->queue_->WaitNextShardFor(wait_s);
+      auto shard_or = t->queue_->WaitNextShardFor(kShardWaitTimeoutS);
       ph.queue_wait_s += SecondsSince(wait_t0);
       if (shard_or.status().code() == StatusCode::kDeadlineExceeded) {
         if (max_strikes > 0 && ++strikes >= max_strikes) break;
@@ -752,7 +767,7 @@ struct AsyncPsTrainer::ThreadRuntime {
     }
     ReclaimEntriesOfLocked(victim->id);
     if (replace && !victim->stop.load()) {
-      if (replacements_done < opts.fault_tolerance.max_replacements) {
+      if (replacements_done < kMaxReplacements) {
         ++replacements_done;
         ++stats.workers_replaced;
         SpawnWorkerLocked();
@@ -870,13 +885,13 @@ struct AsyncPsTrainer::ThreadRuntime {
   /// passes its checksum. Gives up (degraded: live state kept) when the
   /// restore budget is exhausted or no generation verifies.
   void PerformRestore() {
-    if (restore_attempts >= opts.fault_tolerance.max_restores) return;
+    if (restore_attempts >= kMaxRestores) return;
     ++restore_attempts;
-    const double base = opts.fault_tolerance.restore_backoff_base_ms;
-    const double cap = opts.fault_tolerance.restore_backoff_cap_ms;
     double delay_ms =
-        base * static_cast<double>(1ull << std::min(restore_attempts - 1, 20));
-    delay_ms = std::min(delay_ms, cap) * backoff_rng.Uniform(0.5, 1.5);
+        kRestoreBackoffBaseMs *
+        static_cast<double>(1ull << std::min(restore_attempts - 1, 20));
+    delay_ms = std::min(delay_ms, kRestoreBackoffCapMs) *
+               backoff_rng.Uniform(0.5, 1.5);
     if (delay_ms > 0.0) {
       std::this_thread::sleep_for(
           std::chrono::microseconds(static_cast<int64_t>(delay_ms * 1000.0)));
@@ -951,7 +966,7 @@ struct AsyncPsTrainer::ThreadRuntime {
   // ---- Run ------------------------------------------------------------
 
   TrainResult Run() {
-    t->Evaluate(&t->result_);  // initial point, before any worker starts
+    t->Evaluate();  // initial point, before any worker starts
     if (ft) TakeCheckpoint();  // generation 0: a restore target always exists
     {
       std::lock_guard<std::mutex> lock(state_mu);
@@ -1006,17 +1021,8 @@ struct AsyncPsTrainer::ThreadRuntime {
               [](const EvalPoint& a, const EvalPoint& b) {
                 return a.batches < b.batches;
               });
-    t->Evaluate(&t->result_);
-    t->result_.batches_committed = t->committed_;
-    uint64_t never_trained = 0;
-    for (uint8_t times : t->result_.times_trained) {
-      if (times == 0) ++never_trained;
-    }
-    t->result_.batches_skipped = never_trained;
-    t->result_.final_logloss = t->result_.curve.back().test_logloss;
-    t->result_.final_auc = t->result_.curve.back().test_auc;
     t->result_.ft = stats;
-    return std::move(t->result_);
+    return t->Finish();
   }
 };
 

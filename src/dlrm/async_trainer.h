@@ -48,27 +48,17 @@ enum class ExecMode : int {
 /// fences and reclaims the shards of dead or silent workers, takes periodic
 /// checksummed checkpoints (model + data cut + audit under one quiescent
 /// gate), and restores from the latest valid generation when parameter
-/// state is lost — with seeded exponential backoff, bounded by
-/// `max_restores`, degrading to fewer workers when the replacement budget
-/// is exhausted.
+/// state is lost — with seeded exponential backoff and a bounded restore
+/// budget, degrading to fewer workers when the replacement budget is
+/// exhausted. Those budgets are constants in async_trainer.cc.
 struct FaultToleranceOptions {
   bool enabled = false;
   /// Committed batches between periodic checkpoints (a generation-0
   /// checkpoint is always taken before training starts).
   uint64_t checkpoint_every_batches = 128;
-  /// Checkpoint generations the in-memory vault retains.
-  size_t keep_checkpoints = 3;
   /// Worker silence (no commit) before the supervisor declares it failed.
   double heartbeat_timeout_ms = 500.0;
   double supervisor_poll_ms = 2.0;
-  /// Restore-attempt budget and backoff shape (base * 2^attempt, capped,
-  /// with deterministic seeded jitter in [0.5, 1.5)).
-  int max_restores = 5;
-  double restore_backoff_base_ms = 1.0;
-  double restore_backoff_cap_ms = 50.0;
-  /// Replacement workers the supervisor may spawn before degrading
-  /// gracefully to a smaller fleet.
-  int max_replacements = 64;
 };
 
 struct AsyncTrainerOptions {
@@ -100,16 +90,6 @@ struct AsyncTrainerOptions {
   /// kThreads only: deterministic fault injector, not owned. Faults fire at
   /// their scheduled committed-batch counts; nullptr disables chaos.
   ChaosInjector* chaos = nullptr;
-  /// kThreads only: wall-clock slice for ShardQueue::WaitNextShardFor. A
-  /// worker whose wait deadline expires re-checks its control flags and
-  /// retries, so nobody blocks forever behind a dead shard holder.
-  double shard_wait_timeout_ms = 20.0;
-  /// kThreads only: consecutive expired waits before a worker gives up and
-  /// exits (how an unsupervised fleet avoids hanging when a crashed worker
-  /// took the last outstanding shard to its grave). 0 = auto: unlimited
-  /// normally, 40 when chaos is injected without the fault-tolerance
-  /// supervisor.
-  int give_up_deadline_strikes = 0;
   /// kThreads only: after the fleet exits, train whatever the queue still
   /// holds inline (the legacy guarantee that every run completes). The
   /// fault-tolerance bench disables this on its unprotected arm so lost
@@ -223,7 +203,13 @@ class AsyncPsTrainer {
   void StartBatch(Worker& worker, uint64_t batch_index);
   void FinishBatch(Worker& worker);
   void FireEvents();
-  void Evaluate(TrainResult* result);
+  /// Test-set loss and AUC of the live model, stamped with `batches`.
+  EvalPoint EvalAt(uint64_t batches) const;
+  /// Appends the eval point at the current commit count to the curve.
+  void Evaluate();
+  /// End of run, shared by both exec modes: the final eval point, commit
+  /// and skip counts, and the final loss/AUC. Moves the result out.
+  TrainResult Finish();
   void RepartitionStatic();
   TrainResult RunTicks();
   TrainResult RunThreads();

@@ -140,10 +140,15 @@ Status MiniDlrm::ImportState(const DlrmStateBlob& blob) {
   if (blob.dense.size() != expected) {
     return InvalidArgumentError("dense blob does not match model shape");
   }
+  lock.unlock();
+  // ImportAll validates the snapshot before it changes anything, so
+  // importing it first leaves the whole model as it was when either part
+  // of the blob is malformed.
+  DLROVER_RETURN_IF_ERROR(store_.ImportAll(blob.sparse));
+  lock.lock();
   size_t i = 0;
   VisitDenseParams(params_, [&blob, &i](double& v) { v = blob.dense[i++]; });
-  lock.unlock();
-  return store_.ImportAll(blob.sparse);
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------

@@ -3,10 +3,20 @@
 #include <algorithm>
 
 namespace dlrover {
+namespace {
+/// Number of recent (time, memory) samples used for the trend fit.
+constexpr size_t kWindow = 24;
+/// Safety headroom: predict OOM when projected usage exceeds
+/// limit * kHeadroomFraction.
+constexpr double kHeadroomFraction = 0.9;
+/// Recommended new limit = projected peak * kOverprovisionFactor.
+constexpr double kOverprovisionFactor = 1.15;
+/// Minimum samples before predictions are made.
+constexpr size_t kMinSamples = 4;
+}  // namespace
 
 void OomPredictor::Observe(SimTime now, Bytes used) {
-  const size_t cap = std::max<size_t>(1, options_.window);
-  if (ring_.size() < cap) {
+  if (ring_.size() < kWindow) {
     // Warm-up: grow until the window is full; head_ stays at 0 so insertion
     // order is chronological order.
     ring_.push_back({now, used});
@@ -14,11 +24,11 @@ void OomPredictor::Observe(SimTime now, Bytes used) {
   }
   // Full: overwrite the oldest slot in place — no allocation.
   ring_[head_] = {now, used};
-  head_ = (head_ + 1) % cap;
+  head_ = (head_ + 1) % kWindow;
 }
 
 double OomPredictor::SlopeBytesPerSec() const {
-  if (ring_.size() < options_.min_samples) return 0.0;
+  if (ring_.size() < kMinSamples) return 0.0;
   // Ordinary least squares slope of mem over time.
   double mean_t = 0.0;
   double mean_m = 0.0;
@@ -52,12 +62,12 @@ Bytes OomPredictor::ProjectAt(SimTime future_time) const {
 
 std::optional<Bytes> OomPredictor::RecommendLimit(
     Bytes current_limit, SimTime completion_time) const {
-  if (ring_.size() < options_.min_samples) return std::nullopt;
+  if (ring_.size() < kMinSamples) return std::nullopt;
   const Bytes projected = ProjectAt(completion_time);
-  if (projected <= current_limit * options_.headroom_fraction) {
+  if (projected <= current_limit * kHeadroomFraction) {
     return std::nullopt;
   }
-  return projected * options_.overprovision_factor;
+  return projected * kOverprovisionFactor;
 }
 
 }  // namespace dlrover

@@ -9,18 +9,6 @@
 
 namespace dlrover {
 
-struct OomPredictorOptions {
-  /// Number of recent (time, memory) samples used for the trend fit.
-  size_t window = 24;
-  /// Safety headroom: predict OOM when projected usage exceeds
-  /// limit * headroom_fraction.
-  double headroom_fraction = 0.9;
-  /// Recommended new limit = projected peak * overprovision_factor.
-  double overprovision_factor = 1.15;
-  /// Minimum samples before predictions are made.
-  size_t min_samples = 4;
-};
-
 /// Predicts PS out-of-memory events (paper Section 5.3). Embedding-table
 /// memory grows roughly linearly with consumed samples (Δφ_cats ∝ Ψ_thp·Δt),
 /// so a windowed linear fit of memory-vs-time extrapolated to the job's
@@ -32,9 +20,6 @@ struct OomPredictorOptions {
 /// profile-tick path performs no heap allocation.
 class OomPredictor {
  public:
-  explicit OomPredictor(const OomPredictorOptions& options = {})
-      : options_(options) {}
-
   /// Feeds one memory-usage observation for the tracked PS.
   void Observe(SimTime now, Bytes used);
 
@@ -65,7 +50,6 @@ class OomPredictor {
     return ring_[(head_ + i) % ring_.size()];
   }
 
-  OomPredictorOptions options_;
   std::vector<Sample> ring_;
   size_t head_ = 0;  // index of the oldest sample once the ring is full
 };

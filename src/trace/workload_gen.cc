@@ -5,6 +5,19 @@
 #include "ps/model_profile.h"
 
 namespace dlrover {
+namespace {
+/// Share of hot-PS-prone jobs (the paper reports ~13% in production).
+constexpr double kHotPsFraction = 0.13;
+/// Fraction of jobs whose user-declared model size is badly wrong
+/// (drives warm-start quality spread).
+constexpr double kNoisyMetadataFraction = 0.2;
+constexpr uint64_t kNumUsers = 8;
+/// Fraction of small jobs (<100 CPUs); the rest are large.
+constexpr double kSmallFraction = 0.55;
+/// Step budgets around 200k.
+constexpr int64_t kMinSteps = 120000;
+constexpr int64_t kMaxSteps = 260000;
+}  // namespace
 
 std::vector<GeneratedJob> WorkloadGenerator::Generate() const {
   Rng rng(options_.seed);
@@ -22,18 +35,16 @@ std::vector<GeneratedJob> WorkloadGenerator::Generate() const {
 
     const ModelProfile profile = GetModelProfile(kind);
 
-    job.meta.user = "user-" + std::to_string(rng.UniformInt(
-                                  static_cast<uint64_t>(options_.num_users)));
+    job.meta.user = "user-" + std::to_string(rng.UniformInt(kNumUsers));
     job.meta.model = kind;
     job.meta.batch_size = 512;
-    job.meta.total_steps = static_cast<uint64_t>(rng.UniformInt(
-        static_cast<int64_t>(options_.min_steps),
-        static_cast<int64_t>(options_.max_steps)));
+    job.meta.total_steps =
+        static_cast<uint64_t>(rng.UniformInt(kMinSteps, kMaxSteps));
     const double total_samples = static_cast<double>(job.meta.total_steps) *
                                  static_cast<double>(job.meta.batch_size);
     job.meta.declared_model_bytes =
         profile.dense_param_bytes + profile.EmbeddingBytesAt(total_samples);
-    if (rng.Bernoulli(options_.noisy_metadata_fraction)) {
+    if (rng.Bernoulli(kNoisyMetadataFraction)) {
       job.meta.declared_model_bytes *= rng.LogNormal(1.0, 0.8);
     }
 
@@ -43,8 +54,8 @@ std::vector<GeneratedJob> WorkloadGenerator::Generate() const {
     job.spec.total_steps = job.meta.total_steps;
     job.spec.seed = options_.seed * 1000003ull + static_cast<uint64_t>(i);
 
-    job.hot_ps = rng.Bernoulli(options_.hot_ps_fraction);
-    if (rng.Bernoulli(options_.small_fraction)) {
+    job.hot_ps = rng.Bernoulli(kHotPsFraction);
+    if (rng.Bernoulli(kSmallFraction)) {
       job.size_factor = rng.Uniform(0.2, 0.4);
     } else {
       job.size_factor = rng.Uniform(0.5, 1.0);

@@ -27,21 +27,13 @@ struct GeneratedJob {
   int max_workers = 40;
 };
 
-/// Knobs for the synthetic AntGroup-like workload. Defaults follow the
-/// published statistics: model mix over Wide&Deep/xDeepFM/DCN, step budgets
-/// around 200k, ~13% hot-PS-prone jobs, Poisson arrivals.
+/// Knobs for the synthetic AntGroup-like workload. The job mix follows the
+/// published statistics (model mix over Wide&Deep/xDeepFM/DCN, step budgets
+/// around 200k, ~13% hot-PS-prone jobs, Poisson arrivals) and is fixed in
+/// workload_gen.cc; only the trace's size, span and seed vary.
 struct WorkloadOptions {
   int num_jobs = 40;
   Duration arrival_span = Hours(6);
-  double hot_ps_fraction = 0.13;
-  /// Fraction of jobs whose user-declared model size is badly wrong
-  /// (drives warm-start quality spread).
-  double noisy_metadata_fraction = 0.2;
-  int num_users = 8;
-  /// Fraction of small jobs (<100 CPUs); the rest are large.
-  double small_fraction = 0.55;
-  uint64_t min_steps = 120000;
-  uint64_t max_steps = 260000;
   uint64_t seed = 2024;
 };
 

@@ -362,6 +362,7 @@ TEST(ClusterTest, PreemptionBudgetBreaksRelaunchLivelock) {
   // still bounded, still terminating.
   sim.RunUntil(Seconds(16));
   EXPECT_EQ(cluster.counters().pods_preempted, 128u);
+  *respawn = nullptr;  // the closure holds `respawn`: break the cycle
 }
 
 TEST(FailureInjectorTest, InjectsCrashesAtConfiguredRate) {

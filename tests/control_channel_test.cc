@@ -99,9 +99,9 @@ TEST(ControlChannelTest, ReorderedCopyArrivesAfterLaterMessage) {
   sim.RunToCompletion();
   EXPECT_EQ(channel.stats().messages_reordered, 1u);
   EXPECT_EQ(delivered, 1);
-  // The held copy landed at latency + reorder_delay — late enough for any
+  // The held copy landed at latency + kReorderDelay — late enough for any
   // promptly-sent later message to overtake it.
-  EXPECT_GE(delivered_at, options.reorder_delay);
+  EXPECT_GE(delivered_at, ControlChannel::kReorderDelay);
 }
 
 TEST(ControlChannelTest, ReliableSendRetriesThroughLossAndEventuallyLands) {

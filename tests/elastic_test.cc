@@ -92,8 +92,9 @@ TEST(ShardQueueTest, FastForwardResetsToCheckpoint) {
 }
 
 // Property test: simulate a pool of workers that randomly fail mid-shard,
-// get replaced, and shrink/grow; every batch must be completed exactly
-// once regardless of seed.
+// get replaced, and shrink/grow, while the trainer now and then checkpoints
+// the queue and later rolls back to that checkpoint; every batch must be
+// completed exactly once regardless of seed.
 class ShardQueueChaosTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ShardQueueChaosTest, ExactlyOnceUnderRandomFailures) {
@@ -106,9 +107,46 @@ TEST_P(ShardQueueChaosTest, ExactlyOnceUnderRandomFailures) {
     uint64_t pos = 0;
   };
   std::vector<Worker> workers(4);
+  auto credit = [](std::map<uint64_t, int>* done, uint64_t begin,
+                   uint64_t end) {
+    for (uint64_t b = begin; b < end; ++b) ++(*done)[b];
+  };
+
+  // A checkpoint: the queue cut with every worker's pushed prefix, and the
+  // oracle as of that cut (those prefixes count as done).
+  std::optional<ShardQueueSnapshot> snapshot;
+  std::map<uint64_t, int> snapshot_done;
+  int restores = 0;
 
   int steps = 0;
   while (!queue.AllDone() && steps++ < 200000) {
+    if (!snapshot.has_value() && rng.Bernoulli(0.002)) {
+      std::vector<ShardProgress> in_flight;
+      snapshot_done = times_done;
+      for (const Worker& w : workers) {
+        if (!w.shard.has_value()) continue;
+        in_flight.push_back({w.shard->index, w.pos});
+        credit(&snapshot_done, w.shard->start_batch,
+               w.shard->start_batch + w.pos);
+      }
+      snapshot = queue.SnapshotState(in_flight);
+    } else if (snapshot.has_value() && restores < 8 && rng.Bernoulli(0.002)) {
+      // Roll back: the queue and the oracle return to the cut, and every
+      // shard handed out before it is stale.
+      queue.RestoreState(*snapshot);
+      times_done = snapshot_done;
+      snapshot.reset();
+      ++restores;
+      for (Worker& w : workers) {
+        if (!w.shard.has_value()) continue;
+        EXPECT_EQ(queue.ReportCompleted(*w.shard).code(),
+                  StatusCode::kNotFound);
+        EXPECT_EQ(queue.ReportFailed(*w.shard, w.pos).code(),
+                  StatusCode::kNotFound);
+        w.shard.reset();
+      }
+    }
+    ASSERT_TRUE(queue.CheckInvariants().ok());
     const size_t i = rng.UniformInt(workers.size());
     Worker& worker = workers[i];
     if (!worker.shard.has_value()) {
@@ -122,25 +160,21 @@ TEST_P(ShardQueueChaosTest, ExactlyOnceUnderRandomFailures) {
     const double dice = rng.Uniform();
     if (dice < 0.05) {
       // Worker crashes: partial credit for what it pushed already.
-      for (uint64_t b = worker.shard->start_batch;
-           b < worker.shard->start_batch + worker.pos; ++b) {
-        ++times_done[b];
-      }
+      credit(&times_done, worker.shard->start_batch,
+             worker.shard->start_batch + worker.pos);
       ASSERT_TRUE(queue.ReportFailed(*worker.shard, worker.pos).ok());
       worker.shard.reset();
     } else if (worker.pos < worker.shard->batches()) {
       ++worker.pos;
     } else {
-      for (uint64_t b = worker.shard->start_batch;
-           b < worker.shard->end_batch; ++b) {
-        ++times_done[b];
-      }
+      credit(&times_done, worker.shard->start_batch, worker.shard->end_batch);
       ASSERT_TRUE(queue.ReportCompleted(*worker.shard).ok());
       worker.shard.reset();
     }
     ASSERT_TRUE(queue.CheckInvariants().ok());
   }
   ASSERT_TRUE(queue.AllDone());
+  EXPECT_GT(restores, 0);
   ASSERT_EQ(times_done.size(), 5000u);
   for (const auto& [batch, times] : times_done) {
     EXPECT_EQ(times, 1) << "batch " << batch;

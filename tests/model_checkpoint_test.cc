@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+#include <vector>
+
+#include "common/rng.h"
 #include "dlrm/criteo_synth.h"
 #include "dlrm/mini_dlrm.h"
 
@@ -176,6 +181,148 @@ TEST(ModelStateTest, ImportRejectsMismatchedBlob) {
   model.ExportState(&blob);
   blob.dense.pop_back();
   EXPECT_EQ(model.ImportState(blob).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ModelStateTest, ImportRejectsBadSparsePartBeforeTouchingDense) {
+  // A blob whose dense part fits but whose sparse part is malformed must be
+  // rejected as a whole: no new dense weights next to the old sparse rows.
+  CriteoSynth data(31);
+  const CriteoBatch probe = data.Batch(0, 64);
+  MiniDlrm trained(SmallModel());
+  DlrmBatchWork work;
+  for (uint64_t step = 0; step < 20; ++step) {
+    TrainOn(&trained, data, 1000 + step * 64, &work);
+  }
+  DlrmStateBlob blob;
+  trained.ExportState(&blob);
+  ASSERT_FALSE(blob.sparse.emb_values.empty());
+  blob.sparse.emb_values.pop_back();
+
+  MiniDlrm fresh(SmallModel());
+  const std::vector<double> before = fresh.Predict(probe);
+  EXPECT_EQ(fresh.ImportState(blob).code(), StatusCode::kInvalidArgument);
+  const std::vector<double> after = fresh.Predict(probe);
+  ASSERT_EQ(before.size(), after.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(before[i], after[i]) << "row " << i;
+  }
+}
+
+// Truncates `v` at a random position or flips one random bit of one random
+// element, at or after byte `first_byte` of it. Leaves an empty vector
+// alone and returns false.
+template <typename T>
+bool Damage(std::vector<T>* v, Rng* rng, size_t first_byte = 0) {
+  if (v->empty()) return false;
+  const size_t pos = rng->UniformInt(v->size());
+  if (rng->Bernoulli(0.5)) {
+    v->resize(pos);
+    return true;
+  }
+  unsigned char bytes[sizeof(T)];
+  std::memcpy(bytes, &(*v)[pos], sizeof(T));
+  bytes[first_byte + rng->UniformInt(sizeof(T) - first_byte)] ^=
+      static_cast<unsigned char>(1u << rng->UniformInt(8));
+  std::memcpy(&(*v)[pos], bytes, sizeof(T));
+  return true;
+}
+
+// Damages vector `which` (0-6) of `ckpt`.
+bool DamageVector(ModelCheckpoint* ckpt, int which, Rng* rng) {
+  switch (which) {
+    case 0:
+      return Damage(&ckpt->model.dense, rng);
+    case 1:
+      return Damage(&ckpt->model.sparse.emb_keys, rng);
+    case 2:
+      return Damage(&ckpt->model.sparse.emb_values, rng);
+    case 3:
+      return Damage(&ckpt->model.sparse.wide_keys, rng);
+    case 4:
+      return Damage(&ckpt->model.sparse.wide_values, rng);
+    case 5:
+      // A pending range's shard index is not saved (restore assigns fresh
+      // ones), so only its batch range can be damaged.
+      return Damage(&ckpt->queue.pending, rng,
+                    offsetof(DataShard, start_batch));
+    default:
+      return Damage(&ckpt->times_trained, rng);
+  }
+}
+
+TEST(ModelStateTest, RandomlyDamagedCheckpointsAreNeverTrustedOrHalfApplied) {
+  // A real checkpoint: a trained Wide&Deep model and a queue cut with
+  // re-served ranges pending.
+  CriteoSynth data(31);
+  const CriteoBatch probe = data.Batch(0, 64);
+  MiniDlrm trained(SmallModel());
+  DlrmBatchWork work;
+  for (uint64_t step = 0; step < 8; ++step) {
+    TrainOn(&trained, data, 1000 + step * 64, &work);
+  }
+  ModelCheckpoint good;
+  trained.ExportState(&good.model);
+  ShardQueueOptions queue_options;
+  queue_options.total_batches = 64;
+  queue_options.default_shard_batches = 8;
+  ShardQueue queue(queue_options);
+  const DataShard first = queue.NextShard().value();
+  const DataShard second = queue.NextShard().value();
+  ASSERT_TRUE(queue.ReportCompleted(first).ok());
+  good.queue = queue.SnapshotState({{second.index, 3}});
+  good.committed_batches = good.queue.completed_batches;
+  good.times_trained.assign(64, 0);
+  for (uint64_t b = 0; b < good.committed_batches; ++b) {
+    good.times_trained[b] = 1;
+  }
+  ASSERT_FALSE(good.model.sparse.emb_keys.empty());
+  ASSERT_FALSE(good.model.sparse.wide_keys.empty());
+  ASSERT_FALSE(good.queue.pending.empty());
+
+  const size_t dense_size = good.model.dense.size();
+  const size_t dim = static_cast<size_t>(SmallModel().emb_dim);
+  Rng rng(2024);
+  for (int trial = 0; trial < 280; ++trial) {
+    const int which = trial % 7;
+    // The vault: a generation damaged after commit is never handed back.
+    CheckpointVault vault(3);
+    vault.Commit(good);
+    vault.Commit(good);
+    ModelCheckpoint* stored = const_cast<ModelCheckpoint*>(vault.LatestValid());
+    ASSERT_NE(stored, nullptr);
+    ASSERT_EQ(stored->generation, 1u);
+    ASSERT_TRUE(DamageVector(stored, which, &rng));
+    const ModelCheckpoint* latest = vault.LatestValid();
+    ASSERT_NE(latest, nullptr);
+    EXPECT_EQ(latest->generation, 0u) << "trial " << trial;
+
+    // ImportState on the damaged model blob: accepted when its shape is
+    // consistent, otherwise rejected with the target model untouched.
+    const DlrmStateBlob& blob = stored->model;
+    const bool consistent =
+        blob.dense.size() == dense_size &&
+        blob.sparse.emb_values.size() == blob.sparse.emb_keys.size() * dim &&
+        blob.sparse.wide_values.size() == blob.sparse.wide_keys.size();
+    MiniDlrm target(SmallModel());
+    TrainOn(&target, data, 5000, &work);
+    const std::vector<double> predict_before = target.Predict(probe);
+    DlrmStateBlob state_before;
+    target.ExportState(&state_before);
+    const Status status = target.ImportState(blob);
+    if (consistent) {
+      EXPECT_TRUE(status.ok()) << "trial " << trial << ": " << status;
+      continue;
+    }
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << "trial " << trial;
+    DlrmStateBlob state_after;
+    target.ExportState(&state_after);
+    EXPECT_EQ(state_after.dense, state_before.dense) << "trial " << trial;
+    EXPECT_EQ(state_after.sparse.emb_keys, state_before.sparse.emb_keys);
+    EXPECT_EQ(state_after.sparse.emb_values, state_before.sparse.emb_values);
+    EXPECT_EQ(state_after.sparse.wide_keys, state_before.sparse.wide_keys);
+    EXPECT_EQ(state_after.sparse.wide_values, state_before.sparse.wide_values);
+    EXPECT_EQ(target.Predict(probe), predict_before) << "trial " << trial;
+  }
 }
 
 TEST(ModelStateTest, SparseExportIsCanonicalAcrossInsertionOrder) {

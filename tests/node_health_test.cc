@@ -26,10 +26,9 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(NodeHealthTrackerTest, CrashBurstCordonsThenHysteresisReleases) {
-  NodeHealthOptions options;
-  NodeHealthTracker tracker(options, 4);
+  NodeHealthTracker tracker(4);
   // Repeated mature-pod crashes (no churn bonus) on node 2: each is worth
-  // crash_weight, so the score crosses suspect and then cordon within a few
+  // kCrashWeight, so the score crosses suspect and then cordon within a few
   // 30-second ticks.
   SimTime now = 0.0;
   bool cordoned = false;
@@ -45,8 +44,8 @@ TEST(NodeHealthTrackerTest, CrashBurstCordonsThenHysteresisReleases) {
   ASSERT_TRUE(cordoned);
   EXPECT_EQ(tracker.state(2), NodeHealthState::kCordoned);
   EXPECT_EQ(tracker.cordons(), 1u);
-  // The crash burst stops. The score decays below clear_threshold well
-  // before min_cordon elapses; the cordon must hold regardless.
+  // The crash burst stops. The score decays below kClearThreshold well
+  // before kMinCordon elapses; the cordon must hold regardless.
   const SimTime cordon_time = now;
   bool released = false;
   while (now < cordon_time + Hours(2) && !released) {
@@ -54,7 +53,7 @@ TEST(NodeHealthTrackerTest, CrashBurstCordonsThenHysteresisReleases) {
     for (const auto& action : tracker.Tick(now)) {
       EXPECT_FALSE(action.cordon);
       released = true;
-      EXPECT_GE(now - cordon_time, options.min_cordon);
+      EXPECT_GE(now - cordon_time, NodeHealthTracker::kMinCordon);
     }
   }
   ASSERT_TRUE(released);
@@ -69,8 +68,7 @@ TEST(NodeHealthTrackerTest, CrashBurstCordonsThenHysteresisReleases) {
 }
 
 TEST(NodeHealthTrackerTest, IsolatedCrashDecaysWithoutCordon) {
-  NodeHealthOptions options;
-  NodeHealthTracker tracker(options, 2);
+  NodeHealthTracker tracker(2);
   // One young-pod crash (crash + churn weight) is the worst-looking single
   // event; it may make the node Suspect but must never cordon, and the
   // suspicion must decay back to Healthy on its own.
@@ -85,10 +83,9 @@ TEST(NodeHealthTrackerTest, IsolatedCrashDecaysWithoutCordon) {
 }
 
 TEST(NodeHealthTrackerTest, UnaccountedFloorCreepCordons) {
-  NodeHealthOptions options;
-  NodeHealthTracker tracker(options, 2);
+  NodeHealthTracker tracker(2);
   // The node's unaccounted memory share creeps at 1.5e-4 of capacity per
-  // second — squarely inside the slope band. After leak_streak windows the
+  // second — squarely inside the slope band. After kLeakStreak windows the
   // evidence stream starts and the node must cordon within the fault's
   // first half hour.
   const double rate = 1.5e-4;
@@ -109,8 +106,7 @@ TEST(NodeHealthTrackerTest, UnaccountedFloorCreepCordons) {
 }
 
 TEST(NodeHealthTrackerTest, StepJumpAndFlatSignalNeverFire) {
-  NodeHealthOptions options;
-  NodeHealthTracker tracker(options, 2);
+  NodeHealthTracker tracker(2);
   // A one-off step (reserved pool appearing) is far steeper than the band's
   // ceiling across the window it lands in, and flat before and after: the
   // streak must never build, so no evidence and no state change.
@@ -127,11 +123,10 @@ TEST(NodeHealthTrackerTest, StepJumpAndFlatSignalNeverFire) {
 }
 
 TEST(NodeHealthTrackerTest, StragglerVerdictsNeedCorroboration) {
-  NodeHealthOptions options;
   // A single pod reported as a straggler every tick for an hour: weak
   // evidence that saturates between suspect and cordon — the node may turn
   // Suspect but is never cordoned on one pod's word.
-  NodeHealthTracker lone(options, 2);
+  NodeHealthTracker lone(2);
   SimTime now = 0.0;
   for (int i = 0; i < 120; ++i) {
     now += 30.0;
@@ -143,7 +138,7 @@ TEST(NodeHealthTrackerTest, StragglerVerdictsNeedCorroboration) {
 
   // Two distinct slow pods on one node corroborate each other — the
   // node-level signature — and the tracker cordons within minutes.
-  NodeHealthTracker pair(options, 2);
+  NodeHealthTracker pair(2);
   now = 0.0;
   bool cordoned = false;
   for (int i = 0; i < 120 && !cordoned; ++i) {
