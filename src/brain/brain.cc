@@ -5,6 +5,7 @@
 
 #include "cluster/control_channel.h"
 #include "common/logging.h"
+#include "perfmodel/profile_ingest.h"
 
 namespace dlrover {
 namespace {
@@ -51,21 +52,8 @@ void ClusterBrain::Start() { round_task_->Start(); }
 void ClusterBrain::Stop() { round_task_->Stop(); }
 
 void ClusterBrain::IngestProfiles(ManagedJob& managed) {
-  const auto& history = managed.job->history();
-  for (; managed.history_cursor < history.size(); ++managed.history_cursor) {
-    const ThroughputSample& sample = history[managed.history_cursor];
-    if (sample.observed_iter_time <= 0.0 || sample.active_workers <= 0) {
-      continue;
-    }
-    PerfObservation obs;
-    obs.batch_size = managed.job->spec().batch_size;
-    obs.workers = sample.active_workers;
-    obs.ps = sample.config.num_ps;
-    obs.worker_cpu = sample.config.worker_cpu;
-    obs.ps_cpu = sample.config.ps_cpu;
-    obs.iter_time = sample.observed_iter_time;
-    managed.fitter->AddObservation(obs);
-  }
+  IngestJobHistory(*managed.job, &managed.history_cursor,
+                   managed.fitter.get());
   // Sliding window: drop stale observations so the fit tracks the present.
   if (managed.fitter->observation_count() > kFitterWindow) {
     std::vector<PerfObservation> recent(
@@ -117,7 +105,6 @@ void ClusterBrain::HandleInstability(ManagedJob& managed) {
   }
   if (managed.degraded_rounds >= 2) {
     managed.degraded_rounds = 0;
-    ++rebalances_;
     DLROVER_LOG_STREAM(Info)
         << job.spec().name << ": degraded throughput (" << measured << " vs "
         << predicted << " predicted), seamless rebalance";
@@ -326,11 +313,10 @@ void ClusterBrain::RunRound() {
   // cannot hand it out. With no cluster attached (or nothing quarantined)
   // the budget is exactly options_.budget, as before.
   ResourceSpec budget = options_.budget;
-  last_blacklisted_ = ResourceSpec{};
   if (cluster_ != nullptr) {
-    last_blacklisted_ = cluster_->QuarantinedCapacity();
-    budget.cpu = std::max(0.0, budget.cpu - last_blacklisted_.cpu);
-    budget.memory = std::max(0.0, budget.memory - last_blacklisted_.memory);
+    const ResourceSpec blacklisted = cluster_->QuarantinedCapacity();
+    budget.cpu = std::max(0.0, budget.cpu - blacklisted.cpu);
+    budget.memory = std::max(0.0, budget.memory - blacklisted.memory);
   }
   const auto selected = GreedySelector::Select(requests, budget);
   for (const auto& [id, plan] : selected) {

@@ -75,9 +75,6 @@ class ClusterBrain {
 
   /// Total number of plans applied across all rounds.
   int plans_applied() const { return plans_applied_; }
-  int rebalances_triggered() const { return rebalances_; }
-  /// Capacity withheld from the selector in the most recent round.
-  ResourceSpec last_blacklisted() const { return last_blacklisted_; }
 
  private:
   struct ManagedJob {
@@ -115,9 +112,7 @@ class ClusterBrain {
   std::vector<std::unique_ptr<ManagedJob>> jobs_;
   std::unique_ptr<PeriodicTask> round_task_;
   const Cluster* cluster_ = nullptr;
-  ResourceSpec last_blacklisted_;
   int plans_applied_ = 0;
-  int rebalances_ = 0;
   uint64_t next_job_id_ = 1;
 };
 

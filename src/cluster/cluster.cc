@@ -23,56 +23,6 @@ std::string ResourceSpec::ToString() const {
   return buf;
 }
 
-std::string PriorityClassName(PriorityClass p) {
-  switch (p) {
-    case PriorityClass::kBestEffort:
-      return "best-effort";
-    case PriorityClass::kTraining:
-      return "training";
-    case PriorityClass::kStream:
-      return "stream";
-    case PriorityClass::kOnline:
-      return "online";
-  }
-  return "unknown";
-}
-
-std::string PodPhaseName(PodPhase phase) {
-  switch (phase) {
-    case PodPhase::kPending:
-      return "Pending";
-    case PodPhase::kStarting:
-      return "Starting";
-    case PodPhase::kRunning:
-      return "Running";
-    case PodPhase::kSucceeded:
-      return "Succeeded";
-    case PodPhase::kFailed:
-      return "Failed";
-    case PodPhase::kPreempted:
-      return "Preempted";
-    case PodPhase::kKilled:
-      return "Killed";
-  }
-  return "Unknown";
-}
-
-std::string PodStopReasonName(PodStopReason reason) {
-  switch (reason) {
-    case PodStopReason::kCompleted:
-      return "completed";
-    case PodStopReason::kCrash:
-      return "crash";
-    case PodStopReason::kOomKill:
-      return "oom-kill";
-    case PodStopReason::kPreemption:
-      return "preemption";
-    case PodStopReason::kOwnerKill:
-      return "owner-kill";
-  }
-  return "unknown";
-}
-
 Cluster::Cluster(Simulator* sim, const ClusterOptions& options)
     : sim_(sim),
       options_(options),

@@ -229,7 +229,6 @@ class Cluster {
   /// ledger. Only affects *future* startup-duration draws (no pod state
   /// mutates), so applying it at a window barrier is race-free.
   void set_fleet_scarcity(bool scarce) { fleet_scarcity_ = scarce; }
-  bool fleet_scarcity() const { return fleet_scarcity_; }
 
   /// Attaches an accounting commit log: from now on every capacity /
   /// allocated / usage total mutation also appends its delta, and the

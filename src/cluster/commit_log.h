@@ -37,7 +37,6 @@ class ClusterCommitLog {
   /// Reserve() it never allocates on the warm path.
   void Append(SimTime time, Kind kind, const ResourceSpec& delta) {
     entries_.push_back(Entry{time, next_seq_++, kind, delta});
-    ++total_appended_;
   }
 
   const std::vector<Entry>& entries() const { return entries_; }
@@ -52,13 +51,9 @@ class ClusterCommitLog {
 
   void Reserve(size_t n) { entries_.reserve(n); }
 
-  /// Lifetime count of appended entries (survives Clear).
-  uint64_t total_appended() const { return total_appended_; }
-
  private:
   std::vector<Entry> entries_;
   uint64_t next_seq_ = 0;
-  uint64_t total_appended_ = 0;
 };
 
 /// Fleet-wide accounting folded out of per-shard commit logs at window

@@ -6,20 +6,6 @@
 
 namespace dlrover {
 
-std::string ControlMessageKindName(ControlMessageKind kind) {
-  switch (kind) {
-    case ControlMessageKind::kHeartbeat:
-      return "heartbeat";
-    case ControlMessageKind::kShardReport:
-      return "shard_report";
-    case ControlMessageKind::kStragglerVerdict:
-      return "straggler_verdict";
-    case ControlMessageKind::kPlan:
-      return "plan";
-  }
-  return "unknown";
-}
-
 ControlChannelStats& ControlChannelStats::operator+=(
     const ControlChannelStats& o) {
   messages_sent += o.messages_sent;
@@ -39,23 +25,6 @@ ControlChannelStats& ControlChannelStats::operator+=(
   master_crashes += o.master_crashes;
   master_restarts += o.master_restarts;
   return *this;
-}
-
-bool ControlChannelStats::operator==(const ControlChannelStats& o) const {
-  return messages_sent == o.messages_sent &&
-         messages_delivered == o.messages_delivered &&
-         messages_dropped == o.messages_dropped &&
-         messages_partition_dropped == o.messages_partition_dropped &&
-         messages_duplicated == o.messages_duplicated &&
-         messages_reordered == o.messages_reordered && retries == o.retries &&
-         sends_expired == o.sends_expired && acks_lost == o.acks_lost &&
-         epoch_fenced == o.epoch_fenced &&
-         plans_fenced_stale == o.plans_fenced_stale &&
-         stale_plan_applies == o.stale_plan_applies &&
-         node_partitions == o.node_partitions &&
-         cell_partitions == o.cell_partitions &&
-         master_crashes == o.master_crashes &&
-         master_restarts == o.master_restarts;
 }
 
 ControlChannel::ControlChannel(Simulator* sim,

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "cluster/pod.h"
@@ -30,8 +29,6 @@ enum class ControlMessageKind : int {
   kStragglerVerdict = 2, // master -> brain node-health evidence
   kPlan = 3,             // brain -> master scaling plan (reliable, fenced)
 };
-
-std::string ControlMessageKindName(ControlMessageKind kind);
 
 /// One entry of the channel's deterministic event trace. `a` and `b` carry
 /// kind-specific detail (message kind + sequence for chaos events, node id
@@ -63,9 +60,7 @@ struct ControlEvent {
   uint64_t a = 0;
   uint64_t b = 0;
 
-  bool operator==(const ControlEvent& o) const {
-    return time == o.time && kind == o.kind && a == o.a && b == o.b;
-  }
+  bool operator==(const ControlEvent&) const = default;
 };
 
 /// Channel-wide counters, merged across cells by the sharded fleet runner.
@@ -88,7 +83,7 @@ struct ControlChannelStats {
   uint64_t master_restarts = 0;
 
   ControlChannelStats& operator+=(const ControlChannelStats& o);
-  bool operator==(const ControlChannelStats& o) const;
+  bool operator==(const ControlChannelStats&) const = default;
 };
 
 /// Tunables for the control-plane channel. Everything defaults to a fully

@@ -32,30 +32,6 @@ constexpr Duration kPartitionMinDuration = Minutes(2);
 constexpr Duration kPartitionMaxDuration = Minutes(8);
 }  // namespace
 
-std::string FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kPodCrash:
-      return "pod-crash";
-    case FaultKind::kPodStraggler:
-      return "pod-straggler";
-    case FaultKind::kFlakyNode:
-      return "flaky-node";
-    case FaultKind::kDegradedNode:
-      return "degraded-node";
-    case FaultKind::kMemoryLeak:
-      return "memory-leak";
-    case FaultKind::kCrashLoop:
-      return "crash-loop";
-    case FaultKind::kNodePartition:
-      return "node-partition";
-    case FaultKind::kCellPartition:
-      return "cell-partition";
-    case FaultKind::kMasterCrash:
-      return "master-crash";
-  }
-  return "unknown";
-}
-
 FailureInjector::FailureInjector(Simulator* sim, Cluster* cluster,
                                  const FailureInjectorOptions& options)
     : sim_(sim), cluster_(cluster), options_(options), rng_(options.seed) {

@@ -2,7 +2,6 @@
 #define DLROVER_CLUSTER_FAILURE_INJECTOR_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -25,8 +24,6 @@ enum class FaultKind : int {
   kMasterCrash = 8,    // one job master's process killed (failover path)
 };
 
-std::string FaultKindName(FaultKind kind);
-
 /// One audit-log entry: the labeled ground truth the resilience scorecard
 /// compares detections against. Deterministic for a fixed seed regardless of
 /// sharded-simulator lane count (each cell's injector draws from its own
@@ -44,10 +41,7 @@ struct FaultRecord {
   /// excluded from recall denominators.
   uint64_t symptoms = 0;
 
-  bool operator==(const FaultRecord& o) const {
-    return time == o.time && kind == o.kind && target == o.target &&
-           node == o.node && duration == o.duration && symptoms == o.symptoms;
-  }
+  bool operator==(const FaultRecord&) const = default;
 };
 
 /// Tunables for cloud-instability injection. Defaults reproduce the paper's

@@ -67,18 +67,6 @@ constexpr double kCordonThreshold = 3.5;
 constexpr double kClearThreshold = 0.4;
 }  // namespace
 
-std::string NodeHealthStateName(NodeHealthState state) {
-  switch (state) {
-    case NodeHealthState::kHealthy:
-      return "healthy";
-    case NodeHealthState::kSuspect:
-      return "suspect";
-    case NodeHealthState::kCordoned:
-      return "cordoned";
-  }
-  return "unknown";
-}
-
 NodeHealthTracker::NodeHealthTracker(size_t num_nodes) : entries_(num_nodes) {}
 
 void NodeHealthTracker::Decay(Entry& e, SimTime now) const {

@@ -2,7 +2,6 @@
 #define DLROVER_CLUSTER_NODE_HEALTH_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "cluster/pod.h"
@@ -19,8 +18,6 @@ enum class NodeHealthState : int {
   kCordoned = 2,  // excluded from placement; resident pods being drained
 };
 
-std::string NodeHealthStateName(NodeHealthState state);
-
 /// One state transition, kept for scorecards and tests.
 struct NodeHealthEvent {
   SimTime time = 0.0;
@@ -30,10 +27,7 @@ struct NodeHealthEvent {
   /// Decayed suspicion score at the moment of the transition.
   double score = 0.0;
 
-  bool operator==(const NodeHealthEvent& o) const {
-    return time == o.time && node == o.node && from == o.from && to == o.to &&
-           score == o.score;
-  }
+  bool operator==(const NodeHealthEvent&) const = default;
 };
 
 /// Folds per-node evidence (pod failures, relaunch churn, straggler

@@ -25,8 +25,6 @@ enum class PodPhase : int {
   kKilled = 6,     // deleted by its owner (scale-down, migration)
 };
 
-std::string PodPhaseName(PodPhase phase);
-
 /// Why a pod left the Running state; delivered to the owner's callback.
 enum class PodStopReason : int {
   kCompleted = 0,
@@ -35,8 +33,6 @@ enum class PodStopReason : int {
   kPreemption = 3,
   kOwnerKill = 4,
 };
-
-std::string PodStopReasonName(PodStopReason reason);
 
 /// Immutable description the owner supplies when creating a pod.
 struct PodSpec {

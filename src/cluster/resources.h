@@ -54,8 +54,6 @@ enum class PriorityClass : int {
   kOnline = 100,
 };
 
-std::string PriorityClassName(PriorityClass p);
-
 }  // namespace dlrover
 
 #endif  // DLROVER_CLUSTER_RESOURCES_H_

@@ -18,12 +18,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   }
 }
 
-Matrix Matrix::Identity(size_t n) {
-  Matrix m(n, n, 0.0);
-  for (size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 Matrix Matrix::Transpose() const {
   Matrix t(cols_, rows_);
   for (size_t r = 0; r < rows_; ++r) {

@@ -23,8 +23,6 @@ class Matrix {
   /// Builds from nested initializer lists: Matrix({{1,2},{3,4}}).
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
-  static Matrix Identity(size_t n);
-
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
 

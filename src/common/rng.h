@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 namespace dlrover {
 
@@ -112,21 +111,6 @@ class Rng {
         const double ratio = std::pow(static_cast<double>(k) / x, sm);
         if (Uniform() < ratio) return k - 1;
       }
-    }
-  }
-
-  /// Returns a child generator with independent state derived from this
-  /// generator plus `stream_id`; used to give subsystems isolated streams.
-  Rng Fork(uint64_t stream_id) {
-    return Rng(NextU64() ^ (stream_id * 0x9e3779b97f4a7c15ull) ^ 0xd1b54a32d192ed03ull);
-  }
-
-  /// Fisher-Yates shuffle of `items`.
-  template <typename T>
-  void Shuffle(std::vector<T>& items) {
-    for (size_t i = items.size(); i > 1; --i) {
-      const size_t j = static_cast<size_t>(UniformInt(i));
-      std::swap(items[i - 1], items[j]);
     }
   }
 

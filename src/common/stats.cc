@@ -20,32 +20,7 @@ void RunningStat::Add(double x) {
   ++count_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
 }
-
-void RunningStat::Merge(const RunningStat& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStat::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
 
 void Distribution::Add(double x) {
   samples_.push_back(x);
@@ -73,9 +48,8 @@ double Distribution::max() const {
 
 void Distribution::EnsureSorted() const {
   if (sorted_) return;
-  auto* self = const_cast<Distribution*>(this);
-  std::sort(self->samples_.begin(), self->samples_.end());
-  self->sorted_ = true;
+  std::sort(samples_.begin(), samples_.end());
+  sorted_ = true;
 }
 
 double Distribution::Percentile(double pct) const {
@@ -98,24 +72,6 @@ double Distribution::CdfAt(double x) const {
          static_cast<double>(samples_.size());
 }
 
-std::vector<std::pair<double, double>> Distribution::CdfSeries(
-    size_t points) const {
-  std::vector<std::pair<double, double>> series;
-  if (samples_.empty() || points == 0) return series;
-  EnsureSorted();
-  const double lo = samples_.front();
-  const double hi = samples_.back();
-  series.reserve(points);
-  for (size_t i = 0; i < points; ++i) {
-    const double x =
-        points == 1 ? hi
-                    : lo + (hi - lo) * static_cast<double>(i) /
-                               static_cast<double>(points - 1);
-    series.emplace_back(x, CdfAt(x));
-  }
-  return series;
-}
-
 std::string Distribution::Summary() const {
   if (samples_.empty()) return "(empty)";
   char buf[160];
@@ -132,17 +88,6 @@ double Rmsle(const std::vector<double>& predicted,
   double acc = 0.0;
   for (size_t i = 0; i < predicted.size(); ++i) {
     const double d = std::log1p(predicted[i]) - std::log1p(actual[i]);
-    acc += d * d;
-  }
-  return std::sqrt(acc / static_cast<double>(predicted.size()));
-}
-
-double Rmse(const std::vector<double>& predicted,
-            const std::vector<double>& actual) {
-  assert(predicted.size() == actual.size() && !predicted.empty());
-  double acc = 0.0;
-  for (size_t i = 0; i < predicted.size(); ++i) {
-    const double d = predicted[i] - actual[i];
     acc += d * d;
   }
   return std::sqrt(acc / static_cast<double>(predicted.size()));

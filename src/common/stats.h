@@ -7,17 +7,13 @@
 
 namespace dlrover {
 
-/// Online mean/variance accumulator (Welford).
+/// Online count/mean/min/max accumulator (Welford-style running mean).
 class RunningStat {
  public:
   void Add(double x);
-  void Merge(const RunningStat& other);
 
   size_t count() const { return count_; }
   double mean() const { return count_ == 0 ? 0.0 : mean_; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const;
-  double stddev() const;
   double min() const { return min_; }
   double max() const { return max_; }
   double sum() const { return mean_ * static_cast<double>(count_); }
@@ -25,7 +21,6 @@ class RunningStat {
  private:
   size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };
@@ -50,10 +45,8 @@ class Distribution {
   /// Fraction of samples <= x.
   double CdfAt(double x) const;
 
-  /// Evenly spaced CDF points (x, F(x)) for plotting: `points` entries from
-  /// min to max.
-  std::vector<std::pair<double, double>> CdfSeries(size_t points) const;
-
+  /// The samples. Queries may reorder them: Percentile, CdfAt, Median and
+  /// Summary sort them in place, even on a const Distribution.
   const std::vector<double>& samples() const { return samples_; }
 
   /// Short textual summary: count/mean/p50/p90/p99/max.
@@ -62,7 +55,8 @@ class Distribution {
  private:
   void EnsureSorted() const;
 
-  std::vector<double> samples_;
+  /// Sorted lazily by the const queries, hence mutable.
+  mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
 };
 
@@ -70,10 +64,6 @@ class Distribution {
 /// Both inputs must be the same non-zero length; values must be > -1.
 double Rmsle(const std::vector<double>& predicted,
              const std::vector<double>& actual);
-
-/// Plain RMSE.
-double Rmse(const std::vector<double>& predicted,
-            const std::vector<double>& actual);
 
 /// Coefficient of determination (R^2) of predictions vs. actuals.
 double RSquared(const std::vector<double>& predicted,

@@ -54,23 +54,8 @@ Status InvalidArgumentError(std::string message) {
 Status NotFoundError(std::string message) {
   return Status(StatusCode::kNotFound, std::move(message));
 }
-Status AlreadyExistsError(std::string message) {
-  return Status(StatusCode::kAlreadyExists, std::move(message));
-}
-Status ResourceExhaustedError(std::string message) {
-  return Status(StatusCode::kResourceExhausted, std::move(message));
-}
 Status FailedPreconditionError(std::string message) {
   return Status(StatusCode::kFailedPrecondition, std::move(message));
-}
-Status AbortedError(std::string message) {
-  return Status(StatusCode::kAborted, std::move(message));
-}
-Status OutOfRangeError(std::string message) {
-  return Status(StatusCode::kOutOfRange, std::move(message));
-}
-Status UnimplementedError(std::string message) {
-  return Status(StatusCode::kUnimplemented, std::move(message));
 }
 Status InternalError(std::string message) {
   return Status(StatusCode::kInternal, std::move(message));
@@ -80,9 +65,6 @@ Status UnavailableError(std::string message) {
 }
 Status DeadlineExceededError(std::string message) {
   return Status(StatusCode::kDeadlineExceeded, std::move(message));
-}
-Status CancelledError(std::string message) {
-  return Status(StatusCode::kCancelled, std::move(message));
 }
 
 namespace internal_status {

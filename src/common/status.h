@@ -67,16 +67,10 @@ std::ostream& operator<<(std::ostream& os, const Status& status);
 /// Convenience constructors for common error categories.
 Status InvalidArgumentError(std::string message);
 Status NotFoundError(std::string message);
-Status AlreadyExistsError(std::string message);
-Status ResourceExhaustedError(std::string message);
 Status FailedPreconditionError(std::string message);
-Status AbortedError(std::string message);
-Status OutOfRangeError(std::string message);
-Status UnimplementedError(std::string message);
 Status InternalError(std::string message);
 Status UnavailableError(std::string message);
 Status DeadlineExceededError(std::string message);
-Status CancelledError(std::string message);
 
 namespace internal_status {
 [[noreturn]] void DieBecauseNotOk(const Status& status, const char* expr);

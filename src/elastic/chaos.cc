@@ -7,26 +7,6 @@
 
 namespace dlrover {
 
-const char* ChaosFaultKindName(ChaosFaultKind kind) {
-  switch (kind) {
-    case ChaosFaultKind::kCrashBeforePush:
-      return "crash_before_push";
-    case ChaosFaultKind::kCrashAfterPush:
-      return "crash_after_push";
-    case ChaosFaultKind::kStallWorker:
-      return "stall_worker";
-    case ChaosFaultKind::kLoseShardReport:
-      return "lose_shard_report";
-    case ChaosFaultKind::kFailCheckpointWrite:
-      return "fail_checkpoint_write";
-    case ChaosFaultKind::kPsFailure:
-      return "ps_failure";
-    case ChaosFaultKind::kTornCheckpointWrite:
-      return "torn_checkpoint_write";
-  }
-  return "unknown";
-}
-
 ChaosInjector::ChaosInjector(std::vector<ChaosFault> schedule)
     : schedule_(std::move(schedule)) {
   std::sort(schedule_.begin(), schedule_.end(),
@@ -104,17 +84,6 @@ size_t ChaosInjector::remaining() const {
   size_t left = 0;
   for (int k = 0; k < kNumKinds; ++k) left += triggers_[k].size() - cursor_[k];
   return left;
-}
-
-std::string ChaosInjector::Describe() const {
-  std::string out;
-  for (const ChaosFault& fault : schedule_) {
-    if (!out.empty()) out += " ";
-    out += ChaosFaultKindName(fault.kind);
-    out += "@";
-    out += std::to_string(fault.at_batches);
-  }
-  return out;
 }
 
 }  // namespace dlrover

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <vector>
 
 namespace dlrover {
@@ -38,8 +37,6 @@ enum class ChaosFaultKind : int {
   kPsFailure = 5,
   kTornCheckpointWrite = 6,
 };
-
-const char* ChaosFaultKindName(ChaosFaultKind kind);
 
 /// One scheduled fault: fires when the trainer's committed-batch counter
 /// reaches `at_batches`. Keying on committed progress (not wall-clock)
@@ -113,9 +110,6 @@ class ChaosInjector {
   std::vector<ChaosFiredRecord> fired() const;
 
   size_t remaining() const;
-
-  /// Human-readable "kind@trigger" schedule summary for logs/benches.
-  std::string Describe() const;
 
  private:
   static constexpr int kNumKinds = 7;

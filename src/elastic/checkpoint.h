@@ -54,8 +54,6 @@ class RdsStore : public CheckpointStore {
 struct CacheStoreOptions {
   Bandwidth bandwidth = GiBps(24);
   Duration fixed_overhead = Seconds(0.2);
-  /// When new and old pods share a physical node, loads skip the network.
-  double same_node_speedup = 4.0;
 };
 
 class CacheStore : public CheckpointStore {
@@ -67,11 +65,6 @@ class CacheStore : public CheckpointStore {
   }
   Duration ReadTime(Bytes bytes) const override {
     return options_.fixed_overhead + bytes / options_.bandwidth;
-  }
-  /// Read when producer and consumer are co-located on one node.
-  Duration LocalReadTime(Bytes bytes) const {
-    return options_.fixed_overhead +
-           bytes / (options_.bandwidth * options_.same_node_speedup);
   }
   std::string name() const override { return "flash-cache"; }
 

@@ -35,8 +35,6 @@ class OomPredictor {
   std::optional<Bytes> RecommendLimit(Bytes current_limit,
                                       SimTime completion_time) const;
 
-  size_t sample_count() const { return ring_.size(); }
-
  private:
   struct Sample {
     SimTime t;

@@ -53,18 +53,6 @@ StatusOr<DataShard> ShardQueue::NextShard(uint64_t max_batches) {
   return NextShardLocked(max_batches);
 }
 
-StatusOr<DataShard> ShardQueue::WaitNextShard(uint64_t max_batches) {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    if (ServableLocked()) return NextShardLocked(max_batches);
-    if (outstanding_.empty()) {
-      // Nothing queued and nobody holds work that could be re-queued.
-      return NotFoundError("shard queue exhausted");
-    }
-    cv_.wait(lock);
-  }
-}
-
 StatusOr<DataShard> ShardQueue::WaitNextShardFor(double timeout_seconds,
                                                  uint64_t max_batches) {
   std::unique_lock<std::mutex> lock(mu_);

@@ -78,13 +78,10 @@ class ShardQueue {
   /// momentarily empty but other workers still hold outstanding shards
   /// (which may fail and be re-queued), waits instead of returning. Returns
   /// kNotFound only when no data can ever be served again — everything is
-  /// completed or held by nobody.
-  StatusOr<DataShard> WaitNextShard(uint64_t max_batches = 0);
-
-  /// WaitNextShard with a wall-clock deadline: returns kDeadlineExceeded
-  /// after `timeout_seconds` without a servable shard. A blocked worker
-  /// would otherwise wait forever when the holder of the last outstanding
-  /// shard dies without reporting — the timeout hands control back so a
+  /// completed or held by nobody — and kDeadlineExceeded after
+  /// `timeout_seconds` without a servable shard. A blocked worker would
+  /// otherwise wait forever when the holder of the last outstanding shard
+  /// dies without reporting — the timeout hands control back so a
   /// supervisor (or the worker itself) can decide to retry or give up.
   StatusOr<DataShard> WaitNextShardFor(double timeout_seconds,
                                        uint64_t max_batches = 0);

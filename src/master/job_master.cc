@@ -106,49 +106,18 @@ PolicyDriver::PolicyDriver(Simulator* sim, ScalingPolicy* policy,
                                          [this] { Round(); });
 }
 
-void PolicyDriver::AddJob(TrainingJob* job) {
-  jobs_.push_back(job);
-  plan_seqs_.push_back(0);
-}
+void PolicyDriver::AddJob(TrainingJob* job) { jobs_.push_back(job); }
 
 void PolicyDriver::Start() { task_->Start(); }
 void PolicyDriver::Stop() { task_->Stop(); }
 
-PolicyDriver::Snapshot PolicyDriver::SnapshotState() const {
-  Snapshot snapshot;
-  snapshot.plan_seqs = plan_seqs_;
-  return snapshot;
-}
-
-void PolicyDriver::RestoreState(const Snapshot& snapshot) {
-  for (size_t i = 0; i < plan_seqs_.size(); ++i) {
-    plan_seqs_[i] = i < snapshot.plan_seqs.size() ? snapshot.plan_seqs[i] : 0;
-  }
-}
-
 void PolicyDriver::Round() {
-  for (size_t i = 0; i < jobs_.size(); ++i) {
-    TrainingJob* job = jobs_[i];
+  for (TrainingJob* job : jobs_) {
     if (job->finished()) continue;
     auto plan = policy_->Propose(*job);
-    if (!plan.has_value()) continue;
-    if (channel_ == nullptr) {
-      if (job->ApplyPlan(plan->config, plan->mode).ok()) {
-        ++plans_applied_;
-      }
-      continue;
+    if (plan.has_value() && job->ApplyPlan(plan->config, plan->mode).ok()) {
+      ++plans_applied_;
     }
-    const uint64_t seq = ++plan_seqs_[i];
-    const JobConfig config = plan->config;
-    const MigrationMode mode = plan->mode;
-    channel_->SendReliable(
-        ControlMessageKind::kPlan, ControlChannel::kBrain,
-        ControlChannel::kMaster,
-        [job, config, mode, seq] {
-          (void)job->DeliverPlanFromBrain(config, mode, seq);
-        },
-        /*on_expire=*/nullptr, job->master_channel_handle());
-    ++plans_sent_;
   }
 }
 

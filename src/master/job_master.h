@@ -94,10 +94,7 @@ class JobMaster : public ControlMasterEndpoint {
 
 /// Drives a plug-in ScalingPolicy (ES, Optimus, ...) on a fixed round
 /// interval across a set of jobs — the baseline counterpart of the
-/// ClusterBrain's scheduling loop. With a control channel attached, plans
-/// are sequence-stamped and delivered as reliable channel messages pinned to
-/// each job's master handle; without one, behaviour is byte-identical to
-/// the direct-call path.
+/// ClusterBrain's scheduling loop. Plans apply directly to each job.
 class PolicyDriver {
  public:
   PolicyDriver(Simulator* sim, ScalingPolicy* policy,
@@ -107,21 +104,7 @@ class PolicyDriver {
   void Start();
   void Stop();
 
-  void set_control_channel(ControlChannel* channel) { channel_ = channel; }
-
   int plans_applied() const { return plans_applied_; }
-  /// Plans handed to the channel for delivery (channel mode only; whether
-  /// each applied is the receiving job's story).
-  int plans_sent() const { return plans_sent_; }
-
-  /// Driver state that must survive a crash/restart: the per-job plan
-  /// sequence counters. Restoring an older snapshot deliberately replays
-  /// sequence numbers — the fences downstream are what keep that safe.
-  struct Snapshot {
-    std::vector<uint64_t> plan_seqs;
-  };
-  Snapshot SnapshotState() const;
-  void RestoreState(const Snapshot& snapshot);
 
  private:
   void Round();
@@ -129,12 +112,8 @@ class PolicyDriver {
   Simulator* sim_;
   ScalingPolicy* policy_;
   std::vector<TrainingJob*> jobs_;
-  /// Per-job monotone plan sequence (parallel to jobs_).
-  std::vector<uint64_t> plan_seqs_;
   std::unique_ptr<PeriodicTask> task_;
-  ControlChannel* channel_ = nullptr;
   int plans_applied_ = 0;
-  int plans_sent_ = 0;
 };
 
 }  // namespace dlrover

@@ -32,11 +32,7 @@ struct JobConfig {
   ResourceSpec WorkerRequest() const { return {worker_cpu, worker_memory}; }
   ResourceSpec PsRequest() const { return {ps_cpu, ps_memory}; }
 
-  bool operator==(const JobConfig& o) const {
-    return num_workers == o.num_workers && num_ps == o.num_ps &&
-           worker_cpu == o.worker_cpu && ps_cpu == o.ps_cpu &&
-           worker_memory == o.worker_memory && ps_memory == o.ps_memory;
-  }
+  bool operator==(const JobConfig&) const = default;
 
   std::string ToString() const;
 };

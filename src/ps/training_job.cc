@@ -1091,7 +1091,6 @@ void TrainingJob::Complete() {
   profile_task_->Stop();
   checkpoint_task_->Stop();
   KillAllPods(true);
-  if (on_finished) on_finished(*this);
 }
 
 void TrainingJob::FailJob(const std::string& reason) {
@@ -1102,7 +1101,6 @@ void TrainingJob::FailJob(const std::string& reason) {
   profile_task_->Stop();
   checkpoint_task_->Stop();
   KillAllPods(false);
-  if (on_finished) on_finished(*this);
 }
 
 void TrainingJob::KillAllPods(bool graceful) {

@@ -205,7 +205,6 @@ class TrainingJob {
     master_channel_handle_ = handle;
   }
   int master_channel_handle() const { return master_channel_handle_; }
-  uint64_t last_plan_seq() const { return last_plan_seq_; }
 
   /// Shrinks the shard size served to `worker_index` (straggler mitigation,
   /// paper Section 5.1). 0 restores the default size.
@@ -277,9 +276,6 @@ class TrainingJob {
   bool finished() const {
     return state_ == JobState::kCompleted || state_ == JobState::kFailed;
   }
-
-  /// Fired on completion/failure (after stats are final).
-  std::function<void(TrainingJob&)> on_finished;
 
  private:
   struct WorkerState {

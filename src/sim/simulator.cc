@@ -102,19 +102,7 @@ PeriodicTask::~PeriodicTask() { Stop(); }
 void PeriodicTask::Start() {
   if (running_) return;
   running_ = true;
-  armed_from_ = sim_->Now();
   pending_ = sim_->ScheduleAfter(interval_, [this] { Tick(); });
-}
-
-void PeriodicTask::set_interval(Duration interval) {
-  interval_ = interval;
-  if (!running_ || pending_ == 0) return;
-  // Move the already-armed tick onto the new cadence instead of letting it
-  // fire on the old one: re-arm relative to when it was armed. ScheduleAt
-  // clamps a now-past due time to Now(), so shortening the interval below
-  // the time already elapsed fires the tick immediately-next.
-  sim_->Cancel(pending_);
-  pending_ = sim_->ScheduleAt(armed_from_ + interval_, [this] { Tick(); });
 }
 
 void PeriodicTask::Stop() {
@@ -127,7 +115,6 @@ void PeriodicTask::Stop() {
 void PeriodicTask::Tick() {
   if (!running_) return;
   // Re-arm before the callback so the callback may Stop() us.
-  armed_from_ = sim_->Now();
   pending_ = sim_->ScheduleAfter(interval_, [this] { Tick(); });
   cb_();
 }

@@ -144,12 +144,6 @@ class PeriodicTask {
   void Stop();
   bool running() const { return running_; }
 
-  /// Changes the interval. Takes effect immediately: a pending tick is
-  /// re-armed at `armed_from + new_interval` (clamped to now if that is
-  /// already past), not left to fire on the old schedule.
-  void set_interval(Duration interval);
-  Duration interval() const { return interval_; }
-
  private:
   void Tick();
 
@@ -158,9 +152,6 @@ class PeriodicTask {
   Simulator::Callback cb_;
   bool running_ = false;
   EventId pending_ = 0;
-  /// Time the pending tick was armed from; set_interval re-arms relative
-  /// to this, so shortening the interval mid-cycle moves the tick earlier.
-  SimTime armed_from_ = 0.0;
 };
 
 }  // namespace dlrover

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <functional>
+#include <memory>
 #include <vector>
 
+#include "common/rng.h"
+#include "elastic/shard_queue.h"
 #include "sim/simulator.h"
 
 namespace dlrover {
@@ -422,6 +428,150 @@ TEST(ControlChannelTest, StatsMergeIsFieldwiseSum) {
   EXPECT_EQ(a.master_crashes, 1u);
   EXPECT_EQ(a.master_restarts, 1u);
 }
+
+// Property test: a seeded random schedule of channel chaos (drop, duplicate
+// and reorder probabilities), node and cell partitions and master crashes,
+// while workers report finished shards to their master's ShardQueue over
+// SendReliable and an expired report requeues its shard. The brain also
+// sends reliable plans, so cell partitions have traffic to cut.
+struct PropertyRun {
+  ControlChannelStats stats;
+  std::vector<ControlEvent> log;
+};
+
+PropertyRun RunChannelProperty(uint64_t seed) {
+  constexpr int kWorkers = 4;
+  constexpr int kPlans = 12;
+  constexpr uint64_t kTotalBatches = 2000;
+  constexpr Duration kBatchTime = Seconds(0.5);
+  constexpr Duration kIdlePoll = Seconds(5);
+  // Idle workers poll until the queue drains, so a shard that is never
+  // requeued would keep the run going forever. Every seed drains well
+  // within the first simulated hour.
+  constexpr SimTime kHorizon = Hours(4);
+
+  Rng rng(seed);
+  ControlChannelOptions options = CleanOptions();
+  options.seed = seed;
+  options.drop_prob = rng.Uniform(0.0, 0.3);
+  options.duplicate_prob = rng.Uniform(0.0, 0.3);
+  options.reorder_prob = rng.Uniform(0.0, 0.3);
+  options.retry_base = Seconds(0.5);
+  options.retry_cap = Seconds(8);
+  options.retry_deadline = Seconds(rng.Uniform(20.0, 90.0));
+
+  Simulator sim;
+  ControlChannel channel(&sim, options);
+  RecordingMaster master;
+  const int handle = channel.RegisterMaster(&master);
+  ShardQueueOptions queue_options;
+  queue_options.total_batches = kTotalBatches;
+  queue_options.default_shard_batches = 32;
+  ShardQueue queue(queue_options);
+
+  // Per reliable send: copies delivered and on_expire calls.
+  struct SendOutcome {
+    int delivered = 0;
+    int expired = 0;
+  };
+  std::vector<std::unique_ptr<SendOutcome>> sends;
+  auto track = [&sends] {
+    sends.push_back(std::make_unique<SendOutcome>());
+    return sends.back().get();
+  };
+  std::vector<int> times_done(kTotalBatches, 0);
+
+  // Each worker pulls a shard, works through it, reports it reliably and
+  // pulls the next one without waiting for the ack.
+  std::function<void(int)> work = [&](int worker) {
+    auto shard = queue.NextShard();
+    if (!shard.ok()) {
+      if (!queue.AllDone()) {
+        sim.ScheduleAfter(kIdlePoll, [&work, worker] { work(worker); });
+      }
+      return;
+    }
+    const DataShard s = *shard;
+    const Duration busy = kBatchTime * static_cast<double>(s.batches());
+    sim.ScheduleAfter(busy, [&, s, worker] {
+      SendOutcome* out = track();
+      channel.SendReliable(
+          ControlMessageKind::kShardReport, worker, ControlChannel::kMaster,
+          [&, s, out] {
+            ++out->delivered;
+            if (queue.ReportCompleted(s).ok()) {
+              for (uint64_t b = s.start_batch; b < s.end_batch; ++b) {
+                ++times_done[b];
+              }
+            }
+          },
+          [&, s, out] {
+            ++out->expired;
+            (void)queue.ReportFailed(s, 0);
+          },
+          handle);
+      work(worker);
+    });
+  };
+  for (int w = 0; w < kWorkers; ++w) work(w);
+
+  for (int i = 0; i < kPlans; ++i) {
+    sim.ScheduleAt(Seconds(rng.Uniform(0.0, 600.0)), [&] {
+      SendOutcome* out = track();
+      channel.SendReliable(
+          ControlMessageKind::kPlan, ControlChannel::kBrain,
+          ControlChannel::kMaster, [out] { ++out->delivered; },
+          [out] { ++out->expired; }, handle);
+    });
+  }
+  const int node_partitions = static_cast<int>(rng.UniformInt(int64_t{1}, 4));
+  for (int i = 0; i < node_partitions; ++i) {
+    const NodeId node = static_cast<NodeId>(rng.UniformInt(kWorkers));
+    const Duration length = Seconds(rng.Uniform(10.0, 150.0));
+    sim.ScheduleAt(Seconds(rng.Uniform(0.0, 400.0)),
+                   [&channel, node, length] {
+                     channel.PartitionNode(node, length);
+                   });
+  }
+  const Duration cell_length = Seconds(rng.Uniform(10.0, 150.0));
+  sim.ScheduleAt(Seconds(rng.Uniform(0.0, 400.0)), [&channel, cell_length] {
+    channel.PartitionCell(cell_length);
+  });
+  const int crashes = static_cast<int>(rng.UniformInt(int64_t{0}, 2));
+  for (int i = 0; i < crashes; ++i) {
+    sim.ScheduleAt(Seconds(rng.Uniform(0.0, 400.0)),
+                   [&channel] { channel.CrashMasterByOrdinal(0); });
+  }
+
+  while (sim.Now() < kHorizon && sim.Step()) {
+    const Status invariants = queue.CheckInvariants();
+    EXPECT_TRUE(invariants.ok()) << invariants << " at t=" << sim.Now();
+    if (!invariants.ok()) break;
+  }
+
+  EXPECT_TRUE(queue.AllDone());
+  EXPECT_EQ(std::count(times_done.begin(), times_done.end(), 1),
+            static_cast<std::ptrdiff_t>(kTotalBatches))
+      << "every batch must be completed exactly once";
+  for (size_t i = 0; i < sends.size(); ++i) {
+    EXPECT_GE(sends[i]->delivered + sends[i]->expired, 1)
+        << "reliable send " << i << " ended with no delivery and no expiry";
+    EXPECT_LE(sends[i]->expired, 1) << "reliable send " << i;
+  }
+  return PropertyRun{channel.stats(), channel.log()};
+}
+
+class ControlChannelPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ControlChannelPropertyTest, ShardReportsCompleteExactlyOnce) {
+  const PropertyRun first = RunChannelProperty(GetParam());
+  const PropertyRun second = RunChannelProperty(GetParam());
+  EXPECT_TRUE(first.stats == second.stats);
+  EXPECT_TRUE(first.log == second.log);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ControlChannelPropertyTest,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 }  // namespace
 }  // namespace dlrover

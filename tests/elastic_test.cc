@@ -522,7 +522,6 @@ TEST(CheckpointStoreTest, FlashIsOrdersOfMagnitudeFasterThanRds) {
   EXPECT_GT(rds.WriteTime(model), Minutes(5));
   EXPECT_LT(rds.WriteTime(model), Minutes(10));
   EXPECT_LT(cache.WriteTime(model), Seconds(1.5));
-  EXPECT_LT(cache.LocalReadTime(model), cache.ReadTime(model));
 }
 
 TEST(CheckpointStoreTest, AsyncFlushAccumulates) {

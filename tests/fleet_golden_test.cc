@@ -11,6 +11,11 @@
 //   - fleet_managed: the all-DLRover Fig 3 fleet, 2x, 30 h horizon;
 //   - fleet_chaos:   the managed fleet, 3x, 14 h horizon, under the grey-fault
 //     and control-partition campaigns with node health on.
+//
+// A second suite pins the sequential RunFleet path that the Fig 3, Table 4,
+// Fig 14 and Fig 15 benches run through the sweep engine: one scenario of
+// each bench at its own scale and seed (the Fig 3 trace, Table 4's manual
+// arm, month 4 of Fig 14, Fig 15's DLRover arm); ~0.5 s for all four.
 
 #include <gtest/gtest.h>
 
@@ -99,6 +104,67 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return std::string(info.param.workload) + "_seed" +
              std::to_string(info.param.seed);
+    });
+
+struct BenchCase {
+  const char* bench;
+  const char* fingerprint;
+};
+
+FleetScenario BenchScenario(const std::string& bench) {
+  FleetScenario s;
+  if (bench == "fig3") {  // the all-manual trace
+    s.dlrover_fraction = 0.0;
+    s.workload.num_jobs = 48;
+    s.workload.arrival_span = Hours(8);
+    s.horizon = Hours(30);
+    s.seed = 11;
+  } else if (bench == "table4") {  // the manual arm
+    s.dlrover_fraction = 0.0;
+    s.workload.num_jobs = 56;
+    s.workload.arrival_span = Hours(10);
+    s.horizon = Hours(32);
+    s.failures.daily_straggler_rate = 0.35;
+    s.seed = 31;
+  } else if (bench == "fig14") {  // month 4, 45% migrated
+    s.dlrover_fraction = 0.45;
+    s.workload.num_jobs = 56;
+    s.workload.arrival_span = Hours(9);
+    s.horizon = Hours(36);
+    s.failures.daily_pod_failure_rate = 0.8;
+    s.failures.daily_straggler_rate = 0.4;
+    s.seed = 403;
+  } else {  // fig15: the DLRover arm
+    s.workload.num_jobs = 72;
+    s.workload.arrival_span = Hours(10);
+    s.horizon = Hours(40);
+    s.failures.daily_straggler_rate = 0.25;
+    s.seed = 77;
+  }
+  return s;
+}
+
+void PrintTo(const BenchCase& c, std::ostream* os) { *os << c.bench; }
+
+class FleetBenchGoldenTest : public ::testing::TestWithParam<BenchCase> {};
+
+TEST_P(FleetBenchGoldenTest, FingerprintMatchesRecorded) {
+  const BenchCase& c = GetParam();
+  const FleetScenario scenario = BenchScenario(c.bench);
+  const FleetResult result = RunFleet(scenario);
+  ASSERT_EQ(result.jobs.size(),
+            static_cast<size_t>(scenario.workload.num_jobs));
+  EXPECT_EQ(FleetFingerprint(result), c.fingerprint) << c.bench;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Benches, FleetBenchGoldenTest,
+    ::testing::Values(BenchCase{"fig3", "58d15d6bc785413d"},
+                      BenchCase{"table4", "f003efc312896619"},
+                      BenchCase{"fig14", "ebaa154671422c7c"},
+                      BenchCase{"fig15", "7b7a582524cc8ed7"}),
+    [](const ::testing::TestParamInfo<BenchCase>& info) {
+      return std::string(info.param.bench);
     });
 
 }  // namespace

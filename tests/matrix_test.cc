@@ -18,10 +18,6 @@ TEST(MatrixTest, BasicOps) {
   const std::vector<double> y = a.Apply({1.0, 1.0});
   EXPECT_DOUBLE_EQ(y[0], 3);
   EXPECT_DOUBLE_EQ(y[1], 7);
-
-  const Matrix eye = Matrix::Identity(3);
-  EXPECT_DOUBLE_EQ(eye(1, 1), 1.0);
-  EXPECT_DOUBLE_EQ(eye(0, 2), 0.0);
 }
 
 TEST(LeastSquaresTest, ExactSquareSystem) {

@@ -11,7 +11,11 @@
 namespace dlrover {
 namespace {
 
-// The threaded-runtime contract: N real threads pulling via WaitNextShard,
+// Longer than any run of this test: a wait ends only on a shard or on
+// exhaustion, never on the deadline.
+constexpr double kWaitSeconds = 3600.0;
+
+// The threaded-runtime contract: N real threads pulling via WaitNextShardFor,
 // with random mid-shard failures, must complete every batch exactly once
 // and terminate (no thread left blocked).
 TEST(ShardQueueConcurrencyTest, ExactlyOnceUnderEightThreads) {
@@ -29,7 +33,8 @@ TEST(ShardQueueConcurrencyTest, ExactlyOnceUnderEightThreads) {
     threads.emplace_back([&queue, &times_done, t]() {
       Rng rng(1000 + static_cast<uint64_t>(t));
       for (;;) {
-        auto shard = queue.WaitNextShard(rng.Bernoulli(0.3) ? 16 : 0);
+        auto shard = queue.WaitNextShardFor(kWaitSeconds,
+                                            rng.Bernoulli(0.3) ? 16 : 0);
         if (!shard.ok()) return;
         const uint64_t len = shard->batches();
         // Fail ~15% of shards partway through; the prefix we "pushed"
@@ -87,7 +92,7 @@ TEST(ShardQueueConcurrencyTest, StaleReportAfterRedispatchIsRejected) {
   ASSERT_TRUE(queue.CheckInvariants().ok());
 }
 
-// WaitNextShard parks when the queue is empty but work is outstanding, and
+// WaitNextShardFor parks when the queue is empty but work is outstanding, and
 // wakes to serve the re-queued remainder of a failed shard.
 TEST(ShardQueueConcurrencyTest, WaitNextShardBlocksUntilRequeue) {
   ShardQueueOptions options;
@@ -100,7 +105,7 @@ TEST(ShardQueueConcurrencyTest, WaitNextShardBlocksUntilRequeue) {
 
   std::atomic<bool> got{false};
   std::thread waiter([&queue, &got]() {
-    auto shard = queue.WaitNextShard();
+    auto shard = queue.WaitNextShardFor(kWaitSeconds);
     ASSERT_TRUE(shard.ok());
     EXPECT_EQ(shard->start_batch, 16u);
     ASSERT_TRUE(queue.ReportCompleted(*shard).ok());

@@ -220,40 +220,6 @@ TEST(PeriodicTaskTest, ChainedWindowsMatchSingleRunTickTrace) {
   EXPECT_EQ(trace({98.0, 98.0, 100.0}), single);        // repeated deadline
 }
 
-TEST(PeriodicTaskTest, SetIntervalReArmsPendingTick) {
-  Simulator sim;
-  std::vector<SimTime> ticks;
-  PeriodicTask task(&sim, 100.0, [&] { ticks.push_back(sim.Now()); });
-  task.Start();  // armed for t=100
-  sim.RunUntil(50.0);
-  task.set_interval(60.0);  // re-armed at armed_from (0) + 60
-  sim.RunUntil(65.0);
-  ASSERT_EQ(ticks.size(), 1u);
-  EXPECT_DOUBLE_EQ(ticks[0], 60.0);
-  task.set_interval(100.0);  // re-armed at 60 + 100
-  sim.RunUntil(150.0);
-  EXPECT_EQ(ticks.size(), 1u);  // the old 60s cadence must not fire at 120
-  // Shrinking below the already-elapsed part of the cycle clamps to now:
-  // the overdue tick fires immediately, then the new cadence holds.
-  task.set_interval(10.0);  // 60 + 10 is in the past -> due now (150)
-  sim.RunUntil(169.0);
-  ASSERT_EQ(ticks.size(), 3u);
-  EXPECT_DOUBLE_EQ(ticks[1], 150.0);
-  EXPECT_DOUBLE_EQ(ticks[2], 160.0);
-}
-
-TEST(PeriodicTaskTest, SetIntervalWhileStoppedOnlyChangesCadence) {
-  Simulator sim;
-  std::vector<SimTime> ticks;
-  PeriodicTask task(&sim, 10.0, [&] { ticks.push_back(sim.Now()); });
-  task.set_interval(25.0);  // not running: nothing to re-arm
-  task.Start();
-  sim.RunUntil(60.0);
-  ASSERT_EQ(ticks.size(), 2u);
-  EXPECT_DOUBLE_EQ(ticks[0], 25.0);
-  EXPECT_DOUBLE_EQ(ticks[1], 50.0);
-}
-
 TEST(PeriodicTaskTest, DoubleStartIsNoOp) {
   Simulator sim;
   int ticks = 0;

@@ -76,7 +76,8 @@ void ShardQueueSmoke() {
     threads.emplace_back([&queue, &done, t]() {
       uint64_t n = static_cast<uint64_t>(t) + 1;
       for (;;) {
-        auto shard = queue.WaitNextShard();
+        // The timeout outlasts the run: only exhaustion ends the loop.
+        auto shard = queue.WaitNextShardFor(3600.0);
         if (!shard.ok()) return;
         n = n * 6364136223846793005ull + 1442695040888963407ull;
         const bool fail = (n >> 33) % 5 == 0;  // ~20% failures
