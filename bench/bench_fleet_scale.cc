@@ -41,7 +41,6 @@ struct ScaleRun {
   int cells = 1;
   uint64_t events = 0;
   uint64_t windows = 0;
-  uint64_t cross_shard_sends = 0;
   std::vector<LaneRun> lanes;
   double peak_rss_mb = 0.0;
   bool lanes_identical = false;
@@ -129,7 +128,6 @@ ScaleRun RunScale(int scale, Duration window) {
     if (run.lanes.empty()) {
       run.events = result.fleet.executed_events;
       run.windows = result.windows;
-      run.cross_shard_sends = result.cross_shard_sends;
       reference = std::move(result.fleet);
       lane.speedup_vs_1 = 1.0;
     } else {
@@ -209,12 +207,10 @@ void Run(int max_scale) {
     std::fprintf(json,
                  "    {\"scale\": %d, \"jobs\": %d, \"nodes\": %d, "
                  "\"cells\": %d, \"events\": %llu, \"windows\": %llu, "
-                 "\"cross_shard_sends\": %llu, \"peak_rss_mb\": %.1f, "
-                 "\"shard_runs\": [",
+                 "\"peak_rss_mb\": %.1f, \"shard_runs\": [",
                  r.scale, r.num_jobs, r.num_nodes, r.cells,
                  static_cast<unsigned long long>(r.events),
                  static_cast<unsigned long long>(r.windows),
-                 static_cast<unsigned long long>(r.cross_shard_sends),
                  r.peak_rss_mb);
     for (size_t j = 0; j < r.lanes.size(); ++j) {
       const LaneRun& lane = r.lanes[j];

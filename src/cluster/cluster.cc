@@ -13,6 +13,8 @@ namespace {
 /// Extra multiplier on startup during resource scarcity (the paper reports
 /// >30 minutes under daytime scarcity).
 constexpr double kScarcityStartupFactor = 3.0;
+/// Fraction of free cluster CPU below which scarcity mode is assumed.
+constexpr double kScarcityThreshold = 0.10;
 /// Retry interval for the pending queue.
 constexpr Duration kRescheduleInterval = Seconds(15);
 }  // namespace
@@ -92,7 +94,7 @@ PodId Cluster::CreatePod(PodSpec spec, std::function<void(Pod&)> on_running,
 }
 
 bool Cluster::TryPlace(Pod& pod) {
-  // Best-fit: choose the healthy node with the least remaining CPU that
+  // Best-fit: choose the uncordoned node with the least remaining CPU that
   // still fits the request (packs tightly, leaving large holes for big pods).
   const int best = placement_index_.BestFit(pod.spec.request);
   if (options_.validate_placement_index &&
@@ -158,7 +160,7 @@ bool Cluster::FindVictims(const Pod& pod, std::vector<PodId>* victims) {
   // room?" precheck, so the O(pods log pods) sort-and-fold below only runs
   // on nodes that can actually help: normally exactly one.
   for (const Node& node : nodes_) {
-    if (!node.healthy || node.cordoned) continue;
+    if (node.cordoned) continue;
     if (!placement_index_.MaybeFreeable(node.id, node.Available(),
                                         pod.spec.request, pod.spec.priority)) {
       continue;
@@ -192,7 +194,7 @@ int Cluster::ScanBestFit(const ResourceSpec& request) const {
   int best = -1;
   double best_left = std::numeric_limits<double>::infinity();
   for (const Node& node : nodes_) {
-    if (!node.healthy || node.cordoned) continue;
+    if (node.cordoned) continue;
     if (!request.FitsIn(node.Available())) continue;
     const double left = node.Available().cpu - request.cpu;
     if (left < best_left) {
@@ -208,7 +210,7 @@ bool Cluster::ScanVictims(const Pod& pod, std::vector<PodId>* victims) const {
   // where evicting strictly lower-priority pods (lowest first) frees enough
   // room supplies the victims.
   for (const Node& node : nodes_) {
-    if (!node.healthy || node.cordoned) continue;
+    if (node.cordoned) continue;
     std::vector<PodId> candidates = node.pods;
     std::sort(candidates.begin(), candidates.end(),
               [this](PodId a, PodId b) {
@@ -286,75 +288,16 @@ void Cluster::DegradePod(PodId id, double speed_factor) {
   ++mutation_version_;
 }
 
-void Cluster::FailNode(NodeId id) {
-  Node& node = nodes_[id];
-  if (node.healthy) {
-    // The node leaves the healthy set: drop its capacity and whatever is
-    // still allocated on it from the running totals. The per-pod releases
-    // below keep the node-local `allocated` in sync but skip the cluster
-    // total, which this subtraction already covers.
-    capacity_total_ -= node.capacity;
-    allocated_total_ -= node.allocated;
-    LogDelta(ClusterCommitLog::Kind::kCapacity, ResourceSpec{} - node.capacity);
-    LogDelta(ClusterCommitLog::Kind::kAllocated,
-             ResourceSpec{} - node.allocated);
-    if (node.cordoned) {
-      // Dead capacity is no longer "cordoned healthy capacity": the cordon
-      // ledger tracks only fenced-off capacity that could be uncordoned.
-      cordoned_capacity_ -= node.capacity;
-      LogDelta(ClusterCommitLog::Kind::kCordoned,
-               ResourceSpec{} - node.capacity);
-    }
-    // No-op when the node was cordoned (already out of the tree).
-    placement_index_.RemoveNode(id);
-  }
-  node.healthy = false;
-  ++mutation_version_;
-  const std::vector<PodId> victims = node.pods;
-  for (PodId pid : victims) {
-    FailPod(pid, PodStopReason::kCrash);
-  }
-}
-
-void Cluster::RecoverNode(NodeId id) {
-  Node& node = nodes_[id];
-  if (node.healthy) return;
-  node.healthy = true;
-  // FailNode crashed every pod on the node, and ReleaseFromNode skipped the
-  // cluster-wide total while unhealthy (FailNode's bulk subtraction covered
-  // it), so whatever `allocated` still reads rejoins the total with the
-  // capacity. In practice it is zero: failed pods released synchronously.
-  capacity_total_ += node.capacity;
-  allocated_total_ += node.allocated;
-  LogDelta(ClusterCommitLog::Kind::kCapacity, node.capacity);
-  LogDelta(ClusterCommitLog::Kind::kAllocated, node.allocated);
-  ++mutation_version_;
-  if (node.cordoned) {
-    // The node comes back but the cordon survives the repair: capacity
-    // rejoins the totals as cordoned, and the node stays out of placement.
-    cordoned_capacity_ += node.capacity;
-    LogDelta(ClusterCommitLog::Kind::kCordoned, node.capacity);
-    if (options_.validate_placement_index) ValidatePlacementIndex();
-    return;
-  }
-  placement_index_.InsertNode(id, node.Available());
-  if (options_.validate_placement_index) ValidatePlacementIndex();
-  // Restored capacity may unblock pending pods immediately.
-  PumpPendingQueue();
-}
-
 void Cluster::CordonNode(NodeId id) {
   Node& node = nodes_[id];
   if (node.cordoned) return;
   node.cordoned = true;
   ++counters_.nodes_cordoned;
   ++mutation_version_;
-  if (node.healthy) {
-    cordoned_capacity_ += node.capacity;
-    LogDelta(ClusterCommitLog::Kind::kCordoned, node.capacity);
-    placement_index_.RemoveNode(id);
-    if (options_.validate_placement_index) ValidatePlacementIndex();
-  }
+  cordoned_capacity_ += node.capacity;
+  LogDelta(ClusterCommitLog::Kind::kCordoned, node.capacity);
+  placement_index_.RemoveNode(id);
+  if (options_.validate_placement_index) ValidatePlacementIndex();
 }
 
 void Cluster::DrainNode(NodeId id) {
@@ -369,14 +312,12 @@ void Cluster::UncordonNode(NodeId id) {
   node.draining = false;
   ++counters_.nodes_uncordoned;
   ++mutation_version_;
-  if (node.healthy) {
-    cordoned_capacity_ -= node.capacity;
-    LogDelta(ClusterCommitLog::Kind::kCordoned, ResourceSpec{} - node.capacity);
-    placement_index_.InsertNode(id, node.Available());
-    if (options_.validate_placement_index) ValidatePlacementIndex();
-    // The node is schedulable again: pending pods may fit immediately.
-    PumpPendingQueue();
-  }
+  cordoned_capacity_ -= node.capacity;
+  LogDelta(ClusterCommitLog::Kind::kCordoned, ResourceSpec{} - node.capacity);
+  placement_index_.InsertNode(id, node.Available());
+  if (options_.validate_placement_index) ValidatePlacementIndex();
+  // The node is schedulable again: pending pods may fit immediately.
+  PumpPendingQueue();
 }
 
 double Cluster::NodeMemUsedFraction(NodeId id) const {
@@ -400,7 +341,6 @@ void Cluster::ReportStragglerEvidence(PodId id) {
   if (health_ == nullptr) return;
   const Pod* pod = Resolve(id);
   if (pod == nullptr || pod->phase != PodPhase::kRunning) return;
-  if (!nodes_[pod->node].healthy) return;
   health_->ObserveStraggler(pod->node, id, sim_->Now());
 }
 
@@ -408,7 +348,6 @@ void Cluster::ReportPsSlowdownEvidence(PodId id, uint64_t source_job) {
   if (health_ == nullptr) return;
   const Pod* pod = Resolve(id);
   if (pod == nullptr || pod->phase != PodPhase::kRunning) return;
-  if (!nodes_[pod->node].healthy) return;
   health_->ObservePsSlowdown(pod->node, source_job, sim_->Now());
 }
 
@@ -416,7 +355,7 @@ ResourceSpec Cluster::QuarantinedCapacity() const {
   ResourceSpec total = cordoned_capacity_;
   if (health_ != nullptr) {
     for (const Node& node : nodes_) {
-      if (node.healthy && !node.cordoned &&
+      if (!node.cordoned &&
           health_->state(node.id) == NodeHealthState::kSuspect) {
         total += node.capacity;
       }
@@ -428,7 +367,6 @@ ResourceSpec Cluster::QuarantinedCapacity() const {
 void Cluster::HealthTick() {
   const SimTime now = sim_->Now();
   for (const Node& node : nodes_) {
-    if (!node.healthy) continue;
     health_->ObserveNodeMemory(node.id, NodeUnaccountedMemFraction(node.id),
                                now);
   }
@@ -487,10 +425,7 @@ void Cluster::Terminate(Pod& pod, PodPhase phase, PodStopReason reason) {
   ++mutation_version_;
   if (options_.validate_placement_index) ValidatePlacementIndex();
   // Node-health evidence: crash-like deaths of placed pods charge the node.
-  // FailNode marks the node unhealthy before crashing its residents, so a
-  // whole-node failure storm is not mistaken for grey-fault evidence.
-  if (health_ != nullptr && was_placed && nodes_[pod.node].healthy &&
-      !self_oom &&
+  if (health_ != nullptr && was_placed && !self_oom &&
       (reason == PodStopReason::kCrash || reason == PodStopReason::kOomKill)) {
     const Duration uptime =
         pod.start_time >= 0.0 ? sim_->Now() - pod.start_time : -1.0;
@@ -507,20 +442,18 @@ void Cluster::Terminate(Pod& pod, PodPhase phase, PodStopReason reason) {
 
 void Cluster::ReleaseFromNode(Pod& pod) {
   Node& node = nodes_[pod.node];
-  if (node.healthy) {
-    allocated_total_ -= pod.spec.request;
-    LogDelta(ClusterCommitLog::Kind::kAllocated,
-             ResourceSpec{} - pod.spec.request);
-  }
+  allocated_total_ -= pod.spec.request;
+  LogDelta(ClusterCommitLog::Kind::kAllocated,
+           ResourceSpec{} - pod.spec.request);
   node.allocated -= pod.spec.request;
   node.allocated.cpu = std::max(0.0, node.allocated.cpu);
   node.allocated.memory = std::max(0.0, node.allocated.memory);
   auto it = std::find(node.pods.begin(), node.pods.end(), pod.id);
   if (it != node.pods.end()) node.pods.erase(it);
   placement_index_.RemovePod(node.id, pod.spec.priority, pod.spec.request);
-  // A failed or cordoned node is not in the capacity tree; its key is
-  // refreshed when RecoverNode/UncordonNode re-inserts it.
-  if (node.healthy && !node.cordoned) {
+  // A cordoned node is not in the capacity tree; its key is refreshed when
+  // UncordonNode re-inserts it.
+  if (!node.cordoned) {
     placement_index_.UpdateNode(node.id, node.Available());
   }
 }
@@ -590,22 +523,21 @@ void Cluster::DieOutOfSync(const char* what) {
 }
 
 void Cluster::ValidatePlacementIndex() const {
-  // Capacity tree: every schedulable (healthy, uncordoned) node present with
-  // exactly the doubles a fresh Available() computes (bitwise — the index
-  // serves the same values the reference scan reads); failed and cordoned
-  // nodes absent.
+  // Capacity tree: every schedulable (uncordoned) node present with exactly
+  // the doubles a fresh Available() computes (bitwise — the index serves
+  // the same values the reference scan reads); cordoned nodes absent.
   size_t schedulable = 0;
   for (const Node& node : nodes_) {
     ResourceSpec indexed;
     const bool present = placement_index_.GetIndexed(node.id, &indexed);
-    if (present != (node.healthy && !node.cordoned)) {
-      DieOutOfSync("tree membership vs node health/cordon state");
+    if (present != !node.cordoned) {
+      DieOutOfSync("tree membership vs node cordon state");
     }
     if (present && (indexed.cpu != node.Available().cpu ||
                     indexed.memory != node.Available().memory)) {
       DieOutOfSync("indexed capacity vs fresh Available()");
     }
-    if (node.healthy && !node.cordoned) ++schedulable;
+    if (!node.cordoned) ++schedulable;
   }
   if (placement_index_.NumIndexedNodes() != schedulable) {
     DieOutOfSync("tree size");
@@ -682,13 +614,12 @@ ClusterUsage Cluster::Usage() const {
 }
 
 bool Cluster::UnderScarcity() const {
-  if (fleet_scarcity_) return true;
   const ResourceSpec cap = TotalCapacity();
-  // No healthy capacity: nothing can start, so there is no startup to slow
-  // down — and dividing by zero below would poison the fraction with NaN.
+  // No capacity: nothing can start, so there is no startup to slow down —
+  // and dividing by zero below would poison the fraction with NaN.
   if (cap.cpu <= 0) return false;
   const double free_frac = 1.0 - TotalAllocated().cpu / cap.cpu;
-  return free_frac < options_.scarcity_threshold;
+  return free_frac < kScarcityThreshold;
 }
 
 }  // namespace dlrover

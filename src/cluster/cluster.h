@@ -24,7 +24,6 @@ struct Node {
   NodeId id = 0;
   ResourceSpec capacity;
   ResourceSpec allocated;  // sum of requests of pods placed here
-  bool healthy = true;
   /// Cordoned: excluded from placement and preemption while resident pods
   /// keep running (the node-health control plane fenced it off).
   bool cordoned = false;
@@ -47,8 +46,6 @@ struct ClusterOptions {
   /// Pod startup = image pull + container boot, sampled uniformly.
   Duration min_pod_startup = Seconds(25);
   Duration max_pod_startup = Seconds(60);
-  /// Fraction of free cluster CPU below which scarcity mode is assumed.
-  double scarcity_threshold = 0.10;
   uint64_t seed = 17;
   /// Checks the placement indexes against the scans they replace, and
   /// aborts on the first mismatch: every best-fit and victim decision is
@@ -60,7 +57,7 @@ struct ClusterOptions {
   /// Livelock breaker: at most this many pods may be preempted at one
   /// simulated instant. A victim's stop callback can synchronously relaunch
   /// a replacement that steals the freed capacity before the preemptor
-  /// claims it; with a zero relaunch backoff that cycle never leaves the
+  /// claims it; since jobs relaunch immediately, that cycle never leaves the
   /// current instant and the simulation wedges at a frozen clock. Once the
   /// budget is spent, further preemption attempts fail (the preemptor goes
   /// pending) until simulated time advances. The ceiling is far above any
@@ -92,7 +89,7 @@ struct ClusterUsage {
 /// Every placement and victim decision is served by the PlacementIndex
 /// (ordered free-capacity treap + per-node priority-bucketed pod
 /// aggregates) and the running-pod directory (RunningPodIndex). Their
-/// contract is the plain scans: best fit is the healthy, uncordoned node
+/// contract is the plain scans: best fit is the uncordoned node
 /// with the least CPU left after placement (lowest id on ties); victims come
 /// from the first node, in id order, where evicting strictly lower-priority
 /// pods, lowest priority first, frees enough room. Under
@@ -131,24 +128,16 @@ class Cluster {
   /// Degrades a running pod's speed factor (straggler injection).
   void DegradePod(PodId id, double speed_factor);
 
-  /// Marks a node unhealthy and fails everything on it.
-  void FailNode(NodeId id);
-
-  /// Returns a failed node to the healthy set (repair / reboot finished):
-  /// its capacity rejoins the totals and the pending queue gets a pump.
-  /// No-op on a healthy node.
-  void RecoverNode(NodeId id);
-
   /// Fences a node off from scheduling: it leaves the placement index while
   /// resident pods keep running. Cordoned
   /// capacity stays in TotalCapacity but is reported through the commit log
   /// (Kind::kCordoned) so the fleet ledger sees it. Safe no-op if already
-  /// cordoned; composes with FailNode/RecoverNode in any order.
+  /// cordoned.
   void CordonNode(NodeId id);
   /// CordonNode + marks the node draining: job masters migrate resident
   /// pods away make-before-break (see TrainingJob::EvacuateDrainingPods).
   void DrainNode(NodeId id);
-  /// Lifts a cordon: the node rejoins placement (if healthy) and the pending
+  /// Lifts a cordon: the node rejoins placement and the pending
   /// queue gets a pump. Safe no-op if not cordoned.
   void UncordonNode(NodeId id);
   bool IsCordoned(NodeId id) const { return nodes_[id].cordoned; }
@@ -169,8 +158,7 @@ class Cluster {
 
   /// Evidence hook for job masters: the HeartbeatMonitor holds a straggler
   /// verdict against this pod, so charge its node. No-op unless the
-  /// node-health control plane is enabled and the pod is running on a
-  /// healthy node.
+  /// node-health control plane is enabled and the pod is running.
   void ReportStragglerEvidence(PodId id);
   /// Evidence hook for the degraded-PS blind spot (DESIGN §14/§15): `id` is
   /// a parameter-server pod of a job whose whole worker group slowed down
@@ -181,10 +169,10 @@ class Cluster {
   bool node_health_enabled() const { return health_ != nullptr; }
   /// Node-health tracker, or null when the control plane is disabled.
   const NodeHealthTracker* health() const { return health_.get(); }
-  /// Capacity of healthy nodes currently cordoned.
+  /// Capacity of nodes currently cordoned.
   ResourceSpec CordonedCapacity() const { return cordoned_capacity_; }
   /// Capacity the brain should not propose plans against: cordoned nodes
-  /// plus healthy nodes the tracker currently classifies as Suspect.
+  /// plus nodes the tracker currently classifies as Suspect.
   ResourceSpec QuarantinedCapacity() const;
 
   const Pod* GetPod(PodId id) const;
@@ -206,7 +194,7 @@ class Cluster {
   /// here rather than mutating `pod.usage` directly.
   void ReportUsage(PodId id, const ResourceSpec& usage);
 
-  /// Total cluster capacity across healthy nodes.
+  /// Total cluster capacity across all nodes (cordoned ones included).
   ResourceSpec TotalCapacity() const { return capacity_total_; }
   /// Sum of requests of placed (Starting/Running) pods.
   ResourceSpec TotalAllocated() const { return allocated_total_; }
@@ -218,17 +206,10 @@ class Cluster {
   size_t PendingCount() const { return pending_.size(); }
 
   /// True when free CPU is below the scarcity threshold (startup slows down).
-  /// A cluster with zero healthy capacity reports false: scarcity only slows
-  /// down startups, and with no capacity nothing can start at all.
-  /// A fleet-level scarcity signal (set_fleet_scarcity) ORs in on top of the
-  /// local computation: the fleet being starved slows this slice's startups
-  /// even when the slice itself still has headroom.
+  /// A cluster with zero capacity (a fleet cell can own no nodes) reports
+  /// false: scarcity only slows down startups, and with no capacity nothing
+  /// can start at all.
   bool UnderScarcity() const;
-
-  /// Fleet-wide scarcity signal from the sharded coordinator's folded
-  /// ledger. Only affects *future* startup-duration draws (no pod state
-  /// mutates), so applying it at a window barrier is race-free.
-  void set_fleet_scarcity(bool scarce) { fleet_scarcity_ = scarce; }
 
   /// Attaches an accounting commit log: from now on every capacity /
   /// allocated / usage total mutation also appends its delta, and the
@@ -246,7 +227,7 @@ class Cluster {
   ControlChannel* control_channel() const { return control_; }
 
   /// Monotonic counter bumped on every pod state mutation (placement,
-  /// startup, termination, degradation, node failure). Lets callers cache
+  /// startup, termination, degradation, cordon). Lets callers cache
   /// derived state (e.g. the memoized iteration law in TrainingJob) and
   /// invalidate it precisely when any pod's phase or speed may have changed.
   uint64_t mutation_version() const { return mutation_version_; }
@@ -344,14 +325,13 @@ class Cluster {
   uint64_t preempted_at_instant_ = 0;
   Counters counters_;
   uint64_t mutation_version_ = 0;
-  bool fleet_scarcity_ = false;
   ClusterCommitLog* commit_log_ = nullptr;
   ControlChannel* control_ = nullptr;
   /// Running totals behind TotalCapacity/TotalAllocated/TotalUsage.
   ResourceSpec capacity_total_;
   ResourceSpec allocated_total_;
   ResourceSpec usage_total_;
-  /// Capacity of healthy nodes currently cordoned (mirrors the kCordoned
+  /// Capacity of nodes currently cordoned (mirrors the kCordoned
   /// commit-log stream).
   ResourceSpec cordoned_capacity_;
   std::unique_ptr<PeriodicTask> pump_task_;

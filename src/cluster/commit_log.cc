@@ -53,9 +53,4 @@ void FleetLedger::Fold(const std::vector<ClusterCommitLog*>& logs) {
   }
 }
 
-double FleetLedger::FreeCpuFraction() const {
-  if (totals_.capacity.cpu <= 0.0) return 1.0;
-  return std::max(0.0, 1.0 - totals_.allocated.cpu / totals_.capacity.cpu);
-}
-
 }  // namespace dlrover

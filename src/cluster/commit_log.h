@@ -18,10 +18,10 @@ class ClusterCommitLog {
  public:
   /// Which running total the delta applies to.
   enum class Kind : uint8_t {
-    kCapacity = 0,   // healthy-node capacity joined/left the fleet
+    kCapacity = 0,   // node capacity joined the fleet
     kAllocated = 1,  // pod requests placed/released
     kUsage = 2,      // live usage reported by running pods
-    kCordoned = 3,   // healthy capacity cordoned off / released from cordon
+    kCordoned = 3,   // capacity cordoned off / released from cordon
   };
 
   /// One delta. (time, seq) orders entries within the log; seq is the log's
@@ -66,7 +66,7 @@ class FleetLedger {
     ResourceSpec capacity;
     ResourceSpec allocated;
     ResourceSpec usage;
-    /// Healthy capacity currently cordoned (still counted in `capacity`,
+    /// Capacity currently cordoned (still counted in `capacity`,
     /// but unschedulable — the node-health control plane fenced it off).
     ResourceSpec cordoned;
   };
@@ -79,9 +79,6 @@ class FleetLedger {
   const Totals& totals() const { return totals_; }
   /// Peak fleet-wide allocated CPU observed at any fold point.
   double peak_allocated_cpu() const { return peak_allocated_cpu_; }
-  /// Fraction of fleet capacity CPU currently free; 1.0 on zero capacity
-  /// (nothing allocated means nothing is scarce).
-  double FreeCpuFraction() const;
   uint64_t entries_folded() const { return entries_folded_; }
 
  private:

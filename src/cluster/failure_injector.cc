@@ -143,7 +143,6 @@ void FailureInjector::ExpireFault(const ActiveFault& fault) {
 
 void FailureInjector::ApplyFault(ActiveFault& fault) {
   const Node& node = cluster_->GetNode(fault.node);
-  if (!node.healthy) return;  // a dead node has nothing left to torment
   FaultRecord& record = fault_log_[fault.record];
   switch (fault.kind) {
     case FaultKind::kFlakyNode: {
@@ -266,7 +265,6 @@ void FailureInjector::GreySweep(double dt_days) {
     const double p_onset = 1.0 - std::exp(-kr.rate * dt_days);
     for (NodeId node = 0; node < cluster_->num_nodes(); ++node) {
       if (node_afflicted_[node]) continue;
-      if (!cluster_->GetNode(node).healthy) continue;
       if (!NodeHasRunningTarget(node)) continue;
       if (!rng_.Bernoulli(p_onset)) continue;
       const Duration duration = rng_.Uniform(kGreyMinDuration,
@@ -313,7 +311,6 @@ void FailureInjector::ControlSweep(double dt_days) {
         1.0 - std::exp(-options_.daily_node_partition_rate * dt_days);
     for (NodeId node = 0; node < cluster_->num_nodes(); ++node) {
       if (channel_->NodePartitioned(node)) continue;
-      if (!cluster_->GetNode(node).healthy) continue;
       if (!NodeHasRunningTarget(node)) continue;
       if (!rng_.Bernoulli(p_onset)) continue;
       const Duration duration = rng_.Uniform(kPartitionMinDuration,

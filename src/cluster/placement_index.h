@@ -16,10 +16,10 @@ namespace dlrover {
 inline constexpr int kNumPriorityClasses = 4;
 int PriorityBucket(PriorityClass p);
 
-/// Ordered free-capacity index over the healthy nodes of a cluster.
+/// Ordered free-capacity index over the schedulable nodes of a cluster.
 ///
-/// The structure answers the scheduler's best-fit query — "healthy node with
-/// the least remaining CPU that still fits the request" — in O(log n)
+/// The structure answers the scheduler's best-fit query — "schedulable node
+/// with the least remaining CPU that still fits the request" — in O(log n)
 /// instead of the O(n) scan the linear placement arm pays per attempt,
 /// and keeps per-node, priority-bucketed aggregates that let the preemption
 /// path reject hopeless nodes in O(1) instead of sorting every pod on every
@@ -27,7 +27,7 @@ int PriorityBucket(PriorityClass p);
 ///
 /// Three parts:
 ///
-///  1. A treap over healthy nodes keyed by (available CPU, node id), each
+///  1. A treap over schedulable nodes keyed by (available CPU, node id), each
 ///     entry augmented with the maximum available memory in its subtree.
 ///     A best-fit query descends for the leftmost entry that fits both CPU
 ///     and memory; pruning on the memory augmentation keeps the walk
@@ -57,9 +57,9 @@ class PlacementIndex {
  public:
   explicit PlacementIndex(size_t num_nodes);
 
-  /// Inserts a (healthy) node with its current available capacity.
+  /// Inserts a (schedulable) node with its current available capacity.
   void InsertNode(NodeId id, const ResourceSpec& available);
-  /// Removes a node (it failed). No-op if absent.
+  /// Removes a node (it was cordoned). No-op if absent.
   void RemoveNode(NodeId id);
   /// Re-keys a node after its available capacity changed.
   void UpdateNode(NodeId id, const ResourceSpec& available);
@@ -69,7 +69,7 @@ class PlacementIndex {
   size_t NumIndexedNodes() const { return tree_size_; }
 
   /// Best-fit query: the node the reference linear scan would choose for this
-  /// request, or -1 when no healthy node fits. O(log n).
+  /// request, or -1 when no schedulable node fits. O(log n).
   int BestFit(const ResourceSpec& request) const;
 
   /// Registers a pod placed on `node` (bumps the node's class aggregate).

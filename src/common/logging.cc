@@ -1,12 +1,12 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 
 namespace dlrover {
 namespace {
 
-std::atomic<int> g_min_level{static_cast<int>(LogLevel::kWarning)};
+/// Messages below this level are dropped.
+constexpr LogLevel kMinLogLevel = LogLevel::kWarning;
 
 const char* LevelTag(LogLevel level) {
   switch (level) {
@@ -24,14 +24,6 @@ const char* LevelTag(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  g_min_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_min_level.load(std::memory_order_relaxed));
-}
-
 namespace internal_logging {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
@@ -45,10 +37,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 }
 
 LogMessage::~LogMessage() {
-  if (static_cast<int>(level_) <
-      g_min_level.load(std::memory_order_relaxed)) {
-    return;
-  }
+  if (static_cast<int>(level_) < static_cast<int>(kMinLogLevel)) return;
   std::string message = stream_.str();
   std::fprintf(stderr, "%s\n", message.c_str());
 }

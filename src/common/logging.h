@@ -6,13 +6,9 @@
 
 namespace dlrover {
 
-/// Log severities in increasing order of importance.
+/// Log severities in increasing order of importance. Messages below
+/// kWarning are dropped, so tests and benches stay quiet.
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Global minimum level: messages below it are dropped. Default kWarning so
-/// that tests and benches stay quiet unless they opt in.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 
 namespace internal_logging {
 
@@ -32,24 +28,7 @@ class LogMessage {
   std::ostringstream stream_;
 };
 
-/// A sink that swallows everything (used when the level is filtered out).
-class NullStream {
- public:
-  template <typename T>
-  NullStream& operator<<(const T&) {
-    return *this;
-  }
-};
-
 }  // namespace internal_logging
-
-#define DLROVER_LOG(level)                                                   \
-  (static_cast<int>(::dlrover::LogLevel::k##level) <                         \
-   static_cast<int>(::dlrover::GetLogLevel()))                               \
-      ? (void)0                                                              \
-      : (void)(::dlrover::internal_logging::LogMessage(                      \
-                   ::dlrover::LogLevel::k##level, __FILE__, __LINE__)        \
-                   .stream())
 
 // Stream form: DLROVER_LOG_STREAM(Info) << "x=" << x;
 #define DLROVER_LOG_STREAM(level)                                        \

@@ -26,45 +26,35 @@ class CheckpointStore {
 /// Remote disk storage (RDS): shared service with limited per-job bandwidth
 /// and a fixed coordination overhead. Paper: checkpointing a job to RDS
 /// takes 5-10 minutes.
-struct RdsStoreOptions {
-  Bandwidth write_bandwidth = MiBps(64);
-  Bandwidth read_bandwidth = MiBps(96);
-  Duration fixed_overhead = Seconds(45);
-};
-
 class RdsStore : public CheckpointStore {
  public:
-  explicit RdsStore(const RdsStoreOptions& options = {}) : options_(options) {}
+  static constexpr Bandwidth kWriteBandwidth = MiBps(64);
+  static constexpr Bandwidth kReadBandwidth = MiBps(96);
+  static constexpr Duration kFixedOverhead = Seconds(45);
+
   Duration WriteTime(Bytes bytes) const override {
-    return options_.fixed_overhead + bytes / options_.write_bandwidth;
+    return kFixedOverhead + bytes / kWriteBandwidth;
   }
   Duration ReadTime(Bytes bytes) const override {
-    return options_.fixed_overhead + bytes / options_.read_bandwidth;
+    return kFixedOverhead + bytes / kReadBandwidth;
   }
   std::string name() const override { return "rds"; }
-
- private:
-  RdsStoreOptions options_;
 };
 
 /// Flash-checkpoint tier (paper Section 5.2): a distributed in-memory cache.
 /// Writes are near-instant (<1s for a 20GB model) and data is flushed to RDS
 /// asynchronously off the critical path. `flushed_bytes` tracks the async
 /// persistence so tests can assert it happens.
-struct CacheStoreOptions {
-  Bandwidth bandwidth = GiBps(24);
-  Duration fixed_overhead = Seconds(0.2);
-};
-
 class CacheStore : public CheckpointStore {
  public:
-  explicit CacheStore(const CacheStoreOptions& options = {})
-      : options_(options) {}
+  static constexpr Bandwidth kBandwidth = GiBps(24);
+  static constexpr Duration kFixedOverhead = Seconds(0.2);
+
   Duration WriteTime(Bytes bytes) const override {
-    return options_.fixed_overhead + bytes / options_.bandwidth;
+    return kFixedOverhead + bytes / kBandwidth;
   }
   Duration ReadTime(Bytes bytes) const override {
-    return options_.fixed_overhead + bytes / options_.bandwidth;
+    return kFixedOverhead + bytes / kBandwidth;
   }
   std::string name() const override { return "flash-cache"; }
 
@@ -74,7 +64,6 @@ class CacheStore : public CheckpointStore {
   Bytes flushed_bytes() const { return flushed_bytes_; }
 
  private:
-  CacheStoreOptions options_;
   Bytes flushed_bytes_ = 0;
 };
 

@@ -423,13 +423,12 @@ FleetSimulation::FleetSimulation(Simulator* sim, const FleetScenario& scenario,
     background_ = std::make_unique<BackgroundLoad>(sim_, &cluster_, options);
     background_->Start();
   }
-  if (scenario_.enable_failures) {
-    FailureInjectorOptions options = scenario_.failures;
-    options.seed = scenario_.seed * 3 + 11;
-    injector_ = std::make_unique<FailureInjector>(sim_, &cluster_, options);
-    if (channel_ != nullptr) injector_->set_control_channel(channel_.get());
-    injector_->Start();
-  }
+  FailureInjectorOptions failure_options = scenario_.failures;
+  failure_options.seed = scenario_.seed * 3 + 11;
+  injector_ =
+      std::make_unique<FailureInjector>(sim_, &cluster_, failure_options);
+  if (channel_ != nullptr) injector_->set_control_channel(channel_.get());
+  injector_->Start();
 
   BrainOptions brain_options;
   brain_options.budget = cluster_.TotalCapacity() * 0.55;
@@ -438,9 +437,8 @@ FleetSimulation::FleetSimulation(Simulator* sim, const FleetScenario& scenario,
   brain_options.plan.nsga2.seed = scenario_.seed * 19 + 2;
   brain_ = std::make_unique<ClusterBrain>(sim_, brain_options);
   brain_->AttachCluster(&cluster_);
-  if (scenario_.seed_history) {
-    brain_->config_db() = SeededHistoryFor(scenario_.seed * 7 + 5);
-  }
+  // Production deployments carry months of history in the config DB.
+  brain_->config_db() = SeededHistoryFor(scenario_.seed * 7 + 5);
   brain_->Start();
 
   ScheduleArrivals();
@@ -530,13 +528,11 @@ FleetResult FleetSimulation::Collect() {
   FleetResult result;
   result.executed_events = sim_->executed_events();
   result.pods_preempted = cluster_.counters().pods_preempted;
-  if (injector_ != nullptr) {
-    result.crashes_injected = injector_->crashes_injected();
-    result.stragglers_injected = injector_->stragglers_injected();
-    result.node_faults_injected = injector_->node_faults_injected();
-    result.control_faults_injected = injector_->control_faults_injected();
-    result.fault_log = injector_->fault_log();
-  }
+  result.crashes_injected = injector_->crashes_injected();
+  result.stragglers_injected = injector_->stragglers_injected();
+  result.node_faults_injected = injector_->node_faults_injected();
+  result.control_faults_injected = injector_->control_faults_injected();
+  result.fault_log = injector_->fault_log();
   if (channel_ != nullptr) {
     result.control_stats = channel_->stats();
     result.control_log = channel_->log();

@@ -115,11 +115,6 @@ struct FleetScenario {
   ControlChannelOptions control;
   BackgroundLoadOptions background;
   bool enable_background = true;
-  bool enable_failures = true;
-  /// Pre-populate the brain's config DB with historical records (a
-  /// production deployment has months of them; disable to study the
-  /// cold-start fleet).
-  bool seed_history = true;
   Duration horizon = Hours(36);
   uint64_t seed = 99;
 };

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "cluster/commit_log.h"
-#include "common/rng.h"
 
 namespace dlrover {
 
@@ -55,12 +54,10 @@ ShardedFleetResult RunFleetSharded(const FleetScenario& scenario,
   ShardedSimulator engine(engine_options);
   std::vector<std::unique_ptr<FleetSimulation>> fleets;
   fleets.reserve(static_cast<size_t>(cells));
-  std::vector<int> cell_nodes(static_cast<size_t>(cells));
   for (int c = 0; c < cells; ++c) {
     FleetScenario cell_scenario = scenario;
     cell_scenario.seed = scenario.seed + 7919ull * static_cast<uint64_t>(c);
     cell_scenario.cluster.num_nodes = nodes_base + (c < nodes_rem ? 1 : 0);
-    cell_nodes[static_cast<size_t>(c)] = cell_scenario.cluster.num_nodes;
     fleets.push_back(std::make_unique<FleetSimulation>(
         &engine.shard(c), cell_scenario,
         std::move(slices[static_cast<size_t>(c)])));
@@ -71,62 +68,7 @@ ShardedFleetResult RunFleetSharded(const FleetScenario& scenario,
   std::vector<ClusterCommitLog*> log_ptrs;
   for (auto& log : logs) log_ptrs.push_back(&log);
 
-  Rng storm_rng(options.storm.seed * 6151 + 3);
-  double storm_accumulator = 0.0;
-  SimTime last_barrier = 0.0;
-  uint64_t storm_strikes = 0;
-  bool fleet_scarce = false;
-
-  engine.set_barrier_hook([&](SimTime barrier) {
-    ledger.Fold(log_ptrs);
-    if (options.scarcity_coupling) {
-      // Edge-triggered: a send per cell only when the fleet-wide signal
-      // flips, delivered through the commit log like any other
-      // cross-shard effect.
-      const bool scarce =
-          ledger.FreeCpuFraction() < options.scarcity_threshold;
-      if (scarce != fleet_scarce) {
-        fleet_scarce = scarce;
-        for (int c = 0; c < cells; ++c) {
-          Cluster* cluster = &fleets[static_cast<size_t>(c)]->cluster();
-          engine.Send(ShardedSimulator::kCoordinator, c, barrier,
-                      [cluster, scarce] {
-                        cluster->set_fleet_scarcity(scarce);
-                      });
-        }
-      }
-    }
-    if (options.storm.node_strikes_per_hour > 0.0) {
-      // Deterministic fractional accumulator: expected strikes accrue with
-      // simulated time; whole strikes are drawn and dealt at barriers, so
-      // the storm schedule is a pure function of (seed, window sequence).
-      storm_accumulator += options.storm.node_strikes_per_hour *
-                           (barrier - last_barrier) / 3600.0;
-      while (storm_accumulator >= 1.0) {
-        storm_accumulator -= 1.0;
-        const int cell = static_cast<int>(
-            storm_rng.UniformInt(int64_t{0}, int64_t{cells - 1}));
-        const int nodes = cell_nodes[static_cast<size_t>(cell)];
-        if (nodes <= 0) continue;
-        const NodeId node = static_cast<NodeId>(
-            storm_rng.UniformInt(int64_t{0}, int64_t{nodes - 1}));
-        const SimTime due =
-            barrier + storm_rng.Uniform(0.0, std::max(options.window, 1.0));
-        Cluster* cluster = &fleets[static_cast<size_t>(cell)]->cluster();
-        const Duration mttr = options.storm.mttr;
-        engine.Send(ShardedSimulator::kCoordinator, cell, due,
-                    [cluster, node, mttr] {
-                      cluster->FailNode(node);
-                      cluster->sim()->ScheduleAfter(
-                          mttr, [cluster, node] {
-                            cluster->RecoverNode(node);
-                          });
-                    });
-        ++storm_strikes;
-      }
-    }
-    last_barrier = barrier;
-  });
+  engine.set_barrier_hook([&](SimTime) { ledger.Fold(log_ptrs); });
 
   engine.RunUntil(scenario.horizon);
 
@@ -140,10 +82,8 @@ ShardedFleetResult RunFleetSharded(const FleetScenario& scenario,
   result.cells = cells;
   result.shards = lanes;
   result.windows = engine.windows_run();
-  result.cross_shard_sends = engine.cross_shard_sends();
   result.ledger_entries = ledger.entries_folded();
   result.fleet_peak_allocated_cpu = ledger.peak_allocated_cpu();
-  result.storm_strikes = storm_strikes;
   for (const FleetResult& cell : cell_results) {
     result.fleet.executed_events += cell.executed_events;
     result.fleet.pods_preempted += cell.pods_preempted;

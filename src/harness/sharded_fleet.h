@@ -9,41 +9,23 @@
 
 namespace dlrover {
 
-/// Correlated node-failure storms driven by the fleet coordinator: strikes
-/// are drawn fleet-wide at window barriers (a deterministic fractional
-/// accumulator, no per-shard RNG) and delivered to the victim cell through
-/// the engine's commit log. Struck nodes recover after `mttr`.
-struct FleetStormOptions {
-  /// Expected node strikes per simulated hour across the whole fleet.
-  /// 0 disables the storm driver.
-  double node_strikes_per_hour = 0.0;
-  Duration mttr = Minutes(20);
-  uint64_t seed = 1234;
-};
-
 /// How to run a FleetScenario on the sharded engine.
 struct ShardedFleetOptions {
   /// Number of fleet cells — independent slices of the cluster, each with
   /// its own event queue, cluster slice, brain, background load, and
-  /// failure injector, coupled only through window barriers. Part of the
-  /// scenario shape: different cell counts simulate different fleets.
+  /// failure injector. Cells share no state; the window barriers only fold
+  /// their ledgers. Part of the scenario shape: different cell counts
+  /// simulate different fleets.
   /// cells == 1 reproduces the sequential RunFleet byte for byte.
   int cells = 1;
   /// Execution lanes the cells are advanced on. NEVER affects results —
   /// only wall-clock. 0 picks the hardware concurrency.
   int shards = 1;
-  /// Conservative synchronization window (the engine's lookahead).
+  /// Synchronization window: the ledger is folded at every barrier.
   Duration window = Minutes(2);
   /// Pool for multi-lane execution; defaults to SharedThreadPool() when
   /// more than one lane is requested.
   ThreadPool* pool = nullptr;
-  /// Couples the cells through the ledger: when fleet-wide free CPU drops
-  /// below `scarcity_threshold`, every cell's cluster enters scarcity mode
-  /// (slow startups) until the fleet recovers. Off for parity benches —
-  /// the sequential oracle has no fleet to be scarce against.
-  bool scarcity_coupling = false;
-  double scarcity_threshold = 0.10;
-  FleetStormOptions storm;
 };
 
 struct ShardedFleetResult {
@@ -53,11 +35,15 @@ struct ShardedFleetResult {
   int cells = 1;
   int shards = 1;
   uint64_t windows = 0;
+  /// Always 0: cells exchange nothing. Kept because the fleet fingerprints
+  /// hash it.
   uint64_t cross_shard_sends = 0;
   /// Accounting deltas folded into the fleet ledger.
   uint64_t ledger_entries = 0;
   /// Peak fleet-wide allocated CPU the ledger observed at any barrier.
   double fleet_peak_allocated_cpu = 0.0;
+  /// Always 0: there is no node-failure storm. Kept because the fleet
+  /// fingerprints hash it.
   uint64_t storm_strikes = 0;
 };
 
@@ -71,8 +57,8 @@ struct ShardedFleetResult {
 ///
 /// Guarantees: for a fixed `cells`, the result is byte-identical at every
 /// `shards` value (1, 2, hw, ...), pool or no pool — parity is pinned in
-/// sharded_sim_test.cc; and with cells == 1 (and coupling/storm off) it is
-/// byte-identical to RunFleet(scenario).
+/// sharded_sim_test.cc; and with cells == 1 it is byte-identical to
+/// RunFleet(scenario).
 ShardedFleetResult RunFleetSharded(const FleetScenario& scenario,
                                    const ShardedFleetOptions& options);
 

@@ -173,18 +173,8 @@ bool TrainingJob::AllPsRunning() const {
   return !ps_.empty();
 }
 
-Duration TrainingJob::NextRelaunchDelay(int* streak) {
-  const int attempt = ++*streak;
-  if (spec_.relaunch_backoff_base <= 0.0) return 0.0;
-  Duration delay = spec_.relaunch_backoff_base *
-                   static_cast<double>(1ull << std::min(attempt - 1, 20));
-  delay = std::min(delay, spec_.relaunch_backoff_cap);
-  return delay * rng_.Uniform(0.5, 1.5);
-}
-
 void TrainingJob::OnWorkerRunning(WorkerState& worker) {
   worker.pod_running = true;
-  worker_relaunch_streak_ = 0;  // a healthy start resets the backoff
   monitor_.AddMember(static_cast<uint64_t>(worker.index), sim_->Now());
   if (worker.replace_victim >= 0) {
     // Make-before-break handoff: the replacement is up (image pulled,
@@ -210,7 +200,6 @@ void TrainingJob::OnWorkerRunning(WorkerState& worker) {
 
 void TrainingJob::OnPsRunning(PsState& ps) {
   ps.pod_running = true;
-  ps_relaunch_streak_ = 0;  // a healthy start resets the backoff
   if (transition_.kind == TransitionKind::kSeamless) {
     FinishMigrationIfReady();
     return;
@@ -551,21 +540,8 @@ void TrainingJob::OnWorkerStopped(WorkerState& worker, PodStopReason reason) {
       return;
     }
     if (transition_.kind == TransitionKind::kNone) {
-      const Duration delay = NextRelaunchDelay(&worker_relaunch_streak_);
       const uint64_t shard_limit = worker.shard_limit;
-      auto relaunch = [this, shard_limit] {
-        if (finished() || transition_.kind != TransitionKind::kNone) return;
-        AddWorker(config_, &workers_).shard_limit = shard_limit;
-      };
-      if (delay <= 0.0) {
-        relaunch();
-      } else {
-        // Crash-looping protection: wait out the backoff before asking the
-        // scheduler again. Peers keep training; the replacement's absence
-        // is still accounted as pod-wait downtime.
-        stats_.downtime_waiting_pods += delay;
-        sim_->ScheduleAfter(delay, relaunch);
-      }
+      AddWorker(config_, &workers_).shard_limit = shard_limit;
     }
   } else {
     // Static partitioning cannot absorb a lost worker: full restart.
@@ -604,19 +580,7 @@ void TrainingJob::RecoverFromPsLoss(PsState& ps, bool was_oom) {
     config_.ps_memory =
         std::max(config_.ps_memory * 1.5, MaxPsMemory() * 1.3);
   }
-  const Duration delay = NextRelaunchDelay(&ps_relaunch_streak_);
-  if (delay <= 0.0) {
-    CreatePsPod(ps, config_);  // reuse the same logical PS (same share)
-  } else {
-    stats_.downtime_waiting_pods += delay;
-    PsState* p = &ps;
-    sim_->ScheduleAfter(delay, [this, p] {
-      // A full restart in the meantime rebuilt the PS set; this recovery
-      // (and its PsState) is void then.
-      if (finished() || transition_.kind != TransitionKind::kPsRecovery) return;
-      CreatePsPod(*p, config_);
-    });
-  }
+  CreatePsPod(ps, config_);  // reuse the same logical PS (same share)
   InvalidateIterationCache();
 }
 
@@ -938,7 +902,7 @@ int TrainingJob::ReapSilentWorkers() {
       // The pod claims Running but reports nothing — half-dead. Kill it;
       // OnWorkerStopped treats the owner-kill of a non-retired member as a
       // crash, so the shard is requeued with partial credit and the worker
-      // replaced through the normal (backoff-aware) path.
+      // replaced through the normal path.
       cluster_->KillPod(w->pod);
       ++reaped;
       break;
@@ -1031,7 +995,7 @@ void TrainingJob::DrainFallback(int victim_index, int replacement_index) {
   }
   // Still pending after the deadline: scarcity. Abandon make-before-break —
   // retire the stuck replacement and stop-and-restart the victim through the
-  // normal crash path (auto-replace, backoff-aware, off-node placement).
+  // normal crash path (auto-replace, off-node placement).
   ++stats_.drain_fallbacks;
   replacement->retired = true;
   replacement->replace_victim = -1;

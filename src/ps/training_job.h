@@ -79,13 +79,6 @@ struct JobSpec {
   /// Long-horizon runs that must stay allocation-free in steady state set
   /// this to cover the whole horizon's profile ticks.
   size_t history_reserve = 0;
-  /// Pod-relaunch backoff: the i-th consecutive relaunch of a failed worker
-  /// (or PS) waits base * 2^(i-1), capped, with deterministic seeded jitter
-  /// in [0.5, 1.5) — so a crash-looping pod cannot hammer the scheduler.
-  /// The wait is charged to JobStats::downtime_waiting_pods. base 0 (the
-  /// default) relaunches immediately, byte-identical to the legacy path.
-  Duration relaunch_backoff_base = 0.0;
-  Duration relaunch_backoff_cap = Seconds(60);
 };
 
 /// One profiling snapshot; consumed by the optimizer's model fitter and by
@@ -223,8 +216,7 @@ class TrainingJob {
   /// (no heartbeat) beyond the monitor's failure timeout — the half-dead
   /// pods the paper's job master reaps. The kill funnels through the normal
   /// crash path, so the shard is requeued with partial credit and the
-  /// worker is replaced (with relaunch backoff). Returns how many were
-  /// reaped.
+  /// worker is replaced. Returns how many were reaped.
   int ReapSilentWorkers();
 
   /// Make-before-break evacuation of pods on draining (cordoned) nodes. A
@@ -335,9 +327,6 @@ class TrainingJob {
   void OnPsRunning(PsState& ps);
   void OnPsStopped(PsState& ps, PodStopReason reason);
   bool AllPsRunning() const;
-  /// Advances `streak` and returns how long to wait before the next
-  /// relaunch of that role (0 when backoff is disabled).
-  Duration NextRelaunchDelay(int* streak);
   WorkerState* FindWorkerByIndex(int index);
   /// Scarcity fallback for a stuck make-before-break handoff (see
   /// EvacuateDrainingPods).
@@ -460,10 +449,6 @@ class TrainingJob {
   SimTime last_oom_scale_ = -1.0e18;
   int next_worker_index_ = 0;
   int next_ps_index_ = 0;
-  /// Consecutive relaunches without an intervening healthy start; feeds the
-  /// exponential relaunch backoff.
-  int worker_relaunch_streak_ = 0;
-  int ps_relaunch_streak_ = 0;
   /// Consecutive seamless drain attempts that did not complete; after two,
   /// EvacuateDrainingPods falls back to stop-and-restart.
   int drain_attempts_ = 0;

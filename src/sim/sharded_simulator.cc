@@ -1,8 +1,6 @@
 #include "sim/sharded_simulator.h"
 
 #include <algorithm>
-#include <cassert>
-#include <utility>
 
 namespace dlrover {
 
@@ -13,30 +11,6 @@ ShardedSimulator::ShardedSimulator(const ShardedSimOptions& options)
   shards_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-void ShardedSimulator::Send(int src, int dst, SimTime due,
-                            Simulator::Callback cb) {
-  assert(dst >= 0 && dst < num_shards() && "Send to unknown shard");
-  // Conservative lookahead: the effect may not land before the end of the
-  // window it was sent in (for coordinator sends between windows, not
-  // before the barrier time itself).
-  const SimTime when = std::max(due, window_end_);
-  PendingSend send;
-  send.due = when;
-  send.dst = dst;
-  send.cb = std::move(cb);
-  if (src == kCoordinator) {
-    send.src = kCoordinator;
-    send.seq = coordinator_send_seq_++;
-    coordinator_outbox_.push_back(std::move(send));
-  } else {
-    assert(src >= 0 && src < num_shards() && "Send from unknown shard");
-    Shard& s = *shards_[static_cast<size_t>(src)];
-    send.src = src;
-    send.seq = s.next_send_seq++;
-    s.outbox.push_back(std::move(send));
   }
 }
 
@@ -59,83 +33,19 @@ void ShardedSimulator::AdvanceShards(SimTime window_end) {
   });
 }
 
-void ShardedSimulator::CommitSends() {
-  // Gather every commit log into the scratch buffer. Order of gathering is
-  // irrelevant: the sort below re-establishes the canonical order from the
-  // (due, src, seq) key alone.
-  commit_scratch_.clear();  // keeps capacity: warm barriers do not allocate
-  for (auto& shard : shards_) {
-    for (PendingSend& send : shard->outbox) {
-      commit_scratch_.push_back(std::move(send));
-    }
-    shard->outbox.clear();
-    shard->next_send_seq = 0;
-  }
-  for (PendingSend& send : coordinator_outbox_) {
-    commit_scratch_.push_back(std::move(send));
-  }
-  coordinator_outbox_.clear();
-  coordinator_send_seq_ = 0;
-  if (commit_scratch_.empty()) return;
-
-  // Canonical commit order: due time, then source shard (coordinator
-  // last), then the source's own append order. The key is unique, so
-  // std::sort (unstable, but allocation-free) yields one well-defined
-  // permutation at any execution width.
-  std::sort(commit_scratch_.begin(), commit_scratch_.end(),
-            [](const PendingSend& a, const PendingSend& b) {
-              if (a.due != b.due) return a.due < b.due;
-              if (a.src != b.src) return a.src < b.src;
-              return a.seq < b.seq;
-            });
-  for (PendingSend& send : commit_scratch_) {
-    // ScheduleAt assigns the destination's FIFO tie-break sequence in call
-    // order, so equal-time commits fire in exactly this canonical order.
-    shards_[static_cast<size_t>(send.dst)]->sim.ScheduleAt(
-        send.due, std::move(send.cb));
-    ++sends_committed_;
-  }
-  commit_scratch_.clear();
-}
-
 void ShardedSimulator::RunUntil(SimTime deadline) {
   const SimTime end = std::max(deadline, now_);
   const Duration window = std::max(options_.window, 0.0);
   // do-while: a zero-width window still runs events at exactly `end` and
-  // commits any sends recorded before the call.
+  // the barrier hook.
   do {
     const SimTime window_end =
         window > 0.0 ? std::min(now_ + window, end) : end;
-    window_end_ = window_end;
     AdvanceShards(window_end);
     ++windows_;
     now_ = window_end;
-    CommitSends();
-    if (barrier_hook_) {
-      barrier_hook_(window_end);
-      // The hook's own sends commit before the next window starts, so the
-      // coordinator's view and every shard's queue agree at the barrier.
-      CommitSends();
-    }
+    if (barrier_hook_) barrier_hook_(window_end);
   } while (now_ < end);
-}
-
-void ShardedSimulator::ReserveCommitLogs(size_t per_shard) {
-  for (auto& shard : shards_) shard->outbox.reserve(per_shard);
-  coordinator_outbox_.reserve(per_shard);
-  commit_scratch_.reserve(per_shard * (shards_.size() + 1));
-}
-
-uint64_t ShardedSimulator::executed_events() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->sim.executed_events();
-  return total;
-}
-
-size_t ShardedSimulator::pending_events() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) total += shard->sim.pending_events();
-  return total;
 }
 
 }  // namespace dlrover

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -19,10 +20,8 @@ struct ShardedSimOptions {
   /// different shard counts simulate different partitions. Determinism
   /// guarantees below are for a fixed num_shards across execution widths.
   int num_shards = 1;
-  /// Conservative synchronization window: shards run independently for one
-  /// window, then all cross-shard effects commit at the barrier. This is
-  /// also the engine's lookahead — a cross-shard effect sent during window
-  /// W becomes visible no earlier than the end of W.
+  /// Synchronization window: shards run independently for one window, then
+  /// meet at a barrier where the hook sees every shard quiescent.
   Duration window = Minutes(2);
   /// Pool the windows are fanned across. nullptr runs shards sequentially
   /// on the calling thread (the zero-allocation path).
@@ -32,66 +31,36 @@ struct ShardedSimOptions {
   size_t parallelism = 0;
 };
 
-/// A parallel discrete-event engine built out of N ordinary `Simulator`
-/// shards advanced in conservative, barrier-synchronized time windows on the
-/// ThreadPool.
+/// N ordinary `Simulator` shards advanced in barrier-synchronized time
+/// windows on the ThreadPool.
 ///
 /// Within a window each shard runs its own slab-backed event queue with no
-/// locks and no shared state; anything that crosses shards — cluster
-/// capacity changes, brain decisions, failure strikes — must go through
-/// Send(), which records the effect into the *sending* shard's commit log.
-/// At the window barrier the coordinator merges all commit logs and applies
-/// them in canonical (due time, source shard, per-shard sequence) order.
+/// locks. Shards share no state: an event on one shard never schedules or
+/// touches anything on another. At each window barrier a hook runs on the
+/// coordinator thread with every shard quiescent (the fleet runner folds
+/// the cells' accounting ledgers there, in shard order).
 ///
-/// Why determinism survives parallel execution:
-///  - each shard's intra-window execution is sequential and touches only
-///    shard-local state, so a shard's event trace (and the order of its
-///    outbox appends) is a pure function of its queue at the window start;
-///  - commit-log entries carry a (due, src, seq) key that is unique and
-///    independent of execution timing, and the barrier applies them after
-///    sorting by that key, so the destination shard's FIFO tie-break sees
-///    the same arrival order at any parallelism — including 1;
-///  - due times are clamped to at least the end of the window in which the
-///    send happens, so an effect can never land in a shard's past.
-/// Hence for a fixed num_shards, results are byte-identical at every
-/// `parallelism` (and with or without a pool).
+/// Why determinism survives parallel execution: each shard's intra-window
+/// execution is sequential and touches only shard-local state, so its event
+/// trace is a pure function of its own queue; and the barrier hook reads
+/// the shards in shard order. Hence for a fixed num_shards, results are
+/// byte-identical at every `parallelism` (and with or without a pool).
 class ShardedSimulator {
  public:
-  /// Pseudo-source for sends issued by the coordinator itself (setup code
-  /// or the barrier hook) rather than by a shard. Barrier sends order after
-  /// all shard sends at the same due time.
-  static constexpr int kCoordinator = 1 << 20;
-
   explicit ShardedSimulator(const ShardedSimOptions& options);
 
   ShardedSimulator(const ShardedSimulator&) = delete;
   ShardedSimulator& operator=(const ShardedSimulator&) = delete;
 
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-  const ShardedSimOptions& options() const { return options_; }
-
   /// The shard-local simulator. Entities living on shard `i` schedule their
-  /// intra-shard events directly on it, exactly as in the sequential world.
+  /// events directly on it, exactly as in the sequential world.
   Simulator& shard(int i) { return shards_[static_cast<size_t>(i)]->sim; }
-  const Simulator& shard(int i) const {
-    return shards_[static_cast<size_t>(i)]->sim;
-  }
 
-  /// Barrier time: the end of the last committed window.
+  /// Barrier time: the end of the last completed window.
   SimTime Now() const { return now_; }
 
-  /// Records a cross-shard effect. `src` is the shard whose event is
-  /// sending (or kCoordinator); `dst` is the shard whose simulator will run
-  /// `cb`. The callback is applied at the next window barrier and scheduled
-  /// at max(due, end of the current window) — conservative lookahead of one
-  /// window. Thread-safe in the only way the engine needs: a shard may send
-  /// only from its own lane, and the coordinator only between windows.
-  void Send(int src, int dst, SimTime due, Simulator::Callback cb);
-
-  /// Invoked at every window barrier, after that window's sends have been
-  /// committed, with the barrier time. The hook runs on the coordinator
-  /// thread with all shards quiescent: it may inspect every shard and issue
-  /// further Send()s (committed immediately, before the next window).
+  /// Invoked at every window barrier with the barrier time, on the
+  /// coordinator thread with all shards quiescent.
   void set_barrier_hook(std::function<void(SimTime)> hook) {
     barrier_hook_ = std::move(hook);
   }
@@ -99,61 +68,26 @@ class ShardedSimulator {
   /// Advances all shards to `deadline` in windows. Like
   /// Simulator::RunUntil, events exactly at the deadline run, and every
   /// shard's clock (and Now()) ends at max(previous, deadline). Runs at
-  /// least one (possibly zero-width) window so sends recorded before the
-  /// call are committed.
+  /// least one (possibly zero-width) window, so the barrier hook always
+  /// runs.
   void RunUntil(SimTime deadline);
 
-  /// Pre-sizes every shard's commit log (and the merge scratch) so warm
-  /// windows append without reallocating.
-  void ReserveCommitLogs(size_t per_shard);
-
-  /// Total events executed across all shards.
-  uint64_t executed_events() const;
-  /// Events currently pending across all shards.
-  size_t pending_events() const;
   /// Windows run so far (each ends in one barrier).
   uint64_t windows_run() const { return windows_; }
-  /// Cross-shard effects committed so far.
-  uint64_t cross_shard_sends() const { return sends_committed_; }
 
  private:
-  /// One recorded cross-shard effect. The (due, src, seq) triple is the
-  /// canonical commit key: unique (seq is per-source monotonic), total, and
-  /// independent of execution interleaving.
-  struct PendingSend {
-    SimTime due = 0.0;
-    uint64_t seq = 0;
-    int32_t src = 0;
-    int32_t dst = 0;
-    Simulator::Callback cb;
-  };
-
-  /// A shard: its simulator plus its commit log of outbound sends. Padded
-  /// out so two shards never share a cache line while lanes advance them
-  /// concurrently.
+  /// A shard's simulator, padded out so two shards never share a cache line
+  /// while lanes advance them concurrently.
   struct alignas(64) Shard {
     Simulator sim;
-    std::vector<PendingSend> outbox;
-    uint64_t next_send_seq = 0;
   };
 
   void AdvanceShards(SimTime window_end);
-  /// Merges all outboxes and applies them in canonical order.
-  void CommitSends();
 
   ShardedSimOptions options_;
   SimTime now_ = 0.0;
-  /// End of the window currently executing (== now_ between windows).
-  /// Written by the coordinator before lanes start; read-only inside them.
-  SimTime window_end_ = 0.0;
   uint64_t windows_ = 0;
-  uint64_t sends_committed_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Coordinator-originated sends (setup + barrier hook).
-  std::vector<PendingSend> coordinator_outbox_;
-  uint64_t coordinator_send_seq_ = 0;
-  /// Merge scratch, reused across barriers (capacity persists).
-  std::vector<PendingSend> commit_scratch_;
   std::function<void(SimTime)> barrier_hook_;
 };
 

@@ -249,35 +249,36 @@ TEST(AllocGuardTest, WarmIndexedClusterChurnIsAllocationFree) {
 
 TEST(AllocGuardTest, WarmShardedWindowDispatchIsAllocationFree) {
   // Sequential-lane sharded engine: advancing warm windows — per-shard
-  // periodic work plus cross-shard sends gathered, sorted, and committed at
-  // every barrier — must not allocate. The pool dispatch path is exempt by
-  // design (ParallelFor allocates its task closures); since lane count never
-  // changes results, the sequential path exercises the identical event work.
+  // periodic work that reschedules on its own shard, plus the barrier hook
+  // at every window end — must not allocate. The pool dispatch path is
+  // exempt by design (ParallelFor allocates its task closures); since lane
+  // count never changes results, the sequential path exercises the
+  // identical event work.
   ShardedSimOptions options;
   options.num_shards = 3;
   options.window = 10.0;
   ShardedSimulator engine(options);
-  engine.ReserveCommitLogs(64);
-  int delivered = 0;
+  int follow_ups = 0;
+  int barriers = 0;
+  engine.set_barrier_hook([&barriers](SimTime) { ++barriers; });
   std::vector<std::unique_ptr<PeriodicTask>> tasks;
   for (int s = 0; s < 3; ++s) {
     Simulator& sim = engine.shard(s);
-    const int dst = (s + 1) % 3;
     tasks.push_back(std::make_unique<PeriodicTask>(
-        &sim, 3.0, [&engine, &delivered, s, dst] {
-          engine.Send(s, dst, engine.Now() + 5.0,
-                      [&delivered] { ++delivered; });
+        &sim, 3.0, [&sim, &follow_ups] {
+          sim.ScheduleAfter(5.0, [&follow_ups] { ++follow_ups; });
         }));
     tasks.back()->Start();
   }
-  engine.RunUntil(200.0);  // warm: event slabs, outboxes, commit scratch
-  ASSERT_GT(delivered, 0);
+  engine.RunUntil(200.0);  // warm: event slabs
+  ASSERT_GT(follow_ups, 0);
   const uint64_t windows_before = engine.windows_run();
 
   const uint64_t before = AllocationCount();
   engine.RunUntil(400.0);
   const uint64_t after = AllocationCount();
   EXPECT_GT(engine.windows_run(), windows_before);
+  EXPECT_EQ(static_cast<uint64_t>(barriers), engine.windows_run());
   EXPECT_EQ(after - before, 0u)
       << "sharded window dispatch allocated " << (after - before)
       << " times across " << (engine.windows_run() - windows_before)

@@ -116,24 +116,6 @@ TEST(ClusterTest, PendingQueueServesHigherPriorityFirst) {
   EXPECT_EQ(cluster.GetPod(low)->phase, PodPhase::kPending);
 }
 
-TEST(ClusterTest, FailNodeKillsItsPods) {
-  Simulator sim;
-  Cluster cluster(&sim, TinyCluster(2, 16.0));
-  std::vector<PodId> pods;
-  for (int i = 0; i < 4; ++i) {
-    pods.push_back(cluster.CreatePod(TrainingPod(8.0), nullptr, nullptr));
-  }
-  sim.RunUntil(Seconds(20));
-  cluster.FailNode(0);
-  int failed = 0;
-  for (PodId id : pods) {
-    if (cluster.GetPod(id)->phase == PodPhase::kFailed) ++failed;
-  }
-  EXPECT_EQ(failed, 2);
-  // The failed node's capacity is gone.
-  EXPECT_DOUBLE_EQ(cluster.TotalCapacity().cpu, 16.0);
-}
-
 TEST(ClusterTest, UsageAggregation) {
   Simulator sim;
   Cluster cluster(&sim, TinyCluster(1, 16.0));
@@ -209,19 +191,20 @@ TEST(ClusterTest, VisitPodsKeepsCreationOrderAcrossSlotReuse) {
   EXPECT_EQ(visited, created);
 }
 
-// Regression: a fully failed cluster has zero capacity; UnderScarcity must
-// report false instead of dividing by zero.
+// Regression: a cluster with no nodes (a fleet cell gets none when there
+// are more cells than nodes) has zero capacity; UnderScarcity must report
+// false instead of dividing by zero.
 TEST(ClusterTest, UnderScarcityFalseOnZeroCapacity) {
   Simulator sim;
-  Cluster cluster(&sim, TinyCluster(1, 16.0));
-  cluster.CreatePod(TrainingPod(15.0), nullptr, nullptr);
-  EXPECT_TRUE(cluster.UnderScarcity());
-  cluster.FailNode(0);
+  Cluster cluster(&sim, TinyCluster(0, 16.0));
   EXPECT_DOUBLE_EQ(cluster.TotalCapacity().cpu, 0.0);
+  EXPECT_FALSE(cluster.UnderScarcity());
+  const PodId id = cluster.CreatePod(TrainingPod(15.0), nullptr, nullptr);
+  EXPECT_EQ(cluster.GetPod(id)->phase, PodPhase::kPending);
   EXPECT_FALSE(cluster.UnderScarcity());
 }
 
-// Reference totals recomputed from scratch: healthy nodes' capacity and
+// Reference totals recomputed from scratch: every node's capacity and
 // allocation (cordoned nodes included), and the usage of running pods.
 struct ScannedTotals {
   ResourceSpec capacity;
@@ -233,7 +216,6 @@ ScannedTotals ScanTotals(const Cluster& cluster) {
   ScannedTotals totals;
   for (size_t i = 0; i < cluster.num_nodes(); ++i) {
     const Node& node = cluster.GetNode(static_cast<NodeId>(i));
-    if (!node.healthy) continue;
     totals.capacity += node.capacity;
     totals.allocated += node.allocated;
   }
@@ -255,8 +237,8 @@ void ExpectTotalsMatchScan(const Cluster& cluster, const char* step) {
 }
 
 // The running totals must agree with a fresh scan of nodes and pods at
-// every point of the pod lifecycle and of the node lifecycle: failure,
-// cordon, repair of a cordoned node and uncordon.
+// every point of the pod lifecycle and of the node lifecycle: cordon,
+// placement around cordoned nodes and uncordon.
 TEST(ClusterTest, IncrementalAccountingMatchesScan) {
   Simulator sim;
   Cluster cluster(&sim, TinyCluster(3, 16.0));
@@ -279,27 +261,24 @@ TEST(ClusterTest, IncrementalAccountingMatchesScan) {
   ExpectTotalsMatchScan(cluster, "cordon");
   EXPECT_DOUBLE_EQ(cluster.TotalCapacity().cpu, 48.0);
 
-  cluster.FailNode(0);
-  ExpectTotalsMatchScan(cluster, "fail");
-  cluster.FailNode(1);
-  ExpectTotalsMatchScan(cluster, "fail cordoned");
+  cluster.CordonNode(0);
+  ExpectTotalsMatchScan(cluster, "cordon second");
+  cluster.CordonNode(0);
+  ExpectTotalsMatchScan(cluster, "cordon again");
 
-  // Replacements queue up: only node 2 is healthy and uncordoned.
+  // Replacements queue up: only node 2 is uncordoned.
   for (int i = 0; i < 3; ++i) {
     pods.push_back(cluster.CreatePod(TrainingPod(6.0), nullptr, nullptr));
   }
   ExpectTotalsMatchScan(cluster, "pending");
+  EXPECT_GT(cluster.PendingCount(), 0u);
 
-  cluster.RecoverNode(0);
-  cluster.RecoverNode(1);
-  ExpectTotalsMatchScan(cluster, "recover");
-  EXPECT_TRUE(cluster.IsCordoned(1));
-
+  cluster.UncordonNode(0);
   cluster.UncordonNode(1);
   ExpectTotalsMatchScan(cluster, "uncordon");
   sim.RunUntil(Seconds(60));
   for (PodId id : pods) cluster.ReportUsage(id, {2.5, GiB(2)});
-  ExpectTotalsMatchScan(cluster, "usage after repair");
+  ExpectTotalsMatchScan(cluster, "usage after uncordon");
   EXPECT_GT(cluster.TotalUsage().cpu, 0.0);
 }
 

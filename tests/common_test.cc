@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/logging.h"
@@ -179,12 +180,14 @@ TEST(UnitsTest, Conversions) {
 }
 
 TEST(LoggingTest, LevelFiltering) {
-  const LogLevel old = GetLogLevel();
-  SetLogLevel(LogLevel::kError);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kError);
-  // Filtered logs must not crash and must be cheap no-ops.
+  // Below the warning floor a line is dropped; at it, it reaches stderr.
+  testing::internal::CaptureStderr();
   DLROVER_LOG_STREAM(Info) << "dropped " << 42;
-  SetLogLevel(old);
+  DLROVER_LOG_STREAM(Warning) << "printed " << 7;
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err.find("dropped"), std::string::npos) << err;
+  EXPECT_NE(err.find("printed 7"), std::string::npos) << err;
+  EXPECT_NE(err.find("[W common_test.cc:"), std::string::npos) << err;
 }
 
 }  // namespace

@@ -19,7 +19,7 @@ namespace {
 /// Mirror of the Cluster::ScanBestFit reference scan over a plain node table.
 struct FakeNode {
   ResourceSpec available;
-  bool healthy = false;
+  bool schedulable = false;
 };
 
 int BruteForceBestFit(const std::vector<FakeNode>& nodes,
@@ -27,7 +27,7 @@ int BruteForceBestFit(const std::vector<FakeNode>& nodes,
   int best = -1;
   double best_left = std::numeric_limits<double>::infinity();
   for (size_t i = 0; i < nodes.size(); ++i) {
-    if (!nodes[i].healthy) continue;
+    if (!nodes[i].schedulable) continue;
     if (!request.FitsIn(nodes[i].available)) continue;
     const double left = nodes[i].available.cpu - request.cpu;
     if (left < best_left) {
@@ -93,7 +93,7 @@ TEST(PlacementIndexTest, FuzzBestFitMatchesBruteForce) {
     const double dice = rng.Uniform();
     const NodeId id = static_cast<NodeId>(rng.UniformInt(kNodes));
     if (dice < 0.25) {
-      if (!mirror[id].healthy) {
+      if (!mirror[id].schedulable) {
         // Quantize capacities so distinct nodes collide on the same values
         // often — the tie-break paths get real exercise.
         const ResourceSpec avail{rng.UniformInt(0, 32) * 0.5,
@@ -102,12 +102,12 @@ TEST(PlacementIndexTest, FuzzBestFitMatchesBruteForce) {
         index.InsertNode(id, avail);
       }
     } else if (dice < 0.40) {
-      if (mirror[id].healthy) {
-        mirror[id].healthy = false;
+      if (mirror[id].schedulable) {
+        mirror[id].schedulable = false;
         index.RemoveNode(id);
       }
     } else if (dice < 0.60) {
-      if (mirror[id].healthy) {
+      if (mirror[id].schedulable) {
         const ResourceSpec avail{rng.UniformInt(0, 32) * 0.5,
                                  GiB(static_cast<double>(rng.UniformInt(0, 64)))};
         mirror[id].available = avail;

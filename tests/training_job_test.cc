@@ -304,48 +304,6 @@ TEST(TrainingJobTest, OomPreventionAvoidsOomEntirely) {
   EXPECT_GT(job.config().ps_memory, GiB(4.5));
 }
 
-TEST(TrainingJobTest, RelaunchBackoffDelaysWorkerReplacement) {
-  Simulator sim;
-  Cluster cluster(&sim, SmallCluster());
-  JobSpec spec = QuickSpec(60000);
-  spec.relaunch_backoff_base = Seconds(20);
-  spec.relaunch_backoff_cap = Seconds(60);
-  TrainingJob job(&sim, &cluster, spec, TunedConfig());
-  job.Start();
-  sim.RunUntil(Minutes(5));
-  ASSERT_EQ(job.state(), JobState::kRunning);
-
-  auto live_worker_pods = [&cluster] {
-    int count = 0;
-    cluster.VisitPods([&](const Pod& pod) {
-      if (!pod.terminal() &&
-          pod.spec.name.find("worker") != std::string::npos) {
-        ++count;
-      }
-    });
-    return count;
-  };
-  const int before = live_worker_pods();
-  const std::vector<PodId> targets = RunningPods(cluster);
-  ASSERT_FALSE(targets.empty());
-  cluster.FailPod(targets.front(), PodStopReason::kCrash);
-
-  // First-attempt backoff is 20s * jitter in [0.5, 1.5): no replacement pod
-  // may even be requested inside the first 10 seconds.
-  sim.RunUntil(sim.Now() + Seconds(9));
-  EXPECT_EQ(live_worker_pods(), before - 1)
-      << "replacement must wait out the backoff";
-  // Well past the jittered delay the replacement exists and the job heals.
-  sim.RunUntil(sim.Now() + Seconds(60));
-  EXPECT_EQ(live_worker_pods(), before);
-  EXPECT_GT(job.stats().downtime_waiting_pods, 0.0);
-
-  sim.RunUntil(Hours(6));
-  ASSERT_EQ(job.state(), JobState::kCompleted);
-  EXPECT_EQ(job.batches_done(), 60000u);
-  EXPECT_EQ(job.stats().worker_failures, 1);
-}
-
 TEST(TrainingJobTest, StopAndRestartMigrationFlushesFlashCache) {
   Simulator sim;
   Cluster cluster(&sim, SmallCluster());

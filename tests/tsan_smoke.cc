@@ -230,13 +230,12 @@ void SweepSmoke() {
   FleetSweepSmoke();
 }
 
-// --- sharded_sim: the conservative window protocol (parallel shard
-// advancement, per-shard outbox writes, barrier commit), re-checking that
-// lane count never changes results ------------------------------------------
+// --- sharded_sim: the window protocol (parallel shard advancement, the
+// barrier hook), re-checking that lane count never changes results --------
 
-// Raw engine: four shards ping effects across shard boundaries for a few
-// hundred windows; the delivery trace on 4 lanes must equal the sequential
-// one exactly.
+// Raw engine: four shards each run periodic events that reschedule on their
+// own shard and record their own trace for a few hundred windows; every
+// trace on 4 lanes must equal the sequential one exactly.
 void EngineWindowSmoke() {
   auto run = [](size_t lanes) {
     ThreadPool pool(4);
@@ -246,27 +245,30 @@ void EngineWindowSmoke() {
     options.pool = lanes > 1 ? &pool : nullptr;
     options.parallelism = lanes;
     ShardedSimulator engine(options);
-    // Every effect targets shard 0, so the trace is only ever written from
-    // shard 0's (sequential) event loop — while shards 1..3 run on other
-    // lanes, which is the concurrency TSan is here to watch.
-    Simulator& sink = engine.shard(0);
-    std::vector<std::pair<SimTime, int>> trace;
+    // Each trace is written only from its own shard's (sequential) event
+    // loop while the other shards run on other lanes, which is the
+    // concurrency TSan is here to watch.
+    std::vector<std::vector<std::pair<SimTime, int>>> traces(4);
     std::vector<std::unique_ptr<PeriodicTask>> tasks;
-    for (int s = 1; s < 4; ++s) {
+    for (int s = 0; s < 4; ++s) {
       Simulator& sim = engine.shard(s);
+      auto& trace = traces[static_cast<size_t>(s)];
       tasks.push_back(std::make_unique<PeriodicTask>(
-          &sim, 2.0 + 0.5 * s, [&engine, &trace, &sink, s] {
-            engine.Send(s, 0, engine.Now() + 3.0, [&trace, &sink, s] {
-              trace.emplace_back(sink.Now(), s);
+          &sim, 2.0 + 0.5 * s, [&sim, &trace, s] {
+            sim.ScheduleAfter(3.0, [&sim, &trace, s] {
+              trace.emplace_back(sim.Now(), s);
             });
           }));
       tasks.back()->Start();
     }
+    uint64_t barriers = 0;
+    engine.set_barrier_hook([&barriers](SimTime) { ++barriers; });
     engine.RunUntil(1000.0);
-    return std::make_pair(trace, engine.cross_shard_sends());
+    return std::make_pair(traces, barriers);
   };
   const auto sequential = run(1);
   const auto parallel = run(4);
+  CHECK_TRUE(!sequential.first[0].empty());
   CHECK_TRUE(sequential.second > 0);
   CHECK_TRUE(sequential.second == parallel.second);
   CHECK_TRUE(sequential.first == parallel.first);
@@ -299,7 +301,6 @@ void ShardedFleetSmoke() {
     CHECK_TRUE(wide.fleet.executed_events == one.fleet.executed_events);
     CHECK_TRUE(wide.fleet.pods_preempted == one.fleet.pods_preempted);
     CHECK_TRUE(wide.windows == one.windows);
-    CHECK_TRUE(wide.cross_shard_sends == one.cross_shard_sends);
     CHECK_TRUE(wide.ledger_entries == one.ledger_entries);
     for (size_t i = 0; i < one.fleet.jobs.size(); ++i) {
       CHECK_TRUE(wide.fleet.jobs[i].completed == one.fleet.jobs[i].completed);
