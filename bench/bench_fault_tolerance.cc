@@ -1,7 +1,7 @@
 // Fault-tolerance benchmark (Table-4 style, but for the threaded training
 // runtime): the same seeded chaos schedules — worker crashes before/after
-// push, stalls, lost shard reports, torn checkpoint writes, PS failures —
-// are replayed against two arms:
+// push, stalls, lost shard reports, corrupted checkpoint writes, PS
+// failures — are replayed against two arms:
 //
 //   unprotected:  fault tolerance off, no end-of-run drain. Crashed
 //                 workers take their shards to the grave; lost work stays

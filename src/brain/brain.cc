@@ -1,7 +1,6 @@
 #include "brain/brain.h"
 
 #include <algorithm>
-#include <set>
 
 #include "cluster/control_channel.h"
 #include "common/logging.h"
@@ -21,6 +20,26 @@ constexpr size_t kFitterWindow = 240;
 /// Rounds to wait after applying a plan before proposing another for the
 /// same job (lets the new configuration produce clean measurements).
 constexpr int kPlanCooldownRounds = 3;
+
+/// The smallest and largest value one decision variable took over the
+/// fitter's window, as the first and last of a std::set of them would be.
+template <typename T>
+struct Support {
+  T lo{};
+  T hi{};
+  bool seen = false;
+  void Add(T v) {
+    if (!seen) {
+      lo = hi = v;
+      seen = true;
+      return;
+    }
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  /// At least two distinct values were seen.
+  bool Varied() const { return seen && lo != hi; }
+};
 }  // namespace
 
 ClusterBrain::ClusterBrain(Simulator* sim, const BrainOptions& options)
@@ -55,14 +74,7 @@ void ClusterBrain::IngestProfiles(ManagedJob& managed) {
   IngestJobHistory(*managed.job, &managed.history_cursor,
                    managed.fitter.get());
   // Sliding window: drop stale observations so the fit tracks the present.
-  if (managed.fitter->observation_count() > kFitterWindow) {
-    std::vector<PerfObservation> recent(
-        managed.fitter->observations().end() -
-            static_cast<long>(kFitterWindow),
-        managed.fitter->observations().end());
-    managed.fitter->Clear();
-    for (const auto& obs : recent) managed.fitter->AddObservation(obs);
-  }
+  managed.fitter->KeepNewest(kFitterWindow);
 }
 
 void ClusterBrain::HandleInstability(ManagedJob& managed) {
@@ -248,31 +260,31 @@ void ClusterBrain::RunRound() {
     space.max_workers = std::min(space.max_workers,
                                  managed.meta.max_workers_quota);
     {
-      std::set<int> ws, ps;
-      std::set<double> lws, lps;
+      Support<int> ws, ps;
+      Support<double> lws, lps;
       for (const PerfObservation& obs : managed.fitter->observations()) {
-        ws.insert(obs.workers);
-        ps.insert(obs.ps);
-        lws.insert(obs.worker_cpu);
-        lps.insert(obs.ps_cpu);
+        ws.Add(obs.workers);
+        ps.Add(obs.ps);
+        lws.Add(obs.worker_cpu);
+        lps.Add(obs.ps_cpu);
       }
-      auto bound_int = [](const std::set<int>& seen, int current, int* lo,
+      auto bound_int = [](const Support<int>& seen, int current, int* lo,
                           int* hi) {
-        if (seen.size() < 2) {
+        if (!seen.Varied()) {
           *lo = *hi = current;
           return;
         }
-        *lo = std::max(*lo, std::max(1, *seen.begin() - 2));
-        *hi = std::min(*hi, *seen.rbegin() * 2);
+        *lo = std::max(*lo, std::max(1, seen.lo - 2));
+        *hi = std::min(*hi, seen.hi * 2);
       };
-      auto bound_cores = [](const std::set<double>& seen, double current,
+      auto bound_cores = [](const Support<double>& seen, double current,
                             Cores* lo, Cores* hi) {
-        if (seen.size() < 2) {
+        if (!seen.Varied()) {
           *lo = *hi = current;
           return;
         }
-        *lo = std::max(*lo, std::max(1.0, *seen.begin() * 0.75));
-        *hi = std::min(*hi, *seen.rbegin() * 1.5);
+        *lo = std::max(*lo, std::max(1.0, seen.lo * 0.75));
+        *hi = std::min(*hi, seen.hi * 1.5);
       };
       bound_int(ws, job.config().num_workers, &space.min_workers,
                 &space.max_workers);
@@ -283,24 +295,38 @@ void ClusterBrain::RunRound() {
                   &space.max_ps_cpu);
     }
 
-    PlanGenerator generator(options_.plan);
+    const PlanSearchInputs inputs{
+        managed.params,
+        job.spec().batch_size,
+        job.config(),
+        job.SmoothedThroughput(),
+        static_cast<double>(job.RemainingSamples()),
+        job.ModelBytes(),
+        space,
+    };
+    // Hysteresis: only plans that beat the current throughput by this much
+    // are applied. When no reachable plan can, the search is skipped: its
+    // candidates would all be dropped here (DESIGN.md §8).
+    const double floor_gain =
+        kMinRelativeGain * std::max(1.0, inputs.current_throughput);
+    const double ceiling = PlanGenerator::ThroughputCeiling(
+        *managed.model, inputs.params, inputs.batch_size, inputs.current,
+        inputs.space);
+    if (ceiling - inputs.current_throughput < floor_gain) continue;
+    if (!managed.last_search || !SameBits(*managed.last_search, inputs)) {
+      const PlanGenerator generator(options_.plan);
+      managed.last_candidates = generator.Generate(
+          *managed.model, inputs.params, inputs.batch_size, inputs.current,
+          inputs.current_throughput, inputs.remaining_samples,
+          inputs.model_bytes, &inputs.space);
+      managed.last_search = inputs;
+    }
     JobPlanRequest request;
     request.job_id = static_cast<uint64_t>(by_id.size());
     request.current = job.config();
-    request.candidates = generator.Generate(
-        *managed.model, managed.params, job.spec().batch_size, job.config(),
-        job.SmoothedThroughput(),
-        static_cast<double>(job.RemainingSamples()), job.ModelBytes(),
-        &space);
-    // Hysteresis: drop marginal plans.
-    const double floor_gain =
-        kMinRelativeGain * std::max(1.0, job.SmoothedThroughput());
-    request.candidates.erase(
-        std::remove_if(request.candidates.begin(), request.candidates.end(),
-                       [&](const PlanCandidate& c) {
-                         return c.throughput_gain < floor_gain;
-                       }),
-        request.candidates.end());
+    for (const PlanCandidate& c : managed.last_candidates) {
+      if (!(c.throughput_gain < floor_gain)) request.candidates.push_back(c);
+    }
     if (!request.candidates.empty()) {
       requests.push_back(std::move(request));
       by_id.push_back(&managed);

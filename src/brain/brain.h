@@ -94,6 +94,10 @@ class ClusterBrain {
     /// the brain emits for this job carries the next number, so a delayed
     /// duplicate or reordered stale delivery is rejected at apply time.
     uint64_t next_plan_seq = 0;
+    /// The inputs and candidates of the job's last plan search; a round
+    /// whose inputs match them bit for bit reuses the candidates.
+    std::optional<PlanSearchInputs> last_search;
+    std::vector<PlanCandidate> last_candidates;
   };
 
   void IngestProfiles(ManagedJob& managed);

@@ -1,6 +1,7 @@
 #ifndef DLROVER_BRAIN_PLAN_GENERATOR_H_
 #define DLROVER_BRAIN_PLAN_GENERATOR_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "brain/nsga2.h"
@@ -25,6 +26,24 @@ struct PlanSearchSpace {
   Cores min_ps_cpu = 1.0;
   Cores max_ps_cpu = 16.0;
 };
+
+/// Everything PlanGenerator::Generate reads besides the throughput model
+/// and the generator's options, which a caller holds fixed per job.
+/// Generate is a pure function of these, so two searches whose inputs are
+/// the same bit for bit return the same candidates.
+struct PlanSearchInputs {
+  PerfModelParams params;
+  uint64_t batch_size = 0;
+  JobConfig current;
+  double current_throughput = 0.0;
+  double remaining_samples = 0.0;
+  Bytes model_bytes = 0.0;
+  PlanSearchSpace space;
+};
+
+/// True when every field of `a` and `b` has the same bits (so +0.0 and
+/// -0.0 differ, and a NaN equals only the same NaN).
+bool SameBits(const PlanSearchInputs& a, const PlanSearchInputs& b);
 
 /// The plan search's settings. The objectives' prices, overhead model and
 /// weights are fixed (the defaults of their structs, in plan_generator.cc).
@@ -59,6 +78,24 @@ class PlanGenerator {
                                       Bytes model_bytes,
                                       const PlanSearchSpace* space_override =
                                           nullptr) const;
+
+  /// The largest PredictThroughput over every (w, p, lambda_w, lambda_p)
+  /// that Generate's search can evaluate in `space`: NSGA-II clamps each
+  /// variable to its bounds and rounds it, so w and p range over
+  /// [min, max] and the CPUs over [round(min), round(max)]. The model is
+  /// monotone in p and both CPUs, and stays so in floating point, so only
+  /// w is enumerated (at the top of the other three): no candidate of
+  /// Generate predicts more. Returns +infinity (no bound) when that
+  /// argument does not hold: a negative or non-finite parameter, negative
+  /// model constants or a non-positive bandwidth, an empty range, a
+  /// non-finite iteration time at the slowest reachable point, or a
+  /// prediction at the top that is NaN or zero. DESIGN.md §8 has the
+  /// proof.
+  static double ThroughputCeiling(const ThroughputModel& model,
+                                  const PerfModelParams& params,
+                                  uint64_t batch_size,
+                                  const JobConfig& current,
+                                  const PlanSearchSpace& space);
 
   /// Scores one concrete config exactly as Generate() does; used by tests,
   /// by baselines and to score the "keep the current allocation" option.

@@ -23,32 +23,25 @@ ChaosInjector::ChaosInjector(std::vector<ChaosFault> schedule)
 
 ChaosInjector ChaosInjector::FromSeed(const ChaosScheduleOptions& options) {
   Rng rng(options.seed ^ 0xc8a05ull);
-  const double begin =
-      std::max(0.0, std::min(options.window_begin, options.window_end));
-  const double end = std::min(1.0, std::max(options.window_end, begin));
   const double span = static_cast<double>(options.total_batches);
-  auto draw = [&](int count, ChaosFaultKind kind,
-                  std::vector<ChaosFault>* out) {
+  std::vector<ChaosFault> schedule;
+  auto draw = [&](int count, ChaosFaultKind kind) {
     for (int i = 0; i < count; ++i) {
-      const double u = rng.Uniform(begin, end);
+      const double u = rng.Uniform(kWindowBegin, kWindowEnd);
       ChaosFault fault;
       fault.at_batches = static_cast<uint64_t>(u * span);
       fault.kind = kind;
-      out->push_back(fault);
+      schedule.push_back(fault);
     }
   };
-  std::vector<ChaosFault> schedule;
-  draw(options.crashes_before_push, ChaosFaultKind::kCrashBeforePush,
-       &schedule);
-  draw(options.crashes_after_push, ChaosFaultKind::kCrashAfterPush, &schedule);
-  draw(options.stalls, ChaosFaultKind::kStallWorker, &schedule);
-  draw(options.lost_reports, ChaosFaultKind::kLoseShardReport, &schedule);
-  draw(options.failed_checkpoint_writes, ChaosFaultKind::kFailCheckpointWrite,
-       &schedule);
-  draw(options.ps_failures, ChaosFaultKind::kPsFailure, &schedule);
-  // Drawn last (and default 0): older seeds keep their exact schedules.
-  draw(options.torn_checkpoint_writes, ChaosFaultKind::kTornCheckpointWrite,
-       &schedule);
+  for (const ChaosFaultKind kind :
+       {ChaosFaultKind::kCrashBeforePush, ChaosFaultKind::kCrashAfterPush,
+        ChaosFaultKind::kStallWorker, ChaosFaultKind::kLoseShardReport,
+        ChaosFaultKind::kFailCheckpointWrite, ChaosFaultKind::kPsFailure}) {
+    draw(kFaultsPerKind, kind);
+  }
+  // Drawn last (and default 0): the other faults keep their triggers.
+  draw(options.torn_checkpoint_writes, ChaosFaultKind::kTornCheckpointWrite);
   return ChaosInjector(std::move(schedule));
 }
 

@@ -54,26 +54,17 @@ struct ChaosFiredRecord {
   uint64_t fired_at_batches = 0;
 };
 
-/// Knobs for the seeded schedule generator: how many faults of each kind,
-/// spread over which fraction of the run.
+/// Knobs for the seeded schedule generator. A seeded schedule holds
+/// ChaosInjector::kFaultsPerKind faults of each of the first six kinds,
+/// spread over the window [kWindowBegin, kWindowEnd) of the run.
 struct ChaosScheduleOptions {
   uint64_t seed = 1;
   uint64_t total_batches = 0;
-  int crashes_before_push = 1;
-  int crashes_after_push = 1;
-  int stalls = 1;
-  int lost_reports = 1;
-  int failed_checkpoint_writes = 1;
-  int ps_failures = 1;
-  /// Defaults to 0 (unlike the kinds above) so schedules generated from
-  /// pre-existing seeds keep their exact RNG sequence; its draws also come
-  /// last in FromSeed for the same reason.
+  /// Torn writes are off by default, and their draws come last in
+  /// FromSeed, so every other fault keeps its trigger when they are added.
+  /// No program sets this: it is the seam through which tests reach the
+  /// trainer's torn-write recovery path.
   int torn_checkpoint_writes = 0;
-  /// Faults land uniformly in [window_begin, window_end) * total_batches:
-  /// after warmup (so there is progress to lose) and before the tail (so
-  /// recovery has batches left to prove itself on).
-  double window_begin = 0.05;
-  double window_end = 0.85;
 };
 
 /// Deterministic chaos injector. The schedule is fixed up front — either
@@ -110,6 +101,14 @@ class ChaosInjector {
   std::vector<ChaosFiredRecord> fired() const;
 
   size_t remaining() const;
+
+  /// Faults of each kind but kTornCheckpointWrite in a seeded schedule.
+  static constexpr int kFaultsPerKind = 1;
+  /// Seeded faults land uniformly in [kWindowBegin, kWindowEnd) *
+  /// total_batches: after warmup (so there is progress to lose) and before
+  /// the tail (so recovery has batches left to prove itself on).
+  static constexpr double kWindowBegin = 0.05;
+  static constexpr double kWindowEnd = 0.85;
 
  private:
   static constexpr int kNumKinds = 7;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <set>
-#include <tuple>
 
 #include "common/matrix.h"
 #include "common/stats.h"
@@ -68,11 +66,14 @@ bool ModelFitter::ReadyToFit() const {
   // Require at least two distinct configurations (any decision variable
   // counts); with a single configuration every basis column is collinear
   // with the constant term and the fit is meaningless.
-  std::set<std::tuple<int, int, double, double>> shapes;
-  for (const auto& o : observations_) {
-    shapes.insert({o.workers, o.ps, o.worker_cpu, o.ps_cpu});
-  }
-  return shapes.size() >= 2;
+  const PerfObservation& first = observations_.front();
+  return std::any_of(observations_.begin() + 1, observations_.end(),
+                     [&first](const PerfObservation& o) {
+                       return o.workers != first.workers ||
+                              o.ps != first.ps ||
+                              o.worker_cpu != first.worker_cpu ||
+                              o.ps_cpu != first.ps_cpu;
+                     });
 }
 
 StatusOr<PerfModelParams> ModelFitter::Fit() const {

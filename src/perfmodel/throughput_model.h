@@ -81,7 +81,13 @@ class ModelFitter {
   explicit ModelFitter(const ThroughputModel& model) : model_(model) {}
 
   void AddObservation(const PerfObservation& obs);
-  void Clear() { observations_.clear(); }
+  /// Drops all but the newest `n` observations.
+  void KeepNewest(size_t n) {
+    if (observations_.size() > n) {
+      observations_.erase(observations_.begin(),
+                          observations_.end() - static_cast<long>(n));
+    }
+  }
   size_t observation_count() const { return observations_.size(); }
   const std::vector<PerfObservation>& observations() const {
     return observations_;

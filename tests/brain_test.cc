@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <vector>
+
 #include "brain/greedy_selector.h"
 #include "brain/objectives.h"
 #include "brain/plan_generator.h"
 #include "brain/warm_start.h"
 #include "cluster/cluster.h"
+#include "common/rng.h"
 #include "harness/experiment.h"
 #include "ps/iteration_model.h"
 #include "sim/simulator.h"
@@ -270,6 +276,236 @@ TEST(PlanGeneratorTest, CandidatesImproveOnCurrentThroughput) {
     EXPECT_GT(plan.throughput_gain, 0.0);
     EXPECT_GT(plan.predicted_throughput, current_throughput);
   }
+}
+
+ThroughputModel WideDeepModel() {
+  const ModelProfile profile = GetModelProfile(ModelKind::kWideDeep);
+  const EnvironmentProfile env;
+  return ThroughputModel(profile.dense_param_bytes, profile.embedding_dim,
+                         env.network_bandwidth);
+}
+
+/// A random plan search of the shape the brain runs: non-negative
+/// parameters around the Wide&Deep ground truth (each alpha zero one time
+/// in five), a space whose CPU bounds sit on quarter cores so rounding
+/// can move them outward (2.25 -> 2, 4.5 -> 5), and a config inside it.
+struct SearchCase {
+  PerfModelParams params;
+  PlanSearchSpace space;
+  JobConfig current;
+};
+
+SearchCase RandomSearchCase(Rng& rng) {
+  const ModelProfile profile = GetModelProfile(ModelKind::kWideDeep);
+  const EnvironmentProfile env;
+  auto alpha = [&rng](double scale) {
+    return rng.Bernoulli(0.2) ? 0.0 : scale * rng.Uniform(0.0, 2.0);
+  };
+  SearchCase c;
+  c.params.alpha_grad = alpha(profile.alpha_grad);
+  c.params.alpha_upd = alpha(profile.alpha_upd);
+  c.params.alpha_sync = alpha(profile.alpha_sync / env.network_bandwidth);
+  c.params.alpha_emb = alpha(profile.alpha_emb);
+  c.params.beta_sum = rng.Uniform(0.001, 0.05);
+  auto int_range = [&rng](int lo, int hi, int* min, int* max) {
+    *min = lo + static_cast<int>(rng.UniformInt(hi - lo + 1));
+    *max = *min + static_cast<int>(rng.UniformInt(hi - *min + 1));
+  };
+  auto cpu_range = [&rng](Cores* min, Cores* max) {
+    *min = 1.0 + 0.25 * static_cast<double>(rng.UniformInt(29));  // 1-8
+    *max = *min + 0.25 * static_cast<double>(rng.UniformInt(33));
+  };
+  int_range(1, 40, &c.space.min_workers, &c.space.max_workers);
+  int_range(1, 8, &c.space.min_ps, &c.space.max_ps);
+  cpu_range(&c.space.min_worker_cpu, &c.space.max_worker_cpu);
+  cpu_range(&c.space.min_ps_cpu, &c.space.max_ps_cpu);
+  c.current.num_workers = c.space.min_workers;
+  c.current.num_ps = c.space.max_ps;
+  c.current.worker_cpu = rng.Uniform(c.space.min_worker_cpu,
+                                     c.space.max_worker_cpu);
+  c.current.ps_cpu = c.space.min_ps_cpu;
+  return c;
+}
+
+/// The largest prediction over every point of the integer grid NSGA-II's
+/// clamp-then-round can land on, found by visiting all of them.
+double BruteForceCeiling(const ThroughputModel& model, const SearchCase& c,
+                         uint64_t batch_size) {
+  double best = 0.0;
+  JobConfig config = c.current;
+  for (int w = c.space.min_workers; w <= c.space.max_workers; ++w) {
+    for (int p = c.space.min_ps; p <= c.space.max_ps; ++p) {
+      for (double lw = std::round(c.space.min_worker_cpu);
+           lw <= std::round(c.space.max_worker_cpu); lw += 1.0) {
+        for (double lp = std::round(c.space.min_ps_cpu);
+             lp <= std::round(c.space.max_ps_cpu); lp += 1.0) {
+          config.num_workers = w;
+          config.num_ps = p;
+          config.worker_cpu = lw;
+          config.ps_cpu = lp;
+          best = std::max(best,
+                          model.PredictThroughput(c.params, batch_size, config));
+        }
+      }
+    }
+  }
+  return best;
+}
+
+TEST(PlanGeneratorTest, ThroughputCeilingIsTheMaxOverTheReachableGrid) {
+  const ThroughputModel model = WideDeepModel();
+  Rng rng(2109);
+  for (int i = 0; i < 120; ++i) {
+    const SearchCase c = RandomSearchCase(rng);
+    const uint64_t batch = 128u << rng.UniformInt(4);
+    EXPECT_EQ(PlanGenerator::ThroughputCeiling(model, c.params, batch,
+                                               c.current, c.space),
+              BruteForceCeiling(model, c, batch))
+        << "case " << i << ": " << c.params.ToString();
+  }
+}
+
+TEST(PlanGeneratorTest, NoCandidateClearsTheFloorWhenTheCeilingSaysNone) {
+  // The brain skips a search when ceiling - current < floor. Put the
+  // current throughput on both sides of that line and check that every
+  // skipped search would have yielded nothing the hysteresis keeps.
+  const ThroughputModel model = WideDeepModel();
+  const PlanGenerator generator(PlanGeneratorOptions{});
+  Rng rng(43);
+  int skipped = 0;
+  for (int i = 0; i < 150; ++i) {
+    const SearchCase c = RandomSearchCase(rng);
+    const double ceiling = PlanGenerator::ThroughputCeiling(
+        model, c.params, 512, c.current, c.space);
+    ASSERT_TRUE(std::isfinite(ceiling));
+    const double current_throughput = ceiling * rng.Uniform(0.93, 1.05);
+    const double floor_gain = 0.05 * std::max(1.0, current_throughput);
+    const auto candidates =
+        generator.Generate(model, c.params, 512, c.current,
+                           current_throughput, 50e6, GiB(5), &c.space);
+    for (const PlanCandidate& plan : candidates) {
+      EXPECT_LE(plan.predicted_throughput, ceiling) << "case " << i;
+    }
+    if (ceiling - current_throughput >= floor_gain) continue;
+    ++skipped;
+    for (const PlanCandidate& plan : candidates) {
+      EXPECT_LT(plan.throughput_gain, floor_gain)
+          << "case " << i << ": " << plan.ToString();
+    }
+  }
+  EXPECT_GT(skipped, 50);
+}
+
+TEST(PlanGeneratorTest, ThroughputCeilingFailsOpen) {
+  const ThroughputModel model = WideDeepModel();
+  Rng rng(5);
+  const SearchCase c = RandomSearchCase(rng);
+  const double kNoBound = std::numeric_limits<double>::infinity();
+  ASSERT_TRUE(std::isfinite(PlanGenerator::ThroughputCeiling(
+      model, c.params, 512, c.current, c.space)));
+
+  PerfModelParams negative = c.params;
+  negative.alpha_upd = -1e-12;
+  EXPECT_EQ(PlanGenerator::ThroughputCeiling(model, negative, 512, c.current,
+                                             c.space),
+            kNoBound);
+  PerfModelParams nan = c.params;
+  nan.beta_sum = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(
+      PlanGenerator::ThroughputCeiling(model, nan, 512, c.current, c.space),
+      kNoBound);
+  PerfModelParams infinite = c.params;
+  infinite.alpha_emb = kNoBound;
+  EXPECT_EQ(PlanGenerator::ThroughputCeiling(model, infinite, 512, c.current,
+                                             c.space),
+            kNoBound);
+
+  PlanSearchSpace no_workers = c.space;
+  no_workers.min_workers = no_workers.max_workers + 1;
+  EXPECT_EQ(PlanGenerator::ThroughputCeiling(model, c.params, 512, c.current,
+                                             no_workers),
+            kNoBound);
+  PlanSearchSpace no_ps_cpu = c.space;
+  no_ps_cpu.min_ps_cpu = no_ps_cpu.max_ps_cpu + 0.25;
+  EXPECT_EQ(PlanGenerator::ThroughputCeiling(model, c.params, 512, c.current,
+                                             no_ps_cpu),
+            kNoBound);
+}
+
+TEST(PlanGeneratorTest, SearchInputsKeyEveryArgumentOfGenerate) {
+  const ThroughputModel model = WideDeepModel();
+  const PlanGenerator generator(PlanGeneratorOptions{});
+  Rng rng(77);
+  const SearchCase c = RandomSearchCase(rng);
+  PlanSearchInputs base;
+  base.params = c.params;
+  base.batch_size = 512;
+  base.current = c.current;
+  base.current_throughput = 0.5 * PlanGenerator::ThroughputCeiling(
+                                      model, c.params, 512, c.current, c.space);
+  base.remaining_samples = 50e6;
+  base.model_bytes = GiB(5);
+  base.space = c.space;
+  auto generate = [&](const PlanSearchInputs& in) {
+    return generator.Generate(model, in.params, in.batch_size, in.current,
+                              in.current_throughput, in.remaining_samples,
+                              in.model_bytes, &in.space);
+  };
+
+  // Same inputs, same candidates: reusing the last search is exact.
+  const PlanSearchInputs copy = base;
+  EXPECT_TRUE(SameBits(base, copy));
+  const auto first = generate(base);
+  const auto second = generate(copy);
+  ASSERT_FALSE(first.empty());
+  ASSERT_EQ(first.size(), second.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].config, second[i].config);
+    EXPECT_EQ(first[i].predicted_throughput, second[i].predicted_throughput);
+    EXPECT_EQ(first[i].throughput_gain, second[i].throughput_gain);
+    EXPECT_EQ(first[i].resource_cost, second[i].resource_cost);
+    EXPECT_EQ(first[i].resource_efficiency, second[i].resource_efficiency);
+    EXPECT_EQ(first[i].weight, second[i].weight);
+  }
+
+  // Any one field changed, even by one ulp, misses.
+  auto ulp = [](double* v) { *v = std::nextafter(*v, 1e300); };
+  const std::vector<std::function<void(PlanSearchInputs&)>> changes = {
+      [&](PlanSearchInputs& in) { ulp(&in.params.alpha_grad); },
+      [&](PlanSearchInputs& in) { ulp(&in.params.alpha_upd); },
+      [&](PlanSearchInputs& in) { ulp(&in.params.alpha_sync); },
+      [&](PlanSearchInputs& in) { ulp(&in.params.alpha_emb); },
+      [&](PlanSearchInputs& in) { ulp(&in.params.beta_sum); },
+      [](PlanSearchInputs& in) { in.batch_size += 1; },
+      [](PlanSearchInputs& in) { in.current.num_workers += 1; },
+      [](PlanSearchInputs& in) { in.current.num_ps += 1; },
+      [&](PlanSearchInputs& in) { ulp(&in.current.worker_cpu); },
+      [&](PlanSearchInputs& in) { ulp(&in.current.ps_cpu); },
+      [&](PlanSearchInputs& in) { ulp(&in.current.worker_memory); },
+      [&](PlanSearchInputs& in) { ulp(&in.current.ps_memory); },
+      [&](PlanSearchInputs& in) { ulp(&in.current_throughput); },
+      [&](PlanSearchInputs& in) { ulp(&in.remaining_samples); },
+      [&](PlanSearchInputs& in) { ulp(&in.model_bytes); },
+      [](PlanSearchInputs& in) { in.space.min_workers -= 1; },
+      [](PlanSearchInputs& in) { in.space.max_workers += 1; },
+      [](PlanSearchInputs& in) { in.space.min_ps -= 1; },
+      [](PlanSearchInputs& in) { in.space.max_ps += 1; },
+      [&](PlanSearchInputs& in) { ulp(&in.space.min_worker_cpu); },
+      [&](PlanSearchInputs& in) { ulp(&in.space.max_worker_cpu); },
+      [&](PlanSearchInputs& in) { ulp(&in.space.min_ps_cpu); },
+      [&](PlanSearchInputs& in) { ulp(&in.space.max_ps_cpu); },
+  };
+  for (size_t i = 0; i < changes.size(); ++i) {
+    PlanSearchInputs changed = base;
+    changes[i](changed);
+    EXPECT_FALSE(SameBits(base, changed)) << "change " << i;
+  }
+  // Equal values with different bits miss too.
+  PlanSearchInputs zero = base;
+  zero.remaining_samples = 0.0;
+  PlanSearchInputs negative_zero = base;
+  negative_zero.remaining_samples = -0.0;
+  EXPECT_FALSE(SameBits(zero, negative_zero));
 }
 
 TEST(ClusterBrainTest, FitsJobModelAndScalesItUp) {

@@ -70,12 +70,14 @@ TEST(ChaosInjectorTest, SameSeedSameSchedule) {
 
 TEST(ChaosInjectorTest, ScheduleStaysInsideTheWindow) {
   ChaosScheduleOptions options = FullSchedule(3);
-  options.window_begin = 0.2;
-  options.window_end = 0.5;
+  options.torn_checkpoint_writes = 4;
   const ChaosInjector injector = ChaosInjector::FromSeed(options);
+  ASSERT_EQ(injector.schedule().size(),
+            6u * ChaosInjector::kFaultsPerKind + 4u);
   for (const ChaosFault& fault : injector.schedule()) {
-    EXPECT_GE(fault.at_batches, 120u);
-    EXPECT_LT(fault.at_batches, 300u);
+    const double at = static_cast<double>(fault.at_batches);
+    EXPECT_GE(at, std::floor(ChaosInjector::kWindowBegin * 600));
+    EXPECT_LT(at, ChaosInjector::kWindowEnd * 600);
   }
 }
 
