@@ -12,13 +12,18 @@ namespace {
 // their own 2-wide vectors or to scalar code.
 using V2 = double __attribute__((vector_size(16)));
 
-V2 Load2(const double* p) {
-  V2 v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
+// Vector loads and stores through pointers, never by value: a 32-byte
+// vector passed or returned by value changes the calling convention
+// between the baseline and the AVX2 code (GCC's -Wpsabi).
+template <typename V>
+void Load(V* v, const double* p) {
+  std::memcpy(v, p, sizeof(V));
 }
 
-void Store2(double* p, V2 v) { std::memcpy(p, &v, sizeof(v)); }
+template <typename V>
+void Store(double* p, const V* v) {
+  std::memcpy(p, v, sizeof(V));
+}
 
 // Shared core of the three layer kernels, for R rows of z at a time:
 //
@@ -28,40 +33,58 @@ void Store2(double* p, V2 v) { std::memcpy(p, &v, sizeof(v)); }
 // a is k_len x c and z is R x c, both row-major with unit column stride.
 // Every z element keeps its own accumulator chain, so the result is
 // bit-identical to the scalar loop `acc = init; for k: acc += a * b`; the
-// tile only interleaves independent chains: 4 columns (two V2) per row,
-// then the remaining columns one at a time.
-template <int R>
-void TileRows(const double* a, const double* b, size_t rs, size_t ks,
-              size_t k_len, size_t c, bool accumulate, double* z) {
-  size_t j = 0;
-  for (; j + 4 <= c; j += 4) {
-    V2 acc[R][2];
+// tile only interleaves independent chains. ColumnTiles<V> covers columns
+// [j, ...) two V vectors per row at a time and returns the first column it
+// left; TileRows<V> runs it with V, then with V2 when V is wider, then
+// finishes the remaining columns one at a time. Both are always inlined,
+// so SumProductsAvx2 below compiles them with 4-wide ymm vectors and
+// SumProducts with baseline 2-wide ones: no out-of-line copy exists that
+// the linker could share between the two instruction sets.
+template <typename V, int R>
+[[gnu::always_inline]] inline size_t ColumnTiles(
+    const double* a, const double* b, size_t rs, size_t ks, size_t k_len,
+    size_t c, bool accumulate, size_t j, double* z) {
+  constexpr size_t kLanes = sizeof(V) / sizeof(double);
+  for (; j + 2 * kLanes <= c; j += 2 * kLanes) {
+    V acc[R][2];
     #pragma GCC unroll 4
     for (int r = 0; r < R; ++r) {
       if (accumulate) {
-        acc[r][0] = Load2(z + r * c + j);
-        acc[r][1] = Load2(z + r * c + j + 2);
+        Load(&acc[r][0], z + r * c + j);
+        Load(&acc[r][1], z + r * c + j + kLanes);
       } else {
-        acc[r][0] = V2{0.0, 0.0};
-        acc[r][1] = V2{0.0, 0.0};
+        acc[r][0] = V{};
+        acc[r][1] = V{};
       }
     }
     for (size_t k = 0; k < k_len; ++k) {
-      const V2 a0 = Load2(a + k * c + j);
-      const V2 a1 = Load2(a + k * c + j + 2);
+      V a0, a1;
+      Load(&a0, a + k * c + j);
+      Load(&a1, a + k * c + j + kLanes);
       #pragma GCC unroll 4
       for (int r = 0; r < R; ++r) {
         const double bv = b[r * rs + k * ks];
-        const V2 bb = {bv, bv};
-        acc[r][0] += a0 * bb;
-        acc[r][1] += a1 * bb;
+        acc[r][0] += a0 * bv;
+        acc[r][1] += a1 * bv;
       }
     }
     #pragma GCC unroll 4
     for (int r = 0; r < R; ++r) {
-      Store2(z + r * c + j, acc[r][0]);
-      Store2(z + r * c + j + 2, acc[r][1]);
+      Store(z + r * c + j, &acc[r][0]);
+      Store(z + r * c + j + kLanes, &acc[r][1]);
     }
+  }
+  return j;
+}
+
+template <typename V, int R>
+[[gnu::always_inline]] inline void TileRows(const double* a, const double* b,
+                                            size_t rs, size_t ks,
+                                            size_t k_len, size_t c,
+                                            bool accumulate, double* z) {
+  size_t j = ColumnTiles<V, R>(a, b, rs, ks, k_len, c, accumulate, 0, z);
+  if constexpr (sizeof(V) > sizeof(V2)) {
+    j = ColumnTiles<V2, R>(a, b, rs, ks, k_len, c, accumulate, j, z);
   }
   for (; j < c; ++j) {
     double acc[R];
@@ -77,21 +100,56 @@ void TileRows(const double* a, const double* b, size_t rs, size_t ks,
 }
 
 // TileRows over all `rows` rows of z: tiles of four, then the remainder.
-void SumProducts(const double* a, const double* b, size_t rs, size_t ks,
-                 size_t rows, size_t k_len, size_t c, bool accumulate,
-                 double* z) {
+template <typename V>
+[[gnu::always_inline]] inline void SumProductsWith(
+    const double* a, const double* b, size_t rs, size_t ks, size_t rows,
+    size_t k_len, size_t c, bool accumulate, double* z) {
   size_t r = 0;
   for (; r + 4 <= rows; r += 4) {
-    TileRows<4>(a, b + r * rs, rs, ks, k_len, c, accumulate, z + r * c);
+    TileRows<V, 4>(a, b + r * rs, rs, ks, k_len, c, accumulate, z + r * c);
   }
   const double* br = b + r * rs;
   double* zr = z + r * c;
   switch (rows - r) {
-    case 3: TileRows<3>(a, br, rs, ks, k_len, c, accumulate, zr); break;
-    case 2: TileRows<2>(a, br, rs, ks, k_len, c, accumulate, zr); break;
-    case 1: TileRows<1>(a, br, rs, ks, k_len, c, accumulate, zr); break;
+    case 3: TileRows<V, 3>(a, br, rs, ks, k_len, c, accumulate, zr); break;
+    case 2: TileRows<V, 2>(a, br, rs, ks, k_len, c, accumulate, zr); break;
+    case 1: TileRows<V, 1>(a, br, rs, ks, k_len, c, accumulate, zr); break;
     default: break;
   }
+}
+
+#if defined(__x86_64__)
+// Four doubles in one ymm register. AVX2 only, never FMA: the target below
+// enables no fused multiply-add, so each lane still rounds the product and
+// then the sum, like the scalar loop.
+using V4 = double __attribute__((vector_size(32)));
+
+__attribute__((target("avx2"))) void SumProductsAvx2(
+    const double* a, const double* b, size_t rs, size_t ks, size_t rows,
+    size_t k_len, size_t c, bool accumulate, double* z) {
+  SumProductsWith<V4>(a, b, rs, ks, rows, k_len, c, accumulate, z);
+}
+#endif
+
+void SumProducts(KernelIsa isa, const double* a, const double* b, size_t rs,
+                 size_t ks, size_t rows, size_t k_len, size_t c,
+                 bool accumulate, double* z) {
+#if defined(__x86_64__)
+  if (isa == KernelIsa::kAvx2) {
+    SumProductsAvx2(a, b, rs, ks, rows, k_len, c, accumulate, z);
+    return;
+  }
+#endif
+  (void)isa;
+  SumProductsWith<V2>(a, b, rs, ks, rows, k_len, c, accumulate, z);
+}
+
+// The widest tiles this CPU runs, decided at the first kernel call.
+KernelIsa ActiveIsa() {
+  static const KernelIsa isa = KernelIsaSupported(KernelIsa::kAvx2)
+                                   ? KernelIsa::kAvx2
+                                   : KernelIsa::kBaseline;
+  return isa;
 }
 
 }  // namespace
@@ -106,25 +164,56 @@ void KernelAxpy(size_t n, double alpha, const double* x, double* y) {
   for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
+bool KernelIsaSupported(KernelIsa isa) {
+  switch (isa) {
+    case KernelIsa::kBaseline:
+      return true;
+    case KernelIsa::kAvx2:
+#if defined(__x86_64__)
+      return __builtin_cpu_supports("avx2");
+#else
+      return false;
+#endif
+  }
+  return false;
+}
+
 void KernelLayerForward(const double* w, const double* x, size_t ns,
                         size_t out, size_t in, double* wt_scratch, double* y) {
-  for (size_t o = 0; o < out; ++o) {
-    for (size_t i = 0; i < in; ++i) wt_scratch[i * out + o] = w[o * in + i];
-  }
-  // z = y (ns x out), k = i, a = w^T (in x out), b[s][i] = x[s * in + i].
-  SumProducts(wt_scratch, x, in, 1, ns, in, out, /*accumulate=*/false, y);
+  KernelLayerForward(ActiveIsa(), w, x, ns, out, in, wt_scratch, y);
 }
 
 void KernelLayerWeightGrad(const double* d, const double* x, size_t ns,
                            size_t out, size_t in, double* g) {
-  // z = g (out x in), k = s, a = x (ns x in), b[o][s] = d[s * out + o].
-  SumProducts(x, d, 1, out, out, ns, in, /*accumulate=*/true, g);
+  KernelLayerWeightGrad(ActiveIsa(), d, x, ns, out, in, g);
 }
 
 void KernelLayerInputGrad(const double* w, const double* d, size_t ns,
                           size_t out, size_t in, double* p) {
+  KernelLayerInputGrad(ActiveIsa(), w, d, ns, out, in, p);
+}
+
+void KernelLayerForward(KernelIsa isa, const double* w, const double* x,
+                        size_t ns, size_t out, size_t in, double* wt_scratch,
+                        double* y) {
+  for (size_t o = 0; o < out; ++o) {
+    for (size_t i = 0; i < in; ++i) wt_scratch[i * out + o] = w[o * in + i];
+  }
+  // z = y (ns x out), k = i, a = w^T (in x out), b[s][i] = x[s * in + i].
+  SumProducts(isa, wt_scratch, x, in, 1, ns, in, out, /*accumulate=*/false,
+              y);
+}
+
+void KernelLayerWeightGrad(KernelIsa isa, const double* d, const double* x,
+                           size_t ns, size_t out, size_t in, double* g) {
+  // z = g (out x in), k = s, a = x (ns x in), b[o][s] = d[s * out + o].
+  SumProducts(isa, x, d, 1, out, out, ns, in, /*accumulate=*/true, g);
+}
+
+void KernelLayerInputGrad(KernelIsa isa, const double* w, const double* d,
+                          size_t ns, size_t out, size_t in, double* p) {
   // z = p (ns x in), k = o, a = w (out x in), b[s][o] = d[s * out + o].
-  SumProducts(w, d, out, 1, ns, out, in, /*accumulate=*/false, p);
+  SumProducts(isa, w, d, out, 1, ns, out, in, /*accumulate=*/false, p);
 }
 
 }  // namespace dlrover

@@ -13,9 +13,12 @@ namespace dlrover {
 ///
 /// The batched MLP-layer kernels (KernelLayerForward, KernelLayerWeightGrad,
 /// KernelLayerInputGrad) gain speed only by computing independent output
-/// elements together (register tiles of samples x outputs, 2-wide vectors
-/// across independent elements, baseline SSE2 on x86-64), never by
-/// splitting or reordering one element's sum.
+/// elements together (register tiles of samples x outputs, vectors across
+/// independent elements), never by splitting or reordering one element's
+/// sum. They run the widest tiles the CPU supports, chosen once at the
+/// first call: 4-wide AVX2 vectors where the CPU has AVX2, baseline 2-wide
+/// vectors (SSE2 on x86-64) elsewhere. Neither uses FMA, so both give the
+/// same bits.
 
 /// sum_i a[i] * b[i], accumulated from 0.0 left to right.
 double KernelDot(const double* a, const double* b, size_t n);
@@ -42,6 +45,23 @@ void KernelLayerWeightGrad(const double* d, const double* x, size_t ns,
 /// ascending: the per-sample back-propagation through w.
 void KernelLayerInputGrad(const double* w, const double* d, size_t ns,
                           size_t out, size_t in, double* p);
+
+/// The instruction sets the layer kernels have tiles for.
+enum class KernelIsa { kBaseline, kAvx2 };
+
+/// Whether this build and this CPU can run `isa`'s tiles.
+bool KernelIsaSupported(KernelIsa isa);
+
+/// Test seam: the three layer kernels above with `isa`'s tiles instead of
+/// the ones chosen at the first call, so tests check the baseline fallback
+/// on any CPU. Requires KernelIsaSupported(isa).
+void KernelLayerForward(KernelIsa isa, const double* w, const double* x,
+                        size_t ns, size_t out, size_t in, double* wt_scratch,
+                        double* y);
+void KernelLayerWeightGrad(KernelIsa isa, const double* d, const double* x,
+                           size_t ns, size_t out, size_t in, double* g);
+void KernelLayerInputGrad(KernelIsa isa, const double* w, const double* d,
+                          size_t ns, size_t out, size_t in, double* p);
 
 }  // namespace dlrover
 

@@ -7,6 +7,24 @@
 
 namespace dlrover {
 
+/// The constants of Rng::Zipf's rejection sampler for one (n, s), computed
+/// once per distribution. Requires n > 0 and s > 0. The sampler divides by
+/// 1 - s, so s == 1 is replaced by 1.0000001.
+struct ZipfParams {
+  ZipfParams(uint64_t n_in, double s)
+      : n(n_in),
+        sm(s == 1.0 ? 1.0000001 : s),
+        t(std::pow(static_cast<double>(n_in), 1.0 - sm)),
+        inv_exponent(1.0 / (1.0 - sm)) {
+    assert(n_in > 0);
+  }
+
+  uint64_t n;
+  double sm;            // the exponent used
+  double t;             // n^(1 - sm), the far end of the envelope
+  double inv_exponent;  // 1 / (1 - sm), the envelope's inverse-CDF power
+};
+
 /// Deterministic pseudo-random number generator (splitmix64 seeded
 /// xoshiro256**). All randomness in the project flows through Rng so that
 /// every simulation, test, and bench is reproducible for a fixed seed.
@@ -93,22 +111,18 @@ class Rng {
     return -std::log(u) / rate;
   }
 
-  /// Zipf-like integer in [0, n): P(k) proportional to 1/(k+1)^s. Sampled by
-  /// inverse-CDF over precomputed weights is too slow for large n, so this
-  /// uses rejection sampling (Devroye). Good enough for skewed id draws.
-  uint64_t Zipf(uint64_t n, double s) {
-    assert(n > 0);
-    if (n == 1) return 0;
-    // Rejection method for Zipf; valid for s > 0, s != 1 handled via limits.
-    const double sm = (s == 1.0) ? 1.0000001 : s;
-    const double t = std::pow(static_cast<double>(n), 1.0 - sm);
+  /// Zipf-like integer in [0, p.n): P(k) proportional to 1/(k+1)^s. Sampled
+  /// by inverse-CDF over precomputed weights is too slow for large n, so
+  /// this uses rejection sampling (Devroye). Good enough for skewed id draws.
+  uint64_t Zipf(const ZipfParams& p) {
+    if (p.n == 1) return 0;
     for (;;) {
       const double u = Uniform();
-      const double w = (t - 1.0) * u + 1.0;           // in [1, t]
-      const double x = std::pow(w, 1.0 / (1.0 - sm));  // inverse of CDF bound
+      const double w = (p.t - 1.0) * u + 1.0;         // in [1, t]
+      const double x = std::pow(w, p.inv_exponent);  // inverse of CDF bound
       const uint64_t k = static_cast<uint64_t>(x);
-      if (k >= 1 && k <= n) {
-        const double ratio = std::pow(static_cast<double>(k) / x, sm);
+      if (k >= 1 && k <= p.n) {
+        const double ratio = std::pow(static_cast<double>(k) / x, p.sm);
         if (Uniform() < ratio) return k - 1;
       }
     }

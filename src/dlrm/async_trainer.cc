@@ -531,14 +531,24 @@ struct AsyncPsTrainer::ThreadRuntime {
     return true;
   }
 
-  void UnregisterShard(uint64_t shard_index) {
+  /// Drops the shard's registry entry and reports the shard to the queue,
+  /// completed or failed after its first `processed` batches, in one
+  /// state_mu hold. TakeCheckpoint snapshots the queue under state_mu and
+  /// nets each registered prefix, so the cut sees the shard either
+  /// registered or reported. Between the two, the shard would read as
+  /// wholly unprocessed, and a restore to that cut would train its
+  /// committed batches a second time.
+  Status ReleaseShard(const DataShard& shard, uint64_t processed) {
     std::lock_guard<std::mutex> lock(state_mu);
     for (auto it = inflight.begin(); it != inflight.end(); ++it) {
-      if (it->shard_index == shard_index) {
+      if (it->shard_index == shard.index) {
         inflight.erase(it);
-        return;
+        break;
       }
     }
+    return processed == shard.batches()
+               ? t->queue_->ReportCompleted(shard)
+               : t->queue_->ReportFailed(shard, processed);
   }
 
   void MarkFinishedUnreported(uint64_t shard_index) {
@@ -714,8 +724,7 @@ struct AsyncPsTrainer::ThreadRuntime {
       if (aborted) {
         // Exactly-once: the committed prefix is credited, the remainder is
         // re-served to someone else (with a fresh shard index).
-        UnregisterShard(shard.index);
-        const Status s = t->queue_->ReportFailed(shard, pos);
+        const Status s = ReleaseShard(shard, pos);
         assert(s.ok() || s.code() == StatusCode::kNotFound);
         (void)s;
         break;
@@ -728,8 +737,7 @@ struct AsyncPsTrainer::ThreadRuntime {
         MarkFinishedUnreported(shard.index);
         continue;
       }
-      UnregisterShard(shard.index);
-      const Status s = t->queue_->ReportCompleted(shard);
+      const Status s = ReleaseShard(shard, shard.batches());
       // A shard dispatched before a restore names a retired index; its
       // completion is void (the data was rolled back and re-served).
       assert(s.ok() || s.code() == StatusCode::kNotFound);
@@ -900,11 +908,16 @@ struct AsyncPsTrainer::ThreadRuntime {
     std::lock_guard<std::mutex> lock(state_mu);
     const ModelCheckpoint* ckpt = vault.LatestValid();
     if (ckpt == nullptr) return;  // nothing trustworthy to restore from
-    epoch.fetch_add(1);
     const Status s = t->model_->ImportState(ckpt->model);
     assert(s.ok());
     (void)s;
     t->queue_->RestoreState(ckpt->queue);
+    // Bump the epoch only once the queue is restored. Workers read the
+    // epoch with no lock before they wait for a shard; one that saw the new
+    // epoch while the old queue still served could register an old shard
+    // under it, and those batches would be trained again when the restored
+    // queue serves them.
+    epoch.fetch_add(1);
     if (t->committed_ > ckpt->committed_batches) {
       stats.batches_rolled_back += t->committed_ - ckpt->committed_batches;
     }

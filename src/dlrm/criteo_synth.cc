@@ -21,15 +21,14 @@ uint64_t Mix(uint64_t x) {
 CriteoSynth::CriteoSynth(uint64_t seed, double drift_samples)
     : seed_(seed), drift_samples_(drift_samples) {
   Rng rng(seed ^ 0xc0ffee);
-  vocab_sizes_.resize(kNumCategorical);
-  zipf_exponents_.resize(kNumCategorical);
+  zipf_.reserve(kNumCategorical);
   teacher_cat_scale_.resize(kNumCategorical);
   for (int f = 0; f < kNumCategorical; ++f) {
     // Criteo vocabularies span a few dozen to millions of ids; cover a few
     // orders of magnitude.
     const double log_size = rng.Uniform(2.0, 5.0);  // 100 .. 100k
-    vocab_sizes_[f] = static_cast<uint64_t>(std::pow(10.0, log_size));
-    zipf_exponents_[f] = rng.Uniform(1.05, 1.6);
+    const uint64_t vocab = static_cast<uint64_t>(std::pow(10.0, log_size));
+    zipf_.emplace_back(vocab, rng.Uniform(1.05, 1.6));
     teacher_cat_scale_[f] = rng.Uniform(0.2, 1.0);
   }
   teacher_dense_w_.resize(kNumDense);
@@ -50,7 +49,7 @@ void CriteoSynth::FillSample(uint64_t index, CriteoSample* out) const {
   }
   out->cats.resize(kNumCategorical);
   for (int f = 0; f < kNumCategorical; ++f) {
-    out->cats[f] = rng.Zipf(vocab_sizes_[f], zipf_exponents_[f]);
+    out->cats[f] = rng.Zipf(zipf_[f]);
   }
   const double p = TeacherProbability(*out, index);
   out->label = rng.Bernoulli(p) ? 1.0f : 0.0f;

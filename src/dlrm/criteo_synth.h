@@ -57,8 +57,9 @@ class CriteoSynth {
   void FillSample(uint64_t index, CriteoSample* out) const;
   void FillBatch(uint64_t start, uint64_t count, CriteoBatch* out) const;
 
-  /// Vocabulary size of categorical feature `f`.
-  uint64_t VocabSize(int f) const { return vocab_sizes_[f]; }
+  /// The id distribution of categorical feature `f`: its vocabulary size
+  /// `n` and Zipf exponent.
+  const ZipfParams& FieldZipf(int f) const { return zipf_[f]; }
 
   /// The teacher's Bayes-optimal click probability for sample #index.
   double TeacherProbability(const CriteoSample& sample,
@@ -69,8 +70,9 @@ class CriteoSynth {
 
   uint64_t seed_;
   double drift_samples_;
-  std::vector<uint64_t> vocab_sizes_;
-  std::vector<double> zipf_exponents_;
+  // Per categorical feature: its vocabulary size and Zipf exponent, with
+  // the sampler's constants computed once.
+  std::vector<ZipfParams> zipf_;
   // Teacher parameters (fixed at construction from the seed).
   std::vector<double> teacher_dense_w_;
   std::vector<double> teacher_cat_scale_;

@@ -1,6 +1,7 @@
 #include "dlrm/mini_dlrm.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -12,6 +13,8 @@ namespace {
 
 constexpr int kNumCat = CriteoSynth::kNumCategorical;
 constexpr int kNumDense = CriteoSynth::kNumDense;
+// Digit width cap of DedupBatchKeys's radix sort: 2^11 counters fit in L1.
+constexpr int kMaxRadixBits = 11;
 
 double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
@@ -193,10 +196,45 @@ void MiniDlrm::PullDense(DlrmBatchWork* work) const {
   work->dense = params_;
 }
 
+void DedupBatchKeys(uint64_t key_bound, DlrmBatchWork* work) {
+  // Stable LSD radix sort of the pairs by key alone: as few counting-sort
+  // passes as the bound's bit width needs, with equal digit widths. The
+  // pairs arrive in ascending, distinct positions, so sorting them stably
+  // by key gives exactly std::sort's (key, position) order.
+  auto& pairs = work->key_scratch;
+  const int bits = std::bit_width(key_bound - 1);
+  if (bits > 0) {
+    const int passes = (bits + kMaxRadixBits - 1) / kMaxRadixBits;
+    const int digit_bits = (bits + passes - 1) / passes;
+    const uint64_t mask = (uint64_t{1} << digit_bits) - 1;
+    work->key_sorted.resize(pairs.size());
+    std::vector<uint32_t>& start = work->radix_count;
+    for (int pass = 0; pass < passes; ++pass) {
+      const int shift = pass * digit_bits;
+      // start[d + 1] counts digit d; the prefix sum then makes start[d]
+      // the first output index of digit d.
+      start.assign(mask + 2, 0);
+      for (const auto& e : pairs) ++start[((e.first >> shift) & mask) + 1];
+      for (size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
+      for (const auto& e : pairs) {
+        work->key_sorted[start[(e.first >> shift) & mask]++] = e;
+      }
+      pairs.swap(work->key_sorted);
+    }
+  }
+  // Compact equal runs into one slot each.
+  work->keys.clear();
+  work->slot.resize(pairs.size());
+  for (const auto& [key, p] : pairs) {
+    if (work->keys.empty() || work->keys.back() != key) {
+      work->keys.push_back(key);
+    }
+    work->slot[p] = static_cast<uint32_t>(work->keys.size() - 1);
+  }
+}
+
 void MiniDlrm::GatherSparse(const CriteoSample* samples, size_t ns,
                             DlrmBatchWork* work) const {
-  // Dedup the samples' (feature, bucket) keys: sort (key, position) pairs,
-  // then compact equal runs into one slot each.
   work->key_scratch.resize(ns * kNumCat);
   size_t pos = 0;
   for (size_t s = 0; s < ns; ++s) {
@@ -207,15 +245,7 @@ void MiniDlrm::GatherSparse(const CriteoSample* samples, size_t ns,
       ++pos;
     }
   }
-  std::sort(work->key_scratch.begin(), work->key_scratch.end());
-  work->keys.clear();
-  work->slot.resize(pos);
-  for (const auto& [key, p] : work->key_scratch) {
-    if (work->keys.empty() || work->keys.back() != key) {
-      work->keys.push_back(key);
-    }
-    work->slot[p] = static_cast<uint32_t>(work->keys.size() - 1);
-  }
+  DedupBatchKeys(static_cast<uint64_t>(kNumCat) * config_.hash_buckets, work);
   const size_t nk = work->keys.size();
   work->rows.resize(nk * static_cast<size_t>(config_.emb_dim));
   double* wide_out = nullptr;

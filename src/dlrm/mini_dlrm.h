@@ -99,12 +99,23 @@ struct DlrmBatchWork {
   std::vector<double> dxl;    // DCN
   std::vector<double> dprev;  // DCN
 
-  // Key-dedup and stripe-grouping scratch.
+  // Key-dedup scratch: (key, position) pairs, the radix sort's second
+  // buffer and its digit counters; then the stripe-grouping scratch.
   std::vector<std::pair<uint64_t, uint32_t>> key_scratch;
+  std::vector<std::pair<uint64_t, uint32_t>> key_sorted;
+  std::vector<uint32_t> radix_count;
   EmbStore::BatchScratch store_scratch;
 
   bool initialized = false;
 };
+
+/// The key dedup of MiniDlrm's sparse pull. Takes `work->key_scratch`: n
+/// (key, position) pairs with positions 0..n-1 in order and every key below
+/// `key_bound`. Leaves the distinct keys, ascending, in `work->keys`, and
+/// for each position the index of its key in `work->slot`. Reuses the
+/// work's scratch, so a warmed call allocates nothing. Public as a test
+/// seam.
+void DedupBatchKeys(uint64_t key_bound, DlrmBatchWork* work);
 
 /// A small but real deep recommendation model with three selectable
 /// architectures (the paper's Model-X/Y/Z):

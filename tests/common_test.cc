@@ -116,8 +116,9 @@ TEST(RngTest, NormalMoments) {
 TEST(RngTest, ZipfInBoundsAndSkewed) {
   Rng rng(11);
   std::vector<int> counts(100, 0);
+  const ZipfParams params(100, 1.2);
   for (int i = 0; i < 20000; ++i) {
-    const uint64_t k = rng.Zipf(100, 1.2);
+    const uint64_t k = rng.Zipf(params);
     ASSERT_LT(k, 100u);
     ++counts[k];
   }

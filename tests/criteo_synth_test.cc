@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 
 #include "common/stats.h"
@@ -9,6 +10,53 @@
 
 namespace dlrover {
 namespace {
+
+// Rng::Zipf as it was written before its constants moved into ZipfParams:
+// every constant recomputed on every draw.
+uint64_t PerDrawZipf(Rng& rng, uint64_t n, double s) {
+  if (n == 1) return 0;
+  const double sm = (s == 1.0) ? 1.0000001 : s;
+  const double t = std::pow(static_cast<double>(n), 1.0 - sm);
+  for (;;) {
+    const double u = rng.Uniform();
+    const double w = (t - 1.0) * u + 1.0;
+    const double x = std::pow(w, 1.0 / (1.0 - sm));
+    const uint64_t k = static_cast<uint64_t>(x);
+    if (k >= 1 && k <= n) {
+      const double ratio = std::pow(static_cast<double>(k) / x, sm);
+      if (rng.Uniform() < ratio) return k - 1;
+    }
+  }
+}
+
+// Draw for draw, Zipf(ZipfParams) returns what the per-draw formula
+// returns and consumes the same uniforms, so the generators stay in step.
+void ExpectSameDraws(uint64_t n, double s, uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "n=" << n << " s=" << s);
+  Rng reference(seed);
+  Rng rng(seed);
+  const ZipfParams params(n, s);
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_EQ(rng.Zipf(params), PerDrawZipf(reference, n, s)) << "draw " << i;
+  }
+  EXPECT_EQ(rng.NextU64(), reference.NextU64());
+}
+
+TEST(ZipfParamsTest, MatchesPerDrawFormula) {
+  ExpectSameDraws(100, 1.2, 11);
+  ExpectSameDraws(1000, 1.0, 12);  // s == 1 takes the nudged exponent
+  ExpectSameDraws(1, 1.3, 13);     // one id: no draw at all
+  ExpectSameDraws(2, 0.5, 14);
+}
+
+TEST(ZipfParamsTest, MatchesPerDrawFormulaOnEveryCriteoField) {
+  // The fields' exponents lie in [1.05, 1.6), so `sm` is the drawn s.
+  const CriteoSynth data(5);
+  for (int f = 0; f < CriteoSynth::kNumCategorical; ++f) {
+    const ZipfParams& params = data.FieldZipf(f);
+    ExpectSameDraws(params.n, params.sm, 100 + static_cast<uint64_t>(f));
+  }
+}
 
 TEST(CriteoSynthTest, RandomAccessIsDeterministic) {
   CriteoSynth a(42);
@@ -45,7 +93,7 @@ TEST(CriteoSynthTest, ShapeAndRanges) {
     ASSERT_EQ(sample.cats.size(),
               static_cast<size_t>(CriteoSynth::kNumCategorical));
     for (int f = 0; f < CriteoSynth::kNumCategorical; ++f) {
-      EXPECT_LT(sample.cats[static_cast<size_t>(f)], data.VocabSize(f));
+      EXPECT_LT(sample.cats[static_cast<size_t>(f)], data.FieldZipf(f).n);
     }
     for (float d : sample.dense) EXPECT_GE(d, 0.0f);  // log1p of positives
     EXPECT_TRUE(sample.label == 0.0f || sample.label == 1.0f);

@@ -4,9 +4,17 @@
 
 #include <cstring>
 #include <limits>
+#include <ostream>
 #include <vector>
 
 namespace dlrover {
+
+// Names the parameter in test names and failure messages (found by ADL, so
+// it lives in KernelIsa's namespace).
+void PrintTo(KernelIsa isa, std::ostream* os) {
+  *os << (isa == KernelIsa::kBaseline ? "Baseline" : "Avx2");
+}
+
 namespace {
 
 std::vector<double> Ramp(size_t n, double scale) {
@@ -61,13 +69,14 @@ bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 // Runs `check(ns, out, in)` over shapes that reach every tile remainder of
-// the layer kernels (row tiles of 4, then 3/2/1 rows; column tiles of 4,
-// then up to 3 single columns).
+// the layer kernels: row tiles of 4, then 3/2/1 rows; column tiles of 8
+// (AVX2 only), then of 4, then up to 3 single columns.
 template <typename Check>
 void ForEachLayerShape(Check check) {
+  const size_t widths[] = {1, 3, 4, 7, 8, 9, 12, 13, 17, 64};
   for (size_t ns : {1u, 3u, 4u, 5u, 13u}) {
-    for (size_t out : {1u, 3u, 4u, 7u}) {
-      for (size_t in : {1u, 3u, 5u, 7u, 8u, 13u}) {
+    for (size_t out : widths) {
+      for (size_t in : widths) {
         SCOPED_TRACE(::testing::Message()
                      << "ns=" << ns << " out=" << out << " in=" << in);
         check(ns, out, in);
@@ -76,8 +85,11 @@ void ForEachLayerShape(Check check) {
   }
 }
 
-TEST(DenseKernelsTest, LayerForwardMatchesScalarDotOrder) {
-  ForEachLayerShape([](size_t ns, size_t out, size_t in) {
+// Each Check* runs one layer kernel, passed as a callable with that
+// kernel's parameter list, against its scalar loop on every shape.
+template <typename Forward>
+void CheckLayerForward(Forward forward) {
+  ForEachLayerShape([&](size_t ns, size_t out, size_t in) {
     const std::vector<double> w = Salted(out * in, 1.3, 0);
     const std::vector<double> x = Salted(ns * in, -0.7, 2);
     std::vector<double> expect(ns * out);
@@ -90,13 +102,14 @@ TEST(DenseKernelsTest, LayerForwardMatchesScalarDotOrder) {
     }
     std::vector<double> wt(out * in);
     std::vector<double> y(ns * out);
-    KernelLayerForward(w.data(), x.data(), ns, out, in, wt.data(), y.data());
+    forward(w.data(), x.data(), ns, out, in, wt.data(), y.data());
     EXPECT_TRUE(SameBits(y, expect));
   });
 }
 
-TEST(DenseKernelsTest, LayerWeightGradMatchesSampleOrder) {
-  ForEachLayerShape([](size_t ns, size_t out, size_t in) {
+template <typename WeightGrad>
+void CheckLayerWeightGrad(WeightGrad weight_grad) {
+  ForEachLayerShape([&](size_t ns, size_t out, size_t in) {
     const std::vector<double> d = Salted(ns * out, 0.9, 1);
     const std::vector<double> x = Salted(ns * in, -1.1, 3);
     std::vector<double> expect = Salted(out * in, 0.2, 4);
@@ -108,13 +121,14 @@ TEST(DenseKernelsTest, LayerWeightGradMatchesSampleOrder) {
         }
       }
     }
-    KernelLayerWeightGrad(d.data(), x.data(), ns, out, in, g.data());
+    weight_grad(d.data(), x.data(), ns, out, in, g.data());
     EXPECT_TRUE(SameBits(g, expect));
   });
 }
 
-TEST(DenseKernelsTest, LayerInputGradMatchesOutputOrder) {
-  ForEachLayerShape([](size_t ns, size_t out, size_t in) {
+template <typename InputGrad>
+void CheckLayerInputGrad(InputGrad input_grad) {
+  ForEachLayerShape([&](size_t ns, size_t out, size_t in) {
     const std::vector<double> w = Salted(out * in, 1.3, 0);
     const std::vector<double> d = Salted(ns * out, -0.6, 2);
     std::vector<double> expect(ns * in, 0.0);
@@ -126,10 +140,59 @@ TEST(DenseKernelsTest, LayerInputGradMatchesOutputOrder) {
       }
     }
     std::vector<double> p(ns * in, 1.0);  // overwritten, not accumulated
-    KernelLayerInputGrad(w.data(), d.data(), ns, out, in, p.data());
+    input_grad(w.data(), d.data(), ns, out, in, p.data());
     EXPECT_TRUE(SameBits(p, expect));
   });
 }
+
+// The kernels as programs call them: the tiles chosen at the first call.
+TEST(DenseKernelsTest, LayerForwardMatchesScalarDotOrder) {
+  CheckLayerForward([](auto... args) { KernelLayerForward(args...); });
+}
+
+TEST(DenseKernelsTest, LayerWeightGradMatchesSampleOrder) {
+  CheckLayerWeightGrad([](auto... args) { KernelLayerWeightGrad(args...); });
+}
+
+TEST(DenseKernelsTest, LayerInputGradMatchesOutputOrder) {
+  CheckLayerInputGrad([](auto... args) { KernelLayerInputGrad(args...); });
+}
+
+// Each instruction set's tiles on their own, so the baseline fallback is
+// checked on CPUs that would pick AVX2.
+class DenseKernelsIsaTest : public ::testing::TestWithParam<KernelIsa> {
+ protected:
+  void SetUp() override {
+    if (!KernelIsaSupported(GetParam())) {
+      GTEST_SKIP() << "this CPU cannot run these tiles";
+    }
+  }
+};
+
+TEST_P(DenseKernelsIsaTest, LayerForwardMatchesScalarDotOrder) {
+  CheckLayerForward([isa = GetParam()](auto... args) {
+    KernelLayerForward(isa, args...);
+  });
+}
+
+TEST_P(DenseKernelsIsaTest, LayerWeightGradMatchesSampleOrder) {
+  CheckLayerWeightGrad([isa = GetParam()](auto... args) {
+    KernelLayerWeightGrad(isa, args...);
+  });
+}
+
+TEST_P(DenseKernelsIsaTest, LayerInputGradMatchesOutputOrder) {
+  CheckLayerInputGrad([isa = GetParam()](auto... args) {
+    KernelLayerInputGrad(isa, args...);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllIsas, DenseKernelsIsaTest,
+    ::testing::Values(KernelIsa::kBaseline, KernelIsa::kAvx2),
+    [](const ::testing::TestParamInfo<KernelIsa>& info) {
+      return ::testing::PrintToString(info.param);
+    });
 
 }  // namespace
 }  // namespace dlrover

@@ -256,5 +256,41 @@ TEST(TickTrainerGoldenTest, StaticPartitionUnderAddAndCrash) {
   ExpectTicksMatchGolden(options, golden);
 }
 
+// The perfbench `train_dlrm` shape (model, data and trainer options of
+// perfbench/main.cc at seed 1), cut to 96 batches: real pool threads, but a
+// pool of one, so the eight logical workers' batches commit in one
+// deterministic order. Pins the layer kernels, the key dedup and the data
+// generator on the exact shapes the benchmark times. The literals were
+// recorded from the SSE2-only layer tiles, the per-draw Zipf constants and
+// the std::sort key dedup, which the current code must match bit for bit.
+TEST(ThreadTrainerGoldenTest, PerfbenchShapeOnOneThread) {
+  MiniDlrmConfig config;
+  config.arch = ModelKind::kWideDeep;
+  config.emb_dim = 8;
+  config.hash_buckets = 4096;
+  config.mlp_hidden = {64, 32};
+  config.seed = 1 * 7 + 5;
+  AsyncTrainerOptions options;
+  options.num_workers = 8;
+  options.batch_size = 128;
+  options.total_batches = 96;
+  options.learning_rate = 0.1;
+  options.shard_batches = 16;
+  options.exec_mode = ExecMode::kThreads;
+  options.num_threads = 1;
+  options.eval_every_batches = 1 << 30;  // one evaluation, after the last batch
+  options.eval_size = 1024;
+  options.seed = 1;
+  MiniDlrm model(config);
+  CriteoSynth data(1 * 31 + 1);
+  AsyncPsTrainer trainer(&model, &data, options);
+  const TrainResult result = trainer.Run();
+  EXPECT_EQ(result.batches_committed, 96u);
+  DlrmStateBlob state;
+  model.ExportState(&state);
+  EXPECT_EQ(StateDigest(state), 0x6adaecb9c1842488ull);
+  EXPECT_EQ(result.final_auc, 0x1.4f798e60d8f11p-1);
+}
+
 }  // namespace
 }  // namespace dlrover

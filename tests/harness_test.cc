@@ -27,7 +27,9 @@ TEST(WorkloadGeneratorTest, DeterministicAndSorted) {
     EXPECT_EQ(a[i].spec.name, b[i].spec.name);
     EXPECT_EQ(a[i].meta.total_steps, b[i].meta.total_steps);
     EXPECT_EQ(a[i].hot_ps, b[i].hot_ps);
-    if (i > 0) EXPECT_GE(a[i].arrival, a[i - 1].arrival);
+    if (i > 0) {
+      EXPECT_GE(a[i].arrival, a[i - 1].arrival);
+    }
   }
 }
 

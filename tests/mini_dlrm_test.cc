@@ -7,6 +7,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/rng.h"
 #include "dlrm/criteo_synth.h"
 #include "dlrm/metrics.h"
 
@@ -197,6 +198,68 @@ TEST(MiniDlrmTest, DeterministicAcrossMaterializationOrder) {
 // probability must not depend on which chunk it lands in or on its
 // neighbours. 300 samples give two full chunks and a partial one; an empty
 // batch gives no chunk at all.
+// DedupBatchKeys against the std::sort dedup it replaced, on `keys` given
+// in position order. One workspace runs every case, so scratch left by a
+// longer or wider earlier call cannot leak into a later one.
+void ExpectDedupMatchesSort(uint64_t key_bound,
+                            const std::vector<uint64_t>& keys,
+                            DlrmBatchWork* work) {
+  SCOPED_TRACE(::testing::Message()
+               << "bound=" << key_bound << " n=" << keys.size());
+  std::vector<std::pair<uint64_t, uint32_t>> pairs;
+  for (size_t p = 0; p < keys.size(); ++p) {
+    ASSERT_LT(keys[p], key_bound);
+    pairs.push_back({keys[p], static_cast<uint32_t>(p)});
+  }
+  work->key_scratch = pairs;
+  DedupBatchKeys(key_bound, work);
+
+  std::sort(pairs.begin(), pairs.end());
+  std::vector<uint64_t> expect_keys;
+  std::vector<uint32_t> expect_slot(pairs.size());
+  for (const auto& [key, p] : pairs) {
+    if (expect_keys.empty() || expect_keys.back() != key) {
+      expect_keys.push_back(key);
+    }
+    expect_slot[p] = static_cast<uint32_t>(expect_keys.size() - 1);
+  }
+  EXPECT_EQ(work->keys, expect_keys);
+  EXPECT_EQ(work->slot, expect_slot);
+}
+
+TEST(DedupBatchKeysTest, MatchesSortedDedup) {
+  DlrmBatchWork work;
+  Rng rng(17);
+  auto draw = [&rng](size_t n, uint64_t bound) {
+    std::vector<uint64_t> keys(n);
+    for (uint64_t& k : keys) k = rng.UniformInt(bound);
+    return keys;
+  };
+  // The perfbench model's bound (26 features x 4096 buckets, two passes),
+  // at batch size 128.
+  const uint64_t bench_bound = 26 * 4096;
+  ExpectDedupMatchesSort(bench_bound, draw(128 * 26, bench_bound), &work);
+  // No keys, one key, and the largest key.
+  ExpectDedupMatchesSort(bench_bound, {}, &work);
+  ExpectDedupMatchesSort(bench_bound, {bench_bound - 1}, &work);
+  ExpectDedupMatchesSort(bench_bound, {bench_bound - 1, 0, bench_bound - 1, 5},
+                         &work);
+  // Heavy duplicates: 2000 keys drawn from 3 values.
+  std::vector<uint64_t> dups = draw(2000, 3);
+  for (uint64_t& k : dups) k *= 4095;
+  ExpectDedupMatchesSort(bench_bound, dups, &work);
+  // Bucket counts that are not powers of two; the last needs three
+  // passes, so the sorted pairs end in the other buffer.
+  for (uint64_t buckets : {1ull, 3ull, 1000ull, 1000003ull}) {
+    const uint64_t bound = 26 * buckets;
+    std::vector<uint64_t> keys = draw(777, bound);
+    keys.push_back(bound - 1);
+    ExpectDedupMatchesSort(bound, keys, &work);
+  }
+  // A bound of 1: every key is 0 and no pass runs.
+  ExpectDedupMatchesSort(1, std::vector<uint64_t>(5, 0), &work);
+}
+
 TEST(MiniDlrmTest, PredictIsPerSampleAcrossChunkBoundaries) {
   constexpr uint64_t kSamples = 300;
   ASSERT_NE(kSamples % MiniDlrm::kPredictChunk, 0u);
