@@ -1,7 +1,6 @@
 #include "dlrm/emb_store.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/dense_kernels.h"
 #include "common/rng.h"
@@ -33,32 +32,39 @@ size_t RoundUpPow2(size_t n) {
 
 EmbStore::EmbStore(const EmbStoreOptions& options)
     : options_(options),
-      stripes_(RoundUpPow2(options.stripes == 0 ? 1 : options.stripes)) {
-  stripe_mask_ = stripes_.size() - 1;
+      num_keys_(static_cast<uint64_t>(options.num_features) *
+                options.hash_buckets),
+      stripes_(RoundUpPow2(options.stripes == 0 ? 1 : options.stripes)),
+      rows_(new double[num_keys_ * static_cast<size_t>(options.emb_dim)]),
+      wide_(new double[num_keys_]),
+      state_(new uint8_t[num_keys_]()) {
+  while ((static_cast<uint64_t>(stripes_.size()) << stripe_shift_) <
+         num_keys_) {
+    ++stripe_shift_;
+  }
 }
 
-size_t EmbStore::StripeIndexFor(uint64_t key) const {
-  // Finalizer-style mix so adjacent buckets of one feature spread across
-  // stripes instead of marching through them in lockstep.
-  uint64_t x = key * 0x9e3779b97f4a7c15ull;
-  x ^= x >> 32;
-  return static_cast<size_t>(x & stripe_mask_);
+double* EmbStore::RowLocked(Stripe& stripe, uint64_t key) const {
+  const size_t dim = static_cast<size_t>(options_.emb_dim);
+  double* row = rows_.get() + key * dim;
+  if ((state_[key] & kRowBit) == 0) {
+    const int feature = static_cast<int>(key / options_.hash_buckets);
+    Rng rng(RowInitHash(options_.seed, feature, key % options_.hash_buckets));
+    for (size_t r = 0; r < dim; ++r) {
+      row[r] = rng.Normal(0.0, options_.init_scale);
+    }
+    state_[key] |= kRowBit;
+    ++stripe.rows;
+  }
+  return row;
 }
 
-EmbStore::Stripe& EmbStore::StripeFor(uint64_t key) const {
-  return stripes_[StripeIndexFor(key)];
-}
-
-std::vector<double>& EmbStore::MaterializeRowLocked(Stripe& stripe,
-                                                    int feature,
-                                                    uint64_t bucket,
-                                                    uint64_t key) const {
-  auto it = stripe.emb.find(key);
-  if (it != stripe.emb.end()) return it->second;
-  Rng rng(RowInitHash(options_.seed, feature, bucket));
-  std::vector<double> row(static_cast<size_t>(options_.emb_dim));
-  for (auto& v : row) v = rng.Normal(0.0, options_.init_scale);
-  return stripe.emb.emplace(key, std::move(row)).first->second;
+double& EmbStore::WideLocked(uint64_t key) const {
+  if ((state_[key] & kWideBit) == 0) {
+    wide_[key] = 0.0;
+    state_[key] |= kWideBit;
+  }
+  return wide_[key];
 }
 
 void EmbStore::GroupByStripe(const uint64_t* keys, size_t n,
@@ -96,15 +102,8 @@ void EmbStore::GatherRows(const uint64_t* keys, size_t n, double* rows_out,
     std::lock_guard<std::mutex> lock(stripe.mu);
     for (uint32_t o = begin; o < end; ++o) {
       const uint32_t i = scratch->order[o];
-      const uint64_t key = keys[i];
-      const int feature = static_cast<int>(key / options_.hash_buckets);
-      const uint64_t bucket = key % options_.hash_buckets;
-      const std::vector<double>& row =
-          MaterializeRowLocked(stripe, feature, bucket, key);
-      std::copy(row.begin(), row.end(), rows_out + i * dim);
-      if (wide_out != nullptr) {
-        wide_out[i] = stripe.wide.try_emplace(key, 0.0).first->second;
-      }
+      std::copy_n(RowLocked(stripe, keys[i]), dim, rows_out + i * dim);
+      if (wide_out != nullptr) wide_out[i] = WideLocked(keys[i]);
     }
     begin = end;
   }
@@ -123,17 +122,12 @@ void EmbStore::ScatterApply(const uint64_t* keys, size_t n,
     std::lock_guard<std::mutex> lock(stripe.mu);
     for (uint32_t o = begin; o < end; ++o) {
       const uint32_t i = scratch->order[o];
-      const uint64_t key = keys[i];
-      const int feature = static_cast<int>(key / options_.hash_buckets);
-      const uint64_t bucket = key % options_.hash_buckets;
-      std::vector<double>& row =
-          MaterializeRowLocked(stripe, feature, bucket, key);
       // row += (-lr) * grad: IEEE-identical to `row[r] -= lr * grad[r]`
       // (negation is exact).
-      KernelAxpy(dim, -learning_rate, row_grads + i * dim, row.data());
+      KernelAxpy(dim, -learning_rate, row_grads + i * dim,
+                 RowLocked(stripe, keys[i]));
       if (wide_grads != nullptr) {
-        double& w = stripe.wide.try_emplace(key, 0.0).first->second;
-        w -= learning_rate * wide_grads[i];
+        WideLocked(keys[i]) -= learning_rate * wide_grads[i];
       }
     }
     begin = end;
@@ -141,34 +135,25 @@ void EmbStore::ScatterApply(const uint64_t* keys, size_t n,
 }
 
 void EmbStore::ExportAll(EmbStoreSnapshot* out) const {
-  std::vector<std::pair<uint64_t, std::vector<double>>> rows;
-  std::vector<std::pair<uint64_t, double>> wides;
-  for (const Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    for (const auto& kv : stripe.emb) rows.emplace_back(kv.first, kv.second);
-    for (const auto& kv : stripe.wide) wides.emplace_back(kv.first, kv.second);
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::sort(wides.begin(), wides.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const size_t dim = static_cast<size_t>(options_.emb_dim);
   out->emb_keys.clear();
   out->emb_values.clear();
   out->wide_keys.clear();
   out->wide_values.clear();
-  out->emb_keys.reserve(rows.size());
-  out->emb_values.reserve(rows.size() *
-                          static_cast<size_t>(options_.emb_dim));
-  for (const auto& kv : rows) {
-    out->emb_keys.push_back(kv.first);
-    out->emb_values.insert(out->emb_values.end(), kv.second.begin(),
-                           kv.second.end());
-  }
-  out->wide_keys.reserve(wides.size());
-  out->wide_values.reserve(wides.size());
-  for (const auto& kv : wides) {
-    out->wide_keys.push_back(kv.first);
-    out->wide_values.push_back(kv.second);
+  for (size_t s = 0; s < stripes_.size(); ++s) {
+    std::lock_guard<std::mutex> lock(stripes_[s].mu);
+    const uint64_t end = std::min(num_keys_, (s + 1) << stripe_shift_);
+    for (uint64_t key = s << stripe_shift_; key < end; ++key) {
+      if ((state_[key] & kRowBit) != 0) {
+        out->emb_keys.push_back(key);
+        const double* row = rows_.get() + key * dim;
+        out->emb_values.insert(out->emb_values.end(), row, row + dim);
+      }
+      if ((state_[key] & kWideBit) != 0) {
+        out->wide_keys.push_back(key);
+        out->wide_values.push_back(wide_[key]);
+      }
+    }
   }
 }
 
@@ -180,24 +165,36 @@ Status EmbStore::ImportAll(const EmbStoreSnapshot& snapshot) {
   if (snapshot.wide_values.size() != snapshot.wide_keys.size()) {
     return InvalidArgumentError("wide snapshot has wrong value count");
   }
-  for (Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    stripe.emb.clear();
-    stripe.wide.clear();
+  for (const auto* keys : {&snapshot.emb_keys, &snapshot.wide_keys}) {
+    for (uint64_t key : *keys) {
+      if (key >= num_keys_) {
+        return InvalidArgumentError("snapshot key outside the key space");
+      }
+    }
+  }
+  for (size_t s = 0; s < stripes_.size(); ++s) {
+    std::lock_guard<std::mutex> lock(stripes_[s].mu);
+    const uint64_t begin = std::min(num_keys_, s << stripe_shift_);
+    const uint64_t end = std::min(num_keys_, (s + 1) << stripe_shift_);
+    std::fill(state_.get() + begin, state_.get() + end, 0);
+    stripes_[s].rows = 0;
   }
   for (size_t i = 0; i < snapshot.emb_keys.size(); ++i) {
     const uint64_t key = snapshot.emb_keys[i];
-    Stripe& stripe = StripeFor(key);
+    Stripe& stripe = stripes_[StripeIndexFor(key)];
     std::lock_guard<std::mutex> lock(stripe.mu);
-    stripe.emb.emplace(
-        key, std::vector<double>(snapshot.emb_values.begin() + i * dim,
-                                 snapshot.emb_values.begin() + (i + 1) * dim));
+    if ((state_[key] & kRowBit) != 0) continue;  // duplicate: first wins
+    std::copy_n(snapshot.emb_values.begin() + i * dim, dim,
+                rows_.get() + key * dim);
+    state_[key] |= kRowBit;
+    ++stripe.rows;
   }
   for (size_t i = 0; i < snapshot.wide_keys.size(); ++i) {
     const uint64_t key = snapshot.wide_keys[i];
-    Stripe& stripe = StripeFor(key);
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    stripe.wide.emplace(key, snapshot.wide_values[i]);
+    std::lock_guard<std::mutex> lock(stripes_[StripeIndexFor(key)].mu);
+    if ((state_[key] & kWideBit) != 0) continue;
+    wide_[key] = snapshot.wide_values[i];
+    state_[key] |= kWideBit;
   }
   return Status::OK();
 }
@@ -206,7 +203,7 @@ size_t EmbStore::MaterializedRows() const {
   size_t rows = 0;
   for (const Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mu);
-    rows += stripe.emb.size();
+    rows += stripe.rows;
   }
   return rows;
 }

@@ -16,6 +16,7 @@
 #include "cluster/placement_index.h"
 #include "common/alloc_counter.h"
 #include "dlrm/criteo_synth.h"
+#include "dlrm/emb_store.h"
 #include "dlrm/mini_dlrm.h"
 #include "elastic/shard_queue.h"
 #include "ps/training_job.h"
@@ -84,10 +85,10 @@ TEST(AllocGuardTest, WarmTrainingHotLoopIsAllocationFree) {
   // The kThreads per-batch cycle — FillBatch, PullBatch, ComputeBatch,
   // PushBatch against a reusable DlrmBatchWork — must allocate nothing once
   // warmed: batch buffers, the pulled dense copy, key/slot tables, gathered
-  // rows and gradient accumulators are all reused, and the store's
-  // steady-state lookups are find/try_emplace on materialized keys. Loop a
-  // fixed batch range so every embedding key (and every buffer's maximum
-  // size) is seen during warm-up.
+  // rows and gradient accumulators are all reused, and the store indexes
+  // its preallocated slab directly (EmbStoreFirstTouchIsAllocationFree
+  // covers keys it has never seen). Loop a fixed batch range so every
+  // buffer's maximum size is seen during warm-up.
   MiniDlrmConfig config;
   config.arch = ModelKind::kWideDeep;
   config.emb_dim = 8;
@@ -107,8 +108,8 @@ TEST(AllocGuardTest, WarmTrainingHotLoopIsAllocationFree) {
       model.PushBatch(&work, 0.05);
     }
   };
-  one_pass();  // materialize every row, grow every buffer to its max
-  one_pass();  // second pass: hash-map load factors, vector capacities settle
+  one_pass();  // grow every buffer to its max
+  one_pass();  // second pass: vector capacities settle
 
   const uint64_t before = AllocationCount();
   one_pass();
@@ -117,6 +118,39 @@ TEST(AllocGuardTest, WarmTrainingHotLoopIsAllocationFree) {
   EXPECT_EQ(after - before, 0u)
       << "training hot loop allocated " << (after - before) << " times across "
       << 2 * kBatches << " steady-state batches";
+}
+
+TEST(AllocGuardTest, EmbStoreFirstTouchIsAllocationFree) {
+  // Once a BatchScratch is warm, gathering and pushing keys the store has
+  // never seen allocates nothing: a new row and wide weight are written in
+  // place into the store's slab, not inserted as heap nodes.
+  EmbStoreOptions options;
+  options.hash_buckets = 4096;
+  EmbStore store(options);
+  constexpr size_t kKeys = 26 * 128;
+  const size_t dim = static_cast<size_t>(options.emb_dim);
+  std::vector<uint64_t> keys(kKeys);
+  std::vector<double> rows(kKeys * dim);
+  std::vector<double> wide(kKeys);
+  const std::vector<double> row_grads(kKeys * dim, 0.5);
+  const std::vector<double> wide_grads(kKeys, 0.25);
+  EmbStore::BatchScratch scratch;
+  auto cycle = [&](uint64_t first_bucket) {
+    for (size_t i = 0; i < kKeys; ++i) {
+      keys[i] = store.PackKey(static_cast<int>(i % 26), first_bucket + i / 26);
+    }
+    store.GatherRows(keys.data(), kKeys, rows.data(), wide.data(), &scratch);
+    store.ScatterApply(keys.data(), kKeys, row_grads.data(), wide_grads.data(),
+                       0.1, &scratch);
+  };
+  cycle(0);  // grows the scratch arrays to kKeys
+  const uint64_t before = AllocationCount();
+  cycle(1024);  // buckets 1024..1151 of every feature: never touched before
+  const uint64_t after = AllocationCount();
+  EXPECT_EQ(store.MaterializedRows(), 2 * kKeys);
+  EXPECT_EQ(after - before, 0u)
+      << "first touch of " << kKeys << " keys allocated " << (after - before)
+      << " times";
 }
 
 TEST(AllocGuardTest, WarmShardQueueDispatchCycleIsAllocationFree) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -248,6 +249,107 @@ TEST(EmbStoreBatchedTest, ScatterWithoutWideLeavesWideUntouched) {
   store.ExportAll(&snapshot);
   EXPECT_TRUE(snapshot.wide_keys.empty());
   EXPECT_EQ(Wide(store, 2, 9), 0.0);
+}
+
+// Pushes row and wide gradients to every third bucket below 40 of each
+// feature, materializing and changing state that ImportAll must replace.
+void Dirty(EmbStore& store) {
+  const double wide_grad = 3.0;
+  for (int f = 0; f < 26; ++f) {
+    for (uint64_t bucket = 0; bucket < 40; bucket += 3) {
+      Push(store, f, bucket, std::vector<double>(8, 0.75), &wide_grad, 0.5);
+    }
+  }
+}
+
+TEST(EmbStoreSnapshotTest, OutOfRangeKeyIsRejectedAndStoreUntouched) {
+  EmbStore store(SmallStore());
+  Dirty(store);
+  EmbStoreSnapshot before;
+  store.ExportAll(&before);
+  const uint64_t num_keys = 26 * SmallStore().hash_buckets;
+
+  EmbStoreSnapshot bad_row;
+  bad_row.emb_keys = {store.PackKey(4, 2), num_keys};
+  bad_row.emb_values.assign(2 * 8, 1.0);
+  EXPECT_EQ(store.ImportAll(bad_row).code(), StatusCode::kInvalidArgument);
+  EmbStoreSnapshot bad_wide;
+  bad_wide.wide_keys = {store.PackKey(4, 2), ~uint64_t{0}};
+  bad_wide.wide_values = {1.0, 2.0};
+  EXPECT_EQ(store.ImportAll(bad_wide).code(), StatusCode::kInvalidArgument);
+
+  EmbStoreSnapshot after;
+  store.ExportAll(&after);
+  EXPECT_EQ(after.emb_keys, before.emb_keys);
+  EXPECT_EQ(after.emb_values, before.emb_values);
+  EXPECT_EQ(after.wide_keys, before.wide_keys);
+  EXPECT_EQ(after.wide_values, before.wide_values);
+}
+
+TEST(EmbStoreSnapshotTest, DuplicateKeyKeepsItsFirstValue) {
+  EmbStore store(SmallStore());
+  EmbStoreSnapshot snapshot;
+  const uint64_t key = store.PackKey(7, 70);
+  snapshot.emb_keys = {key, key};
+  snapshot.emb_values.assign(8, 1.0);
+  snapshot.emb_values.resize(16, 2.0);
+  snapshot.wide_keys = {key, key};
+  snapshot.wide_values = {3.0, 4.0};
+  ASSERT_TRUE(store.ImportAll(snapshot).ok());
+  EXPECT_EQ(store.MaterializedRows(), 1u);
+  EXPECT_EQ(Row(store, 7, 70), std::vector<double>(8, 1.0));
+  EXPECT_EQ(Wide(store, 7, 70), 3.0);
+}
+
+TEST(EmbStoreSnapshotTest, KeysAbsentFromSnapshotReadTheirLazyInit) {
+  // Snapshot a store whose wide weights cover only some of its rows, then
+  // dirty rows and wide weights (some in the snapshot, some new) and roll
+  // back: nothing may read a value written after the snapshot.
+  EmbStore store(SmallStore());
+  std::vector<uint64_t> keys;
+  for (int f = 0; f < 26; ++f) keys.push_back(store.PackKey(f, 3 * f % 40));
+  std::vector<double> grads(keys.size() * 8, 0.125);
+  EmbStore::BatchScratch scratch;
+  store.ScatterApply(keys.data(), keys.size(), grads.data(),
+                     /*wide_grads=*/nullptr, 1.0, &scratch);
+  Wide(store, 0, 0);
+  Wide(store, 25, 36);
+  EmbStoreSnapshot snapshot;
+  store.ExportAll(&snapshot);
+  ASSERT_EQ(snapshot.emb_keys.size(), 27u);
+  ASSERT_EQ(snapshot.wide_keys.size(), 2u);
+
+  Dirty(store);
+  ASSERT_GT(store.MaterializedRows(), snapshot.emb_keys.size());
+  ASSERT_TRUE(store.ImportAll(snapshot).ok());
+  EXPECT_EQ(store.MaterializedRows(), snapshot.emb_keys.size());
+
+  EmbStore pristine(SmallStore());
+  for (int f = 0; f < 26; ++f) {
+    for (uint64_t bucket = 0; bucket < 40; ++bucket) {
+      const uint64_t key = store.PackKey(f, bucket);
+      const auto row_it = std::lower_bound(snapshot.emb_keys.begin(),
+                                           snapshot.emb_keys.end(), key);
+      if (row_it != snapshot.emb_keys.end() && *row_it == key) {
+        const size_t i =
+            static_cast<size_t>(row_it - snapshot.emb_keys.begin());
+        EXPECT_EQ(Row(store, f, bucket),
+                  std::vector<double>(snapshot.emb_values.begin() + i * 8,
+                                      snapshot.emb_values.begin() + i * 8 + 8));
+      } else {
+        EXPECT_EQ(Row(store, f, bucket), Row(pristine, f, bucket))
+            << "key " << key;
+      }
+      const auto wide_it = std::find(snapshot.wide_keys.begin(),
+                                     snapshot.wide_keys.end(), key);
+      EXPECT_EQ(Wide(store, f, bucket),
+                wide_it == snapshot.wide_keys.end()
+                    ? 0.0
+                    : snapshot.wide_values[static_cast<size_t>(
+                          wide_it - snapshot.wide_keys.begin())])
+          << "key " << key;
+    }
+  }
 }
 
 }  // namespace

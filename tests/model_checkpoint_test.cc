@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <vector>
@@ -297,12 +298,20 @@ TEST(ModelStateTest, RandomlyDamagedCheckpointsAreNeverTrustedOrHalfApplied) {
     EXPECT_EQ(latest->generation, 0u) << "trial " << trial;
 
     // ImportState on the damaged model blob: accepted when its shape is
-    // consistent, otherwise rejected with the target model untouched.
+    // consistent and every key lies in the model's key space, otherwise
+    // rejected with the target model untouched.
     const DlrmStateBlob& blob = stored->model;
+    auto in_key_space = [](const std::vector<uint64_t>& keys) {
+      return std::all_of(keys.begin(), keys.end(), [](uint64_t key) {
+        return key < CriteoSynth::kNumCategorical * SmallModel().hash_buckets;
+      });
+    };
     const bool consistent =
         blob.dense.size() == dense_size &&
         blob.sparse.emb_values.size() == blob.sparse.emb_keys.size() * dim &&
-        blob.sparse.wide_values.size() == blob.sparse.wide_keys.size();
+        blob.sparse.wide_values.size() == blob.sparse.wide_keys.size() &&
+        in_key_space(blob.sparse.emb_keys) &&
+        in_key_space(blob.sparse.wide_keys);
     MiniDlrm target(SmallModel());
     TrainOn(&target, data, 5000, &work);
     const std::vector<double> predict_before = target.Predict(probe);
