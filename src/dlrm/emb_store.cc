@@ -1,6 +1,7 @@
 #include "dlrm/emb_store.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "common/dense_kernels.h"
 #include "common/rng.h"
@@ -72,6 +73,7 @@ void EmbStore::GroupByStripe(const uint64_t* keys, size_t n,
   scratch->stripe_of.resize(n);
   scratch->start.assign(stripes_.size(), 0);
   for (size_t i = 0; i < n; ++i) {
+    assert(keys[i] < num_keys_ && "key outside the key space");
     const uint32_t s = static_cast<uint32_t>(StripeIndexFor(keys[i]));
     scratch->stripe_of[i] = s;
     ++scratch->start[s];
@@ -87,7 +89,6 @@ void EmbStore::GroupByStripe(const uint64_t* keys, size_t n,
     scratch->order[scratch->start[scratch->stripe_of[i]]++] =
         static_cast<uint32_t>(i);
   }
-  // start[s] now holds the END offset of stripe s's group.
 }
 
 void EmbStore::GatherRows(const uint64_t* keys, size_t n, double* rows_out,

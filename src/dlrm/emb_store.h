@@ -73,7 +73,8 @@ class EmbStore {
   }
 
   /// Batched gather for the training hot path: copies the rows for `keys`
-  /// (packed via PackKey, any order, duplicates allowed) into
+  /// (from PackKey with feature < num_features and bucket < hash_buckets,
+  /// or the access is out of bounds; any order, duplicates allowed) into
   /// `rows_out[i * emb_dim ...]`, materializing missing rows, and — when
   /// `wide_out` is non-null — the wide weights into `wide_out[i]`. Keys are
   /// grouped by stripe first, so each touched stripe's lock is taken exactly
@@ -83,8 +84,8 @@ class EmbStore {
   void GatherRows(const uint64_t* keys, size_t n, double* rows_out,
                   double* wide_out, BatchScratch* scratch) const;
 
-  /// Batched SGD push, the scatter side of GatherRows: for every key,
-  /// row -= learning_rate * row_grads[i * emb_dim ...] (and, when
+  /// Batched SGD push, the scatter side of GatherRows (same key rules): for
+  /// every key, row -= learning_rate * row_grads[i * emb_dim ...] (and, when
   /// `wide_grads` is non-null, wide -= learning_rate * wide_grads[i]).
   /// Missing rows are materialized first (wide weights start at 0.0). Keys
   /// are grouped by stripe: one lock acquisition per touched stripe per

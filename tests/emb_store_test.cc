@@ -352,5 +352,16 @@ TEST(EmbStoreSnapshotTest, KeysAbsentFromSnapshotReadTheirLazyInit) {
   }
 }
 
+#ifndef NDEBUG
+TEST(EmbStoreDeathTest, KeyOutsideTheKeySpaceAssertsInDebugBuilds) {
+  EmbStore store(SmallStore());
+  const uint64_t key = 26 * SmallStore().hash_buckets;
+  std::vector<double> row(8);
+  EmbStore::BatchScratch scratch;
+  EXPECT_DEATH(store.GatherRows(&key, 1, row.data(), nullptr, &scratch),
+               "key space");
+}
+#endif
+
 }  // namespace
 }  // namespace dlrover
