@@ -144,8 +144,8 @@ class ControlMasterEndpoint {
 /// heartbeats, shard reports, straggler verdicts, and scaling plans of a
 /// fleet cell flow through one channel living on the cell's simulator, so
 /// every chaos draw happens in event order and sharded runs stay
-/// byte-identical at any lane count (control traffic never crosses cells —
-/// cross-cell state still flows through the ClusterCommitLog/FleetLedger).
+/// byte-identical at any lane count (cells share no state, so control
+/// traffic never crosses them).
 ///
 /// `Send` is fire-and-forget (heartbeats, verdicts). `SendReliable` retries
 /// with capped jittered exponential backoff until an acknowledgement makes

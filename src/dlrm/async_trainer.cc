@@ -275,9 +275,11 @@ TrainResult AsyncPsTrainer::Finish() {
 
 TrainResult AsyncPsTrainer::Run() {
   if (options_.exec_mode == ExecMode::kThreads) {
-    if (options_.data_mode != DataMode::kDynamicSharding) {
+    if (options_.data_mode != DataMode::kDynamicSharding ||
+        !options_.events.empty()) {
       DLROVER_LOG_STREAM(Warning)
-          << "kThreads requires dynamic sharding; falling back to kTicks";
+          << "kThreads supports neither static partitioning nor scripted "
+             "events; falling back to kTicks";
     } else {
       return RunThreads();
     }
@@ -337,28 +339,30 @@ TrainResult AsyncPsTrainer::RunTicks() {
 /// fault-tolerance supervisor all operate through it.
 ///
 /// Locking order (outer to inner): commit_gate -> state_mu -> queue mutex.
-/// Workers hold commit_gate shared around their push+commit critical
+/// Workers hold commit_gate shared around their record+push+commit critical
 /// section; the supervisor holds it exclusive while fencing a worker,
 /// checkpointing, or restoring — so a checkpoint is a true quiescent cut
 /// and a fenced worker can never slip one more update in after its shard
 /// was reclaimed.
+///
+/// The ShardQueue is the only record of in-flight shards: each batch is
+/// recorded there (RecordProgress) before its update is pushed, so every
+/// snapshot, reclaim and failure report reads the committed prefix from
+/// the queue itself.
 struct AsyncPsTrainer::ThreadRuntime {
-  /// Per-worker control block. Elastic events and chaos faults cannot
+  /// Per-worker control block. Chaos faults and the supervisor cannot
   /// preempt a real thread mid-batch; they set flags the worker observes
   /// at batch boundaries, which is also how real PS workers drain.
   struct WorkerCtl {
     int id = 0;
-    std::atomic<bool> stop{false};   // graceful scale-in: requeue + exit
-    std::atomic<bool> crash{false};  // scripted failure: requeue + exit
     /// Chaos crash: dies without reporting anything; the supervisor (or
-    /// the end-of-run reclaim) must recover its shard.
+    /// the end-of-run drain) must recover its shard.
     std::atomic<bool> hard_crash{false};
     /// The supervisor declared this worker dead and reclaimed its shard;
     /// any in-flight update must be dropped, never committed.
     std::atomic<bool> fenced{false};
     /// Chaos stall: alive but silent until fenced.
     std::atomic<bool> stalled{false};
-    std::atomic<int> stall_us{0};  // straggler injection per batch
     std::atomic<bool> exited{false};
     /// End-of-run drain worker: chaos must skip it or a fault could keep
     /// the run from ever terminating.
@@ -366,20 +370,9 @@ struct AsyncPsTrainer::ThreadRuntime {
     std::atomic<uint64_t> beats{0};        // committed batches (progress)
     std::atomic<double> last_beat_s{0.0};  // runtime clock of last commit
     bool monitored = false;                // under state_mu
-  };
-
-  /// Registry of dispatched-but-unreported shards: who holds what, and how
-  /// much is already reflected in committed state. This is what lets the
-  /// supervisor reclaim a dead worker's shard with the exact processed
-  /// prefix, and what makes checkpoints consistent with out-of-order shard
-  /// completion.
-  struct InFlight {
-    uint64_t shard_index = 0;
-    DataShard shard;
-    int owner = 0;
-    uint64_t epoch = 0;
-    uint64_t processed = 0;
-    bool finished = false;  // fully processed; completion report was lost
+    /// The shard this worker holds (under state_mu): what a fence, the
+    /// exited-owner reap and the end-of-run drain hand back to the queue.
+    std::optional<DataShard> shard;
   };
 
   AsyncPsTrainer* t;
@@ -388,20 +381,15 @@ struct AsyncPsTrainer::ThreadRuntime {
   const bool ft;
   ThreadPool pool;
 
-  // state_mu guards committed_, result_, next_event_, ctls, futures,
-  // inflight, monitor and last_eval. Everything inside is O(1)-ish
+  // state_mu guards committed_, result_, ctls (and each WorkerCtl::shard),
+  // futures, monitor and last_eval. Everything inside is O(1)-ish
   // bookkeeping; the expensive pull/compute/push runs outside the lock.
   std::mutex state_mu;
   std::shared_mutex commit_gate;
   std::vector<std::shared_ptr<WorkerCtl>> ctls;
   std::vector<std::future<void>> futures;
-  std::vector<InFlight> inflight;
   uint64_t last_eval = 0;
   std::atomic<uint64_t> committed_approx{0};
-  /// Bumped on every restore. A worker may commit only under the epoch it
-  /// acquired its shard in, so shards rolled back by a restore are
-  /// abandoned instead of double-trained.
-  std::atomic<uint64_t> epoch{0};
 
   // Fault-tolerance machinery (constructed always, inert unless ft).
   CheckpointVault vault;
@@ -455,7 +443,7 @@ struct AsyncPsTrainer::ThreadRuntime {
     return 0;  // never give up
   }
 
-  std::shared_ptr<WorkerCtl> SpawnWorkerLocked() {
+  void SpawnWorkerLocked() {
     auto ctl = std::make_shared<WorkerCtl>();
     ctl->id = t->next_worker_id_++;
     ctl->last_beat_s.store(NowSeconds());
@@ -465,109 +453,29 @@ struct AsyncPsTrainer::ThreadRuntime {
       ctl->monitored = true;
     }
     futures.push_back(pool.Submit([this, ctl]() { WorkerLoop(ctl); }));
-    return ctl;
   }
 
-  void FireEventsLocked() {
-    while (t->next_event_ < opts.events.size() &&
-           opts.events[t->next_event_].at_batches <= t->committed_) {
-      const ElasticEvent& event = opts.events[t->next_event_++];
-      switch (event.kind) {
-        case ElasticEvent::Kind::kAddWorkers: {
-          for (int i = 0; i < event.count; ++i) SpawnWorkerLocked();
-          break;
-        }
-        case ElasticEvent::Kind::kRemoveWorkers: {
-          int removed = 0;
-          for (auto it = ctls.rbegin();
-               it != ctls.rend() && removed < event.count; ++it) {
-            WorkerCtl& c = **it;
-            if (c.stop.load() || c.crash.load()) continue;
-            c.stop.store(true);
-            ++removed;
-          }
-          break;
-        }
-        case ElasticEvent::Kind::kCrashWorker: {
-          for (const auto& c : ctls) {
-            if (c->stop.load() || c->crash.load() || c->stall_us.load() > 0) {
-              continue;  // crash a healthy worker, as in tick mode
-            }
-            c->crash.store(true);
-            SpawnWorkerLocked();  // replacement joins via the queue
-            break;
-          }
-          break;
-        }
-        case ElasticEvent::Kind::kMakeStraggler: {
-          for (const auto& c : ctls) {
-            if (c->stop.load() || c->crash.load() || c->stall_us.load() > 0) {
-              continue;
-            }
-            const double speed = std::max(event.speed, 1e-3);
-            c->stall_us.store(
-                static_cast<int>(opts.straggler_stall_us / speed));
-            break;
-          }
-          break;
-        }
-      }
-    }
+  /// Requires state_mu. Hands the shard `ctl` holds back to the queue, which
+  /// credits its recorded prefix and re-serves the rest. Returns false when
+  /// there was nothing to return: no shard, or one a restore (or a
+  /// completion) already retired.
+  bool ReturnShardLocked(WorkerCtl& ctl) {
+    if (!ctl.shard.has_value()) return false;
+    const Status s = t->queue_->ReportFailed(*ctl.shard);
+    assert(s.ok() || s.code() == StatusCode::kNotFound);
+    ctl.shard.reset();
+    return s.ok();
   }
 
-  /// Registers a freshly acquired shard. Fails when a restore happened
-  /// since `my_epoch` was read — the caller must hand the shard back (a
-  /// stale index bounces off the queue harmlessly) and retry.
-  bool RegisterShard(const WorkerCtl& ctl, const DataShard& shard,
-                     uint64_t my_epoch) {
-    std::lock_guard<std::mutex> lock(state_mu);
-    if (epoch.load() != my_epoch) return false;
-    InFlight entry;
-    entry.shard_index = shard.index;
-    entry.shard = shard;
-    entry.owner = ctl.id;
-    entry.epoch = my_epoch;
-    inflight.push_back(entry);
-    return true;
-  }
-
-  /// Drops the shard's registry entry and reports the shard to the queue,
-  /// completed or failed after its first `processed` batches, in one
-  /// state_mu hold. TakeCheckpoint snapshots the queue under state_mu and
-  /// nets each registered prefix, so the cut sees the shard either
-  /// registered or reported. Between the two, the shard would read as
-  /// wholly unprocessed, and a restore to that cut would train its
-  /// committed batches a second time.
-  Status ReleaseShard(const DataShard& shard, uint64_t processed) {
-    std::lock_guard<std::mutex> lock(state_mu);
-    for (auto it = inflight.begin(); it != inflight.end(); ++it) {
-      if (it->shard_index == shard.index) {
-        inflight.erase(it);
-        break;
-      }
-    }
-    return processed == shard.batches()
-               ? t->queue_->ReportCompleted(shard)
-               : t->queue_->ReportFailed(shard, processed);
-  }
-
-  void MarkFinishedUnreported(uint64_t shard_index) {
-    std::lock_guard<std::mutex> lock(state_mu);
-    for (InFlight& entry : inflight) {
-      if (entry.shard_index == shard_index) {
-        entry.finished = true;
-        return;
-      }
-    }
-  }
-
-  /// Push + commit under the shared gate. Returns false when the worker is
-  /// fenced or its epoch is stale: the update is dropped and the caller
-  /// abandons the shard (the supervisor owns its fate now). The push itself
-  /// is the worker's private accumulators merging into the live model
-  /// (dense axpy under the model's write lock, sharded sparse scatter) —
-  /// the gate is held shared, so pushes from different workers overlap.
-  bool CommitBatch(WorkerCtl& ctl, const DataShard& shard, uint64_t my_epoch,
+  /// Record + push + commit under the shared gate. Returns false when the
+  /// worker is fenced or its shard is retired: the update is dropped and
+  /// the caller abandons the shard (a fenced worker's shard is the
+  /// supervisor's now; a retired one was rolled back by a restore). The
+  /// push itself is the worker's private accumulators merging into the live
+  /// model (dense axpy under the model's write lock, sharded sparse
+  /// scatter) — the gate is held shared, so pushes from different workers
+  /// overlap.
+  bool CommitBatch(WorkerCtl& ctl, const DataShard& shard,
                    uint64_t batch_index, DlrmBatchWork* work,
                    PhaseBreakdown* ph, bool* crash_after_push) {
     bool do_eval = false;
@@ -575,7 +483,11 @@ struct AsyncPsTrainer::ThreadRuntime {
     {
       const auto gate_t0 = PhaseClock::now();
       std::shared_lock<std::shared_mutex> gate(commit_gate);
-      if (ctl.fenced.load() || epoch.load() != my_epoch) return false;
+      // A fence or a restore needs the exclusive gate, so neither can
+      // retire the shard between this record and the push below.
+      if (ctl.fenced.load() || !t->queue_->RecordProgress(shard.index).ok()) {
+        return false;
+      }
       const auto push_t0 = PhaseClock::now();
       ph->commit_wait_s +=
           std::chrono::duration<double>(push_t0 - gate_t0).count();
@@ -593,15 +505,8 @@ struct AsyncPsTrainer::ThreadRuntime {
         ++t->committed_;
         now_committed = t->committed_;
         committed_approx.store(now_committed);
-        for (InFlight& entry : inflight) {
-          if (entry.shard_index == shard.index) {
-            ++entry.processed;
-            break;
-          }
-        }
         ctl.beats.fetch_add(1);
         ctl.last_beat_s.store(NowSeconds());
-        FireEventsLocked();
         if (t->committed_ - last_eval >= opts.eval_every_batches) {
           last_eval = t->committed_;
           eval_at = t->committed_;
@@ -634,9 +539,7 @@ struct AsyncPsTrainer::ThreadRuntime {
     // (pinned by alloc_guard_test).
     DlrmBatchWork work;
     PhaseBreakdown ph;
-    while (!ctl->stop.load() && !ctl->crash.load() &&
-           !ctl->hard_crash.load() && !ctl->fenced.load()) {
-      const uint64_t my_epoch = epoch.load();
+    while (!ctl->hard_crash.load() && !ctl->fenced.load()) {
       const auto wait_t0 = PhaseClock::now();
       auto shard_or = t->queue_->WaitNextShardFor(kShardWaitTimeoutS);
       ph.queue_wait_s += SecondsSince(wait_t0);
@@ -647,29 +550,18 @@ struct AsyncPsTrainer::ThreadRuntime {
       if (!shard_or.ok()) break;  // terminal: nothing can be served again
       strikes = 0;
       const DataShard shard = *shard_or;
-      if (!RegisterShard(*ctl, shard, my_epoch)) {
-        // A restore slipped between the epoch read and the dispatch. If the
-        // shard came from the restored queue it goes straight back intact;
-        // if it predates the restore its index is already retired.
-        const Status s = t->queue_->ReportFailed(shard, 0);
-        (void)s;
-        continue;
+      {
+        std::lock_guard<std::mutex> lock(state_mu);
+        ctl->shard = shard;
       }
-      uint64_t pos = 0;
-      bool aborted = false;    // graceful: self-report the prefix
       bool abandoned = false;  // fenced/hard-crash: report nothing
       bool stale = false;      // a restore retired this shard mid-flight
-      for (; pos < shard.batches(); ++pos) {
+      for (uint64_t pos = 0; pos < shard.batches(); ++pos) {
         while (ctl->stalled.load() && !ctl->fenced.load() &&
-               !ctl->stop.load() && !ctl->crash.load() &&
                !ctl->hard_crash.load()) {
           // Heartbeat silence: alive, making no progress. Only the
           // supervisor's fence (or shutdown) releases the worker.
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        if (ctl->stop.load() || ctl->crash.load()) {
-          aborted = true;
-          break;
         }
         if (ctl->hard_crash.load() || ctl->fenced.load()) {
           abandoned = true;
@@ -690,10 +582,6 @@ struct AsyncPsTrainer::ThreadRuntime {
             std::chrono::duration<double>(compute_t0 - pull_t0).count();
         t->model_->ComputeBatch(&work);
         ph.compute_s += SecondsSince(compute_t0);
-        const int stall = ctl->stall_us.load();
-        if (stall > 0) {
-          std::this_thread::sleep_for(std::chrono::microseconds(stall));
-        }
         if (ChaosTake(*ctl, ChaosFaultKind::kCrashBeforePush)) {
           // Dies with the gradient computed but not pushed: this batch was
           // never committed and must be re-served.
@@ -702,14 +590,13 @@ struct AsyncPsTrainer::ThreadRuntime {
           break;
         }
         bool crash_after_push = false;
-        if (!CommitBatch(*ctl, shard, my_epoch, batch_index, &work, &ph,
+        if (!CommitBatch(*ctl, shard, batch_index, &work, &ph,
                          &crash_after_push)) {
           if (ctl->fenced.load() || ctl->hard_crash.load()) {
             abandoned = true;
           } else {
-            // The gate rejected the push because a restore bumped the
-            // epoch: this shard's index is retired and its data is
-            // re-served by the rolled-back queue. The worker itself is
+            // The queue retired the shard: a restore rolled its data back
+            // and the restored queue re-serves it. The worker itself is
             // healthy — it drops the shard and fetches fresh work.
             stale = true;
           }
@@ -721,27 +608,23 @@ struct AsyncPsTrainer::ThreadRuntime {
           break;
         }
       }
-      if (aborted) {
-        // Exactly-once: the committed prefix is credited, the remainder is
-        // re-served to someone else (with a fresh shard index).
-        const Status s = ReleaseShard(shard, pos);
+      if (abandoned) break;  // the shard stays held for the supervisor
+      // A lost completion report leaves the shard outstanding with every
+      // batch recorded; CompleteFullyRecorded credits it later.
+      const bool report_lost =
+          !stale && ChaosTake(*ctl, ChaosFaultKind::kLoseShardReport);
+      if (!stale && !report_lost) {
+        const Status s = t->queue_->ReportCompleted(shard);
+        // kNotFound: a restore retired the shard after its last batch, or
+        // the supervisor completed it first.
         assert(s.ok() || s.code() == StatusCode::kNotFound);
         (void)s;
-        break;
       }
-      if (abandoned) break;  // leave the registry entry for the supervisor
-      if (stale) continue;   // registry entry already cleared by the restore
-      if (ChaosTake(*ctl, ChaosFaultKind::kLoseShardReport)) {
-        // The work is done but the completion report evaporates. The
-        // registry entry stays, flagged, until the supervisor reaps it.
-        MarkFinishedUnreported(shard.index);
-        continue;
-      }
-      const Status s = ReleaseShard(shard, shard.batches());
-      // A shard dispatched before a restore names a retired index; its
-      // completion is void (the data was rolled back and re-served).
-      assert(s.ok() || s.code() == StatusCode::kNotFound);
-      (void)s;
+      std::lock_guard<std::mutex> lock(state_mu);
+      ctl->shard.reset();
+      // Counted here, not at the reap: the supervisor's call also completes
+      // shards whose report is merely late.
+      if (report_lost && ft) ++stats.lost_reports_reaped;
     }
     {
       std::lock_guard<std::mutex> lock(state_mu);
@@ -752,11 +635,11 @@ struct AsyncPsTrainer::ThreadRuntime {
 
   // ---- Supervisor (fault-tolerance) ----------------------------------
 
-  /// Declares a worker dead, reclaims its shards with their processed
-  /// prefixes, and spawns a replacement if the budget allows. Takes the
-  /// gate exclusively: no commit can be in flight while the fence goes up,
-  /// so the reclaimed remainder can never lose a racing update.
-  void FenceAndReclaim(uint64_t member_id, bool replace) {
+  /// Declares a worker dead, reclaims its shard with its recorded prefix,
+  /// and spawns a replacement if the budget allows. Takes the gate
+  /// exclusively: no commit can be in flight while the fence goes up, so
+  /// the reclaimed remainder can never lose a racing update.
+  void FenceAndReclaim(uint64_t member_id) {
     std::unique_lock<std::shared_mutex> gate(commit_gate);
     std::lock_guard<std::mutex> lock(state_mu);
     std::shared_ptr<WorkerCtl> victim;
@@ -773,75 +656,38 @@ struct AsyncPsTrainer::ThreadRuntime {
       monitor.RemoveMember(member_id);
       victim->monitored = false;
     }
-    ReclaimEntriesOfLocked(victim->id);
-    if (replace && !victim->stop.load()) {
-      if (replacements_done < kMaxReplacements) {
-        ++replacements_done;
-        ++stats.workers_replaced;
-        SpawnWorkerLocked();
-      } else {
-        ++stats.degraded_exits;  // smaller fleet from here on
-      }
+    if (ReturnShardLocked(*victim)) ++stats.shards_reclaimed;
+    if (replacements_done < kMaxReplacements) {
+      ++replacements_done;
+      ++stats.workers_replaced;
+      SpawnWorkerLocked();
+    } else {
+      ++stats.degraded_exits;  // smaller fleet from here on
     }
   }
 
-  /// Requires state_mu (and, for live owners, the exclusive gate).
-  void ReclaimEntriesOfLocked(int owner) {
-    for (auto it = inflight.begin(); it != inflight.end();) {
-      if (it->owner != owner) {
-        ++it;
-        continue;
-      }
-      const Status s = t->queue_->ReportFailed(it->shard, it->processed);
-      assert(s.ok() || s.code() == StatusCode::kNotFound);
-      (void)s;
-      ++stats.shards_reclaimed;
-      it = inflight.erase(it);
-    }
-  }
-
-  /// Reaps registry entries whose owner already exited (chaos hard crash)
-  /// and finished shards whose completion report was lost. No gate needed:
-  /// the owner is gone, nothing races on these entries.
+  /// Reclaims the shards of workers that already exited (chaos hard crash,
+  /// or fenced before they could hold anything), then completes shards
+  /// whose every batch is recorded but whose report never came (lost — or
+  /// still on its way, in which case the worker's own report finds the
+  /// index retired). No gate needed: an exited owner races with nobody, and
+  /// a fully recorded shard has no update left to push.
   void ReapOrphansLocked() {
-    for (auto it = inflight.begin(); it != inflight.end();) {
-      bool reap = false;
-      if (it->finished) {
-        reap = true;
-        ++stats.lost_reports_reaped;
-      } else {
-        for (const auto& c : ctls) {
-          if (c->id == it->owner) {
-            reap = c->exited.load();
-            break;
-          }
-        }
-      }
-      if (!reap) {
-        ++it;
-        continue;
-      }
-      // processed == batches for lost reports: ReportFailed credits the
-      // full prefix and re-queues nothing — the lost completion, recovered.
-      const Status s = t->queue_->ReportFailed(it->shard, it->processed);
-      assert(s.ok() || s.code() == StatusCode::kNotFound);
-      (void)s;
-      if (!it->finished) ++stats.shards_reclaimed;
-      it = inflight.erase(it);
-    }
     for (const auto& c : ctls) {
-      if (c->monitored && c->exited.load()) {
+      if (!c->exited.load()) continue;
+      if (ReturnShardLocked(*c)) ++stats.shards_reclaimed;
+      if (c->monitored) {
         monitor.RemoveMember(static_cast<uint64_t>(c->id));
         c->monitored = false;
       }
     }
+    t->queue_->CompleteFullyRecorded();
   }
 
   void InjectStallLocked() {
     for (const auto& c : ctls) {
-      if (c->stop.load() || c->crash.load() || c->hard_crash.load() ||
-          c->fenced.load() || c->stalled.load() || c->exited.load() ||
-          c->immune.load()) {
+      if (c->hard_crash.load() || c->fenced.load() || c->stalled.load() ||
+          c->exited.load() || c->immune.load()) {
         continue;
       }
       c->stalled.store(true);
@@ -851,7 +697,7 @@ struct AsyncPsTrainer::ThreadRuntime {
   }
 
   /// Captures a checkpoint under a quiescent cut: model blob, queue
-  /// snapshot netted of every in-flight processed prefix, and the audit
+  /// snapshot netted of every recorded in-flight prefix, and the audit
   /// histogram — all consistent with `committed_`.
   void TakeCheckpoint() {
     ModelCheckpoint ckpt;
@@ -861,12 +707,7 @@ struct AsyncPsTrainer::ThreadRuntime {
       ckpt.committed_batches = t->committed_;
       ckpt.batches_duplicated = t->result_.batches_duplicated;
       ckpt.times_trained = t->result_.times_trained;
-      std::vector<ShardProgress> progress;
-      progress.reserve(inflight.size());
-      for (const InFlight& entry : inflight) {
-        progress.push_back({entry.shard_index, entry.processed});
-      }
-      ckpt.queue = t->queue_->SnapshotState(progress);
+      ckpt.queue = t->queue_->SnapshotState();
       t->model_->ExportState(&ckpt.model);
     }
     ++stats.checkpoints_taken;
@@ -911,13 +752,9 @@ struct AsyncPsTrainer::ThreadRuntime {
     const Status s = t->model_->ImportState(ckpt->model);
     assert(s.ok());
     (void)s;
+    // Retires every outstanding index: a worker still holding a
+    // pre-restore shard fails its next RecordProgress and drops it.
     t->queue_->RestoreState(ckpt->queue);
-    // Bump the epoch only once the queue is restored. Workers read the
-    // epoch with no lock before they wait for a shard; one that saw the new
-    // epoch while the old queue still served could register an old shard
-    // under it, and those batches would be trained again when the restored
-    // queue serves them.
-    epoch.fetch_add(1);
     if (t->committed_ > ckpt->committed_batches) {
       stats.batches_rolled_back += t->committed_ - ckpt->committed_batches;
     }
@@ -926,9 +763,6 @@ struct AsyncPsTrainer::ThreadRuntime {
     t->result_.times_trained = ckpt->times_trained;
     t->result_.batches_duplicated = ckpt->batches_duplicated;
     last_eval = std::min(last_eval, t->committed_);
-    // Every in-flight shard predates the restore; owners will notice their
-    // stale epoch and abandon. The restored queue re-serves the data.
-    inflight.clear();
     ++stats.restores;
   }
 
@@ -961,7 +795,7 @@ struct AsyncPsTrainer::ThreadRuntime {
         }
         dead = monitor.DetectFailures(now);
       }
-      for (uint64_t member : dead) FenceAndReclaim(member, /*replace=*/true);
+      for (uint64_t member : dead) FenceAndReclaim(member);
       const uint64_t now_committed = committed_approx.load();
       if (now_committed >= last_ckpt &&
           now_committed - last_ckpt >=
@@ -1008,18 +842,14 @@ struct AsyncPsTrainer::ThreadRuntime {
     }
 
     if (opts.drain_remainder) {
-      // Every worker has exited; whatever the registry still holds belongs
-      // to the dead. Return the unprocessed remainders, then train the
-      // leftovers inline (a fresh worker no event or fault can touch).
+      // Every worker has exited; whatever shards they still hold belong to
+      // the dead. Return the unrecorded remainders and complete the lost
+      // reports, then train the leftovers inline (a fresh worker no fault
+      // can touch).
       {
         std::lock_guard<std::mutex> lock(state_mu);
-        for (const InFlight& entry : inflight) {
-          const Status s =
-              t->queue_->ReportFailed(entry.shard, entry.processed);
-          assert(s.ok() || s.code() == StatusCode::kNotFound);
-          (void)s;
-        }
-        inflight.clear();
+        for (const auto& c : ctls) ReturnShardLocked(*c);
+        t->queue_->CompleteFullyRecorded();
       }
       while (!t->queue_->AllDone()) {
         auto ctl = std::make_shared<WorkerCtl>();

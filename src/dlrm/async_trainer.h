@@ -70,14 +70,13 @@ struct AsyncTrainerOptions {
   ExecMode exec_mode = ExecMode::kTicks;
   /// kThreads only: pool size; 0 = one thread per initial worker.
   int num_threads = 0;
-  /// kThreads only: per-batch stall injected into stragglers,
-  /// microseconds at speed 1.0 (scaled by 1/speed for the victim).
-  int straggler_stall_us = 200;
   /// kDynamicSharding consumes via a ShardQueue with exactly-once
   /// semantics; kStaticPartition emulates the conventional frameworks the
   /// paper criticizes — elastic events re-partition naively, duplicating
   /// already-trained batches, and crashes skip in-flight data.
   DataMode data_mode = DataMode::kDynamicSharding;
+  /// kTicks only: scripted events. kThreads with events falls back to
+  /// kTicks, as it does for kStaticPartition.
   std::vector<ElasticEvent> events;
   uint64_t eval_every_batches = 250;
   /// Test set: indices [eval_start, eval_start + eval_size), disjoint from
@@ -127,7 +126,7 @@ struct PhaseBreakdown {
   double pull_s = 0.0;         // data gen + dense copy + sparse gather
   double compute_s = 0.0;      // forward/backward
   double push_s = 0.0;         // gradient application (dense + sharded sparse)
-  double commit_wait_s = 0.0;  // acquiring the shared commit gate
+  double commit_wait_s = 0.0;  // shared commit gate + queue progress record
   double lock_wait_s = 0.0;    // state_mu acquisition + commit bookkeeping
   double queue_wait_s = 0.0;   // blocked on the shard queue
   uint64_t batches = 0;        // batches these timings cover
@@ -164,9 +163,8 @@ struct TrainResult {
 /// the Fig 8 "elasticity preserves convergence" experiment.
 ///
 /// ExecMode::kThreads swaps the tick simulation for real pool threads
-/// (dynamic sharding only); elastic events still fire at their committed
-/// batch counts, implemented as stop/crash flags the workers observe at
-/// batch boundaries.
+/// (dynamic sharding, no scripted events); its faults come from the chaos
+/// injector and its recovery from the fault-tolerance supervisor.
 class AsyncPsTrainer {
  public:
   AsyncPsTrainer(MiniDlrm* model, const CriteoSynth* data,
@@ -195,8 +193,8 @@ class AsyncPsTrainer {
   };
 
   /// Shared state + logic of the threaded execution mode (defined in the
-  /// .cc): worker control blocks, the in-flight shard registry, the commit
-  /// gate and the fault-tolerance supervisor.
+  /// .cc): worker control blocks, the commit gate and the fault-tolerance
+  /// supervisor.
   struct ThreadRuntime;
 
   bool FetchWork(Worker& worker);

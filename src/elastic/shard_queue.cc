@@ -32,7 +32,7 @@ StatusOr<DataShard> ShardQueue::NextShardLocked(uint64_t max_batches) {
     // Fresh index per dispatch: a late report from the worker that failed
     // this range earlier must not be able to complete the re-served copy.
     shard.index = next_index_++;
-    outstanding_.push_back(shard);
+    outstanding_.push_back({shard, 0});
     return shard;
   }
 
@@ -44,7 +44,7 @@ StatusOr<DataShard> ShardQueue::NextShardLocked(uint64_t max_batches) {
   shard.start_batch = cursor_;
   shard.end_batch = std::min(cursor_ + want, options_.total_batches);
   cursor_ = shard.end_batch;
-  outstanding_.push_back(shard);
+  outstanding_.push_back({shard, 0});
   return shard;
 }
 
@@ -74,47 +74,79 @@ StatusOr<DataShard> ShardQueue::WaitNextShardFor(double timeout_seconds,
   }
 }
 
+std::vector<ShardQueue::Outstanding>::iterator ShardQueue::FindLocked(
+    uint64_t shard_index) {
+  return std::find_if(
+      outstanding_.begin(), outstanding_.end(),
+      [&](const Outstanding& o) { return o.shard.index == shard_index; });
+}
+
+void ShardQueue::RetireLocked(std::vector<Outstanding>::iterator it,
+                              uint64_t done) {
+  const DataShard owned = it->shard;
+  *it = outstanding_.back();
+  outstanding_.pop_back();
+  done = std::min(done, owned.batches());
+  completed_batches_ += done;
+  if (done < owned.batches()) {
+    DataShard rest;
+    rest.index = next_index_++;
+    rest.start_batch = owned.start_batch + done;
+    rest.end_batch = owned.end_batch;
+    requeued_.push_back(rest);
+  }
+  // Wake blocked workers: the remainder is servable, or the run may be
+  // over — notify_all keeps the logic simple and exits are cheap.
+  cv_.notify_all();
+}
+
 Status ShardQueue::ReportCompleted(const DataShard& shard) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = std::find_if(
-      outstanding_.begin(), outstanding_.end(),
-      [&](const DataShard& s) { return s.index == shard.index; });
+  auto it = FindLocked(shard.index);
   if (it == outstanding_.end()) {
     return NotFoundError("completion for unknown shard");
   }
-  completed_batches_ += it->batches();
-  *it = outstanding_.back();
-  outstanding_.pop_back();
-  // Wake blocked workers: either terminal (all done) or, if this was the
-  // last outstanding shard with data still queued, nothing changes for
-  // them — notify_all keeps the logic simple and exits are cheap.
-  cv_.notify_all();
+  RetireLocked(it, it->shard.batches());
   return Status::OK();
 }
 
 Status ShardQueue::ReportFailed(const DataShard& shard,
                                 uint64_t processed_batches) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = std::find_if(
-      outstanding_.begin(), outstanding_.end(),
-      [&](const DataShard& s) { return s.index == shard.index; });
+  auto it = FindLocked(shard.index);
   if (it == outstanding_.end()) {
     return NotFoundError("failure report for unknown shard");
   }
-  DataShard owned = *it;
-  *it = outstanding_.back();
-  outstanding_.pop_back();
-  processed_batches = std::min(processed_batches, owned.batches());
-  completed_batches_ += processed_batches;
-  if (processed_batches < owned.batches()) {
-    DataShard rest;
-    rest.index = next_index_++;
-    rest.start_batch = owned.start_batch + processed_batches;
-    rest.end_batch = owned.end_batch;
-    requeued_.push_back(rest);
-  }
-  cv_.notify_all();
+  RetireLocked(it, std::max(processed_batches, it->recorded));
   return Status::OK();
+}
+
+Status ShardQueue::RecordProgress(uint64_t shard_index) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = FindLocked(shard_index);
+  if (it == outstanding_.end()) {
+    return NotFoundError("progress for unknown shard");
+  }
+  if (it->recorded >= it->shard.batches()) {
+    return FailedPreconditionError("every batch of the shard is recorded");
+  }
+  ++it->recorded;
+  return Status::OK();
+}
+
+uint64_t ShardQueue::CompleteFullyRecorded() {
+  std::lock_guard<std::mutex> lock(mu_);
+  uint64_t completed = 0;
+  for (size_t i = 0; i < outstanding_.size();) {
+    if (outstanding_[i].recorded == outstanding_[i].shard.batches()) {
+      // Swap-pop moves the last entry into slot i; look at it next.
+      RetireLocked(outstanding_.begin() + i, outstanding_[i].recorded);
+      ++completed;
+    } else {
+      ++i;
+    }
+  }
+  return completed;
 }
 
 uint64_t ShardQueue::completed_batches() const {
@@ -124,7 +156,7 @@ uint64_t ShardQueue::completed_batches() const {
 
 uint64_t ShardQueue::OutstandingBatchesLocked() const {
   uint64_t total = 0;
-  for (const DataShard& shard : outstanding_) total += shard.batches();
+  for (const Outstanding& o : outstanding_) total += o.shard.batches();
   return total;
 }
 
@@ -148,25 +180,17 @@ void ShardQueue::FastForwardTo(uint64_t batches) {
   cv_.notify_all();
 }
 
-ShardQueueSnapshot ShardQueue::SnapshotState(
-    const std::vector<ShardProgress>& in_flight) const {
+ShardQueueSnapshot ShardQueue::SnapshotState() const {
   std::lock_guard<std::mutex> lock(mu_);
   ShardQueueSnapshot snap;
   snap.cursor = cursor_;
   snap.completed_batches = completed_batches_;
   snap.pending.assign(requeued_.begin(), requeued_.end());
-  for (const DataShard& shard : outstanding_) {
-    uint64_t processed = 0;
-    for (const ShardProgress& p : in_flight) {
-      if (p.shard_index == shard.index) {
-        processed = std::min(p.processed_batches, shard.batches());
-        break;
-      }
-    }
-    snap.completed_batches += processed;
-    if (processed < shard.batches()) {
-      DataShard rest = shard;
-      rest.start_batch += processed;
+  for (const Outstanding& o : outstanding_) {
+    snap.completed_batches += o.recorded;
+    if (o.recorded < o.shard.batches()) {
+      DataShard rest = o.shard;
+      rest.start_batch += o.recorded;
       snap.pending.push_back(rest);
     }
   }

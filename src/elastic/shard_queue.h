@@ -22,14 +22,6 @@ struct DataShard {
   uint64_t batches() const { return end_batch - start_batch; }
 };
 
-/// Per-shard progress a trainer reports when snapshotting the queue: how
-/// many prefix batches of an outstanding shard are already reflected in
-/// committed model state (and must not be re-served after a restore).
-struct ShardProgress {
-  uint64_t shard_index = 0;
-  uint64_t processed_batches = 0;
-};
-
 /// A consistent cut of the queue's data-consumption state, suitable for
 /// embedding in a model checkpoint. `pending` holds every batch range that
 /// still needs serving (re-queued remainders plus the unprocessed suffix of
@@ -64,6 +56,12 @@ struct ShardQueueOptions {
 /// from a worker that was already presumed dead (the report-after-timeout
 /// double-dispatch hazard) names a retired index and is rejected instead of
 /// double-counting the re-served data.
+///
+/// Each outstanding shard carries its committed prefix (paper §5.1: the
+/// master tracks every shard's progress offset). A trainer records each
+/// batch with RecordProgress before it pushes the batch's update; snapshots,
+/// failure reports and reclaims all read that prefix, so the queue is the
+/// only record of in-flight work.
 class ShardQueue {
  public:
   explicit ShardQueue(const ShardQueueOptions& options);
@@ -90,10 +88,23 @@ class ShardQueue {
   Status ReportCompleted(const DataShard& shard);
 
   /// Returns a shard delivered to a failed worker back to the queue.
-  /// `processed_batches` of its prefix are counted as done (they were
-  /// reflected in committed gradients before the failure); the remainder is
-  /// re-served. Passing 0 re-queues the whole shard.
+  /// max(`processed_batches`, recorded prefix) batches of its prefix are
+  /// counted as done (they were reflected in committed gradients before the
+  /// failure); the remainder is re-served. A caller that records progress
+  /// passes 0; one that does not (the simulated job) passes its own count.
   Status ReportFailed(const DataShard& shard, uint64_t processed_batches = 0);
+
+  /// Adds one batch to the committed prefix of outstanding shard
+  /// `shard_index`. Returns kNotFound once the index is retired (completed,
+  /// failed, or dropped by a restore): the caller's shard is stale and its
+  /// update must not be applied. FailedPrecondition when every batch of the
+  /// shard is already recorded.
+  Status RecordProgress(uint64_t shard_index);
+
+  /// Credits every outstanding shard whose batches are all recorded as
+  /// completed, as if its report had arrived (a lost or late completion
+  /// report). Returns how many shards it completed.
+  uint64_t CompleteFullyRecorded();
 
   /// Batches fully processed so far.
   uint64_t completed_batches() const;
@@ -110,14 +121,12 @@ class ShardQueue {
   /// data consumption must roll back with them to stay consistent.
   void FastForwardTo(uint64_t batches);
 
-  /// Captures a consistent cut of data consumption for checkpointing.
-  /// `in_flight` carries the committed prefix length of each outstanding
-  /// shard (per the trainer's registry); batches beyond those prefixes —
-  /// and every re-queued range — land in `pending` so they are re-served
-  /// after a restore. The snapshot satisfies
+  /// Captures a consistent cut of data consumption for checkpointing. Each
+  /// outstanding shard's recorded prefix counts as completed; batches
+  /// beyond it — and every re-queued range — land in `pending` so they are
+  /// re-served after a restore. The snapshot satisfies
   ///   completed + sum(pending) + (total - cursor) == total.
-  ShardQueueSnapshot SnapshotState(
-      const std::vector<ShardProgress>& in_flight = {}) const;
+  ShardQueueSnapshot SnapshotState() const;
 
   /// Resets the queue to a snapshot taken by SnapshotState. Outstanding
   /// shards are dropped (their unprocessed suffixes are in `pending`);
@@ -130,7 +139,17 @@ class ShardQueue {
   Status CheckInvariants() const;
 
  private:
+  /// A dispatched shard and how many of its prefix batches are recorded.
+  struct Outstanding {
+    DataShard shard;
+    uint64_t recorded = 0;
+  };
+
   StatusOr<DataShard> NextShardLocked(uint64_t max_batches);
+  std::vector<Outstanding>::iterator FindLocked(uint64_t shard_index);
+  /// Credits `done` batches of the outstanding entry at `it` (requeueing
+  /// the rest under a fresh index), removes the entry and wakes waiters.
+  void RetireLocked(std::vector<Outstanding>::iterator it, uint64_t done);
   uint64_t OutstandingBatchesLocked() const;
   bool ServableLocked() const;
 
@@ -145,7 +164,7 @@ class ShardQueue {
   /// A flat vector with linear find + swap-pop beats a map here and — the
   /// real point — reuses its capacity, so the steady-state dispatch path
   /// stops allocating a map node per served shard.
-  std::vector<DataShard> outstanding_;
+  std::vector<Outstanding> outstanding_;
 };
 
 }  // namespace dlrover

@@ -93,7 +93,6 @@ void JobMaster::Tick() {
   // everything a replacement needs to take over is the plan watermark; the
   // rest of the master's working state is rebuilt from the job itself.
   snapshot_last_plan_seq_ = volatile_last_plan_seq_;
-  if (options_.failure_detection) job_->ReapSilentWorkers();
   job_->EvacuateDrainingPods();
   if (options_.straggler_mitigation) job_->MitigateStragglers();
   if (options_.oom_prevention) job_->MaybePreventOom();

@@ -14,10 +14,6 @@ namespace dlrover {
 struct JobMasterOptions {
   bool straggler_mitigation = true;
   bool oom_prevention = true;
-  /// Reap workers whose pods run but stopped heartbeating (see
-  /// TrainingJob::ReapSilentWorkers). Off by default: killing pods on
-  /// heartbeat evidence alone is a policy the experiment must opt into.
-  bool failure_detection = false;
 };
 
 /// The job-level agent (paper Fig 4): owns the profiler/executor loop for

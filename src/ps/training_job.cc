@@ -888,29 +888,6 @@ int TrainingJob::MitigateStragglers() {
   return mitigated;
 }
 
-int TrainingJob::ReapSilentWorkers() {
-  if (state_ != JobState::kRunning || paused_ ||
-      transition_.kind != TransitionKind::kNone) {
-    return 0;
-  }
-  const std::vector<uint64_t> silent = monitor_.DetectFailures(sim_->Now());
-  int reaped = 0;
-  for (uint64_t member : silent) {
-    for (auto& w : workers_) {
-      if (static_cast<uint64_t>(w->index) != member) continue;
-      if (w->retired || !w->pod_running) break;
-      // The pod claims Running but reports nothing — half-dead. Kill it;
-      // OnWorkerStopped treats the owner-kill of a non-retired member as a
-      // crash, so the shard is requeued with partial credit and the worker
-      // replaced through the normal path.
-      cluster_->KillPod(w->pod);
-      ++reaped;
-      break;
-    }
-  }
-  return reaped;
-}
-
 TrainingJob::WorkerState* TrainingJob::FindWorkerByIndex(int index) {
   for (auto& w : workers_) {
     if (w->index == index) return w.get();

@@ -212,13 +212,6 @@ class TrainingJob {
   /// Returns true if a pre-scaling migration was initiated.
   bool MaybePreventOom();
 
-  /// Kills workers whose pods are nominally Running but have been silent
-  /// (no heartbeat) beyond the monitor's failure timeout — the half-dead
-  /// pods the paper's job master reaps. The kill funnels through the normal
-  /// crash path, so the shard is requeued with partial credit and the
-  /// worker is replaced. Returns how many were reaped.
-  int ReapSilentWorkers();
-
   /// Make-before-break evacuation of pods on draining (cordoned) nodes. A
   /// draining PS triggers a whole-deployment seamless migration (staged pods
   /// land off the node because placement excludes cordoned nodes); draining

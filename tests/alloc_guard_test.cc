@@ -154,11 +154,11 @@ TEST(AllocGuardTest, EmbStoreFirstTouchIsAllocationFree) {
 }
 
 TEST(AllocGuardTest, WarmShardQueueDispatchCycleIsAllocationFree) {
-  // The per-shard piece of the threaded hot loop: dispatch a shard, report
-  // it completed. After a few cycles warm the outstanding-registry capacity,
-  // the steady-state dispatch/complete cycle must not allocate. (The
-  // failure/requeue path is exempt — it only runs on elastic events and
-  // crashes, never per healthy shard.)
+  // The per-shard piece of the threaded hot loop: dispatch a shard, record
+  // each of its batches, report it completed. After a few cycles warm the
+  // outstanding-registry capacity, the steady-state dispatch/record/complete
+  // cycle must not allocate. (The failure/requeue path is exempt — it only
+  // runs on elastic events and crashes, never per healthy shard.)
   ShardQueueOptions options;
   options.total_batches = 16384;
   options.default_shard_batches = 16;
@@ -168,6 +168,9 @@ TEST(AllocGuardTest, WarmShardQueueDispatchCycleIsAllocationFree) {
     for (int i = 0; i < n; ++i) {
       auto shard = queue.NextShard();
       ASSERT_TRUE(shard.ok());
+      for (uint64_t b = 0; b < shard->batches(); ++b) {
+        ASSERT_TRUE(queue.RecordProgress(shard->index).ok());
+      }
       ASSERT_TRUE(queue.ReportCompleted(*shard).ok());
     }
   };
@@ -176,8 +179,8 @@ TEST(AllocGuardTest, WarmShardQueueDispatchCycleIsAllocationFree) {
   cycle(512);
   const uint64_t after = AllocationCount();
   EXPECT_EQ(after - before, 0u)
-      << "shard dispatch/complete cycle allocated " << (after - before)
-      << " times";
+      << "shard dispatch/record/complete cycle allocated "
+      << (after - before) << " times";
 }
 
 TEST(AllocGuardTest, WarmPlacementIndexOpsAreAllocationFree) {

@@ -112,8 +112,8 @@ TEST_P(ShardQueueChaosTest, ExactlyOnceUnderRandomFailures) {
     for (uint64_t b = begin; b < end; ++b) ++(*done)[b];
   };
 
-  // A checkpoint: the queue cut with every worker's pushed prefix, and the
-  // oracle as of that cut (those prefixes count as done).
+  // A checkpoint: the queue cut, which counts every worker's recorded
+  // prefix as done, and the oracle as of that cut.
   std::optional<ShardQueueSnapshot> snapshot;
   std::map<uint64_t, int> snapshot_done;
   int restores = 0;
@@ -121,15 +121,13 @@ TEST_P(ShardQueueChaosTest, ExactlyOnceUnderRandomFailures) {
   int steps = 0;
   while (!queue.AllDone() && steps++ < 200000) {
     if (!snapshot.has_value() && rng.Bernoulli(0.002)) {
-      std::vector<ShardProgress> in_flight;
       snapshot_done = times_done;
       for (const Worker& w : workers) {
         if (!w.shard.has_value()) continue;
-        in_flight.push_back({w.shard->index, w.pos});
         credit(&snapshot_done, w.shard->start_batch,
                w.shard->start_batch + w.pos);
       }
-      snapshot = queue.SnapshotState(in_flight);
+      snapshot = queue.SnapshotState();
     } else if (snapshot.has_value() && restores < 8 && rng.Bernoulli(0.002)) {
       // Roll back: the queue and the oracle return to the cut, and every
       // shard handed out before it is stale.
@@ -139,6 +137,8 @@ TEST_P(ShardQueueChaosTest, ExactlyOnceUnderRandomFailures) {
       ++restores;
       for (Worker& w : workers) {
         if (!w.shard.has_value()) continue;
+        EXPECT_EQ(queue.RecordProgress(w.shard->index).code(),
+                  StatusCode::kNotFound);
         EXPECT_EQ(queue.ReportCompleted(*w.shard).code(),
                   StatusCode::kNotFound);
         EXPECT_EQ(queue.ReportFailed(*w.shard, w.pos).code(),
@@ -159,12 +159,16 @@ TEST_P(ShardQueueChaosTest, ExactlyOnceUnderRandomFailures) {
     }
     const double dice = rng.Uniform();
     if (dice < 0.05) {
-      // Worker crashes: partial credit for what it pushed already.
+      // Worker crashes: partial credit for what it recorded already. An
+      // even prefix is named in the report; an odd one is left to the
+      // queue's record.
       credit(&times_done, worker.shard->start_batch,
              worker.shard->start_batch + worker.pos);
-      ASSERT_TRUE(queue.ReportFailed(*worker.shard, worker.pos).ok());
+      const uint64_t reported = worker.pos % 2 == 0 ? worker.pos : 0;
+      ASSERT_TRUE(queue.ReportFailed(*worker.shard, reported).ok());
       worker.shard.reset();
     } else if (worker.pos < worker.shard->batches()) {
+      ASSERT_TRUE(queue.RecordProgress(worker.shard->index).ok());
       ++worker.pos;
     } else {
       credit(&times_done, worker.shard->start_batch, worker.shard->end_batch);
@@ -234,8 +238,10 @@ TEST(ShardQueueTest, SnapshotAccountsInFlightPrefixes) {
   ASSERT_TRUE(in_flight.ok());
 
   // 20 of the outstanding shard's 50 batches are already committed.
-  const std::vector<ShardProgress> progress = {{in_flight->index, 20}};
-  const ShardQueueSnapshot snapshot = queue.SnapshotState(progress);
+  for (int b = 0; b < 20; ++b) {
+    ASSERT_TRUE(queue.RecordProgress(in_flight->index).ok());
+  }
+  const ShardQueueSnapshot snapshot = queue.SnapshotState();
   EXPECT_EQ(snapshot.completed_batches, 70u);
   ASSERT_EQ(snapshot.pending.size(), 1u);
   EXPECT_EQ(snapshot.pending[0].start_batch, 70u);
@@ -250,8 +256,10 @@ TEST(ShardQueueTest, RestoreStateResumesExactlyOnceFromTheCut) {
   ASSERT_TRUE(source.ReportCompleted(*first).ok());
   auto second = source.NextShard();
   ASSERT_TRUE(second.ok());
-  const ShardQueueSnapshot snapshot =
-      source.SnapshotState({{second->index, 10}});
+  for (int b = 0; b < 10; ++b) {
+    ASSERT_TRUE(source.RecordProgress(second->index).ok());
+  }
+  const ShardQueueSnapshot snapshot = source.SnapshotState();
 
   ShardQueue restored(SmallQueue(200, 50));
   restored.RestoreState(snapshot);
@@ -275,6 +283,109 @@ TEST(ShardQueueTest, RestoreStateResumesExactlyOnceFromTheCut) {
 
   // Stale indices from the pre-restore lineage bounce off harmlessly.
   EXPECT_EQ(restored.ReportCompleted(*second).code(), StatusCode::kNotFound);
+}
+
+// Records `n` batches of outstanding shard `index`.
+void Record(ShardQueue* queue, uint64_t index, uint64_t n) {
+  for (uint64_t b = 0; b < n; ++b) {
+    ASSERT_TRUE(queue->RecordProgress(index).ok());
+  }
+}
+
+TEST(ShardQueueTest, ShardDispatchedBeforeRestoreCannotRecordAfterIt) {
+  // A worker that took its shard before a restore must not push into the
+  // restored model: its index is retired, so RecordProgress — which the
+  // trainer calls before every push — refuses it.
+  ShardQueue queue(SmallQueue(100, 20));
+  const ShardQueueSnapshot cut = queue.SnapshotState();
+  auto held = queue.NextShard();
+  ASSERT_TRUE(held.ok());
+  Record(&queue, held->index, 5);
+  queue.RestoreState(cut);
+  EXPECT_EQ(queue.RecordProgress(held->index).code(), StatusCode::kNotFound);
+  EXPECT_EQ(queue.ReportCompleted(*held).code(), StatusCode::kNotFound);
+  EXPECT_EQ(queue.ReportFailed(*held, 5).code(), StatusCode::kNotFound);
+  EXPECT_EQ(queue.completed_batches(), 0u);
+  // The restored queue serves the held range again, under a fresh index.
+  auto again = queue.NextShard();
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->start_batch, held->start_batch);
+  EXPECT_NE(again->index, held->index);
+  ASSERT_TRUE(queue.CheckInvariants().ok());
+}
+
+TEST(ShardQueueTest, SnapshotBetweenLastRecordAndCompletionCountsOnce) {
+  // The checkpoint cut can fall after a shard's last batch is recorded and
+  // before its completion report. It must count those batches exactly
+  // once, and so must a cut after the report.
+  ShardQueue queue(SmallQueue(100, 20));
+  auto shard = queue.NextShard();
+  ASSERT_TRUE(shard.ok());
+  Record(&queue, shard->index, shard->batches());
+  const ShardQueueSnapshot before = queue.SnapshotState();
+  EXPECT_EQ(before.completed_batches, 20u);
+  EXPECT_TRUE(before.pending.empty());
+  ASSERT_TRUE(queue.ReportCompleted(*shard).ok());
+  const ShardQueueSnapshot after = queue.SnapshotState();
+  EXPECT_EQ(after.completed_batches, 20u);
+  EXPECT_TRUE(after.pending.empty());
+  EXPECT_EQ(after.cursor, before.cursor);
+
+  // Restoring the first cut never re-serves the recorded batches.
+  ShardQueue restored(SmallQueue(100, 20));
+  restored.RestoreState(before);
+  uint64_t served = 0;
+  for (auto next = restored.NextShard(); next.ok();
+       next = restored.NextShard()) {
+    EXPECT_GE(next->start_batch, 20u);
+    served += next->batches();
+    ASSERT_TRUE(restored.ReportCompleted(*next).ok());
+  }
+  EXPECT_EQ(served, 80u);
+  EXPECT_TRUE(restored.AllDone());
+}
+
+TEST(ShardQueueTest, ReportFailedCreditsTheLargerOfExplicitAndRecorded) {
+  ShardQueue queue(SmallQueue(40, 20));
+  auto recorded_more = queue.NextShard();
+  auto explicit_more = queue.NextShard();
+  ASSERT_TRUE(recorded_more.ok() && explicit_more.ok());
+  Record(&queue, recorded_more->index, 5);
+  Record(&queue, explicit_more->index, 2);
+  ASSERT_TRUE(queue.ReportFailed(*recorded_more, 3).ok());
+  EXPECT_EQ(queue.completed_batches(), 5u);
+  ASSERT_TRUE(queue.ReportFailed(*explicit_more, 7).ok());
+  EXPECT_EQ(queue.completed_batches(), 12u);
+  // The remainders come back from the first unaccounted batch.
+  auto rest = queue.NextShard();
+  ASSERT_TRUE(rest.ok());
+  EXPECT_EQ(rest->start_batch, recorded_more->start_batch + 5);
+  rest = queue.NextShard();
+  ASSERT_TRUE(rest.ok());
+  EXPECT_EQ(rest->start_batch, explicit_more->start_batch + 7);
+  ASSERT_TRUE(queue.CheckInvariants().ok());
+}
+
+TEST(ShardQueueTest, CompleteFullyRecordedCreditsOnlyFinishedShards) {
+  // A lost completion report leaves a fully recorded shard outstanding;
+  // one call credits it and leaves partly recorded shards alone.
+  ShardQueue queue(SmallQueue(60, 20));
+  auto finished = queue.NextShard();
+  auto partial = queue.NextShard();
+  ASSERT_TRUE(finished.ok() && partial.ok());
+  Record(&queue, finished->index, finished->batches());
+  EXPECT_EQ(queue.RecordProgress(finished->index).code(),
+            StatusCode::kFailedPrecondition);
+  Record(&queue, partial->index, 19);
+  EXPECT_EQ(queue.CompleteFullyRecorded(), 1u);
+  EXPECT_EQ(queue.completed_batches(), 20u);
+  EXPECT_EQ(queue.outstanding_batches(), 20u);
+  EXPECT_EQ(queue.ReportCompleted(*finished).code(), StatusCode::kNotFound);
+  EXPECT_EQ(queue.CompleteFullyRecorded(), 0u);
+  ASSERT_TRUE(queue.RecordProgress(partial->index).ok());
+  EXPECT_EQ(queue.CompleteFullyRecorded(), 1u);
+  EXPECT_EQ(queue.completed_batches(), 40u);
+  ASSERT_TRUE(queue.CheckInvariants().ok());
 }
 
 TEST(HeartbeatMonitorTest, DetectsSilentMemberAsFailed) {

@@ -52,32 +52,6 @@ TEST(JobMasterTest, MitigatesInjectedStraggler) {
   EXPECT_GE(setup.job->stats().stragglers_mitigated, 1);
 }
 
-TEST(JobMasterTest, FailureDetectionReapsSilentWorker) {
-  TestSetup setup;
-  JobMasterOptions options;
-  options.failure_detection = true;
-  options.straggler_mitigation = false;
-  JobMaster master(&setup.sim, setup.job.get(), options);
-  master.Start();
-  setup.sim.RunUntil(Minutes(5));
-  ASSERT_EQ(setup.job->state(), JobState::kRunning);
-  PodId victim = 0;
-  setup.cluster->VisitPods([&](const Pod& pod) {
-    if (victim == 0 && pod.phase == PodPhase::kRunning &&
-        pod.spec.name.find("-worker-") != std::string::npos) {
-      victim = pod.id;
-    }
-  });
-  ASSERT_NE(victim, 0u);
-  // Near-zero speed: the pod stays Running but stops heartbeating. The
-  // master's failure-detection tick must kill and replace it.
-  setup.cluster->DegradePod(victim, 1e-4);
-  setup.sim.RunUntil(setup.sim.Now() + Minutes(20));
-  EXPECT_GE(setup.job->stats().worker_failures, 1);
-  setup.sim.RunUntil(Hours(8));
-  EXPECT_EQ(setup.job->state(), JobState::kCompleted);
-}
-
 TEST(JobMasterTest, OomGuardPreScalesMemory) {
   TestSetup setup(/*steps=*/100000, /*ps_memory=*/GiB(5));
   JobMaster master(&setup.sim, setup.job.get());

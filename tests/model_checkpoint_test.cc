@@ -270,7 +270,10 @@ TEST(ModelStateTest, RandomlyDamagedCheckpointsAreNeverTrustedOrHalfApplied) {
   const DataShard first = queue.NextShard().value();
   const DataShard second = queue.NextShard().value();
   ASSERT_TRUE(queue.ReportCompleted(first).ok());
-  good.queue = queue.SnapshotState({{second.index, 3}});
+  for (int b = 0; b < 3; ++b) {
+    ASSERT_TRUE(queue.RecordProgress(second.index).ok());
+  }
+  good.queue = queue.SnapshotState();
   good.committed_batches = good.queue.completed_batches;
   good.times_trained.assign(64, 0);
   for (uint64_t b = 0; b < good.committed_batches; ++b) {

@@ -328,30 +328,6 @@ TEST(TrainingJobTest, StopAndRestartMigrationFlushesFlashCache) {
   EXPECT_GT(job.flash_cache().flushed_bytes(), 0.0);
 }
 
-TEST(TrainingJobTest, ReapSilentWorkersReplacesHalfDeadPod) {
-  Simulator sim;
-  Cluster cluster(&sim, SmallCluster());
-  TrainingJob job(&sim, &cluster, QuickSpec(60000), TunedConfig());
-  job.Start();
-  sim.RunUntil(Minutes(5));
-  ASSERT_EQ(job.state(), JobState::kRunning);
-  EXPECT_EQ(job.ReapSilentWorkers(), 0) << "healthy fleet: nothing to reap";
-
-  // Degrade one worker pod to near-zero speed: the pod stays Running but
-  // will never finish another shard, so its heartbeats stop — the
-  // half-dead failure mode heartbeat timeouts exist for.
-  const std::vector<PodId> targets = RunningPods(cluster);
-  ASSERT_FALSE(targets.empty());
-  cluster.DegradePod(targets.front(), 1e-4);
-  sim.RunUntil(sim.Now() + Minutes(10));
-  EXPECT_EQ(job.ReapSilentWorkers(), 1);
-  sim.RunUntil(Hours(6));
-  ASSERT_EQ(job.state(), JobState::kCompleted);
-  EXPECT_EQ(job.batches_done(), 60000u);
-  EXPECT_EQ(job.stats().worker_failures, 1);
-  EXPECT_EQ(job.stats().full_restarts, 0);
-}
-
 TEST(TrainingJobTest, StragglerMitigationShrinksShards) {
   Simulator sim;
   Cluster cluster(&sim, SmallCluster());

@@ -62,6 +62,10 @@ void ThreadPoolSmoke() {
   CHECK_TRUE(sum.load() == 500500);
 }
 
+// Workers record every batch, then complete or fail their shards (failure
+// reports name the recorded prefix or leave it to the queue), while a
+// checkpointer takes snapshots of the same queue and checks that each one
+// accounts for every batch exactly once.
 void ShardQueueSmoke() {
   constexpr uint64_t kTotal = 4000;
   ShardQueueOptions options;
@@ -71,6 +75,17 @@ void ShardQueueSmoke() {
   ShardQueue queue(options);
 
   std::vector<std::atomic<uint32_t>> done(kTotal);
+  std::atomic<bool> workers_done{false};
+  std::thread checkpointer([&queue, &workers_done]() {
+    while (!workers_done.load()) {
+      const ShardQueueSnapshot snap = queue.SnapshotState();
+      uint64_t pending = 0;
+      for (const DataShard& range : snap.pending) pending += range.batches();
+      CHECK_TRUE(snap.completed_batches + pending + (kTotal - snap.cursor) ==
+                 kTotal);
+      std::this_thread::yield();
+    }
+  });
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&queue, &done, t]() {
@@ -84,16 +99,20 @@ void ShardQueueSmoke() {
         const uint64_t processed =
             fail ? (n >> 17) % (shard->batches() + 1) : shard->batches();
         for (uint64_t b = 0; b < processed; ++b) {
+          CHECK_TRUE(queue.RecordProgress(shard->index).ok());
           done[shard->start_batch + b].fetch_add(1);
         }
+        const uint64_t reported = (n >> 40) % 2 == 0 ? processed : 0;
         const Status s = fail && processed < shard->batches()
-                             ? queue.ReportFailed(*shard, processed)
+                             ? queue.ReportFailed(*shard, reported)
                              : queue.ReportCompleted(*shard);
         CHECK_TRUE(s.ok());
       }
     });
   }
   for (std::thread& t : threads) t.join();
+  workers_done.store(true);
+  checkpointer.join();
   CHECK_TRUE(queue.AllDone());
   CHECK_TRUE(queue.CheckInvariants().ok());
   for (uint64_t b = 0; b < kTotal; ++b) CHECK_TRUE(done[b].load() == 1);
