@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <utility>
 
 namespace dlrover {
@@ -56,7 +57,10 @@ bool ControlChannel::Severed(ControlEndpoint src, ControlEndpoint dst,
   return false;
 }
 
-uint32_t ControlChannel::ArmSlot(Message&& msg) {
+uint32_t ControlChannel::ArmSlot(ControlMessageKind kind, ControlEndpoint src,
+                                 ControlEndpoint dst, int dst_master,
+                                 bool reliable, InlineCallback&& deliver,
+                                 InlineCallback&& on_expire) {
   uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -66,11 +70,22 @@ uint32_t ControlChannel::ArmSlot(Message&& msg) {
     slots_.emplace_back();
   }
   Message& m = slots_[slot];
-  const uint32_t gen = m.gen;
-  m = std::move(msg);
-  m.gen = gen;
-  m.armed = true;
+  m.kind = kind;
+  m.src = src;
+  m.dst = dst;
+  m.dst_master = dst_master;
+  m.reliable = reliable;
+  m.acked = false;
+  m.closed = false;
   m.seq = next_seq_++;
+  m.first_send = sim_->Now();
+  m.attempts = 0;
+  m.inflight = 0;
+  m.retry_held = false;
+  m.retry_event = 0;
+  m.deliver = std::move(deliver);
+  m.on_expire = std::move(on_expire);
+  m.armed = true;
   return slot;
 }
 
@@ -90,15 +105,10 @@ void ControlChannel::Close(uint32_t slot) {
 }
 
 void ControlChannel::Send(ControlMessageKind kind, ControlEndpoint src,
-                          ControlEndpoint dst, std::function<void()> deliver) {
-  Message msg;
-  msg.kind = kind;
-  msg.src = src;
-  msg.dst = dst;
-  msg.reliable = false;
-  msg.deliver = std::move(deliver);
-  const uint32_t slot = ArmSlot(std::move(msg));
-  slots_[slot].first_send = sim_->Now();
+                          ControlEndpoint dst, InlineCallback deliver) {
+  const uint32_t slot = ArmSlot(kind, src, dst, /*dst_master=*/-1,
+                                /*reliable=*/false, std::move(deliver),
+                                nullptr);
   Attempt(slot);
   // One shot: whatever copies (if any) made it onto the wire are all there
   // will ever be.
@@ -106,22 +116,12 @@ void ControlChannel::Send(ControlMessageKind kind, ControlEndpoint src,
 }
 
 void ControlChannel::SendReliable(ControlMessageKind kind, ControlEndpoint src,
-                                  ControlEndpoint dst,
-                                  std::function<void()> deliver,
-                                  std::function<void()> on_expire,
-                                  int dst_master) {
-  Message msg;
-  msg.kind = kind;
-  msg.src = src;
-  msg.dst = dst;
-  msg.dst_master = dst_master;
-  msg.reliable = true;
-  msg.deliver = std::move(deliver);
-  msg.on_expire = std::move(on_expire);
-  const uint32_t slot = ArmSlot(std::move(msg));
-  slots_[slot].first_send = sim_->Now();
+                                  ControlEndpoint dst, InlineCallback deliver,
+                                  InlineCallback on_expire, int dst_master) {
+  const uint32_t slot = ArmSlot(kind, src, dst, dst_master, /*reliable=*/true,
+                                std::move(deliver), std::move(on_expire));
   Attempt(slot);
-  if (slots_[slot].retry_event == 0) {
+  if (!options_.retries_enabled) {
     // Retries disabled: the single attempt is all we get and the expiry
     // hook never fires (the unprotected arm's hazard).
     Close(slot);
@@ -136,6 +136,8 @@ void ControlChannel::Attempt(uint32_t slot) {
   const uint64_t seq = m.seq;
   const bool reliable = m.reliable;
 
+  // Arrival of the earliest copy this attempt put on the wire.
+  SimTime first_arrival = std::numeric_limits<SimTime>::infinity();
   if (Severed(m.src, m.dst, /*charge=*/true)) {
     ++stats_.messages_partition_dropped;
     Record(ControlEventKind::kPartitionDropped, static_cast<uint64_t>(kind),
@@ -144,11 +146,11 @@ void ControlChannel::Attempt(uint32_t slot) {
     ++stats_.messages_dropped;
     Record(ControlEventKind::kDropped, static_cast<uint64_t>(kind), seq);
   } else {
-    ScheduleDelivery(slot, /*duplicate_copy=*/false);
+    first_arrival = ScheduleDelivery(slot);
     if (rng_.Bernoulli(options_.duplicate_prob)) {
       ++stats_.messages_duplicated;
       Record(ControlEventKind::kDuplicated, static_cast<uint64_t>(kind), seq);
-      ScheduleDelivery(slot, /*duplicate_copy=*/true);
+      first_arrival = std::min(first_arrival, ScheduleDelivery(slot));
     }
   }
 
@@ -160,13 +162,17 @@ void ControlChannel::Attempt(uint32_t slot) {
     const Duration backoff =
         std::min(options_.retry_base * factor, options_.retry_cap) *
         rng_.Uniform(0.5, 1.5);
-    const uint32_t gen = m2.gen;
-    m2.retry_event = sim_->ScheduleAfter(
-        backoff, [this, slot, gen] { RetryFire(slot, gen); });
+    // The retry takes its time and its place in equal-time order now. A
+    // copy due first holds it back: that copy's delivery either arms it or
+    // drops it (Deliver).
+    m2.retry_held = true;
+    m2.retry_at = sim_->Now() + std::max(0.0, backoff);
+    m2.retry_seq = sim_->ReserveSeq();
+    if (first_arrival >= m2.retry_at) ArmRetry(slot);
   }
 }
 
-void ControlChannel::ScheduleDelivery(uint32_t slot, bool duplicate_copy) {
+SimTime ControlChannel::ScheduleDelivery(uint32_t slot) {
   Message& m = slots_[slot];
   Duration latency = rng_.Uniform(options_.min_latency, options_.max_latency);
   if (rng_.Bernoulli(options_.reorder_prob)) {
@@ -174,7 +180,6 @@ void ControlChannel::ScheduleDelivery(uint32_t slot, bool duplicate_copy) {
     Record(ControlEventKind::kReordered, static_cast<uint64_t>(m.kind), m.seq);
     latency += kReorderDelay;
   }
-  (void)duplicate_copy;
   const uint64_t attempt_epoch =
       (m.dst_master >= 0 &&
        static_cast<size_t>(m.dst_master) < masters_.size())
@@ -182,9 +187,20 @@ void ControlChannel::ScheduleDelivery(uint32_t slot, bool duplicate_copy) {
           : 0;
   ++m.inflight;
   const uint32_t gen = m.gen;
-  sim_->ScheduleAfter(latency, [this, slot, gen, attempt_epoch] {
+  const SimTime arrival = sim_->Now() + std::max(0.0, latency);
+  sim_->ScheduleAt(arrival, [this, slot, gen, attempt_epoch] {
     Deliver(slot, gen, attempt_epoch);
   });
+  return arrival;
+}
+
+void ControlChannel::ArmRetry(uint32_t slot) {
+  Message& m = slots_[slot];
+  if (!m.retry_held) return;
+  m.retry_held = false;
+  const uint32_t gen = m.gen;
+  m.retry_event = sim_->ScheduleReserved(
+      m.retry_at, m.retry_seq, [this, slot, gen] { RetryFire(slot, gen); });
 }
 
 void ControlChannel::Deliver(uint32_t slot, uint32_t gen,
@@ -207,15 +223,16 @@ void ControlChannel::Deliver(uint32_t slot, uint32_t gen,
         ++stats_.epoch_fenced;
         Record(ControlEventKind::kEpochFenced, static_cast<uint64_t>(m.kind),
                m.seq);
+        ArmRetry(slot);
         MaybeRelease(slot);
         return;
       }
     }
   }
 
-  // Copy out before calling: the callback may Send (growing the slab) or
+  // Move the callback out while it runs: it may Send (growing the slab) or
   // even expire/ack this very message.
-  std::function<void()> deliver = slots_[slot].deliver;
+  InlineCallback deliver = std::move(slots_[slot].deliver);
   const bool reliable = slots_[slot].reliable;
   const ControlMessageKind kind = slots_[slot].kind;
   const uint64_t seq = slots_[slot].seq;
@@ -223,6 +240,9 @@ void ControlChannel::Deliver(uint32_t slot, uint32_t gen,
   const ControlEndpoint dst = slots_[slot].dst;
   ++stats_.messages_delivered;
   if (deliver) deliver();
+  if (slots_[slot].armed && slots_[slot].gen == gen) {
+    slots_[slot].deliver = std::move(deliver);
+  }
 
   if (reliable) {
     // Ack return path: acks ride the same lossy network.
@@ -230,19 +250,29 @@ void ControlChannel::Deliver(uint32_t slot, uint32_t gen,
         rng_.Bernoulli(options_.drop_prob)) {
       ++stats_.acks_lost;
       Record(ControlEventKind::kAckLost, static_cast<uint64_t>(kind), seq);
+      ArmRetry(slot);
     } else {
       Message& m = slots_[slot];
       if (m.armed && m.gen == gen) {
         const Duration latency =
             rng_.Uniform(options_.min_latency, options_.max_latency);
+        const SimTime ack_at = sim_->Now() + std::max(0.0, latency);
         ++m.inflight;
-        sim_->ScheduleAfter(latency, [this, slot, gen] {
+        if (ack_at < m.retry_at) {
+          // The ack lands first and closes the message: a held retry is
+          // never needed.
+          m.retry_held = false;
+        } else {
+          ArmRetry(slot);
+        }
+        sim_->ScheduleAt(ack_at, [this, slot, gen] {
           Message& mm = slots_[slot];
           if (!mm.armed || mm.gen != gen) return;
           assert(mm.inflight > 0);
           --mm.inflight;
           if (!mm.acked) {
             mm.acked = true;
+            mm.retry_held = false;
             if (mm.retry_event != 0) {
               sim_->Cancel(mm.retry_event);
               mm.retry_event = 0;
@@ -269,7 +299,7 @@ void ControlChannel::RetryFire(uint32_t slot, uint32_t gen) {
   if (sim_->Now() - m.first_send > options_.retry_deadline) {
     ++stats_.sends_expired;
     Record(ControlEventKind::kExpired, static_cast<uint64_t>(m.kind), m.seq);
-    std::function<void()> on_expire = m.on_expire;
+    InlineCallback on_expire = std::move(m.on_expire);
     Close(slot);
     if (on_expire) on_expire();
     return;

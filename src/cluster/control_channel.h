@@ -2,10 +2,10 @@
 #define DLROVER_CLUSTER_CONTROL_CHANNEL_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "cluster/pod.h"
+#include "common/inline_callback.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "sim/simulator.h"
@@ -152,6 +152,13 @@ class ControlMasterEndpoint {
 /// it back or the deadline passes; acks are themselves lossy, so receivers
 /// must treat deliveries as at-least-once and fence duplicates (plan
 /// sequence numbers, exactly-once shard queue).
+///
+/// Callbacks are InlineCallbacks, so a send whose closure fits the inline
+/// buffer allocates nothing. A retry timer reaches the simulator only when
+/// no scheduled ack lands strictly before it: while a copy of the attempt
+/// is still due before the retry time, the retry waits in the message, and
+/// that copy's delivery either arms it or, when its ack will land first,
+/// drops it (DESIGN.md §15).
 class ControlChannel {
  public:
   static constexpr ControlEndpoint kBrain = -2;
@@ -169,7 +176,7 @@ class ControlChannel {
   /// Fire-and-forget send. `deliver` runs at the receiver once per arriving
   /// copy (possibly never, possibly twice).
   void Send(ControlMessageKind kind, ControlEndpoint src, ControlEndpoint dst,
-            std::function<void()> deliver);
+            InlineCallback deliver);
 
   /// Reliable send: re-attempts with backoff until acked or past the
   /// deadline. `deliver` runs once per arriving copy (the receiver must
@@ -179,9 +186,8 @@ class ControlChannel {
   /// copies arriving while it is down, or after its epoch moved past the
   /// attempt's, are fenced instead of delivered.
   void SendReliable(ControlMessageKind kind, ControlEndpoint src,
-                    ControlEndpoint dst, std::function<void()> deliver,
-                    std::function<void()> on_expire = nullptr,
-                    int dst_master = -1);
+                    ControlEndpoint dst, InlineCallback deliver,
+                    InlineCallback on_expire = nullptr, int dst_master = -1);
 
   // ---- Partitions (injector-driven, seeded schedules) ----
   void PartitionNode(NodeId node, Duration duration);
@@ -226,9 +232,15 @@ class ControlChannel {
     SimTime first_send = 0.0;
     int attempts = 0;
     uint32_t inflight = 0;  // scheduled events (deliveries/acks) alive
+    /// The pending retry: its time and its reserved simulator sequence
+    /// number, drawn at the attempt. `retry_held` while it waits in the
+    /// message; `retry_event` once it is in the simulator.
+    bool retry_held = false;
+    SimTime retry_at = 0.0;
+    uint64_t retry_seq = 0;
     EventId retry_event = 0;
-    std::function<void()> deliver;
-    std::function<void()> on_expire;
+    InlineCallback deliver;
+    InlineCallback on_expire;
     uint32_t gen = 1;
     bool armed = false;
   };
@@ -237,14 +249,21 @@ class ControlChannel {
   /// True when a message between these endpoints is severed right now;
   /// charges the responsible partition's drop counter when `charge`.
   bool Severed(ControlEndpoint src, ControlEndpoint dst, bool charge);
-  uint32_t ArmSlot(Message&& msg);
+  uint32_t ArmSlot(ControlMessageKind kind, ControlEndpoint src,
+                   ControlEndpoint dst, int dst_master, bool reliable,
+                   InlineCallback&& deliver, InlineCallback&& on_expire);
   void MaybeRelease(uint32_t slot);
   void Close(uint32_t slot);
   /// One network attempt: partition/drop/duplicate/latency draws, delivery
-  /// scheduling, and (for reliable sends) the retry arm.
+  /// scheduling, and (for reliable sends) the retry: drawn and given its
+  /// sequence number here, put in the simulator here only when no copy is
+  /// due before it.
   void Attempt(uint32_t slot);
-  void ScheduleDelivery(uint32_t slot, bool duplicate_copy);
+  /// Schedules one copy; returns its arrival time.
+  SimTime ScheduleDelivery(uint32_t slot);
   void Deliver(uint32_t slot, uint32_t gen, uint64_t attempt_epoch);
+  /// Puts a held retry into the simulator at its reserved place.
+  void ArmRetry(uint32_t slot);
   void RetryFire(uint32_t slot, uint32_t gen);
 
   struct MasterSlot {

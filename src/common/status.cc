@@ -48,23 +48,23 @@ std::ostream& operator<<(std::ostream& os, const Status& status) {
   return os << status.ToString();
 }
 
-Status InvalidArgumentError(std::string message) {
-  return Status(StatusCode::kInvalidArgument, std::move(message));
+Status InvalidArgumentError(StatusMessage message) {
+  return Status(StatusCode::kInvalidArgument, message);
 }
-Status NotFoundError(std::string message) {
-  return Status(StatusCode::kNotFound, std::move(message));
+Status NotFoundError(StatusMessage message) {
+  return Status(StatusCode::kNotFound, message);
 }
-Status FailedPreconditionError(std::string message) {
-  return Status(StatusCode::kFailedPrecondition, std::move(message));
+Status FailedPreconditionError(StatusMessage message) {
+  return Status(StatusCode::kFailedPrecondition, message);
 }
-Status InternalError(std::string message) {
-  return Status(StatusCode::kInternal, std::move(message));
+Status InternalError(StatusMessage message) {
+  return Status(StatusCode::kInternal, message);
 }
-Status UnavailableError(std::string message) {
-  return Status(StatusCode::kUnavailable, std::move(message));
+Status UnavailableError(StatusMessage message) {
+  return Status(StatusCode::kUnavailable, message);
 }
-Status DeadlineExceededError(std::string message) {
-  return Status(StatusCode::kDeadlineExceeded, std::move(message));
+Status DeadlineExceededError(StatusMessage message) {
+  return Status(StatusCode::kDeadlineExceeded, message);
 }
 
 namespace internal_status {

@@ -32,8 +32,22 @@ enum class StatusCode : int {
 /// Returns a stable human-readable name for `code` ("OK", "NOT_FOUND", ...).
 std::string_view StatusCodeName(StatusCode code);
 
-/// A lightweight success-or-error value. Cheap to copy when OK (no
-/// allocation); carries a code plus message otherwise.
+/// The message of a Status: text with static storage duration, in practice
+/// a string literal. The constructor is consteval, so only a constant
+/// converts and no message can point into a buffer that dies first.
+class StatusMessage {
+ public:
+  consteval StatusMessage(const char* text)  // NOLINT: implicit by design
+      : text_(text) {}
+  constexpr std::string_view text() const { return text_; }
+
+ private:
+  std::string_view text_;
+};
+
+/// A lightweight success-or-error value: a code plus a static message, so
+/// making, copying or comparing a Status never allocates, OK or not (a
+/// rejected duplicate report on a hot path costs no heap traffic).
 class Status {
  public:
   /// Constructs an OK status.
@@ -41,14 +55,16 @@ class Status {
 
   /// Constructs a status with `code` and `message`. A kOk code with a
   /// non-empty message is normalized to a plain OK status.
-  Status(StatusCode code, std::string message)
-      : code_(code), message_(code == StatusCode::kOk ? std::string() : std::move(message)) {}
+  Status(StatusCode code, StatusMessage message)
+      : code_(code),
+        message_(code == StatusCode::kOk ? std::string_view()
+                                         : message.text()) {}
 
   static Status OK() { return Status(); }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
+  std::string_view message() const { return message_; }
 
   /// "OK" or "CODE_NAME: message".
   std::string ToString() const;
@@ -59,18 +75,18 @@ class Status {
 
  private:
   StatusCode code_ = StatusCode::kOk;
-  std::string message_;
+  std::string_view message_;
 };
 
 std::ostream& operator<<(std::ostream& os, const Status& status);
 
 /// Convenience constructors for common error categories.
-Status InvalidArgumentError(std::string message);
-Status NotFoundError(std::string message);
-Status FailedPreconditionError(std::string message);
-Status InternalError(std::string message);
-Status UnavailableError(std::string message);
-Status DeadlineExceededError(std::string message);
+Status InvalidArgumentError(StatusMessage message);
+Status NotFoundError(StatusMessage message);
+Status FailedPreconditionError(StatusMessage message);
+Status InternalError(StatusMessage message);
+Status UnavailableError(StatusMessage message);
+Status DeadlineExceededError(StatusMessage message);
 
 namespace internal_status {
 [[noreturn]] void DieBecauseNotOk(const Status& status, const char* expr);

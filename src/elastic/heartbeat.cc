@@ -1,91 +1,103 @@
 #include "elastic/heartbeat.h"
 
 #include <algorithm>
+#include <cstddef>
 
 namespace dlrover {
 
-void HeartbeatMonitor::AddMember(uint64_t member_id, SimTime now) {
-  MemberHealth h;
-  h.last_heartbeat = now;
-  h.first_heartbeat = now;
-  members_[member_id] = h;
-  fenced_.erase(member_id);
+HeartbeatMonitor::Slot& HeartbeatMonitor::SlotFor(uint64_t member_id) {
+  if (member_id >= slots_.size()) slots_.resize(member_id + 1);
+  return slots_[member_id];
 }
 
-void HeartbeatMonitor::RemoveMember(uint64_t member_id) {
-  members_.erase(member_id);
-}
-
-void HeartbeatMonitor::FenceMember(uint64_t member_id) {
-  members_.erase(member_id);
-  fenced_.insert(member_id);
-}
-
-void HeartbeatMonitor::Heartbeat(uint64_t member_id, SimTime now,
-                                 uint64_t progress_offset) {
-  if (fenced_.count(member_id) != 0) {
-    ++fenced_heartbeats_ignored_;
-    return;
-  }
-  auto it = members_.find(member_id);
-  if (it == members_.end()) {
-    AddMember(member_id, now);
-    it = members_.find(member_id);
-  }
-  if (now < it->second.last_heartbeat) {
-    // Out-of-order delivery: an older packet carries no new liveness
-    // evidence and must not rewind the silence clock.
-    ++stale_heartbeats_ignored_;
-    it->second.progress_offset =
-        std::max(it->second.progress_offset, progress_offset);
-    return;
-  }
-  it->second.last_heartbeat = now;
-  it->second.progress_offset =
-      std::max(it->second.progress_offset, progress_offset);
-}
-
-std::vector<uint64_t> HeartbeatMonitor::DetectFailures(SimTime now) const {
-  std::vector<uint64_t> failed;
-  for (const auto& [id, h] : members_) {
-    if (now - h.last_heartbeat > options_.failure_timeout) {
-      failed.push_back(id);
-    }
-  }
-  return failed;
-}
-
-double HeartbeatMonitor::ProgressRate(uint64_t member_id, SimTime now) const {
-  auto it = members_.find(member_id);
-  if (it == members_.end()) return 0.0;
-  const MemberHealth& h = it->second;
+double HeartbeatMonitor::Rate(const MemberHealth& h, SimTime now) {
   const double window = now - h.first_heartbeat;
   if (window <= 0.0) return 0.0;
   return static_cast<double>(h.progress_offset) / window;
 }
 
+void HeartbeatMonitor::AddMember(uint64_t member_id, SimTime now) {
+  Slot& slot = SlotFor(member_id);
+  slot.health = MemberHealth{};
+  slot.health.last_heartbeat = now;
+  slot.health.first_heartbeat = now;
+  if (!slot.present) ++member_count_;
+  slot.present = true;
+  slot.fenced = false;
+}
+
+void HeartbeatMonitor::RemoveMember(uint64_t member_id) {
+  if (member_id >= slots_.size() || !slots_[member_id].present) return;
+  slots_[member_id].present = false;
+  --member_count_;
+}
+
+void HeartbeatMonitor::FenceMember(uint64_t member_id) {
+  RemoveMember(member_id);
+  SlotFor(member_id).fenced = true;
+}
+
+void HeartbeatMonitor::Heartbeat(uint64_t member_id, SimTime now,
+                                 uint64_t progress_offset) {
+  if (IsFenced(member_id)) {
+    ++fenced_heartbeats_ignored_;
+    return;
+  }
+  Slot& slot = SlotFor(member_id);
+  if (!slot.present) AddMember(member_id, now);
+  MemberHealth& h = slot.health;
+  if (now < h.last_heartbeat) {
+    // Out-of-order delivery: an older packet carries no new liveness
+    // evidence and must not rewind the silence clock.
+    ++stale_heartbeats_ignored_;
+    h.progress_offset = std::max(h.progress_offset, progress_offset);
+    return;
+  }
+  h.last_heartbeat = now;
+  h.progress_offset = std::max(h.progress_offset, progress_offset);
+}
+
+std::vector<uint64_t> HeartbeatMonitor::DetectFailures(SimTime now) const {
+  std::vector<uint64_t> failed;
+  ForEachMember([&](uint64_t id, const MemberHealth& h) {
+    if (now - h.last_heartbeat > options_.failure_timeout) {
+      failed.push_back(id);
+    }
+  });
+  return failed;
+}
+
+double HeartbeatMonitor::ProgressRate(uint64_t member_id, SimTime now) const {
+  const MemberHealth* h = member(member_id);
+  return h != nullptr ? Rate(*h, now) : 0.0;
+}
+
 std::vector<uint64_t> HeartbeatMonitor::DetectStragglers(
     SimTime now, bool include_flagged) {
   std::vector<uint64_t> stragglers;
-  if (members_.size() < 3) return stragglers;  // need peers to compare
+  if (member_count_ < 3) return stragglers;  // need peers to compare
 
-  std::vector<double> rates;
-  rates.reserve(members_.size());
-  for (const auto& [id, h] : members_) {
-    if (now - h.first_heartbeat < options_.min_observation) return stragglers;
-    rates.push_back(ProgressRate(id, now));
+  rates_.clear();
+  for (const Slot& slot : slots_) {
+    if (!slot.present) continue;
+    if (now - slot.health.first_heartbeat < options_.min_observation) {
+      return stragglers;
+    }
+    rates_.push_back(Rate(slot.health, now));
   }
-  std::vector<double> sorted = rates;
-  std::sort(sorted.begin(), sorted.end());
-  const double median = sorted[sorted.size() / 2];
+  const auto mid =
+      rates_.begin() + static_cast<std::ptrdiff_t>(rates_.size() / 2);
+  std::nth_element(rates_.begin(), mid, rates_.end());
+  const double median = *mid;
   if (median <= 0.0) return stragglers;
 
-  for (auto& [id, h] : members_) {
-    if (h.flagged_straggler && !include_flagged) continue;
-    const double rate = ProgressRate(id, now);
-    if (rate < options_.straggler_rate_fraction * median) {
-      h.flagged_straggler = true;
-      stragglers.push_back(id);
+  for (size_t id = 0; id < slots_.size(); ++id) {
+    Slot& slot = slots_[id];
+    if (!slot.present) continue;
+    if (slot.health.flagged_straggler && !include_flagged) continue;
+    if (Rate(slot.health, now) < options_.straggler_rate_fraction * median) {
+      slot.health.flagged_straggler = true;
+      stragglers.push_back(static_cast<uint64_t>(id));
     }
   }
   return stragglers;

@@ -1,10 +1,8 @@
 #ifndef DLROVER_ELASTIC_HEARTBEAT_H_
 #define DLROVER_ELASTIC_HEARTBEAT_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "common/units.h"
@@ -34,6 +32,11 @@ struct HeartbeatMonitorOptions {
 /// and classifies members as failed (silence) or stragglers (progress rate
 /// far below peers). Pure bookkeeping: the owner drives time by calling
 /// Check(now) and reacts to the returned verdicts.
+///
+/// Member ids are small dense indices (a job's worker indices): the monitor
+/// keeps one slot per id in a flat table sized by the largest id it was
+/// told about, so a heartbeat is an index, not a tree lookup. Every scan
+/// visits members in ascending id order.
 class HeartbeatMonitor {
  public:
   explicit HeartbeatMonitor(const HeartbeatMonitorOptions& options)
@@ -49,7 +52,7 @@ class HeartbeatMonitor {
   /// auto-register a ghost member. Only AddMember lifts the fence.
   void FenceMember(uint64_t member_id);
   bool IsFenced(uint64_t member_id) const {
-    return fenced_.count(member_id) != 0;
+    return member_id < slots_.size() && slots_[member_id].fenced;
   }
 
   /// Records a heartbeat packet with the member's cumulative progress.
@@ -70,8 +73,20 @@ class HeartbeatMonitor {
   /// Progress rate (units per second) of one member; 0 if unknown.
   double ProgressRate(uint64_t member_id, SimTime now) const;
 
-  size_t member_count() const { return members_.size(); }
-  const std::map<uint64_t, MemberHealth>& members() const { return members_; }
+  size_t member_count() const { return member_count_; }
+  /// The member's record, or nullptr when `member_id` is not a member.
+  const MemberHealth* member(uint64_t member_id) const {
+    return member_id < slots_.size() && slots_[member_id].present
+               ? &slots_[member_id].health
+               : nullptr;
+  }
+  /// Calls `fn(member_id, health)` for every member, in ascending id order.
+  template <typename Fn>
+  void ForEachMember(Fn&& fn) const {
+    for (size_t id = 0; id < slots_.size(); ++id) {
+      if (slots_[id].present) fn(static_cast<uint64_t>(id), slots_[id].health);
+    }
+  }
 
   /// Out-of-order packets discarded by the monotonic-timestamp guard.
   uint64_t stale_heartbeats_ignored() const {
@@ -83,9 +98,20 @@ class HeartbeatMonitor {
   }
 
  private:
+  struct Slot {
+    MemberHealth health;
+    bool present = false;  // a member right now
+    bool fenced = false;   // given up on until AddMember
+  };
+
+  /// The slot for `member_id`, growing the table to reach it.
+  Slot& SlotFor(uint64_t member_id);
+  static double Rate(const MemberHealth& h, SimTime now);
+
   HeartbeatMonitorOptions options_;
-  std::map<uint64_t, MemberHealth> members_;
-  std::set<uint64_t> fenced_;
+  std::vector<Slot> slots_;
+  size_t member_count_ = 0;
+  std::vector<double> rates_;  // DetectStragglers scratch
   uint64_t stale_heartbeats_ignored_ = 0;
   uint64_t fenced_heartbeats_ignored_ = 0;
 };

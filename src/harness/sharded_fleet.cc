@@ -72,11 +72,15 @@ ShardedFleetResult RunFleetSharded(const FleetScenario& scenario,
 
   engine.RunUntil(scenario.horizon);
 
-  // Merge per-cell results back into the original trace order: the k-th
-  // job of cell c was trace job c + k*cells.
+  // Tear each cell down as soon as it is collected: Collect copies the
+  // cell's audit logs, and the control log is most of a chaotic cell's
+  // memory.
   std::vector<FleetResult> cell_results;
   cell_results.reserve(static_cast<size_t>(cells));
-  for (auto& fleet : fleets) cell_results.push_back(fleet->Collect());
+  for (auto& fleet : fleets) {
+    cell_results.push_back(fleet->Collect());
+    fleet.reset();
+  }
 
   ShardedFleetResult result;
   result.cells = cells;
@@ -84,7 +88,18 @@ ShardedFleetResult RunFleetSharded(const FleetScenario& scenario,
   result.windows = engine.windows_run();
   result.ledger_entries = ledger.entries_folded();
   result.fleet_peak_allocated_cpu = ledger.peak_allocated_cpu();
+  size_t fault_events = 0;
+  size_t health_events = 0;
+  size_t control_events = 0;
   for (const FleetResult& cell : cell_results) {
+    fault_events += cell.fault_log.size();
+    health_events += cell.health_log.size();
+    control_events += cell.control_log.size();
+  }
+  result.fleet.fault_log.reserve(fault_events);
+  result.fleet.health_log.reserve(health_events);
+  result.fleet.control_log.reserve(control_events);
+  for (FleetResult& cell : cell_results) {
     result.fleet.executed_events += cell.executed_events;
     result.fleet.pods_preempted += cell.pods_preempted;
     result.fleet.crashes_injected += cell.crashes_injected;
@@ -92,13 +107,16 @@ ShardedFleetResult RunFleetSharded(const FleetScenario& scenario,
     result.fleet.node_faults_injected += cell.node_faults_injected;
     // Per-cell audit logs concatenate in cell order: each cell's log is a
     // pure function of its own seeded streams, so the merged log is
-    // byte-identical at any lane count.
+    // byte-identical at any lane count. Each cell's copy is freed once
+    // appended.
     result.fleet.fault_log.insert(result.fleet.fault_log.end(),
                                   cell.fault_log.begin(),
                                   cell.fault_log.end());
+    cell.fault_log = std::vector<FaultRecord>();
     result.fleet.health_log.insert(result.fleet.health_log.end(),
                                    cell.health_log.begin(),
                                    cell.health_log.end());
+    cell.health_log = std::vector<NodeHealthEvent>();
     result.fleet.nodes_cordoned += cell.nodes_cordoned;
     result.fleet.nodes_uncordoned += cell.nodes_uncordoned;
     // Control-plane telemetry merges the same way: summed counters plus
@@ -107,12 +125,15 @@ ShardedFleetResult RunFleetSharded(const FleetScenario& scenario,
     result.fleet.control_log.insert(result.fleet.control_log.end(),
                                     cell.control_log.begin(),
                                     cell.control_log.end());
+    cell.control_log = std::vector<ControlEvent>();
     result.fleet.control_faults_injected += cell.control_faults_injected;
     result.fleet.plans_fenced += cell.plans_fenced;
     result.fleet.stale_plan_applies += cell.stale_plan_applies;
     result.fleet.shard_reports_rejected += cell.shard_reports_rejected;
     result.fleet.shard_reports_expired += cell.shard_reports_expired;
   }
+  // Merge the jobs back into the original trace order: the k-th job of
+  // cell c was trace job c + k*cells.
   result.fleet.jobs.reserve(trace.size());
   for (size_t i = 0; i < trace.size(); ++i) {
     FleetResult& cell = cell_results[i % static_cast<size_t>(cells)];

@@ -864,8 +864,8 @@ int TrainingJob::MitigateStragglers() {
   // cluster's control plane so the default configuration is untouched.
   if (cluster_->node_health_enabled()) {
     ControlChannel* ch = cluster_->control_channel();
-    for (const auto& [member, health] : monitor_.members()) {
-      if (!health.flagged_straggler) continue;
+    monitor_.ForEachMember([&](uint64_t member, const MemberHealth& health) {
+      if (!health.flagged_straggler) return;
       for (auto& w : workers_) {
         if (static_cast<uint64_t>(w->index) != member) continue;
         if (!w->retired && w->pod_running) {
@@ -883,7 +883,7 @@ int TrainingJob::MitigateStragglers() {
         }
         break;
       }
-    }
+    });
   }
   return mitigated;
 }
@@ -1316,11 +1316,13 @@ void TrainingJob::MaybeReportPsSlowdown() {
   }
   // Any flagged straggler means the slowdown is *not* uniform — that is the
   // ordinary straggler evidence path's job, not this one.
-  for (const auto& [member, health] : monitor_.members()) {
-    if (health.flagged_straggler) {
-      ps_slowdown_streak_ = 0;
-      return;
-    }
+  bool any_flagged = false;
+  monitor_.ForEachMember([&](uint64_t, const MemberHealth& health) {
+    any_flagged = any_flagged || health.flagged_straggler;
+  });
+  if (any_flagged) {
+    ps_slowdown_streak_ = 0;
+    return;
   }
   if (smoothed >= 0.6 * best_smoothed_) {
     ps_slowdown_streak_ = 0;

@@ -5,7 +5,7 @@
 
 namespace dlrover {
 
-uint32_t Simulator::ArmSlot(Callback cb) {
+uint32_t Simulator::ArmSlot(Callback&& cb) {
   uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -30,16 +30,24 @@ void Simulator::ReleaseSlot(uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-EventId Simulator::ScheduleAt(SimTime at, Callback cb) {
+EventId Simulator::Push(SimTime at, uint64_t seq, Callback&& cb) {
   const SimTime when = std::max(at, now_);
   const uint32_t slot = ArmSlot(std::move(cb));
   const uint32_t gen = slots_[slot].gen;
-  queue_.push(HeapEntry{when, next_seq_++, slot, gen});
+  queue_.push(HeapEntry{when, seq, slot, gen});
   return MakeId(slot, gen);
 }
 
+EventId Simulator::ScheduleAt(SimTime at, Callback cb) {
+  return Push(at, next_seq_++, std::move(cb));
+}
+
+EventId Simulator::ScheduleReserved(SimTime at, uint64_t seq, Callback cb) {
+  return Push(at, seq, std::move(cb));
+}
+
 EventId Simulator::ScheduleAfter(Duration delay, Callback cb) {
-  return ScheduleAt(now_ + std::max(0.0, delay), std::move(cb));
+  return Push(now_ + std::max(0.0, delay), next_seq_++, std::move(cb));
 }
 
 bool Simulator::Cancel(EventId id) {

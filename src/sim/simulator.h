@@ -52,6 +52,18 @@ class Simulator {
   /// Schedules `cb` to run `delay` seconds from now.
   EventId ScheduleAfter(Duration delay, Callback cb);
 
+  /// Takes the FIFO tie-break number the next ScheduleAt would use, without
+  /// scheduling anything. Passing it to ScheduleReserved later gives the
+  /// event the place in equal-time order it would have had if it had been
+  /// scheduled now: an event that may turn out unneeded can be held back
+  /// without moving any other event.
+  uint64_t ReserveSeq() { return next_seq_++; }
+
+  /// ScheduleAt with a number from ReserveSeq in place of a fresh one. Each
+  /// reserved number is used at most once, and while the simulator has not
+  /// yet run past (`at`, `seq`).
+  EventId ScheduleReserved(SimTime at, uint64_t seq, Callback cb);
+
   /// Cancels a pending event. Returns true only if the event existed and
   /// had not yet fired; ids of already-fired (or never-scheduled, or
   /// already-cancelled) events return false.
@@ -113,7 +125,11 @@ class Simulator {
   }
 
   /// Pops a free slot (or grows the slab) and arms it with `cb`.
-  uint32_t ArmSlot(Callback cb);
+  uint32_t ArmSlot(Callback&& cb);
+  /// Arms a slot and queues it at (`at`, `seq`). Callbacks travel by
+  /// reference down to the slab: each move of an InlineCallback is an
+  /// indirect relocate call.
+  EventId Push(SimTime at, uint64_t seq, Callback&& cb);
   /// Disarms a slot after fire/cancel: bumps the generation and recycles it.
   void ReleaseSlot(uint32_t slot);
 

@@ -4,7 +4,8 @@
 // slab, shard queue, iteration cache, usage scratch) has reached steady
 // state, and then asserts that simulating thousands more events performs
 // ZERO heap allocations. Any new per-event allocation in Simulator, Cluster,
-// ShardQueue, or TrainingJob turns this red.
+// ShardQueue, TrainingJob, ControlChannel or HeartbeatMonitor turns this
+// red.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 
 #include "brain/nsga2.h"
 #include "cluster/cluster.h"
+#include "cluster/control_channel.h"
 #include "cluster/placement_index.h"
 #include "common/alloc_counter.h"
 #include "dlrm/criteo_synth.h"
@@ -79,6 +81,61 @@ TEST(AllocGuardTest, WarmSingleJobRunIsAllocationFree) {
   EXPECT_EQ(allocs_after - allocs_before, 0u)
       << "hot path allocated " << (allocs_after - allocs_before)
       << " times across " << kEvents << " events";
+}
+
+// The same job with a lossless control channel attached: every shard
+// report becomes a reliable send (completion, delivery, heartbeat, ack).
+// The only allowed allocations are the channel's audit log growing its
+// capacity, an unbounded trace by design.
+TEST(AllocGuardTest, WarmControlChannelShardCycleIsAllocationFree) {
+  Simulator sim;
+  ClusterOptions cluster_options;
+  cluster_options.num_nodes = 20;
+  cluster_options.node_capacity = {32.0, GiB(192)};
+  Cluster cluster(&sim, cluster_options);
+  ControlChannelOptions channel_options;
+  channel_options.enabled = true;
+  ControlChannel channel(&sim, channel_options);
+  cluster.set_control_channel(&channel);
+
+  JobSpec spec;
+  spec.name = "alloc-guard-channel";
+  spec.model = ModelKind::kWideDeep;
+  spec.total_steps = 2000000;
+  spec.history_reserve = 1 << 14;
+
+  JobConfig config;
+  config.num_workers = 8;
+  config.num_ps = 2;
+  config.worker_cpu = 8.0;
+  config.ps_cpu = 4.0;
+  config.worker_memory = GiB(8);
+  config.ps_memory = GiB(48);
+
+  TrainingJob job(&sim, &cluster, spec, config);
+  job.Start();
+  sim.RunUntil(Minutes(30));
+  ASSERT_EQ(job.state(), JobState::kRunning);
+  const uint64_t sent_before = channel.stats().messages_sent;
+
+  constexpr int kEvents = 5000;
+  uint64_t log_growths = 0;
+  const uint64_t allocs_before = AllocationCount();
+  int stepped = 0;
+  for (; stepped < kEvents; ++stepped) {
+    const size_t capacity = channel.log().capacity();
+    if (!sim.Step()) break;
+    if (channel.log().capacity() != capacity) ++log_growths;
+  }
+  const uint64_t allocs_after = AllocationCount();
+
+  ASSERT_EQ(stepped, kEvents) << "event queue drained during measurement";
+  ASSERT_GT(channel.stats().messages_sent, sent_before)
+      << "no shard report crossed the channel";
+  EXPECT_EQ(allocs_after - allocs_before, log_growths)
+      << "shard-report cycle allocated "
+      << (allocs_after - allocs_before - log_growths)
+      << " times beyond the audit log across " << kEvents << " events";
 }
 
 TEST(AllocGuardTest, WarmTrainingHotLoopIsAllocationFree) {

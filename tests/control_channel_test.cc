@@ -6,10 +6,12 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "elastic/shard_queue.h"
+#include "fnv1a.h"
 #include "sim/simulator.h"
 
 namespace dlrover {
@@ -271,6 +273,99 @@ TEST(ControlChannelTest, ReliableSendRetriesAcrossPartitionHeal) {
   EXPECT_GE(channel.node_partition_drops(2), 1u);
 }
 
+// The first attempt's backoff multiplier, drawn from a fresh channel's RNG
+// stream as Attempt draws it for an unpartitioned send: drop, latency,
+// reorder and duplicate come first, the backoff fifth.
+double FirstBackoffMultiplier(uint64_t seed) {
+  Rng rng(seed);
+  for (int i = 0; i < 4; ++i) (void)rng.Uniform();
+  return rng.Uniform(0.5, 1.5);
+}
+
+// Retry timers reach the simulator only when needed (DESIGN.md §15): the
+// three cases below pin when a held retry is dropped or armed.
+TEST(ControlChannelTest, AckBeatingTheBackoffMeansNoRetryTimer) {
+  Simulator sim;
+  ControlChannelOptions options = CleanOptions();
+  options.min_latency = Seconds(0.1);
+  options.max_latency = Seconds(0.1);
+  options.retry_base = Seconds(5);  // backoff in [2.5, 7.5) s
+  ControlChannel channel(&sim, options);
+
+  int delivered = 0;
+  channel.SendReliable(ControlMessageKind::kShardReport, 2,
+                       ControlChannel::kMaster, [&] { ++delivered; });
+  EXPECT_EQ(sim.pending_events(), 1u) << "only the copy; the retry is held";
+  sim.RunToCompletion();
+
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(channel.stats().retries, 0u);
+  EXPECT_EQ(sim.executed_events(), 2u) << "the copy and its ack";
+}
+
+TEST(ControlChannelTest, LostAckFiresTheRetryAtFirstSendPlusBackoff) {
+  Simulator sim;
+  ControlChannelOptions options = CleanOptions();
+  options.min_latency = Seconds(0.1);
+  options.max_latency = Seconds(0.1);
+  options.retry_base = Seconds(1);  // backoff in [0.5, 1.5) s
+  ControlChannel channel(&sim, options);
+
+  int delivered = 0;
+  channel.SendReliable(ControlMessageKind::kShardReport, 2,
+                       ControlChannel::kMaster, [&] { ++delivered; });
+  // Sever node 2 from t = 0.05 to 0.15 s: the copy lands at 0.1 s, but its
+  // ack cannot get back.
+  sim.ScheduleAt(Seconds(0.05),
+                 [&] { channel.PartitionNode(2, Seconds(0.1)); });
+  sim.RunToCompletion();
+
+  EXPECT_EQ(channel.stats().acks_lost, 1u);
+  EXPECT_EQ(channel.stats().retries, 1u);
+  EXPECT_EQ(delivered, 2);
+  const SimTime expected = options.retry_base * FirstBackoffMultiplier(7);
+  const auto retried =
+      std::find_if(channel.log().begin(), channel.log().end(),
+                   [](const ControlEvent& e) {
+                     return e.kind == ControlEventKind::kRetried;
+                   });
+  ASSERT_NE(retried, channel.log().end());
+  EXPECT_EQ(retried->time, expected);
+}
+
+TEST(ControlChannelTest, FencedCopyArmsTheRetry) {
+  Simulator sim;
+  ControlChannelOptions options = CleanOptions();
+  options.min_latency = Seconds(0.1);
+  options.max_latency = Seconds(0.1);
+  options.retry_base = Seconds(5);  // backoff in [2.5, 7.5) s
+  options.master_restart_delay = Seconds(45);
+  ControlChannel channel(&sim, options);
+  RecordingMaster master;
+  const int handle = channel.RegisterMaster(&master);
+
+  int delivered = 0;
+  channel.SendReliable(ControlMessageKind::kPlan, ControlChannel::kBrain,
+                       ControlChannel::kMaster, [&] { ++delivered; },
+                       /*on_expire=*/nullptr, handle);
+  EXPECT_EQ(sim.pending_events(), 1u) << "only the copy; the retry is held";
+  channel.CrashMasterByOrdinal(0);  // schedules the restart
+  sim.RunUntil(Seconds(0.2));
+  EXPECT_EQ(channel.stats().epoch_fenced, 1u);
+  EXPECT_EQ(sim.pending_events(), 2u) << "the restart and the armed retry";
+
+  sim.RunToCompletion();
+  EXPECT_EQ(delivered, 1);
+  const SimTime expected = options.retry_base * FirstBackoffMultiplier(7);
+  const auto retried =
+      std::find_if(channel.log().begin(), channel.log().end(),
+                   [](const ControlEvent& e) {
+                     return e.kind == ControlEventKind::kRetried;
+                   });
+  ASSERT_NE(retried, channel.log().end());
+  EXPECT_EQ(retried->time, expected);
+}
+
 TEST(ControlChannelTest, MasterCrashFencesInFlightDeliveriesAndRestartBumpsEpoch) {
   Simulator sim;
   ControlChannelOptions options = CleanOptions();
@@ -395,6 +490,93 @@ TEST(ControlChannelTest, ChaoticRunIsByteIdenticalAcrossReruns) {
     EXPECT_TRUE(log_a[i] == log_b[i]) << "log diverges at entry " << i;
   }
   EXPECT_FALSE(log_a.empty());
+}
+
+// FNV-1a digest of a chaotic run: every stats counter, every log entry, and
+// the time and order of every delivery and expiry callback. High reorder
+// makes many copies land after their retry time; drops also lose acks; a
+// node partition and a master crash with epoch fencing cut traffic.
+std::string ChaoticRunDigest(ControlChannelStats* stats) {
+  Simulator sim;
+  ControlChannelOptions options = CleanOptions();
+  options.seed = 99;
+  options.drop_prob = 0.2;
+  options.duplicate_prob = 0.25;
+  options.reorder_prob = 0.4;
+  options.retry_base = Seconds(0.5);
+  options.retry_cap = Seconds(4);
+  options.retry_deadline = Minutes(3);
+  ControlChannel channel(&sim, options);
+  RecordingMaster master;
+  const int handle = channel.RegisterMaster(&master);
+
+  Fnv1a h;
+  auto note = [&h, &sim](uint64_t what, uint64_t id) {
+    h.Add(what);
+    h.Add(id);
+    h.Add(sim.Now());
+  };
+  for (uint64_t i = 0; i < 120; ++i) {
+    sim.ScheduleAt(Seconds(1.5 * static_cast<double>(i)), [&, i] {
+      const ControlEndpoint src = static_cast<ControlEndpoint>(i % 6);
+      switch (i % 4) {
+        case 0:
+          channel.Send(ControlMessageKind::kHeartbeat, src,
+                       ControlChannel::kMaster, [&note, i] { note(0, i); });
+          break;
+        case 1:
+          channel.SendReliable(ControlMessageKind::kShardReport, src,
+                               ControlChannel::kMaster,
+                               [&note, i] { note(1, i); },
+                               [&note, i] { note(2, i); });
+          break;
+        default:
+          channel.SendReliable(ControlMessageKind::kPlan,
+                               ControlChannel::kBrain, ControlChannel::kMaster,
+                               [&note, i] { note(3, i); },
+                               [&note, i] { note(4, i); }, handle);
+          break;
+      }
+    });
+  }
+  sim.ScheduleAt(Seconds(20), [&] { channel.PartitionNode(2, Seconds(40)); });
+  sim.ScheduleAt(Seconds(50), [&] { channel.CrashMasterByOrdinal(0); });
+  sim.ScheduleAt(Seconds(120), [&] { channel.PartitionCell(Seconds(30)); });
+  sim.RunToCompletion();
+
+  const ControlChannelStats& s = channel.stats();
+  *stats = s;
+  for (uint64_t v :
+       {s.messages_sent, s.messages_delivered, s.messages_dropped,
+        s.messages_partition_dropped, s.messages_duplicated,
+        s.messages_reordered, s.retries, s.sends_expired, s.acks_lost,
+        s.epoch_fenced, s.plans_fenced_stale, s.stale_plan_applies,
+        s.node_partitions, s.cell_partitions, s.master_crashes,
+        s.master_restarts, sim.executed_events()}) {
+    h.Add(v);
+  }
+  for (const ControlEvent& e : channel.log()) {
+    h.Add(e.time);
+    h.Add(static_cast<uint64_t>(e.kind));
+    h.Add(e.a);
+    h.Add(e.b);
+  }
+  return h.Hex();
+}
+
+TEST(ControlChannelTest, ChaoticRunMatchesPinnedDigest) {
+  // Recorded before retries were armed lazily: the channel's observable
+  // behaviour (what is delivered or expired, when, and in what order) must
+  // not depend on how many retry timers reach the simulator.
+  ControlChannelStats stats;
+  EXPECT_EQ(ChaoticRunDigest(&stats), "c0ad94a442603749");
+  // The run exercises every path that holds, arms or drops a retry.
+  EXPECT_GT(stats.messages_reordered, 0u);
+  EXPECT_GT(stats.messages_duplicated, 0u);
+  EXPECT_GT(stats.acks_lost, 0u);
+  EXPECT_GT(stats.retries, 0u);
+  EXPECT_GT(stats.epoch_fenced, 0u);
+  EXPECT_GT(stats.messages_partition_dropped, 0u);
 }
 
 TEST(ControlChannelTest, FencingNotesFeedStatsAndLog) {

@@ -554,7 +554,7 @@ TEST(HeartbeatMonitorTest, ReAddedMemberStartsWithCleanSlate) {
   ASSERT_EQ(monitor.DetectStragglers(100.0).size(), 1u);
   monitor.RemoveMember(4);
   monitor.AddMember(4, 100.0);
-  ASSERT_FALSE(monitor.members().at(4).flagged_straggler);
+  ASSERT_FALSE(monitor.member(4)->flagged_straggler);
   EXPECT_TRUE(monitor.DetectStragglers(105.0, /*include_flagged=*/true).empty())
       << "fresh observation window suppresses judgment on the whole group";
   // After the newcomer's window completes at a healthy rate, nobody is slow.
@@ -574,8 +574,8 @@ TEST(HeartbeatMonitorTest, OutOfOrderHeartbeatDoesNotRewindSilenceClock) {
   monitor.Heartbeat(1, 50.0, 500);
   monitor.Heartbeat(1, 10.0, 800);  // late delivery of an older packet
   EXPECT_EQ(monitor.stale_heartbeats_ignored(), 1u);
-  EXPECT_EQ(monitor.members().at(1).last_heartbeat, 50.0);
-  EXPECT_EQ(monitor.members().at(1).progress_offset, 800u);
+  EXPECT_EQ(monitor.member(1)->last_heartbeat, 50.0);
+  EXPECT_EQ(monitor.member(1)->progress_offset, 800u);
   // Liveness judged from the newest accepted packet, not the stale one.
   EXPECT_TRUE(monitor.DetectFailures(100.0).empty());
   ASSERT_EQ(monitor.DetectFailures(111.0).size(), 1u);
@@ -587,8 +587,8 @@ TEST(HeartbeatMonitorTest, DuplicateHeartbeatIsHarmless) {
   monitor.Heartbeat(1, 10.0, 100);
   monitor.Heartbeat(1, 10.0, 100);  // duplicated copy, same timestamp
   EXPECT_EQ(monitor.stale_heartbeats_ignored(), 0u);
-  EXPECT_EQ(monitor.members().at(1).last_heartbeat, 10.0);
-  EXPECT_EQ(monitor.members().at(1).progress_offset, 100u);
+  EXPECT_EQ(monitor.member(1)->last_heartbeat, 10.0);
+  EXPECT_EQ(monitor.member(1)->progress_offset, 100u);
 }
 
 TEST(HeartbeatMonitorTest, FencedMemberCannotBeResurrectedByLatePackets) {
@@ -622,7 +622,59 @@ TEST(HeartbeatMonitorTest, ExplicitReAddLiftsFence) {
   monitor.Heartbeat(7, 12.0, 5);
   EXPECT_EQ(monitor.member_count(), 1u);
   EXPECT_EQ(monitor.fenced_heartbeats_ignored(), 0u);
-  EXPECT_EQ(monitor.members().at(7).progress_offset, 5u);
+  EXPECT_EQ(monitor.member(7)->progress_offset, 5u);
+}
+
+TEST(HeartbeatMonitorTest, SparseIdsKeepFencesAndAscendingVerdictOrder) {
+  // Ids 0, 5 and 9 leave holes in the flat table: a hole is neither a
+  // member nor fenced, queries past the end do not grow it, and every scan
+  // reports in ascending id order.
+  HeartbeatMonitorOptions options;
+  options.min_observation = 10.0;
+  options.failure_timeout = 30.0;
+  HeartbeatMonitor monitor(options);
+  for (uint64_t id : {9u, 0u, 5u}) monitor.AddMember(id, 0.0);
+  EXPECT_EQ(monitor.member_count(), 3u);
+  EXPECT_EQ(monitor.member(3), nullptr);
+  EXPECT_EQ(monitor.member(1000), nullptr);
+  EXPECT_FALSE(monitor.IsFenced(3));
+  EXPECT_DOUBLE_EQ(monitor.ProgressRate(1000, 10.0), 0.0);
+
+  // Fence 5; its late packet neither registers it nor moves anything.
+  monitor.FenceMember(5);
+  EXPECT_TRUE(monitor.IsFenced(5));
+  EXPECT_EQ(monitor.member(5), nullptr);
+  monitor.Heartbeat(5, 1.0, 10);
+  EXPECT_EQ(monitor.member_count(), 2u);
+  EXPECT_EQ(monitor.fenced_heartbeats_ignored(), 1u);
+
+  // An unknown, unfenced id auto-registers on its first heartbeat.
+  monitor.Heartbeat(7, 0.0, 0);
+  ASSERT_NE(monitor.member(7), nullptr);
+  EXPECT_EQ(monitor.member_count(), 3u);
+
+  // Re-adding 5 lifts its fence with a clean slate.
+  monitor.AddMember(5, 0.0);
+  EXPECT_FALSE(monitor.IsFenced(5));
+  ASSERT_NE(monitor.member(5), nullptr);
+  EXPECT_EQ(monitor.member(5)->progress_offset, 0u);
+  EXPECT_EQ(monitor.member_count(), 4u);
+
+  std::vector<uint64_t> order;
+  monitor.ForEachMember(
+      [&order](uint64_t id, const MemberHealth&) { order.push_back(id); });
+  EXPECT_EQ(order, (std::vector<uint64_t>{0, 5, 7, 9}));
+
+  // 9 and 5 are slow against a median of 100/s: both verdicts, id order.
+  for (uint64_t id : {0u, 7u}) monitor.Heartbeat(id, 20.0, 2000);
+  monitor.Heartbeat(9, 20.0, 20);
+  monitor.Heartbeat(5, 20.0, 10);
+  EXPECT_EQ(monitor.DetectStragglers(20.0), (std::vector<uint64_t>{5, 9}));
+  EXPECT_TRUE(monitor.member(9)->flagged_straggler);
+
+  monitor.RemoveMember(0);
+  EXPECT_EQ(monitor.member(0), nullptr);
+  EXPECT_EQ(monitor.DetectFailures(60.0), (std::vector<uint64_t>{5, 7, 9}));
 }
 
 TEST(CheckpointStoreTest, FlashIsOrdersOfMagnitudeFasterThanRds) {

@@ -12,7 +12,10 @@
 //   - fleet_chaos:   the managed fleet, 3x, 14 h horizon, under the grey-fault
 //     and control-partition campaigns with node health on.
 //
-// A second suite pins the sequential RunFleet path that the Fig 3, Table 4,
+// FleetPerfbenchGoldenTest pins perfbench's own fleet_chaos run at its gated
+// seed (~1.5 s), the full-scale fingerprint perfbench prints.
+//
+// A third suite pins the sequential RunFleet path that the Fig 3, Table 4,
 // Fig 14 and Fig 15 benches run through the sweep engine: one scenario of
 // each bench at its own scale and seed (the Fig 3 trace, Table 4's manual
 // arm, month 4 of Fig 14, Fig 15's DLRover arm); ~0.5 s for all four.
@@ -105,6 +108,22 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.workload) + "_seed" +
              std::to_string(info.param.seed);
     });
+
+// perfbench's FleetScenarioFor("fleet_chaos", 1) with its engine settings:
+// 10x (480 jobs, 600 nodes), 16 cells, 2-minute windows, 1 lane.
+TEST(FleetPerfbenchGoldenTest, FleetChaosSeed1) {
+  FleetScenario scenario = ReducedScenario("fleet_chaos", 1);
+  scenario.workload.num_jobs = 48 * 10;
+  scenario.cluster.num_nodes = 60 * 10;
+  ShardedFleetOptions options;
+  options.cells = 16;
+  options.shards = 1;
+  options.window = Minutes(2);
+  const ShardedFleetResult result = RunFleetSharded(scenario, options);
+  ASSERT_EQ(result.fleet.jobs.size(),
+            static_cast<size_t>(scenario.workload.num_jobs));
+  EXPECT_EQ(FleetFingerprint(result), "de2f117cbbee8e6c");
+}
 
 struct BenchCase {
   const char* bench;
