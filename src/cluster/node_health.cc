@@ -27,13 +27,16 @@ constexpr double kStragglerSingleWeight = 0.08;
 /// with no intra-job straggler flagged and no recent rescale to explain it
 /// — charges the nodes hosting its parameter servers. Tallied per tick by
 /// distinct reporting job: two or more jobs corroborating one node is
-/// near-certain node degradation (kPsSlowdownWeight per job per tick);
-/// a single job's verdict is already heavily gated on the job side
-/// (sustained drop vs own best, straggler-free, disruption-free), so it
-/// carries real weight too — enough to cordon within ~5-6 minutes of
-/// sustained collapse, unlike the one-straggler case.
+/// near-certain node degradation (kPsSlowdownWeight per job per tick).
+/// One job's verdict cannot say *which* of its PS nodes is slow — it
+/// charges all of them alike, so one degraded node puts the job's every PS
+/// node under suspicion — and adds only kPsSlowdownSingleWeight, sized like
+/// kStragglerSingleWeight to saturate between the suspect and cordon
+/// thresholds (steady state ~2.4): a node is never cordoned on one job's
+/// word alone, and any second source (a straggler, a crash, a second job)
+/// on top of it does cordon.
 constexpr double kPsSlowdownWeight = 0.5;
-constexpr double kPsSlowdownSingleWeight = 0.4;
+constexpr double kPsSlowdownSingleWeight = 0.1;
 /// Leak evidence works on the node's *unaccounted* memory — the share no
 /// resident pod's cgroup explains. Slopes of total node memory are useless
 /// for this: placement and completion churn swings the used fraction by
@@ -182,8 +185,8 @@ const std::vector<NodeHealthTracker::Action>& NodeHealthTracker::Tick(
     }
     if (!e.ps_slowdown_sources.empty()) {
       // A PS-hosting node slowed a whole job uniformly. Cross-job
-      // corroboration is near-certain; a single job's verdict is already
-      // heavily gated at the source (see TrainingJob) and still counts.
+      // corroboration is near-certain; a single job charges every one of
+      // its PS nodes, so alone it is weak evidence, as for stragglers.
       const double n = static_cast<double>(e.ps_slowdown_sources.size());
       AddEvidence(node,
                   n >= 2.0 ? kPsSlowdownWeight * n

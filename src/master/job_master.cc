@@ -94,7 +94,7 @@ void JobMaster::Tick() {
   // rest of the master's working state is rebuilt from the job itself.
   snapshot_last_plan_seq_ = volatile_last_plan_seq_;
   job_->EvacuateDrainingPods();
-  if (options_.straggler_mitigation) job_->MitigateStragglers();
+  job_->MitigateStragglers();
   if (options_.oom_prevention) job_->MaybePreventOom();
 }
 

@@ -12,7 +12,6 @@
 namespace dlrover {
 
 struct JobMasterOptions {
-  bool straggler_mitigation = true;
   bool oom_prevention = true;
 };
 

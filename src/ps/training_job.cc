@@ -208,8 +208,7 @@ void TrainingJob::OnPsRunning(PsState& ps) {
     // Replacement PS is up: load the checkpoint, then resume.
     const Duration load = CheckpointReadTime();
     stats_.downtime_checkpoint += load;
-    sim_->ScheduleAfter(load, [this] {
-      if (finished()) return;
+    ScheduleInTransition(load, [this] {
       transition_.kind = TransitionKind::kNone;
       state_ = JobState::kRunning;
       ResumeTraining();
@@ -247,8 +246,7 @@ void TrainingJob::TryDispatchAll() {
         stats_.downtime_repartition += kRepartitionTime;
       }
       transition_.kind = TransitionKind::kNone;
-      sim_->ScheduleAfter(resume_delay, [this] {
-        if (finished()) return;
+      ScheduleInTransition(resume_delay, [this] {
         state_ = JobState::kRunning;
         ResumeTraining();
       });
@@ -539,7 +537,7 @@ void TrainingJob::OnWorkerStopped(WorkerState& worker, PodStopReason reason) {
       worker.evacuating = false;
       return;
     }
-    if (transition_.kind == TransitionKind::kNone) {
+    if (transition_.kind == TransitionKind::kNone) {  // else ReplaceLostWorkers
       const uint64_t shard_limit = worker.shard_limit;
       AddWorker(config_, &workers_).shard_limit = shard_limit;
     }
@@ -569,6 +567,7 @@ void TrainingJob::OnPsStopped(PsState& ps, PodStopReason reason) {
 void TrainingJob::RecoverFromPsLoss(PsState& ps, bool was_oom) {
   state_ = JobState::kRestoring;
   transition_.kind = TransitionKind::kPsRecovery;
+  ++transition_.epoch;  // a restart's pending resume ends here
   PauseTraining();
   // Parameters on the lost PS are gone: training rolls back to the last
   // checkpoint (flash-checkpoint keeps this window tiny).
@@ -708,13 +707,13 @@ void TrainingJob::BeginStopAndRestart(const JobConfig& new_config) {
   ++stats_.migrations;
   state_ = JobState::kMigrating;
   transition_.kind = TransitionKind::kStopRestart;
+  transition_.pending = new_config;
   PauseTraining();
 
   // Save a checkpoint on the critical path (paper: 5-10 min to RDS).
   const Duration save = CheckpointWriteTime();
   stats_.downtime_checkpoint += save;
-  sim_->ScheduleAfter(save, [this, new_config] {
-    if (finished()) return;
+  ScheduleInTransition(save, [this] {
     RecordCheckpoint(batches_done(), ModelBytes());
     // The flash tier persists to RDS off the critical path; without this
     // the migration checkpoint would exist only in volatile memory.
@@ -723,7 +722,8 @@ void TrainingJob::BeginStopAndRestart(const JobConfig& new_config) {
     }
     KillAllPods(false);
     transition_.restart_kill_time = sim_->Now();
-    config_ = new_config;
+    config_ = *transition_.pending;
+    transition_.pending.reset();
     InvalidateIterationCache();
     workers_.clear();
     ps_.clear();
@@ -741,21 +741,18 @@ void TrainingJob::BeginSeamless(const JobConfig& new_config) {
   // Watchdog: if the staged deployment cannot be scheduled (capacity,
   // oversized pods), abort and keep training on the old pods rather than
   // wedging the job in kMigrating forever.
-  const uint64_t epoch = ++transition_.epoch;
-  sim_->ScheduleAfter(Minutes(12),
-                      [this, epoch] { AbortSeamlessIfStuck(epoch); });
+  ++transition_.epoch;
+  ScheduleInTransition(Minutes(12), [this] { AbortSeamlessIfStuck(); });
   // Stage the full replacement deployment; old pods keep training.
   BuildDeployment(new_config, {}, &transition_.staged_workers,
                   &transition_.staged_ps);
 }
 
-void TrainingJob::AbortSeamlessIfStuck(uint64_t epoch) {
-  if (finished()) return;
-  if (transition_.kind != TransitionKind::kSeamless) return;
-  if (epoch != transition_.epoch) return;  // that migration already ended
+void TrainingJob::AbortSeamlessIfStuck() {
   ++stats_.seamless_aborts;
   EndTransition();
   state_ = JobState::kRunning;
+  ReplaceLostWorkers();
 }
 
 void TrainingJob::FinishMigrationIfReady() {
@@ -768,7 +765,7 @@ void TrainingJob::FinishMigrationIfReady() {
   }
   // Everything staged is up: pause, hand over state via flash-checkpoint,
   // swap pod sets, resume. Only the checkpoint handoff pauses training.
-  const uint64_t epoch = ++transition_.epoch;  // disarms the watchdog
+  ++transition_.epoch;  // disarms the watchdog
   PauseTraining();
   const Duration save = CheckpointWriteTime();
   const Duration load = CheckpointReadTime();
@@ -776,12 +773,7 @@ void TrainingJob::FinishMigrationIfReady() {
   if (spec_.use_flash_checkpoint) {
     cache_.AsyncFlushToRds(ModelBytes());
   }
-  sim_->ScheduleAfter(save + load, [this, epoch] {
-    // Known bug (DESIGN.md §16, "The one unguarded site"): this is the one
-    // deferred transition callback that does not drop a stale `epoch`. A
-    // restart inside the hand-off window ends this migration, yet the swap
-    // below still runs.
-    if (finished()) return;
+  ScheduleInTransition(save + load, [this] {
     RecordCheckpoint(batches_done(), ModelBytes());
     RetireMembers(&workers_, false, &retired_workers_);
     RetireMembers(&ps_, false, &retired_ps_);
@@ -793,6 +785,13 @@ void TrainingJob::FinishMigrationIfReady() {
     ++stats_.migrations;
     state_ = JobState::kRunning;
     ResumeTraining();
+  });
+}
+
+template <typename Fn>
+void TrainingJob::ScheduleInTransition(Duration delay, Fn fn) {
+  sim_->ScheduleAfter(delay, [this, epoch = transition_.epoch, fn] {
+    if (!finished() && epoch == transition_.epoch) fn();
   });
 }
 
@@ -813,11 +812,20 @@ void TrainingJob::PauseTraining() {
 void TrainingJob::ResumeTraining() {
   if (!paused_) return;
   paused_ = false;
+  ReplaceLostWorkers();
   // Any pause (migration, recovery, restart) legitimately moves the job's
   // throughput baseline: re-learn the best rate before trusting the
   // degraded-PS collapse detector again.
   ResetThroughputBaseline();
   TryDispatchAll();
+}
+
+void TrainingJob::ReplaceLostWorkers() {
+  // A staged drain replacement stands in for its victim, so it is not counted.
+  int live = static_cast<int>(std::count_if(
+      workers_.begin(), workers_.end(),
+      [](const auto& w) { return !w->retired && w->replace_victim < 0; }));
+  for (; live < config_.num_workers; ++live) AddWorker(config_, &workers_);
 }
 
 void TrainingJob::ResetThroughputBaseline() {
@@ -828,13 +836,12 @@ void TrainingJob::ResetThroughputBaseline() {
 
 Status TrainingJob::SetWorkerShardLimit(int worker_index,
                                         uint64_t max_batches) {
-  for (auto& w : workers_) {
-    if (w->index == worker_index && !w->retired) {
-      w->shard_limit = max_batches;
-      return Status::OK();
-    }
+  WorkerState* w = FindWorkerByIndex(worker_index);
+  if (w == nullptr || w->retired) {
+    return NotFoundError("no active worker with that index");
   }
-  return NotFoundError("no active worker with that index");
+  w->shard_limit = max_batches;
+  return Status::OK();
 }
 
 int TrainingJob::MitigateStragglers() {
@@ -1112,8 +1119,6 @@ Bytes TrainingJob::ModelBytes() const {
                                    static_cast<double>(spec_.batch_size));
 }
 
-double TrainingJob::MeasuredThroughput() const { return last_throughput_; }
-
 double TrainingJob::SmoothedThroughput(size_t samples) const {
   double sum = 0.0;
   size_t count = 0;
@@ -1259,31 +1264,22 @@ void TrainingJob::ProfileTick() {
                                 sample.samples_per_sec;
   }
   // Utilisation of our own pods (used / allocated).
-  double w_used = 0.0, w_alloc = 0.0, p_used = 0.0, p_alloc = 0.0;
-  double w_mem_used = 0.0, w_mem_alloc = 0.0;
-  double p_mem_used = 0.0, p_mem_alloc = 0.0;
-  for (const auto& w : workers_) {
-    if (w->retired || !w->pod_running) continue;
-    const Pod* pod = cluster_->GetPod(w->pod);
-    if (pod == nullptr) continue;
-    w_used += pod->usage.cpu;
-    w_alloc += pod->spec.request.cpu;
-    w_mem_used += pod->usage.memory;
-    w_mem_alloc += pod->spec.request.memory;
-  }
-  for (const auto& p : ps_) {
-    if (p->retired || !p->pod_running) continue;
-    const Pod* pod = cluster_->GetPod(p->pod);
-    if (pod == nullptr) continue;
-    p_used += pod->usage.cpu;
-    p_alloc += pod->spec.request.cpu;
-    p_mem_used += pod->usage.memory;
-    p_mem_alloc += pod->spec.request.memory;
-  }
-  sample.worker_cpu_util = w_alloc > 0.0 ? w_used / w_alloc : 0.0;
-  sample.ps_cpu_util = p_alloc > 0.0 ? p_used / p_alloc : 0.0;
-  sample.worker_mem_util = w_mem_alloc > 0.0 ? w_mem_used / w_mem_alloc : 0.0;
-  sample.ps_mem_util = p_mem_alloc > 0.0 ? p_mem_used / p_mem_alloc : 0.0;
+  auto utilisation = [this](const auto& members, double* cpu, double* mem) {
+    double cpu_used = 0.0, cpu_alloc = 0.0, mem_used = 0.0, mem_alloc = 0.0;
+    for (const auto& m : members) {
+      if (m->retired || !m->pod_running) continue;
+      const Pod* pod = cluster_->GetPod(m->pod);
+      if (pod == nullptr) continue;
+      cpu_used += pod->usage.cpu;
+      cpu_alloc += pod->spec.request.cpu;
+      mem_used += pod->usage.memory;
+      mem_alloc += pod->spec.request.memory;
+    }
+    *cpu = cpu_alloc > 0.0 ? cpu_used / cpu_alloc : 0.0;
+    *mem = mem_alloc > 0.0 ? mem_used / mem_alloc : 0.0;
+  };
+  utilisation(workers_, &sample.worker_cpu_util, &sample.worker_mem_util);
+  utilisation(ps_, &sample.ps_cpu_util, &sample.ps_mem_util);
   history_.push_back(sample);
   last_throughput_ = sample.samples_per_sec;
   window_start_ = now;

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -245,7 +244,7 @@ class TrainingJob {
   }
 
   /// Measured throughput over the last profiling window (samples/sec).
-  double MeasuredThroughput() const;
+  double MeasuredThroughput() const { return last_throughput_; }
   /// Mean of the last `samples` non-zero profiling windows: shard-level
   /// completion quantization makes single windows noisy (+-15%), so
   /// schedulers should decide on this.
@@ -367,11 +366,17 @@ class TrainingJob {
   void BeginStopAndRestart(const JobConfig& new_config);
   void BeginSeamless(const JobConfig& new_config);
   void FinishMigrationIfReady();
-  void AbortSeamlessIfStuck(uint64_t epoch);
+  void AbortSeamlessIfStuck();
+  /// Every deferred step of a transition: runs `fn` after `delay` unless the
+  /// job finished or the epoch moved (that transition ended) meanwhile.
+  template <typename Fn>
+  void ScheduleInTransition(Duration delay, Fn fn);
   /// Ends the in-flight transition: retires the staged members into the
   /// graveyard, clears the kind and the pending config, and bumps the epoch.
   void EndTransition();
   void RecoverFromPsLoss(PsState& ps, bool was_oom);
+  /// Replaces, as a transition ends, the workers lost while it ran.
+  void ReplaceLostWorkers();
   void RestartFromCheckpoint(const std::string& why);
   void Complete();
   void FailJob(const std::string& reason);
@@ -419,14 +424,13 @@ class TrainingJob {
     kPsRecovery = 3,   // replacing a single lost PS
   };
   /// Everything an in-flight transition owns. `epoch` is the staleness
-  /// token of deferred transition callbacks: it bumps when a seamless
-  /// migration begins, when its staged set is complete, and in every
-  /// EndTransition, and a callback that captured an older value belongs to
-  /// a transition that already ended.
+  /// token of ScheduleInTransition: it bumps when a seamless migration
+  /// begins or completes its staged set, when a PS recovery begins, and in
+  /// every EndTransition.
   struct Transition {
     TransitionKind kind = TransitionKind::kNone;
     uint64_t epoch = 0;
-    /// The seamless migration's target config.
+    /// The migration's target config (seamless or stop-and-restart).
     std::optional<JobConfig> pending;
     /// The seamless migration's replacement deployment.
     WorkerSet staged_workers;

@@ -12,8 +12,9 @@
 //   - fleet_chaos:   the managed fleet, 3x, 14 h horizon, under the grey-fault
 //     and control-partition campaigns with node health on.
 //
-// FleetPerfbenchGoldenTest pins perfbench's own fleet_chaos run at its gated
-// seed (~1.5 s), the full-scale fingerprint perfbench prints.
+// FleetPerfbenchGoldenTest pins perfbench's own fleet_chaos and fleet_managed
+// runs at their gated seed (~1.5 s each), the full-scale fingerprints
+// perfbench prints.
 //
 // A third suite pins the sequential RunFleet path that the Fig 3, Table 4,
 // Fig 14 and Fig 15 benches run through the sweep engine: one scenario of
@@ -96,33 +97,42 @@ TEST_P(FleetGoldenTest, FingerprintMatchesRecorded) {
 INSTANTIATE_TEST_SUITE_P(
     Workloads, FleetGoldenTest,
     ::testing::Values(GoldenCase{"fleet_manual", 1, "313738bec08a2e4c"},
-                      GoldenCase{"fleet_manual", 2, "96809dddffc55410"},
+                      GoldenCase{"fleet_manual", 2, "d5a5d96554c5b00c"},
                       GoldenCase{"fleet_manual", 3, "cc213ad8bc2fb48f"},
                       GoldenCase{"fleet_managed", 1, "052a39dd65e978fc"},
                       GoldenCase{"fleet_managed", 2, "a8769871e343ef5f"},
-                      GoldenCase{"fleet_managed", 3, "01cc8653fe137263"},
-                      GoldenCase{"fleet_chaos", 1, "c3746556052cd079"},
-                      GoldenCase{"fleet_chaos", 2, "836676a4094cc6e2"},
-                      GoldenCase{"fleet_chaos", 3, "195e8ad23aba301d"}),
+                      GoldenCase{"fleet_managed", 3, "d8b20673ef98bbf5"},
+                      GoldenCase{"fleet_chaos", 1, "66593ca3c8f26d13"},
+                      GoldenCase{"fleet_chaos", 2, "1b812a7ba2d8f9b6"},
+                      GoldenCase{"fleet_chaos", 3, "348d8c3a0abb546d"}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return std::string(info.param.workload) + "_seed" +
              std::to_string(info.param.seed);
     });
 
-// perfbench's FleetScenarioFor("fleet_chaos", 1) with its engine settings:
-// 10x (480 jobs, 600 nodes), 16 cells, 2-minute windows, 1 lane.
-TEST(FleetPerfbenchGoldenTest, FleetChaosSeed1) {
-  FleetScenario scenario = ReducedScenario("fleet_chaos", 1);
-  scenario.workload.num_jobs = 48 * 10;
-  scenario.cluster.num_nodes = 60 * 10;
+// perfbench's FleetScenarioFor(workload, 1) with its engine settings: 16
+// cells, 2-minute windows, 1 lane; fleet_chaos at 10x (480 jobs, 600 nodes),
+// fleet_managed at 20x (960 jobs, 1200 nodes).
+std::string PerfbenchFingerprint(const std::string& workload, int scale) {
+  FleetScenario scenario = ReducedScenario(workload, 1);
+  scenario.workload.num_jobs = 48 * scale;
+  scenario.cluster.num_nodes = 60 * scale;
   ShardedFleetOptions options;
   options.cells = 16;
   options.shards = 1;
   options.window = Minutes(2);
   const ShardedFleetResult result = RunFleetSharded(scenario, options);
-  ASSERT_EQ(result.fleet.jobs.size(),
+  EXPECT_EQ(result.fleet.jobs.size(),
             static_cast<size_t>(scenario.workload.num_jobs));
-  EXPECT_EQ(FleetFingerprint(result), "de2f117cbbee8e6c");
+  return FleetFingerprint(result);
+}
+
+TEST(FleetPerfbenchGoldenTest, FleetChaosSeed1) {
+  EXPECT_EQ(PerfbenchFingerprint("fleet_chaos", 10), "dfa8f2bc7c8671cb");
+}
+
+TEST(FleetPerfbenchGoldenTest, FleetManagedSeed1) {
+  EXPECT_EQ(PerfbenchFingerprint("fleet_managed", 20), "2d87f9fc8b555d0f");
 }
 
 struct BenchCase {
@@ -180,7 +190,7 @@ INSTANTIATE_TEST_SUITE_P(
     Benches, FleetBenchGoldenTest,
     ::testing::Values(BenchCase{"fig3", "58d15d6bc785413d"},
                       BenchCase{"table4", "f003efc312896619"},
-                      BenchCase{"fig14", "ebaa154671422c7c"},
+                      BenchCase{"fig14", "d6fdd9ef79af52a2"},
                       BenchCase{"fig15", "7b7a582524cc8ed7"}),
     [](const ::testing::TestParamInfo<BenchCase>& info) {
       return std::string(info.param.bench);

@@ -65,7 +65,6 @@ TEST(JobMasterTest, GuardsCanBeDisabled) {
   TestSetup setup(/*steps=*/100000, /*ps_memory=*/GiB(5));
   JobMasterOptions options;
   options.oom_prevention = false;
-  options.straggler_mitigation = false;
   JobMaster master(&setup.sim, setup.job.get(), options);
   master.Start();
   setup.sim.RunUntil(Hours(6));

@@ -151,6 +151,50 @@ TEST(NodeHealthTrackerTest, StragglerVerdictsNeedCorroboration) {
   EXPECT_LE(now, Minutes(10));
 }
 
+TEST(NodeHealthTrackerTest, OneJobsPsSlowdownNeedsAnotherSource) {
+  // One job charges every node hosting its PSes each tick for an hour; it
+  // cannot say which one is slow, so alone it never cordons any of them.
+  NodeHealthTracker lone(3);
+  SimTime now = 0.0;
+  for (int i = 0; i < 120; ++i) {
+    now += 30.0;
+    for (NodeId node = 0; node < 3; ++node) {
+      lone.ObservePsSlowdown(node, /*source=*/42, now);
+    }
+    EXPECT_TRUE(lone.Tick(now).empty());
+  }
+  EXPECT_EQ(lone.cordons(), 0u);
+  EXPECT_EQ(lone.state(0), NodeHealthState::kSuspect);
+
+  // The same verdict plus a second source on node 1 (one slow resident pod,
+  // itself too weak to cordon) cordons node 1 and only node 1.
+  NodeHealthTracker backed(3);
+  now = 0.0;
+  std::vector<NodeId> cordoned;
+  for (int i = 0; i < 120 && cordoned.empty(); ++i) {
+    now += 30.0;
+    for (NodeId node = 0; node < 3; ++node) {
+      backed.ObservePsSlowdown(node, 42, now);
+    }
+    backed.ObserveStraggler(1, /*source=*/7, now);
+    for (const auto& action : backed.Tick(now)) cordoned.push_back(action.node);
+  }
+  EXPECT_EQ(cordoned, std::vector<NodeId>{1});
+
+  // Two jobs corroborating one node cordon it within minutes.
+  NodeHealthTracker pair(1);
+  now = 0.0;
+  bool pair_cordoned = false;
+  for (int i = 0; i < 120 && !pair_cordoned; ++i) {
+    now += 30.0;
+    pair.ObservePsSlowdown(0, 42, now);
+    pair.ObservePsSlowdown(0, 43, now);
+    pair_cordoned = !pair.Tick(now).empty();
+  }
+  EXPECT_TRUE(pair_cordoned);
+  EXPECT_LE(now, Minutes(10));
+}
+
 // ---------------------------------------------------------------------------
 // Cluster integration: cordon/drain semantics on the substrate.
 // ---------------------------------------------------------------------------
