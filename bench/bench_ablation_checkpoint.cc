@@ -49,9 +49,9 @@ void Run() {
       sim.ScheduleAt(Minutes(8), [&] {
         batches_at_crash = job.batches_done();
         PodId victim = 0;
-        cluster.VisitPods([&](const Pod& pod) {
-          if (victim == 0 && pod.phase == PodPhase::kRunning &&
-              pod.spec.name.find("-ps-") != std::string::npos) {
+        cluster.VisitRunningPods(PriorityClass::kTraining,
+                                 [&](const Pod& pod) {
+          if (victim == 0 && pod.spec.name.find("-ps-") != std::string::npos) {
             victim = pod.id;
           }
         });

@@ -15,7 +15,8 @@ namespace {
 void Run() {
   PrintBanner("Table 2: workload consolidation on the shared cluster");
 
-  // Sample the cluster at steady state with a manual (pre-DLRover) fleet.
+  // A manual (pre-DLRover) fleet: jobs arrive on the trace's schedule over
+  // two hours, and the cluster is sampled halfway through, while they train.
   Simulator sim;
   ClusterOptions cluster_options;
   cluster_options.num_nodes = 100;
@@ -40,10 +41,11 @@ void Run() {
     config.num_workers =
         std::max(2, static_cast<int>(config.num_workers * gen.size_factor));
     auto job = std::make_unique<TrainingJob>(&sim, &cluster, spec, config);
-    job->Start();
+    TrainingJob* submitted = job.get();
+    sim.ScheduleAt(gen.arrival, [submitted] { submitted->Start(); });
     jobs.push_back(std::move(job));
   }
-  sim.RunUntil(Hours(4));
+  sim.RunUntil(Hours(1));
 
   // Aggregate by priority class (job type).
   struct Row {
@@ -53,15 +55,16 @@ void Run() {
     Bytes mem = 0.0;
   };
   Row training, online;
-  cluster.VisitPods([&](const Pod& pod) {
-    if (pod.phase != PodPhase::kRunning) return;
-    Row& row = pod.spec.priority == PriorityClass::kTraining ? training
-                                                             : online;
-    ++row.count;
-    row.vcpu += pod.spec.request.cpu;
-    row.used_cpu += pod.usage.cpu;
-    row.mem += pod.spec.request.memory;
-  });
+  auto tally = [&](PriorityClass priority, Row* row) {
+    cluster.VisitRunningPods(priority, [&](const Pod& pod) {
+      ++row->count;
+      row->vcpu += pod.spec.request.cpu;
+      row->used_cpu += pod.usage.cpu;
+      row->mem += pod.spec.request.memory;
+    });
+  };
+  tally(PriorityClass::kTraining, &training);
+  tally(BackgroundLoad::kPriority, &online);
 
   TablePrinter table({"job type", "pods", "vCPU", "CPU util", "MEM"});
   auto add = [&](const char* name, const Row& row) {

@@ -11,7 +11,6 @@ constexpr Duration kPeriod = Days(1);
 constexpr ResourceSpec kPodSize{8.0, GiB(32)};
 /// How often the controller reconciles toward the target load.
 constexpr Duration kReconcileInterval = Minutes(10);
-constexpr PriorityClass kPriority = PriorityClass::kOnline;
 }  // namespace
 
 BackgroundLoad::BackgroundLoad(Simulator* sim, Cluster* cluster,

@@ -28,6 +28,9 @@ struct BackgroundLoadOptions {
 /// rising load preempts training workers exactly as in the paper's cloud.
 class BackgroundLoad {
  public:
+  /// The one priority class of every background pod.
+  static constexpr PriorityClass kPriority = PriorityClass::kOnline;
+
   BackgroundLoad(Simulator* sim, Cluster* cluster,
                  const BackgroundLoadOptions& options);
 

@@ -52,45 +52,48 @@ Cluster::Cluster(Simulator* sim, const ClusterOptions& options)
 
 PodId Cluster::CreatePod(PodSpec spec, std::function<void(Pod&)> on_running,
                          std::function<void(Pod&, PodStopReason)> on_stopped) {
-  uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    // Re-arming a recycled slot is the moment the previous tenant's id goes
-    // stale: until now a terminated pod was still resolvable by its id.
-    ++slots_[slot].gen;
-  } else {
-    slot = static_cast<uint32_t>(slots_.size());
-    slots_.emplace_back();
+  if (free_slots_.empty()) {  // a new slot, its vacant Pod at generation 0
+    free_slots_.push_back(static_cast<uint32_t>(slots_.size()));
+    slots_.push_back(std::make_unique<Pod>());
   }
-  auto pod = std::make_unique<Pod>();
-  pod->id = MakeId(slot, slots_[slot].gen);
-  pod->creation_seq = next_creation_seq_++;
-  pod->spec = std::move(spec);
-  pod->submit_time = sim_->Now();
-  pod->on_running = std::move(on_running);
-  pod->on_stopped = std::move(on_stopped);
-  const PodId id = pod->id;
-  Pod& ref = *pod;
-  slots_[slot].pod = pod.get();
-  directory_.push_back(std::move(pod));
+  const uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  // Re-arming the slot in place is the moment the previous tenant's id goes
+  // stale: until now a terminated pod was still resolvable by its id.
+  const PodId id = MakeId(slot, static_cast<uint32_t>(slots_[slot]->id) + 1);
+  *slots_[slot] = Pod{.id = id,
+                      .spec = std::move(spec),
+                      .creation_seq = next_creation_seq_++,
+                      .submit_time = sim_->Now(),
+                      .on_running = std::move(on_running),
+                      .on_stopped = std::move(on_stopped)};
   ++counters_.pods_created;
 
-  if (!TryPlace(ref)) {
-    // Hold the pending queue off while preempting: the capacity freed for
-    // this (higher-priority) pod must not be grabbed by a lower-priority
-    // pending pod via the Terminate->pump path.
-    const bool was_pumping = pumping_;
-    pumping_ = true;
-    const bool placed = TryPreemptFor(ref) && TryPlace(ref);
-    pumping_ = was_pumping;
-    if (!placed) pending_.push_back(id);
-    if (!was_pumping && repump_) {
-      repump_ = false;
-      PumpPendingQueue();
-    }
+  // Hold the pending queue off while placing: the capacity preemption frees
+  // for this (higher-priority) pod must not be grabbed by a lower-priority
+  // pending pod via the Terminate->pump path.
+  const bool was_pumping = pumping_;
+  pumping_ = true;
+  PlaceOrQueue(id, &pending_);
+  pumping_ = was_pumping;
+  if (!was_pumping && repump_) {
+    repump_ = false;
+    PumpPendingQueue();
   }
   return id;
+}
+
+void Cluster::PlaceOrQueue(PodId id, std::deque<PodId>* queue) {
+  if (TryPlace(*Resolve(id))) return;
+  // Eviction runs the victims' stop callbacks. They may kill this pod, and
+  // a pod created after that re-arms its slot, so resolve it again by id.
+  if (TryPreemptFor(*Resolve(id))) {
+    Pod* pod = Resolve(id);
+    if (pod == nullptr || pod->phase != PodPhase::kPending || TryPlace(*pod)) {
+      return;
+    }
+  }
+  queue->push_back(id);
 }
 
 bool Cluster::TryPlace(Pod& pod) {
@@ -259,7 +262,10 @@ void Cluster::FinishStartup(PodId id) {
   ++mutation_version_;
   running_index_.Insert(pod->spec.priority, pod->creation_seq, pod);
   if (options_.validate_placement_index) ValidatePlacementIndex();
-  if (pod->on_running) pod->on_running(*pod);
+  // Moved out first: a pod created after the callback kills this one would
+  // re-arm the slot and replace the callback while it runs.
+  const auto on_running = std::move(pod->on_running);
+  if (on_running) on_running(*pod);
 }
 
 void Cluster::KillPod(PodId id, bool graceful_success) {
@@ -433,8 +439,8 @@ void Cluster::Terminate(Pod& pod, PodPhase phase, PodStopReason reason) {
   }
   if (pod.on_stopped) pod.on_stopped(pod, reason);
   // Only now does the slot become recyclable (the stop callback above may
-  // read the pod by id); the pod itself stays resolvable — and visible to
-  // VisitPods — until a later CreatePod re-arms the slot.
+  // read the pod by id). The pod stays resolvable until a later CreatePod
+  // re-arms the slot in place, so past this line `pod` may be a new tenant.
   free_slots_.push_back(static_cast<uint32_t>((pod.id >> 32) - 1));
   // Freed capacity may unblock pending pods.
   PumpPendingQueue();
@@ -481,13 +487,9 @@ void Cluster::PumpPendingQueue() {
     pending_.clear();  // nested CreatePod may add fresh ids meanwhile
     std::deque<PodId> still_pending;
     for (PodId id : snapshot) {
-      Pod* pod = GetMutablePod(id);
+      const Pod* pod = Resolve(id);
       if (pod == nullptr || pod->phase != PodPhase::kPending) continue;
-      if (!TryPlace(*pod)) {
-        if (!TryPreemptFor(*pod) || !TryPlace(*pod)) {
-          still_pending.push_back(id);
-        }
-      }
+      PlaceOrQueue(id, &still_pending);
     }
     for (PodId id : pending_) still_pending.push_back(id);
     pending_ = std::move(still_pending);
@@ -498,10 +500,10 @@ void Cluster::PumpPendingQueue() {
 Pod* Cluster::Resolve(PodId id) const {
   const uint64_t slot_plus_one = id >> 32;
   if (slot_plus_one == 0 || slot_plus_one > slots_.size()) return nullptr;
-  const PodSlot& s = slots_[slot_plus_one - 1];
-  // A recycled slot carries a newer generation: the stale id resolves null.
-  if (s.gen != static_cast<uint32_t>(id & kGenMask)) return nullptr;
-  return s.pod;
+  Pod* pod = slots_[slot_plus_one - 1].get();
+  // A re-armed slot holds a tenant with a newer generation: the stale id
+  // resolves null.
+  return pod->id == id ? pod : nullptr;
 }
 
 const Pod* Cluster::GetPod(PodId id) const { return Resolve(id); }
@@ -509,7 +511,7 @@ const Pod* Cluster::GetPod(PodId id) const { return Resolve(id); }
 Pod* Cluster::GetMutablePod(PodId id) { return Resolve(id); }
 
 void Cluster::VisitPods(const std::function<void(const Pod&)>& fn) const {
-  for (const auto& pod : directory_) fn(*pod);
+  for (const auto& pod : slots_) fn(*pod);
 }
 
 void Cluster::VisitRunningPods(
@@ -567,16 +569,21 @@ void Cluster::ValidatePlacementIndex() const {
       }
     }
   }
-  // Running-pod directory: per class, the index must visit exactly the
-  // running pods a full directory sweep would, in the same order.
+  // Running-pod index: per class, it must visit exactly the running pods
+  // of the slab, in creation order.
+  std::vector<const Pod*> running;
+  for (const auto& pod : slots_) {
+    if (pod->phase == PodPhase::kRunning) running.push_back(pod.get());
+  }
+  std::sort(running.begin(), running.end(), [](const Pod* a, const Pod* b) {
+    return a->creation_seq < b->creation_seq;
+  });
   for (PriorityClass cls :
        {PriorityClass::kBestEffort, PriorityClass::kTraining,
         PriorityClass::kStream, PriorityClass::kOnline}) {
     std::vector<PodId> want;
-    for (const auto& pod : directory_) {
-      if (pod->phase == PodPhase::kRunning && pod->spec.priority == cls) {
-        want.push_back(pod->id);
-      }
+    for (const Pod* pod : running) {
+      if (pod->spec.priority == cls) want.push_back(pod->id);
     }
     std::vector<PodId> have;
     running_index_.Visit(cls, [&](const Pod& pod) { have.push_back(pod.id); });

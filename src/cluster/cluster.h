@@ -88,7 +88,7 @@ struct ClusterUsage {
 ///
 /// Every placement and victim decision is served by the PlacementIndex
 /// (ordered free-capacity treap + per-node priority-bucketed pod
-/// aggregates) and the running-pod directory (RunningPodIndex). Their
+/// aggregates) and the running-pod index (RunningPodIndex). Their
 /// contract is the plain scans: best fit is the uncordoned node
 /// with the least CPU left after placement (lowest id on ties); victims come
 /// from the first node, in id order, where evicting strictly lower-priority
@@ -101,14 +101,13 @@ struct ClusterUsage {
 /// cluster: it can only request pods and observe their lifecycle, which is
 /// exactly the interface exposed here.
 ///
-/// Pod bookkeeping uses the same slab + generation pattern as the
-/// Simulator's events: a PodId encodes {slot+1, generation}, lookup is an
-/// O(1) array index with a generation check, and a slot is recycled for a
-/// new pod only after its previous tenant terminated. A terminated pod stays
-/// resolvable by its id until its slot is reused; after reuse the stale id
-/// safely resolves to null. The directory of every pod ever created is kept
-/// (in creation order) so VisitPods matches the previous std::map-by-id
-/// iteration exactly.
+/// Pods live only in a slab, with the same slot + generation pattern as the
+/// Simulator's events: a PodId encodes {slot+1, generation}, and lookup is
+/// an O(1) array index that checks the id of the slot's tenant. A slot is
+/// re-armed for a new pod, in place, only after its previous tenant
+/// terminated. A terminated pod stays resolvable by its id until then; after
+/// that the stale id safely resolves to null. So the cluster holds at most
+/// the peak number of pods alive at once, not every pod ever created.
 class Cluster {
  public:
   Cluster(Simulator* sim, const ClusterOptions& options);
@@ -177,13 +176,12 @@ class Cluster {
 
   const Pod* GetPod(PodId id) const;
   Pod* GetMutablePod(PodId id);
-  /// Visits every pod (including terminal ones) in creation order — which is
-  /// id order for all pods whose slot has not been recycled.
+  /// Visits every pod the slab holds: the live ones and the terminated ones
+  /// whose slot has not been re-armed yet, in no particular order. A test
+  /// observer; programs use VisitRunningPods.
   void VisitPods(const std::function<void(const Pod&)>& fn) const;
-  /// Visits the *running* pods of one priority class in creation order —
-  /// the exact subsequence a VisitPods sweep filtered on
-  /// (phase == kRunning && priority == `priority`) would produce, served
-  /// from the running-pod index in O(matching pods).
+  /// Visits the *running* pods of one priority class in creation order,
+  /// served from the running-pod index in O(matching pods).
   void VisitRunningPods(PriorityClass priority,
                         const std::function<void(const Pod&)>& fn) const;
   const Node& GetNode(NodeId id) const { return nodes_[id]; }
@@ -247,15 +245,6 @@ class Cluster {
   const Counters& counters() const { return counters_; }
 
  private:
-  /// Slab slot backing one PodId. `gen` is bumped when the slot is re-armed
-  /// for a new pod, which is what invalidates the previous tenant's id.
-  struct PodSlot {
-    Pod* pod = nullptr;
-    uint32_t gen = 1;
-  };
-
-  static constexpr uint32_t kGenMask = 0xffffffffu;
-
   static PodId MakeId(uint32_t slot, uint32_t gen) {
     // slot+1 keeps every valid id nonzero (callers use 0 as "none").
     return (static_cast<uint64_t>(slot) + 1) << 32 | gen;
@@ -270,6 +259,9 @@ class Cluster {
 
   bool TryPlace(Pod& pod);
   bool TryPreemptFor(Pod& pod);
+  /// Places pending pod `id`, preempting lower-priority pods if it does not
+  /// fit, or appends it to `queue` if it is still pending afterwards.
+  void PlaceOrQueue(PodId id, std::deque<PodId>* queue);
   /// Indexed victim search: fills `victims` (eviction order) for the first
   /// node that can make room for `pod` and returns true, or returns false.
   bool FindVictims(const Pod& pod, std::vector<PodId>* victims);
@@ -298,9 +290,10 @@ class Cluster {
   ClusterOptions options_;
   Rng rng_;
   std::vector<Node> nodes_;
-  /// Every pod ever created, in creation order; pointers are stable.
-  std::vector<std::unique_ptr<Pod>> directory_;
-  std::vector<PodSlot> slots_;
+  /// The pod slab: each slot owns its current tenant, whose id carries the
+  /// slot's generation. Pods are heap-allocated once per slot, so pointers
+  /// (the running index holds them) survive slab growth.
+  std::vector<std::unique_ptr<Pod>> slots_;
   std::vector<uint32_t> free_slots_;
   /// O(log n) scheduling indexes.
   PlacementIndex placement_index_;

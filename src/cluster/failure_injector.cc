@@ -59,14 +59,12 @@ void FailureInjector::Sweep() {
   const double p_straggle =
       1.0 - std::exp(-options_.daily_straggler_rate * dt_days);
 
-  // Collect victims first: injecting inside the visit would mutate the pod
-  // map mid-iteration (terminations can create replacement pods). The
-  // running-pod index serves exactly the (running, target-priority)
-  // subsequence of the full directory sweep, in the same creation order, so
-  // the hazard draws land on the same pods in the same RNG sequence while
-  // the sweep cost drops from O(pods ever) to O(running target pods). The
-  // victim buffers are members reused across sweeps: warm sweeps allocate
-  // nothing.
+  // Collect victims first: injecting inside the visit would mutate the
+  // running index mid-iteration (terminations can create replacement pods).
+  // The index serves the running target-priority pods in creation order, so
+  // the hazard draws land on the same pods in the same RNG sequence, at
+  // O(running target pods) per sweep. The victim buffers are members reused
+  // across sweeps: warm sweeps allocate nothing.
   to_crash_.clear();
   to_degrade_.clear();
   cluster_->VisitRunningPods(kTargetPriority, [&](const Pod& pod) {

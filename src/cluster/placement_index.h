@@ -131,15 +131,13 @@ class PlacementIndex {
   size_t tree_size_ = 0;
 };
 
-/// Creation-ordered directory of *running* pods, bucketed by priority class.
+/// Creation-ordered index of *running* pods, bucketed by priority class.
 ///
 /// The failure injector's sweep draws its per-pod hazards in pod creation
-/// order, which a plain sweep would obtain by walking the entire pod directory
-/// (every pod ever created) once per tick. This index keeps only the
-/// currently-running pods of each class, ordered by creation sequence, so a
-/// sweep enumerates exactly the pods it will draw for — O(running pods of
-/// the class) per tick instead of O(pods ever) — while preserving the
-/// enumeration order byte for byte.
+/// order, and the harness and benches pick running pods by the same order.
+/// This index keeps only the currently-running pods of each class, ordered
+/// by creation sequence, so a sweep enumerates exactly the pods it draws for
+/// in O(running pods of the class).
 ///
 /// Implementation: one treap per class keyed by the pod's creation sequence
 /// (unique, monotone), entries recycled through a free list so steady-state

@@ -50,9 +50,9 @@ struct Pod {
   PodSpec spec;
   PodPhase phase = PodPhase::kPending;
   NodeId node = 0;  // valid once phase >= kStarting
-  /// Monotonic creation ordinal assigned by the cluster (directory position).
-  /// Unlike PodId it is never recycled, so indexes keyed on it reproduce
-  /// creation-order iteration exactly.
+  /// Monotonic creation ordinal assigned by the cluster. Unlike PodId it is
+  /// never recycled, so the running-pod index keyed on it visits pods in
+  /// creation order.
   uint64_t creation_seq = 0;
 
   SimTime submit_time = 0.0;
@@ -65,7 +65,7 @@ struct Pod {
 
   /// Live usage set by the owning job each profiling tick; the cluster sums
   /// these for utilisation metrics. Usage never exceeds the request.
-  ResourceSpec usage;
+  ResourceSpec usage{};
 
   /// Fired when the pod transitions to kRunning.
   std::function<void(Pod&)> on_running;

@@ -199,13 +199,14 @@ JobConfig InitialConfigFor(const SingleJobScenario& scenario) {
   return WellTunedConfig(scenario.model);
 }
 
-/// Finds a running pod of the job by role substring ("-ps-" / "-worker-").
+/// Finds the job's first running pod, in creation order, whose name holds
+/// `role` ("-ps-" / "-worker-").
 PodId FindJobPod(const Cluster& cluster, const std::string& role) {
   PodId found = 0;
-  cluster.VisitPods([&](const Pod& pod) {
-    if (found != 0) return;
-    if (pod.phase != PodPhase::kRunning) return;
-    if (pod.spec.name.find(role) != std::string::npos) found = pod.id;
+  cluster.VisitRunningPods(PriorityClass::kTraining, [&](const Pod& pod) {
+    if (found == 0 && pod.spec.name.find(role) != std::string::npos) {
+      found = pod.id;
+    }
   });
   return found;
 }

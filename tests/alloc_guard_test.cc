@@ -298,11 +298,10 @@ TEST(AllocGuardTest, WarmPlacementIndexOpsAreAllocationFree) {
 
 TEST(AllocGuardTest, WarmIndexedClusterChurnIsAllocationFree) {
   // Cluster-level steady state through the index: usage reports, kills, and
-  // the resulting key updates / running-directory removals / empty-queue
-  // pumps must not allocate once slot free-lists and index slabs are at
-  // their high-water mark. (CreatePod is exempt by design — constructing a
-  // pod allocates its control block — so the measured cycle churns a
-  // prewarmed pool.)
+  // the resulting key updates / running-index removals / empty-queue pumps
+  // must not allocate once slot free-lists and index slabs are at their
+  // high-water mark. (RecycledPodSlotCycleAllocatesOnlyLongNames covers
+  // CreatePod.)
   Simulator sim;
   ClusterOptions options;
   options.num_nodes = 20;
@@ -339,6 +338,47 @@ TEST(AllocGuardTest, WarmIndexedClusterChurnIsAllocationFree) {
   EXPECT_EQ(after - before, 0u)
       << "indexed cluster churn allocated " << (after - before)
       << " times across " << killed << " usage-report/kill cycles";
+}
+
+TEST(AllocGuardTest, RecycledPodSlotCycleAllocatesOnlyLongNames) {
+  // CreatePod re-arms a recycled slab slot's Pod in place, so on a warm
+  // cluster a create -> run -> kill cycle allocates no Pod and no slot. The
+  // one allocation a cycle may make is a pod name longer than the string's
+  // 15-character inline buffer, which the caller builds.
+  Simulator sim;
+  ClusterOptions options;
+  options.num_nodes = 4;
+  Cluster cluster(&sim, options);
+  int running = 0;
+  int stopped = 0;
+  auto cycle = [&](const char* name) {
+    PodSpec spec;
+    spec.name = name;
+    spec.request = {2.0, GiB(4)};
+    const PodId id = cluster.CreatePod(
+        std::move(spec), [&running](Pod&) { ++running; },
+        [&stopped](Pod&, PodStopReason) { ++stopped; });
+    sim.RunUntil(sim.Now() + Minutes(2));  // past the longest startup
+    cluster.KillPod(id);
+  };
+  for (int i = 0; i < 8; ++i) cycle("warm-up");
+
+  constexpr int kCycles = 64;
+  uint64_t before = AllocationCount();
+  for (int i = 0; i < kCycles; ++i) cycle("worker-7");
+  const uint64_t short_names = AllocationCount() - before;
+  before = AllocationCount();
+  for (int i = 0; i < kCycles; ++i) cycle("trace-job-1234-worker-7");
+  const uint64_t long_names = AllocationCount() - before;
+
+  EXPECT_EQ(running, 8 + 2 * kCycles);
+  EXPECT_EQ(stopped, 8 + 2 * kCycles);
+  EXPECT_EQ(cluster.counters().pods_created, 8u + 2 * kCycles);
+  EXPECT_EQ(short_names, 0u)
+      << "short-named create/run/kill cycles allocated " << short_names
+      << " times in " << kCycles << " cycles";
+  EXPECT_EQ(long_names, static_cast<uint64_t>(kCycles))
+      << "long-named cycles must allocate their name and nothing else";
 }
 
 TEST(AllocGuardTest, WarmShardedWindowDispatchIsAllocationFree) {

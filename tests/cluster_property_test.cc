@@ -377,8 +377,8 @@ TEST_P(JobChaosTest, JobAccountingSurvivesRandomFaults) {
     sim.RunUntil(sim.Now() + rng.Uniform(30.0, 180.0));
     if (job.finished()) break;
     std::vector<PodId> victims;
-    cluster.VisitPods([&](const Pod& pod) {
-      if (pod.phase == PodPhase::kRunning) victims.push_back(pod.id);
+    cluster.VisitRunningPods(PriorityClass::kTraining, [&](const Pod& pod) {
+      victims.push_back(pod.id);
     });
     if (victims.empty()) continue;
     const PodId victim = victims[rng.UniformInt(victims.size())];

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "cluster/background_load.h"
 #include "cluster/failure_injector.h"
@@ -171,24 +173,88 @@ TEST(ClusterTest, StalePodIdIsNullAfterSlotReuse) {
   EXPECT_EQ(cluster.GetPod(fresh)->phase, PodPhase::kStarting);
 }
 
-// VisitPods iterates in creation order regardless of slot recycling; the
-// failure injector draws one Bernoulli per visited pod, so this order is
-// part of the deterministic-output contract.
-TEST(ClusterTest, VisitPodsKeepsCreationOrderAcrossSlotReuse) {
+// CreatePod re-arms a freed slot's Pod in place. An on_running callback
+// that kills its own pod and creates another (which takes the freed slot)
+// must still run on its own closure. The payload makes the closure too big
+// for std::function's inline buffer, so a replaced closure would be freed
+// while it runs (AddressSanitizer reports the read below).
+TEST(ClusterTest, RunningCallbackOutlivesReArmOfItsSlot) {
+  Simulator sim;
+  Cluster cluster(&sim, TinyCluster(1, 16.0));
+  const std::array<int, 8> payload{1, 2, 3, 4, 5, 6, 7, 8};
+  int sum = 0;
+  PodId successor = 0;
+  const PodId first = cluster.CreatePod(
+      TrainingPod(4.0),
+      [&cluster, &sum, &successor, payload](Pod& pod) {
+        cluster.KillPod(pod.id);
+        successor = cluster.CreatePod(TrainingPod(4.0), nullptr, nullptr);
+        for (int v : payload) sum += v;
+      },
+      nullptr);
+  sim.RunUntil(Minutes(5));
+  EXPECT_EQ(sum, 36);
+  EXPECT_EQ(cluster.GetPod(first), nullptr);  // its slot went to successor
+  ASSERT_NE(cluster.GetPod(successor), nullptr);
+  EXPECT_EQ(cluster.GetPod(successor)->phase, PodPhase::kRunning);
+}
+
+// A victim's stop callback may kill the pod that preempts it and create
+// another pod, which re-arms the preemptor's slot. The dead preemptor must
+// not be placed after the eviction, and the new tenant is placed once.
+TEST(ClusterTest, PreemptorKilledByItsVictimIsNotPlaced) {
+  Simulator sim;
+  ClusterOptions options = TinyCluster(1, 16.0);
+  options.validate_placement_index = true;
+  Cluster cluster(&sim, options);
+  PodSpec low = TrainingPod(12.0);
+  low.priority = PriorityClass::kBestEffort;
+  PodId replacement = 0;
+  cluster.CreatePod(std::move(low), nullptr, [&](Pod&, PodStopReason) {
+    PodId preemptor = 0;
+    cluster.VisitPods([&](const Pod& pod) {
+      if (pod.phase == PodPhase::kPending) preemptor = pod.id;
+    });
+    cluster.KillPod(preemptor);
+    replacement = cluster.CreatePod(TrainingPod(4.0), nullptr, nullptr);
+  });
+  sim.RunUntil(Minutes(1));
+  const PodId high = cluster.CreatePod(TrainingPod(8.0), nullptr, nullptr);
+  EXPECT_EQ(cluster.GetPod(high), nullptr);  // its slot went to replacement
+  EXPECT_DOUBLE_EQ(cluster.GetNode(0).allocated.cpu, 4.0);
+  EXPECT_EQ(cluster.GetNode(0).pods, std::vector<PodId>{replacement});
+  EXPECT_EQ(cluster.PendingCount(), 0u);
+  sim.RunUntil(Minutes(5));
+  EXPECT_EQ(cluster.GetPod(replacement)->phase, PodPhase::kRunning);
+  EXPECT_DOUBLE_EQ(cluster.TotalAllocated().cpu, 4.0);
+}
+
+// VisitRunningPods iterates in creation order regardless of slot recycling
+// (recycled slots make it differ from slot order here); the failure injector
+// draws one Bernoulli per visited pod, so this order is part of the
+// deterministic-output contract.
+TEST(ClusterTest, VisitRunningPodsKeepsCreationOrderAcrossSlotReuse) {
   Simulator sim;
   Cluster cluster(&sim, TinyCluster(2, 16.0));
   std::vector<PodId> created;
   for (int i = 0; i < 4; ++i) {
     created.push_back(cluster.CreatePod(TrainingPod(2.0), nullptr, nullptr));
   }
+  sim.RunUntil(Minutes(5));
   cluster.KillPod(created[1]);
   cluster.KillPod(created[2]);
   for (int i = 0; i < 3; ++i) {
     created.push_back(cluster.CreatePod(TrainingPod(2.0), nullptr, nullptr));
   }
+  sim.RunUntil(Minutes(10));
+  created.erase(created.begin() + 1, created.begin() + 3);
   std::vector<PodId> visited;
-  cluster.VisitPods([&](const Pod& pod) { visited.push_back(pod.id); });
+  cluster.VisitRunningPods(PriorityClass::kTraining,
+                           [&](const Pod& pod) { visited.push_back(pod.id); });
   EXPECT_EQ(visited, created);
+  std::vector<PodId> slab;
+  cluster.VisitPods([&](const Pod& pod) { slab.push_back(pod.id); });
+  EXPECT_NE(slab, visited);
 }
 
 // Regression: a cluster with no nodes (a fleet cell gets none when there

@@ -12,9 +12,10 @@
 //   - fleet_chaos:   the managed fleet, 3x, 14 h horizon, under the grey-fault
 //     and control-partition campaigns with node health on.
 //
-// FleetPerfbenchGoldenTest pins perfbench's own fleet_chaos and fleet_managed
-// runs at their gated seed (~1.5 s each), the full-scale fingerprints
-// perfbench prints.
+// FleetPerfbenchGoldenTest pins perfbench's own fleet_chaos, fleet_managed
+// and fleet_manual runs at their gated seed (~1.5 s each, ~3 s for
+// fleet_manual, the workload with the most pods), the full-scale
+// fingerprints perfbench prints.
 //
 // A third suite pins the sequential RunFleet path that the Fig 3, Table 4,
 // Fig 14 and Fig 15 benches run through the sweep engine: one scenario of
@@ -133,6 +134,10 @@ TEST(FleetPerfbenchGoldenTest, FleetChaosSeed1) {
 
 TEST(FleetPerfbenchGoldenTest, FleetManagedSeed1) {
   EXPECT_EQ(PerfbenchFingerprint("fleet_managed", 20), "2d87f9fc8b555d0f");
+}
+
+TEST(FleetPerfbenchGoldenTest, FleetManualSeed1) {
+  EXPECT_EQ(PerfbenchFingerprint("fleet_manual", 100), "e0c9605130ae0901");
 }
 
 struct BenchCase {

@@ -40,9 +40,9 @@ TEST(JobMasterTest, MitigatesInjectedStraggler) {
   ASSERT_EQ(setup.job->state(), JobState::kRunning);
   // Degrade one worker pod.
   PodId victim = 0;
-  setup.cluster->VisitPods([&](const Pod& pod) {
-    if (victim == 0 && pod.phase == PodPhase::kRunning &&
-        pod.spec.name.find("-worker-") != std::string::npos) {
+  setup.cluster->VisitRunningPods(PriorityClass::kTraining,
+                                  [&](const Pod& pod) {
+    if (victim == 0 && pod.spec.name.find("-worker-") != std::string::npos) {
       victim = pod.id;
     }
   });

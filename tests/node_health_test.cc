@@ -397,8 +397,9 @@ TEST(DrainMigrationTest, ScarcityFallsBackToStopAndRestart) {
   // the whole-deployment migration path instead).
   const Pod* ps_pod = nullptr;
   cluster.VisitPods([&](const Pod& pod) {
-    if (!pod.terminal() && pod.spec.name.find("ps") != std::string::npos) {
-      ps_pod = &pod;
+    if (!pod.terminal() && pod.spec.name.find("ps") != std::string::npos &&
+        (ps_pod == nullptr || pod.creation_seq > ps_pod->creation_seq)) {
+      ps_pod = &pod;  // the newest live PS
     }
   });
   NodeId victim = 0;

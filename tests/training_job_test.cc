@@ -41,15 +41,13 @@ JobConfig TunedConfig() {
   return config;
 }
 
-// Running pods whose name contains `role` ("-worker-", "-ps-").
+// Running pods whose name contains `role` ("-worker-", "-ps-"), in
+// creation order.
 std::vector<PodId> RunningPods(const Cluster& cluster,
                                const std::string& role = "-worker-") {
   std::vector<PodId> ids;
-  cluster.VisitPods([&](const Pod& pod) {
-    if (pod.phase == PodPhase::kRunning &&
-        pod.spec.name.find(role) != std::string::npos) {
-      ids.push_back(pod.id);
-    }
+  cluster.VisitRunningPods(PriorityClass::kTraining, [&](const Pod& pod) {
+    if (pod.spec.name.find(role) != std::string::npos) ids.push_back(pod.id);
   });
   return ids;
 }
