@@ -5,6 +5,12 @@
 
 namespace dlrover {
 
+namespace {
+// A member is a straggler when its progress rate falls below this fraction
+// of the group median rate.
+constexpr double kStragglerRateFraction = 0.5;
+}  // namespace
+
 HeartbeatMonitor::Slot& HeartbeatMonitor::SlotFor(uint64_t member_id) {
   if (member_id >= slots_.size()) slots_.resize(member_id + 1);
   return slots_[member_id];
@@ -95,7 +101,7 @@ std::vector<uint64_t> HeartbeatMonitor::DetectStragglers(
     Slot& slot = slots_[id];
     if (!slot.present) continue;
     if (slot.health.flagged_straggler && !include_flagged) continue;
-    if (Rate(slot.health, now) < options_.straggler_rate_fraction * median) {
+    if (Rate(slot.health, now) < kStragglerRateFraction * median) {
       slot.health.flagged_straggler = true;
       stragglers.push_back(static_cast<uint64_t>(id));
     }

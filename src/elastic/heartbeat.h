@@ -21,9 +21,6 @@ struct HeartbeatMonitorOptions {
   /// A member is declared failed after this silence (paper: job master
   /// treats missing heartbeats for "a reasonably long time" as failure).
   Duration failure_timeout = Minutes(2);
-  /// A member is a straggler when its progress rate falls below this
-  /// fraction of the group median rate.
-  double straggler_rate_fraction = 0.5;
   /// Minimum observation window before straggler judgments.
   Duration min_observation = Seconds(60);
 };

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <type_traits>
+#include <utility>
 
 #include "cluster/control_channel.h"
 #include "common/logging.h"
@@ -87,11 +87,8 @@ TrainingJob::~TrainingJob() {
     state_ = JobState::kFailed;
     stats_.fail_reason = "destroyed";
   }
-  // Only live workers ever hold a completion event: staged workers never
-  // dispatch, and retiring a worker interrupts it.
-  for (auto& w : workers_) {
-    if (w->completion_event != 0) sim_->Cancel(w->completion_event);
-  }
+  // Every member's pod is live, so each kill runs its worker's stop handler,
+  // which cancels the pending shard completion.
   KillAllPods(false);
 }
 
@@ -168,7 +165,7 @@ void TrainingJob::CreatePsPod(PsState& ps, const JobConfig& config) {
 
 bool TrainingJob::AllPsRunning() const {
   for (const auto& ps : ps_) {
-    if (!ps->retired && !ps->pod_running) return false;
+    if (!ps->pod_running) return false;
   }
   return !ps_.empty();
 }
@@ -179,13 +176,13 @@ void TrainingJob::OnWorkerRunning(WorkerState& worker) {
   if (worker.replace_victim >= 0) {
     // Make-before-break handoff: the replacement is up (image pulled,
     // container running), so only now is the drain victim stopped.
-    WorkerState* victim = FindWorkerByIndex(worker.replace_victim);
+    // Its stop handler requeues the shard with partial credit.
+    const std::unique_ptr<WorkerState> victim =
+        TakeWorker(worker.replace_victim);
     worker.replace_victim = -1;
-    if (victim != nullptr && !victim->retired) {
-      InterruptWorker(*victim);  // shard requeued with partial credit
+    if (victim != nullptr) {
       victim->retired = true;
-      victim->evacuating = false;
-      if (victim->pod != 0) cluster_->KillPod(victim->pod);
+      cluster_->KillPod(victim->pod);
       ++stats_.drain_migrations;
       InvalidateIterationCache();
     }
@@ -227,7 +224,7 @@ void TrainingJob::TryDispatchAll() {
     // Stop-and-restart (or first start) waits for *all* workers as well.
     bool all_workers = !workers_.empty();
     for (const auto& w : workers_) {
-      if (!w->retired && !w->pod_running) all_workers = false;
+      if (!w->pod_running) all_workers = false;
     }
     if (!all_workers) return;
 
@@ -255,10 +252,10 @@ void TrainingJob::TryDispatchAll() {
   }
 
   if (paused_) return;
-  for (auto& worker : workers_) {
-    if (worker->pod_running && !worker->retired && !worker->processing) {
-      StartNextShard(*worker);
-    }
+  // A dispatch can complete the job, whose KillAllPods empties workers_.
+  for (size_t i = 0; i < workers_.size() && !finished(); ++i) {
+    WorkerState& worker = *workers_[i];
+    if (worker.pod_running && !worker.processing) StartNextShard(worker);
   }
 }
 
@@ -278,7 +275,7 @@ StatusOr<DataShard> TrainingJob::NextShardFor(WorkerState& worker) {
 }
 
 void TrainingJob::StartNextShard(WorkerState& worker) {
-  if (finished() || paused_ || !worker.pod_running || worker.retired) return;
+  if (finished() || paused_ || !worker.pod_running) return;
   auto shard_or = NextShardFor(worker);
   if (!shard_or.ok()) {
     worker.processing = false;
@@ -314,7 +311,6 @@ IterationBreakdown TrainingJob::CachedIteration(int active_workers,
     group_cache_.shares.clear();
     group_cache_.speeds.clear();
     for (const auto& ps : ps_) {
-      if (ps->retired) continue;
       const Pod* pod = cluster_->GetPod(ps->pod);
       group_cache_.shares.push_back(ps->share);
       group_cache_.speeds.push_back(pod != nullptr ? pod->speed_factor : 1.0);
@@ -479,15 +475,11 @@ uint64_t TrainingJob::batches_done() const {
 void TrainingJob::RepartitionStatic(uint64_t completed_prefix) {
   static_completed_ = completed_prefix;
   const uint64_t remaining = spec_.total_steps - completed_prefix;
-  std::vector<WorkerState*> active;
-  for (auto& w : workers_) {
-    if (!w->retired) active.push_back(w.get());
-  }
-  if (active.empty()) return;
-  const uint64_t per = remaining / active.size();
-  uint64_t extra = remaining % active.size();
+  if (workers_.empty()) return;
+  const uint64_t per = remaining / workers_.size();
+  uint64_t extra = remaining % workers_.size();
   uint64_t cursor = completed_prefix;
-  for (WorkerState* w : active) {
+  for (auto& w : workers_) {
     const uint64_t span = per + (extra > 0 ? 1 : 0);
     if (extra > 0) --extra;
     w->part_cursor = cursor;
@@ -499,14 +491,10 @@ void TrainingJob::RepartitionStatic(uint64_t completed_prefix) {
 void TrainingJob::OnWorkerStopped(WorkerState& worker, PodStopReason reason) {
   InterruptWorker(worker);
   worker.pod_running = false;
-  if (cluster_->control_channel() != nullptr) {
-    // A lossy control plane can deliver this worker's in-flight heartbeats
-    // after the master gave up on it; fence the id so a late packet cannot
-    // resurrect a ghost member (worker indices are never reused).
-    monitor_.FenceMember(static_cast<uint64_t>(worker.index));
-  } else {
-    monitor_.RemoveMember(static_cast<uint64_t>(worker.index));
-  }
+  // Fence the id so a late heartbeat cannot resurrect a ghost member: a lossy
+  // control plane can deliver this worker's in-flight packets after the
+  // master gave up on it (worker indices are never reused).
+  monitor_.FenceMember(static_cast<uint64_t>(worker.index));
   // An owner-kill on a member we did NOT retire is an *external* deletion
   // (another controller / operator) — handle it like a crash. Every
   // job-initiated kill marks the member retired first.
@@ -515,35 +503,33 @@ void TrainingJob::OnWorkerStopped(WorkerState& worker, PodStopReason reason) {
   }
   ++stats_.worker_failures;
 
-  if (spec_.data_mode == DataMode::kDynamicSharding) {
-    // The unfinished shard is already back in the queue; peers keep going.
-    worker.retired = true;
-    if (worker.replace_victim >= 0) {
-      // A make-before-break replacement died before its handoff. If the
-      // victim is still alive, clear its evacuating mark so a later drain
-      // tick retries, and do not auto-replace (the victim is still
-      // training). If the victim died meanwhile, this replacement *was* its
-      // relaunch — fall through to the normal auto-replace path.
-      WorkerState* victim = FindWorkerByIndex(worker.replace_victim);
-      worker.replace_victim = -1;
-      if (victim != nullptr && !victim->retired) {
-        victim->evacuating = false;
-        return;
-      }
-    } else if (worker.evacuating) {
-      // A staged replacement is already on its way for this worker; it
-      // becomes the relaunch, so skip the normal auto-replace (otherwise
-      // the job would grow a worker).
-      worker.evacuating = false;
-      return;
-    }
-    if (transition_.kind == TransitionKind::kNone) {  // else ReplaceLostWorkers
-      const uint64_t shard_limit = worker.shard_limit;
-      AddWorker(config_, &workers_).shard_limit = shard_limit;
-    }
-  } else {
+  if (spec_.data_mode == DataMode::kStaticPartition) {
     // Static partitioning cannot absorb a lost worker: full restart.
     RestartFromCheckpoint("worker loss under static partitioning");
+    return;
+  }
+  // The unfinished shard is already back in the queue; peers keep going.
+  // The lost worker leaves its set now and is destroyed as this returns.
+  const std::unique_ptr<WorkerState> lost = TakeWorker(worker.index);
+  if (worker.replace_victim >= 0) {
+    // A make-before-break replacement died before its handoff. If the
+    // victim is still alive, clear its evacuating mark so a later drain
+    // tick retries, and do not auto-replace (the victim is still
+    // training). If the victim died meanwhile, this replacement *was* its
+    // relaunch — fall through to the normal auto-replace path.
+    WorkerState* victim = FindWorkerByIndex(worker.replace_victim);
+    if (victim != nullptr) {
+      victim->evacuating = false;
+      return;
+    }
+  } else if (worker.evacuating) {
+    // A staged replacement is already on its way for this worker; it
+    // becomes the relaunch, so skip the normal auto-replace (otherwise
+    // the job would grow a worker).
+    return;
+  }
+  if (transition_.kind == TransitionKind::kNone) {  // else ReplaceLostWorkers
+    AddWorker(config_, &workers_).shard_limit = worker.shard_limit;
   }
 }
 
@@ -600,19 +586,18 @@ void TrainingJob::RestartFromCheckpoint(const std::string& why) {
     static_completed_ = last_checkpoint_.trained_batches;
   }
 
+  // Every member goes, a seamless migration's staged ones included, so they
+  // cannot wedge a future migration.
   KillAllPods(false);
-  // Whatever transition this restart interrupts ends here: a seamless
-  // migration's staged pods go to the graveyard so they cannot wedge a
-  // future migration. (Nothing reads the kind before this line: pods report
-  // Running only from a scheduled event, and the kills above reach only
-  // retired members, whose stop handlers return first.)
+  // Whatever transition this restart interrupts ends here. (Nothing reads
+  // the kind before this line: pods report Running only from a scheduled
+  // event, and the kills above reach only retired members, whose stop
+  // handlers return first.)
   EndTransition();
   transition_.kind = TransitionKind::kStopRestart;
   transition_.restart_kill_time = sim_->Now();
 
   // Fresh pod sets with the current configuration.
-  workers_.clear();
-  ps_.clear();
   BuildDeployment(config_, {}, &workers_, &ps_);
   if (spec_.data_mode == DataMode::kStaticPartition) {
     RepartitionStatic(static_completed_);
@@ -646,16 +631,13 @@ Status TrainingJob::ApplyPlan(const JobConfig& new_config,
     if (delta > 0) {
       for (int i = 0; i < delta; ++i) AddWorker(config_, &workers_);
     } else {
-      int to_remove = -delta;
-      for (auto it = workers_.rbegin();
-           it != workers_.rend() && to_remove > 0; ++it) {
-        WorkerState& w = **it;
-        if (w.retired) continue;
-        InterruptWorker(w);
-        w.retired = true;
-        cluster_->KillPod(w.pod);
-        --to_remove;
+      // The newest workers leave, newest first.
+      WorkerSet leaving;
+      for (int i = delta; i < 0 && !workers_.empty(); ++i) {
+        leaving.push_back(std::move(workers_.back()));
+        workers_.pop_back();
       }
+      RetireMembers(&leaving, false);
     }
     config_.num_workers = new_config.num_workers;
     InvalidateIterationCache();
@@ -725,8 +707,6 @@ void TrainingJob::BeginStopAndRestart(const JobConfig& new_config) {
     config_ = *transition_.pending;
     transition_.pending.reset();
     InvalidateIterationCache();
-    workers_.clear();
-    ps_.clear();
     BuildDeployment(config_, {}, &workers_, &ps_);
     if (spec_.data_mode == DataMode::kStaticPartition) {
       RepartitionStatic(static_completed_);
@@ -757,6 +737,12 @@ void TrainingJob::AbortSeamlessIfStuck() {
 
 void TrainingJob::FinishMigrationIfReady() {
   if (transition_.kind != TransitionKind::kSeamless) return;
+  // A staged worker that died left its set, so wait for the whole set (or
+  // the watchdog). A staged PS cannot go missing: its loss restarts the job.
+  if (static_cast<int>(transition_.staged_workers.size()) !=
+      transition_.pending->num_workers) {
+    return;
+  }
   for (const auto& w : transition_.staged_workers) {
     if (!w->pod_running) return;
   }
@@ -775,8 +761,8 @@ void TrainingJob::FinishMigrationIfReady() {
   }
   ScheduleInTransition(save + load, [this] {
     RecordCheckpoint(batches_done(), ModelBytes());
-    RetireMembers(&workers_, false, &retired_workers_);
-    RetireMembers(&ps_, false, &retired_ps_);
+    RetireMembers(&workers_, false);
+    RetireMembers(&ps_, false);
     workers_.swap(transition_.staged_workers);
     ps_.swap(transition_.staged_ps);
     config_ = *transition_.pending;
@@ -796,8 +782,8 @@ void TrainingJob::ScheduleInTransition(Duration delay, Fn fn) {
 }
 
 void TrainingJob::EndTransition() {
-  RetireMembers(&transition_.staged_workers, false, &retired_workers_);
-  RetireMembers(&transition_.staged_ps, false, &retired_ps_);
+  RetireMembers(&transition_.staged_workers, false);
+  RetireMembers(&transition_.staged_ps, false);
   transition_.pending.reset();
   transition_.kind = TransitionKind::kNone;
   ++transition_.epoch;
@@ -824,7 +810,7 @@ void TrainingJob::ReplaceLostWorkers() {
   // A staged drain replacement stands in for its victim, so it is not counted.
   int live = static_cast<int>(std::count_if(
       workers_.begin(), workers_.end(),
-      [](const auto& w) { return !w->retired && w->replace_victim < 0; }));
+      [](const auto& w) { return w->replace_victim < 0; }));
   for (; live < config_.num_workers; ++live) AddWorker(config_, &workers_);
 }
 
@@ -837,9 +823,7 @@ void TrainingJob::ResetThroughputBaseline() {
 Status TrainingJob::SetWorkerShardLimit(int worker_index,
                                         uint64_t max_batches) {
   WorkerState* w = FindWorkerByIndex(worker_index);
-  if (w == nullptr || w->retired) {
-    return NotFoundError("no active worker with that index");
-  }
+  if (w == nullptr) return NotFoundError("no active worker with that index");
   w->shard_limit = max_batches;
   return Status::OK();
 }
@@ -875,7 +859,7 @@ int TrainingJob::MitigateStragglers() {
       if (!health.flagged_straggler) return;
       for (auto& w : workers_) {
         if (static_cast<uint64_t>(w->index) != member) continue;
-        if (!w->retired && w->pod_running) {
+        if (w->pod_running) {
           if (ch != nullptr) {
             // Verdicts cross the master -> brain hop, so a cell partition
             // (brain unreachable) delays or loses them; the per-tick
@@ -902,6 +886,18 @@ TrainingJob::WorkerState* TrainingJob::FindWorkerByIndex(int index) {
   return nullptr;
 }
 
+std::unique_ptr<TrainingJob::WorkerState> TrainingJob::TakeWorker(int index) {
+  for (WorkerSet* set : {&workers_, &transition_.staged_workers}) {
+    for (auto it = set->begin(); it != set->end(); ++it) {
+      if ((*it)->index != index) continue;
+      std::unique_ptr<WorkerState> worker = std::move(*it);
+      set->erase(it);
+      return worker;
+    }
+  }
+  return nullptr;
+}
+
 int TrainingJob::EvacuateDrainingPods() {
   if (finished() || paused_ || state_ != JobState::kRunning ||
       transition_.kind != TransitionKind::kNone) {
@@ -913,7 +909,6 @@ int TrainingJob::EvacuateDrainingPods() {
   // only for the checkpoint handoff.
   bool ps_draining = false;
   for (const auto& ps : ps_) {
-    if (ps->retired || ps->pod == 0) continue;
     const Pod* pod = cluster_->GetPod(ps->pod);
     if (pod != nullptr && !pod->terminal() && cluster_->IsDraining(pod->node)) {
       ps_draining = true;
@@ -944,7 +939,7 @@ int TrainingJob::EvacuateDrainingPods() {
   const size_t count = workers_.size();  // replacements append; skip them
   for (size_t i = 0; i < count; ++i) {
     WorkerState& victim = *workers_[i];
-    if (victim.retired || !victim.pod_running || victim.evacuating ||
+    if (!victim.pod_running || victim.evacuating ||
         victim.replace_victim >= 0) {
       continue;
     }
@@ -973,21 +968,21 @@ void TrainingJob::DrainFallback(int victim_index, int replacement_index) {
   WorkerState* replacement = FindWorkerByIndex(replacement_index);
   // Handoff already happened, the replacement died (its stop handler reset
   // the victim), or a restart rebuilt the worker set: nothing to do.
-  if (replacement == nullptr || replacement->retired ||
-      replacement->pod_running || replacement->replace_victim < 0) {
+  if (replacement == nullptr || replacement->pod_running ||
+      replacement->replace_victim < 0) {
     return;
   }
   // Still pending after the deadline: scarcity. Abandon make-before-break —
   // retire the stuck replacement and stop-and-restart the victim through the
   // normal crash path (auto-replace, off-node placement).
   ++stats_.drain_fallbacks;
-  replacement->retired = true;
-  replacement->replace_victim = -1;
-  if (replacement->pod != 0) cluster_->KillPod(replacement->pod);
+  const std::unique_ptr<WorkerState> stuck = TakeWorker(replacement_index);
+  stuck->retired = true;
+  cluster_->KillPod(stuck->pod);
   WorkerState* victim = FindWorkerByIndex(victim_index);
-  if (victim != nullptr && !victim->retired) {
+  if (victim != nullptr) {
     victim->evacuating = false;
-    if (victim->pod != 0) cluster_->KillPod(victim->pod);
+    cluster_->KillPod(victim->pod);
   }
 }
 
@@ -1055,7 +1050,8 @@ void TrainingJob::KillAllPods(bool graceful) {
   // Two passes: killing a pod can cascade (freed capacity -> placements ->
   // preemptions) into stop callbacks for *this job's other pods*. Marking
   // everything retired first makes those callbacks no-ops, so the kill loop
-  // cannot re-enter restart/recovery logic mid-iteration.
+  // cannot re-enter restart/recovery logic mid-iteration. Every set is empty
+  // afterwards.
   auto retire_all = [](auto& members) {
     for (auto& m : members) m->retired = true;
   };
@@ -1072,28 +1068,22 @@ void TrainingJob::KillAllPods(bool graceful) {
 
 template <typename Member>
 void TrainingJob::RetireMembers(
-    std::vector<std::unique_ptr<Member>>* members, bool graceful,
-    std::vector<std::unique_ptr<Member>>* graveyard) {
-  for (auto& m : *members) {
-    if (!m->retired) {
-      if constexpr (std::is_same_v<Member, WorkerState>) InterruptWorker(*m);
-      m->retired = true;
-    }
-    // Killing an already-retired member is a no-op: every path that retires
-    // a member also kills its pod (or runs inside that pod's stop handler),
-    // and Cluster::KillPod returns early on a terminal pod, a recycled id
-    // and id 0.
-    cluster_->KillPod(m->pod, graceful);
-  }
-  if (graveyard == nullptr) return;
-  for (auto& m : *members) graveyard->push_back(std::move(m));
-  members->clear();
+    std::vector<std::unique_ptr<Member>>* members, bool graceful) {
+  // The members leave the set before the first kill, so a kill that cascades
+  // into another member's stop handler never erases under this loop. A
+  // worker's stop handler requeues its shard.
+  const std::vector<std::unique_ptr<Member>> leaving =
+      std::exchange(*members, {});
+  for (const auto& m : leaving) m->retired = true;
+  // A member whose pod a cascade already stopped is killed again as a no-op:
+  // Cluster::KillPod returns early on a terminal pod and a recycled id.
+  for (const auto& m : leaving) cluster_->KillPod(m->pod, graceful);
 }
 
 int TrainingJob::ActiveWorkerCount() const {
   int count = 0;
   for (const auto& w : workers_) {
-    if (w->pod_running && !w->retired) ++count;
+    if (w->pod_running) ++count;
   }
   return count;
 }
@@ -1105,12 +1095,8 @@ Bytes TrainingJob::MaxPsMemory() const {
   const Bytes emb = profile_.EmbeddingBytesAt(
       static_cast<double>(batches_done()) *
       static_cast<double>(spec_.batch_size));
-  int live = 0;
-  for (const auto& ps : ps_) {
-    if (!ps->retired) ++live;
-  }
-  if (live == 0) return profile_.ps_static_bytes;
-  return profile_.ps_static_bytes + emb / static_cast<double>(live);
+  if (ps_.empty()) return profile_.ps_static_bytes;
+  return profile_.ps_static_bytes + emb / static_cast<double>(ps_.size());
 }
 
 Bytes TrainingJob::ModelBytes() const {
@@ -1189,7 +1175,7 @@ void TrainingJob::UpdateMemoryAndUsage() {
   std::vector<PsState*>& live_ps = live_ps_scratch_;
   live_ps.clear();
   for (auto& ps : ps_) {
-    if (!ps->retired && ps->pod_running) live_ps.push_back(ps.get());
+    if (ps->pod_running) live_ps.push_back(ps.get());
   }
   for (PsState* ps : live_ps) {
     Pod* pod = cluster_->GetMutablePod(ps->pod);
@@ -1209,7 +1195,7 @@ void TrainingJob::UpdateMemoryAndUsage() {
 
   // Workers: CPU busy during gradient computation; memory is a working set.
   for (auto& w : workers_) {
-    if (w->retired || !w->pod_running) continue;
+    if (!w->pod_running) continue;
     Pod* pod = cluster_->GetMutablePod(w->pod);
     if (pod == nullptr) continue;
     const IterationBreakdown mine =
@@ -1267,7 +1253,7 @@ void TrainingJob::ProfileTick() {
   auto utilisation = [this](const auto& members, double* cpu, double* mem) {
     double cpu_used = 0.0, cpu_alloc = 0.0, mem_used = 0.0, mem_alloc = 0.0;
     for (const auto& m : members) {
-      if (m->retired || !m->pod_running) continue;
+      if (!m->pod_running) continue;
       const Pod* pod = cluster_->GetPod(m->pod);
       if (pod == nullptr) continue;
       cpu_used += pod->usage.cpu;
@@ -1327,7 +1313,7 @@ void TrainingJob::MaybeReportPsSlowdown() {
   if (++ps_slowdown_streak_ < 3) return;
   ControlChannel* ch = cluster_->control_channel();
   for (const auto& p : ps_) {
-    if (p->retired || !p->pod_running || p->pod == 0) continue;
+    if (!p->pod_running) continue;
     const PodId pod = p->pod;
     if (ch != nullptr) {
       ch->Send(ControlMessageKind::kStragglerVerdict, ControlChannel::kMaster,

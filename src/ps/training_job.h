@@ -253,6 +253,12 @@ class TrainingJob {
   int ActiveWorkerCount() const;
   /// Current memory usage of the most loaded PS.
   Bytes MaxPsMemory() const;
+  /// Workers and PSes the job holds, staged ones included. Each holds a pod
+  /// that has not stopped: a member leaves its set when its pod stops.
+  size_t member_count() const {
+    return workers_.size() + ps_.size() + transition_.staged_workers.size() +
+           transition_.staged_ps.size();
+  }
   /// Current model size (dense + embeddings), i.e., checkpoint payload.
   Bytes ModelBytes() const;
 
@@ -266,7 +272,7 @@ class TrainingJob {
     int index = 0;
     PodId pod = 0;
     bool pod_running = false;
-    bool retired = false;  // scaled down / replaced; kill is expected
+    bool retired = false;  // the job is killing it: its stop is no loss
     bool processing = false;
     std::optional<DataShard> shard;
     EventId completion_event = 0;
@@ -291,12 +297,17 @@ class TrainingJob {
     double share = 0.0;
   };
 
+  // A member is in a set iff it is live. A lost worker leaves its set in its
+  // pod's stop handler (a lost PS gets a new pod or restarts the job); a
+  // member the job retires leaves before its kill and is destroyed after it,
+  // since pod callbacks hold raw member pointers.
   using WorkerSet = std::vector<std::unique_ptr<WorkerState>>;
   using PsSet = std::vector<std::unique_ptr<PsState>>;
 
   // Pod lifecycle plumbing. AddWorker and AddPs are the only places a member
   // is constructed; each appends a fresh index to `set` and submits its pod
-  // with `config`'s request.
+  // with `config`'s request. The member is live on return: creating a
+  // training pod preempts only best-effort pods, so it stops no member.
   WorkerState& AddWorker(const JobConfig& config, WorkerSet* set);
   void AddPs(const JobConfig& config, double share, PsSet* set);
   void CreateWorkerPod(WorkerState& worker, const JobConfig& config);
@@ -307,19 +318,20 @@ class TrainingJob {
   void BuildDeployment(const JobConfig& config,
                        const std::vector<double>& shares, WorkerSet* workers,
                        PsSet* ps);
-  /// Retires `members` in order (a worker not yet retired has its shard
-  /// requeued first) and kills their pods; with a `graveyard`, the members
-  /// move there afterwards.
+  /// Takes every member out of `members`, marks them all retired, kills
+  /// their pods in order and destroys them once the last kill has returned.
   template <typename Member>
   void RetireMembers(std::vector<std::unique_ptr<Member>>* members,
-                     bool graceful,
-                     std::vector<std::unique_ptr<Member>>* graveyard = nullptr);
+                     bool graceful);
   void OnWorkerRunning(WorkerState& worker);
   void OnWorkerStopped(WorkerState& worker, PodStopReason reason);
   void OnPsRunning(PsState& ps);
   void OnPsStopped(PsState& ps, PodStopReason reason);
   bool AllPsRunning() const;
   WorkerState* FindWorkerByIndex(int index);
+  /// Moves the worker with `index` out of workers_ or the staged workers
+  /// (null when neither holds it).
+  std::unique_ptr<WorkerState> TakeWorker(int index);
   /// Scarcity fallback for a stuck make-before-break handoff (see
   /// EvacuateDrainingPods).
   void DrainFallback(int victim_index, int replacement_index);
@@ -371,8 +383,8 @@ class TrainingJob {
   /// job finished or the epoch moved (that transition ended) meanwhile.
   template <typename Fn>
   void ScheduleInTransition(Duration delay, Fn fn);
-  /// Ends the in-flight transition: retires the staged members into the
-  /// graveyard, clears the kind and the pending config, and bumps the epoch.
+  /// Ends the in-flight transition: retires the staged members, clears the
+  /// kind and the pending config, and bumps the epoch.
   void EndTransition();
   void RecoverFromPsLoss(PsState& ps, bool was_oom);
   /// Replaces, as a transition ends, the workers lost while it ran.
@@ -440,8 +452,6 @@ class TrainingJob {
   };
   Transition transition_;
   bool paused_ = false;
-  WorkerSet retired_workers_;
-  PsSet retired_ps_;
   /// Last OOM-prevention scale-up; throttles repeated bumps.
   SimTime last_oom_scale_ = -1.0e18;
   int next_worker_index_ = 0;

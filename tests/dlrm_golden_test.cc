@@ -257,13 +257,17 @@ TEST(TickTrainerGoldenTest, StaticPartitionUnderAddAndCrash) {
 }
 
 // The perfbench `train_dlrm` shape (model, data and trainer options of
-// perfbench/main.cc at seed 1), cut to 96 batches: real pool threads, but a
-// pool of one, so the eight logical workers' batches commit in one
-// deterministic order. Pins the layer kernels, the key dedup and the data
-// generator on the exact shapes the benchmark times. The literals were
-// recorded from the SSE2-only layer tiles, the per-draw Zipf constants and
-// the std::sort key dedup, which the current code must match bit for bit.
-TEST(ThreadTrainerGoldenTest, PerfbenchShapeOnOneThread) {
+// perfbench/main.cc at seed 1) for `total_batches` batches with an
+// `eval_size`-row test set: real pool threads, but a pool of one, so the eight
+// logical workers' batches commit in one deterministic order. Returns the
+// trainer's result and the digest of the trained model's state.
+struct PerfbenchShapeRun {
+  TrainResult result;
+  uint64_t state_digest = 0;
+};
+
+PerfbenchShapeRun TrainPerfbenchShape(uint64_t total_batches,
+                                      uint64_t eval_size) {
   MiniDlrmConfig config;
   config.arch = ModelKind::kWideDeep;
   config.emb_dim = 8;
@@ -273,23 +277,45 @@ TEST(ThreadTrainerGoldenTest, PerfbenchShapeOnOneThread) {
   AsyncTrainerOptions options;
   options.num_workers = 8;
   options.batch_size = 128;
-  options.total_batches = 96;
+  options.total_batches = total_batches;
   options.learning_rate = 0.1;
   options.shard_batches = 16;
   options.exec_mode = ExecMode::kThreads;
   options.num_threads = 1;
   options.eval_every_batches = 1 << 30;  // one evaluation, after the last batch
-  options.eval_size = 1024;
+  options.eval_size = eval_size;
   options.seed = 1;
   MiniDlrm model(config);
   CriteoSynth data(1 * 31 + 1);
   AsyncPsTrainer trainer(&model, &data, options);
-  const TrainResult result = trainer.Run();
-  EXPECT_EQ(result.batches_committed, 96u);
+  PerfbenchShapeRun run;
+  run.result = trainer.Run();
   DlrmStateBlob state;
   model.ExportState(&state);
-  EXPECT_EQ(StateDigest(state), 0x6adaecb9c1842488ull);
-  EXPECT_EQ(result.final_auc, 0x1.4f798e60d8f11p-1);
+  run.state_digest = StateDigest(state);
+  return run;
+}
+
+// The perfbench shape cut to 96 batches. Pins the layer kernels, the key
+// dedup and the data generator on the exact shapes the benchmark times. The
+// literals were recorded from the SSE2-only layer tiles, the per-draw Zipf
+// constants and the std::sort key dedup, which the current code must match
+// bit for bit.
+TEST(ThreadTrainerGoldenTest, PerfbenchShapeOnOneThread) {
+  const PerfbenchShapeRun run = TrainPerfbenchShape(96, 1024);
+  EXPECT_EQ(run.result.batches_committed, 96u);
+  EXPECT_EQ(run.state_digest, 0x6adaecb9c1842488ull);
+  EXPECT_EQ(run.result.final_auc, 0x1.4f798e60d8f11p-1);
+}
+
+// The whole perfbench `train_dlrm` run at seed 1: 1,200 batches and a
+// 4,096-row test set. Its final AUC is the one perfbench prints
+// (0.73669371350377844); ~2 s.
+TEST(ThreadTrainerGoldenTest, PerfbenchScaleOnOneThread) {
+  const PerfbenchShapeRun run = TrainPerfbenchShape(1200, 4096);
+  EXPECT_EQ(run.result.batches_committed, 1200u);
+  EXPECT_EQ(run.state_digest, 0x871b2a778ac9701full);
+  EXPECT_EQ(run.result.final_auc, 0x1.792feb1d55c57p-1);
 }
 
 }  // namespace

@@ -404,7 +404,6 @@ TEST(HeartbeatMonitorTest, DetectsSilentMemberAsFailed) {
 TEST(HeartbeatMonitorTest, DetectsStragglerByProgressRate) {
   HeartbeatMonitorOptions options;
   options.min_observation = 10.0;
-  options.straggler_rate_fraction = 0.5;
   HeartbeatMonitor monitor(options);
   for (uint64_t id = 1; id <= 4; ++id) monitor.AddMember(id, 0.0);
   // Members 1-3 progress at 10/sec; member 4 at 1/sec.
@@ -436,7 +435,6 @@ TEST(HeartbeatMonitorTest, YoungMemberSuppressesStragglerJudgments) {
   // unbaked numbers.
   HeartbeatMonitorOptions options;
   options.min_observation = 50.0;
-  options.straggler_rate_fraction = 0.5;
   HeartbeatMonitor monitor(options);
   for (uint64_t id = 1; id <= 3; ++id) monitor.AddMember(id, 0.0);
   for (int t = 1; t <= 10; ++t) {
@@ -511,7 +509,6 @@ TEST(HeartbeatMonitorTest, StragglerVerdictAtExactlyMinObservation) {
   // delaying (or rushing) every straggler call by one monitor period.
   HeartbeatMonitorOptions options;
   options.min_observation = 60.0;
-  options.straggler_rate_fraction = 0.5;
   HeartbeatMonitor monitor(options);
   for (uint64_t id = 1; id <= 3; ++id) monitor.AddMember(id, 0.0);
   monitor.Heartbeat(1, 50.0, 500);

@@ -14,8 +14,9 @@
 //
 // FleetPerfbenchGoldenTest pins perfbench's own fleet_chaos, fleet_managed
 // and fleet_manual runs at their gated seed (~1.5 s each, ~3 s for
-// fleet_manual, the workload with the most pods), the full-scale
-// fingerprints perfbench prints.
+// fleet_manual, the workload with the most pods), and fleet_chaos and
+// fleet_managed at their held-out seeds, the full-scale fingerprints
+// perfbench prints.
 //
 // A third suite pins the sequential RunFleet path that the Fig 3, Table 4,
 // Fig 14 and Fig 15 benches run through the sweep engine: one scenario of
@@ -111,11 +112,12 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.seed);
     });
 
-// perfbench's FleetScenarioFor(workload, 1) with its engine settings: 16
+// perfbench's FleetScenarioFor(workload, seed) with its engine settings: 16
 // cells, 2-minute windows, 1 lane; fleet_chaos at 10x (480 jobs, 600 nodes),
 // fleet_managed at 20x (960 jobs, 1200 nodes).
-std::string PerfbenchFingerprint(const std::string& workload, int scale) {
-  FleetScenario scenario = ReducedScenario(workload, 1);
+std::string PerfbenchFingerprint(const std::string& workload, int scale,
+                                 uint64_t seed) {
+  FleetScenario scenario = ReducedScenario(workload, seed);
   scenario.workload.num_jobs = 48 * scale;
   scenario.cluster.num_nodes = 60 * scale;
   ShardedFleetOptions options;
@@ -129,15 +131,25 @@ std::string PerfbenchFingerprint(const std::string& workload, int scale) {
 }
 
 TEST(FleetPerfbenchGoldenTest, FleetChaosSeed1) {
-  EXPECT_EQ(PerfbenchFingerprint("fleet_chaos", 10), "dfa8f2bc7c8671cb");
+  EXPECT_EQ(PerfbenchFingerprint("fleet_chaos", 10, 1), "dfa8f2bc7c8671cb");
 }
 
 TEST(FleetPerfbenchGoldenTest, FleetManagedSeed1) {
-  EXPECT_EQ(PerfbenchFingerprint("fleet_managed", 20), "2d87f9fc8b555d0f");
+  EXPECT_EQ(PerfbenchFingerprint("fleet_managed", 20, 1), "2d87f9fc8b555d0f");
 }
 
 TEST(FleetPerfbenchGoldenTest, FleetManualSeed1) {
-  EXPECT_EQ(PerfbenchFingerprint("fleet_manual", 100), "e0c9605130ae0901");
+  EXPECT_EQ(PerfbenchFingerprint("fleet_manual", 100, 1), "e0c9605130ae0901");
+}
+
+// The held-out seeds of perfbench/workloads.json.
+TEST(FleetPerfbenchGoldenTest, FleetChaosSeed9003) {
+  EXPECT_EQ(PerfbenchFingerprint("fleet_chaos", 10, 9003), "73e5262e1e5fe9d2");
+}
+
+TEST(FleetPerfbenchGoldenTest, FleetManagedSeed9002) {
+  EXPECT_EQ(PerfbenchFingerprint("fleet_managed", 20, 9002),
+            "f56de5fa28aefa13");
 }
 
 struct BenchCase {

@@ -493,6 +493,85 @@ TEST(TrainingJobTest, WorkerLostInsideHandOffIsReplaced) {
   EXPECT_EQ(job.batches_done(), 200000u);
 }
 
+// The job holds a member for each of its live pods and for nothing else:
+// a crashed worker, a scaled-down one and a migrated-away deployment are
+// all let go, however many cycles the job runs.
+TEST(TrainingJobTest, HoldsExactlyItsLiveMembers) {
+  Simulator sim;
+  Cluster cluster(&sim, SmallCluster());
+  TrainingJob job(&sim, &cluster, QuickSpec(2000000), TunedConfig());
+  job.Start();
+  sim.RunUntil(Minutes(5));
+  ASSERT_EQ(job.state(), JobState::kRunning);
+  auto expect_live = [&](int cycle) {
+    EXPECT_EQ(job.member_count(), static_cast<size_t>(LivePods(cluster)))
+        << "cycle " << cycle;
+  };
+  Rng rng(7);
+  for (int cycle = 0; cycle < 24; ++cycle) {
+    const std::vector<PodId> workers = RunningPods(cluster);
+    ASSERT_FALSE(workers.empty());
+    cluster.FailPod(workers[rng.UniformInt(workers.size())],
+                    PodStopReason::kCrash);
+    expect_live(cycle);
+    sim.RunUntil(sim.Now() + Minutes(2));
+    expect_live(cycle);
+    JobConfig plan = job.config();
+    if (cycle % 3 == 0) {  // a seamless migration of the whole deployment
+      plan.num_ps = plan.num_ps == 2 ? 3 : 2;
+    } else {  // a worker-count-only change: scale up, then back down
+      plan.num_workers = cycle % 3 == 1 ? 12 : 8;
+    }
+    ASSERT_TRUE(job.ApplyPlan(plan, MigrationMode::kSeamless).ok());
+    expect_live(cycle);
+    sim.RunUntil(sim.Now() + Minutes(10));
+    ExpectPodsMatchConfig(job, cluster, "a crash and a plan");
+    expect_live(cycle);
+  }
+  EXPECT_EQ(job.stats().worker_failures, 24);
+  EXPECT_EQ(job.stats().migrations, 8);
+  EXPECT_EQ(job.stats().scale_operations, 16);
+  EXPECT_EQ(job.member_count(), 10u);
+}
+
+// A staged worker that dies before every staged pod runs leaves the staged
+// set short. The hand-off must not go ahead with it: the migration waits
+// until the watchdog reverts it onto the old deployment.
+TEST(TrainingJobTest, StagedWorkerLostBeforeHandOffBlocksIt) {
+  Simulator sim;
+  Cluster cluster(&sim, SmallCluster());
+  TrainingJob job(&sim, &cluster, QuickSpec(200000), TunedConfig());
+  job.Start();
+  sim.RunUntil(Minutes(5));
+  ASSERT_EQ(job.state(), JobState::kRunning);
+  JobConfig plan = TunedConfig();
+  plan.num_ps = 3;
+  ASSERT_TRUE(job.ApplyPlan(plan, MigrationMode::kSeamless).ok());
+  // Workers 0-7 are the old deployment; 8-15 are staged and still starting.
+  const PodId staged = LivePod(cluster, "test-job-worker-8");
+  ASSERT_NE(staged, 0u);
+  ASSERT_EQ(cluster.GetPod(staged)->phase, PodPhase::kStarting);
+  cluster.FailPod(staged, PodStopReason::kCrash);
+  EXPECT_EQ(job.stats().worker_failures, 1);
+  EXPECT_EQ(job.member_count(), 8u + 2u + 7u + 3u);
+  EXPECT_EQ(job.member_count(), static_cast<size_t>(LivePods(cluster)));
+
+  sim.RunUntil(sim.Now() + Minutes(11));
+  EXPECT_EQ(job.state(), JobState::kMigrating);
+  EXPECT_EQ(job.stats().migrations, 0);
+  EXPECT_EQ(job.stats().downtime_checkpoint, 0.0) << "no hand-off began";
+  sim.RunUntil(sim.Now() + Minutes(2));
+  EXPECT_EQ(job.stats().seamless_aborts, 1);
+  EXPECT_EQ(job.stats().migrations, 0);
+  EXPECT_EQ(job.config(), TunedConfig());
+  ExpectPodsMatchConfig(job, cluster, "the watchdog abort");
+  EXPECT_EQ(job.member_count(), 10u);
+  sim.RunUntil(Hours(12));
+  ASSERT_EQ(job.state(), JobState::kCompleted);
+  EXPECT_EQ(job.batches_done(), 200000u);
+  EXPECT_EQ(job.member_count(), 0u);
+}
+
 TEST(TrainingJobTest, PsOomTriggersRecoveryAndVerticalScale) {
   Simulator sim;
   Cluster cluster(&sim, SmallCluster());
@@ -579,7 +658,8 @@ TEST(TrainingJobTest, StragglerMitigationShrinksShards) {
 // load, a restart resume, a stop-and-restart save), which is where
 // overlapping transitions race. The properties:
 //
-//   - the job is never kRunning with no live member;
+//   - the job is never kRunning with no live member, and it holds exactly
+//     one member per live pod;
 //   - committed batches never exceed the step budget, and the job completes
 //     with exactly its budget (no shard is trained twice);
 //   - the config changes only to the last accepted plan, and never after a
@@ -689,6 +769,8 @@ class PropertyScenario {
       config_ = job_->config();
     }
     NoteTransitionEnds();
+    ASSERT_EQ(job_->member_count(), static_cast<size_t>(LivePods(cluster_)))
+        << "a member outlived its pod at t=" << sim_.Now();
     if (job_->state() == JobState::kRunning && job_->ActiveWorkerCount() == 0) {
       ASSERT_GT(LivePods(cluster_), 0)
           << "kRunning with no live member at t=" << sim_.Now();
