@@ -168,6 +168,11 @@ class Cluster {
   bool node_health_enabled() const { return health_ != nullptr; }
   /// Node-health tracker, or null when the control plane is disabled.
   const NodeHealthTracker* health() const { return health_.get(); }
+  /// Hands the tracker's transition log over (empty when disabled).
+  std::vector<NodeHealthEvent> TakeHealthLog() {
+    return health_ != nullptr ? health_->TakeLog()
+                              : std::vector<NodeHealthEvent>();
+  }
   /// Capacity of nodes currently cordoned.
   ResourceSpec CordonedCapacity() const { return cordoned_capacity_; }
   /// Capacity the brain should not propose plans against: cordoned nodes

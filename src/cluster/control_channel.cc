@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdlib>
 #include <limits>
 #include <utility>
+
+#include "common/logging.h"
 
 namespace dlrover {
 
@@ -35,7 +38,13 @@ ControlChannel::ControlChannel(Simulator* sim,
 ControlChannel::~ControlChannel() = default;
 
 void ControlChannel::Record(ControlEventKind kind, uint64_t a, uint64_t b) {
-  log_.push_back(ControlEvent{sim_->Now(), kind, a, b});
+  // Always on: a `b` past 56 bits would be truncated silently.
+  if (b > ControlEvent::kMaxB) {
+    DLROVER_LOG_STREAM(Error) << "control event detail " << b
+                              << " does not fit in 56 bits";
+    std::abort();
+  }
+  log_.push_back(ControlEvent{sim_->Now(), a, b, kind});
 }
 
 bool ControlChannel::Severed(ControlEndpoint src, ControlEndpoint dst,

@@ -2,6 +2,7 @@
 #define DLROVER_CLUSTER_CONTROL_CHANNEL_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cluster/pod.h"
@@ -35,7 +36,7 @@ enum class ControlMessageKind : int {
 /// for partitions, master handle + epoch for failover, plan sequence for
 /// fencing). The trace is part of FleetResult and must be byte-identical
 /// across reruns and sharded lane counts.
-enum class ControlEventKind : int {
+enum class ControlEventKind : uint8_t {
   kDropped = 0,             // a = message kind, b = message seq
   kPartitionDropped = 1,    // a = message kind, b = message seq
   kDuplicated = 2,          // a = message kind, b = message seq
@@ -54,14 +55,22 @@ enum class ControlEventKind : int {
   kStalePlanApplied = 15,   // a = fencing source id, b = plan seq
 };
 
+/// 24 bytes: a chaotic run records hundreds of thousands of these. `a`
+/// keeps all 64 bits (a plan-fence source is a job's 64-bit seed); `b` only
+/// ever holds a message sequence, an epoch or a plan sequence, so it shares
+/// its word with `kind`. ControlChannel::Record aborts on a `b` above kMaxB
+/// rather than truncate it.
 struct ControlEvent {
+  static constexpr uint64_t kMaxB = (uint64_t{1} << 56) - 1;
+
   SimTime time = 0.0;
-  ControlEventKind kind = ControlEventKind::kDropped;
   uint64_t a = 0;
-  uint64_t b = 0;
+  uint64_t b : 56 = 0;
+  ControlEventKind kind : 8 = ControlEventKind::kDropped;
 
   bool operator==(const ControlEvent&) const = default;
 };
+static_assert(sizeof(ControlEvent) == 24);
 
 /// Channel-wide counters, merged across cells by the sharded fleet runner.
 struct ControlChannelStats {
@@ -218,6 +227,8 @@ class ControlChannel {
   const ControlChannelOptions& options() const { return options_; }
   const ControlChannelStats& stats() const { return stats_; }
   const std::vector<ControlEvent>& log() const { return log_; }
+  /// Hands the event trace over, leaving the channel's empty.
+  std::vector<ControlEvent> TakeLog() { return std::move(log_); }
 
  private:
   struct Message {

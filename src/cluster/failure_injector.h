@@ -2,6 +2,7 @@
 #define DLROVER_CLUSTER_FAILURE_INJECTOR_H_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -106,6 +107,9 @@ class FailureInjector {
   /// Ground-truth audit log, in injection order. Node-fault entries update
   /// their `symptoms` count in place while the fault stays active.
   const std::vector<FaultRecord>& fault_log() const { return fault_log_; }
+  /// Hands the audit log over once injection is over, leaving the
+  /// injector's empty.
+  std::vector<FaultRecord> TakeFaultLog() { return std::move(fault_log_); }
 
  private:
   /// One active node-scoped fault. `record` indexes fault_log_.

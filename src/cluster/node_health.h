@@ -2,6 +2,7 @@
 #define DLROVER_CLUSTER_NODE_HEALTH_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cluster/pod.h"
@@ -88,6 +89,8 @@ class NodeHealthTracker {
   double score(NodeId node, SimTime now) const;
   /// Every state transition, in occurrence order.
   const std::vector<NodeHealthEvent>& log() const { return log_; }
+  /// Hands the transition log over, leaving the tracker's empty.
+  std::vector<NodeHealthEvent> TakeLog() { return std::move(log_); }
   uint64_t cordons() const { return cordons_; }
   uint64_t uncordons() const { return uncordons_; }
 

@@ -533,14 +533,14 @@ FleetResult FleetSimulation::Collect() {
   result.stragglers_injected = injector_->stragglers_injected();
   result.node_faults_injected = injector_->node_faults_injected();
   result.control_faults_injected = injector_->control_faults_injected();
-  result.fault_log = injector_->fault_log();
+  // The audit logs are handed over, not copied: they are most of a chaotic
+  // fleet's memory, and the fleet is destroyed right after.
+  result.fault_log = injector_->TakeFaultLog();
   if (channel_ != nullptr) {
     result.control_stats = channel_->stats();
-    result.control_log = channel_->log();
+    result.control_log = channel_->TakeLog();
   }
-  if (cluster_.health() != nullptr) {
-    result.health_log = cluster_.health()->log();
-  }
+  result.health_log = cluster_.TakeHealthLog();
   result.nodes_cordoned = cluster_.counters().nodes_cordoned;
   result.nodes_uncordoned = cluster_.counters().nodes_uncordoned;
   for (size_t i = 0; i < trace_.size(); ++i) {

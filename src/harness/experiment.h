@@ -193,7 +193,9 @@ class FleetSimulation {
   Simulator* sim() { return sim_; }
   const std::vector<GeneratedJob>& trace() const { return trace_; }
 
-  /// Harvests per-job outcomes after the horizon has run. Call once.
+  /// Harvests per-job outcomes after the horizon has run. Call once: it
+  /// hands the fault, health and control logs over to the result instead of
+  /// copying them, leaving the fleet's own logs empty.
   FleetResult Collect();
 
  private:

@@ -72,9 +72,8 @@ ShardedFleetResult RunFleetSharded(const FleetScenario& scenario,
 
   engine.RunUntil(scenario.horizon);
 
-  // Tear each cell down as soon as it is collected: Collect copies the
-  // cell's audit logs, and the control log is most of a chaotic cell's
-  // memory.
+  // Tear each cell down as soon as it is collected: what the cell still
+  // holds after Collect has handed its audit logs over is freed at once.
   std::vector<FleetResult> cell_results;
   cell_results.reserve(static_cast<size_t>(cells));
   for (auto& fleet : fleets) {

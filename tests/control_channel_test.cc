@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -592,6 +593,58 @@ TEST(ControlChannelTest, FencingNotesFeedStatsAndLog) {
   EXPECT_EQ(channel.log()[0].a, 12u);
   EXPECT_EQ(channel.log()[0].b, 7u);
   EXPECT_EQ(channel.log()[1].kind, ControlEventKind::kStalePlanApplied);
+}
+
+// ControlEvent packs `b` and `kind` into one word. Every kind must read back
+// exactly next to the widest `a` (a plan-fence source is a job's 64-bit
+// seed) and the widest `b`, and neither field may spill into the other.
+TEST(ControlChannelTest, EventHoldsEveryKindNextToFullWidthDetail) {
+  constexpr uint64_t kMaxA = std::numeric_limits<uint64_t>::max();
+  constexpr uint64_t kMaxB = ControlEvent::kMaxB;
+  static_assert(kMaxB == (uint64_t{1} << 56) - 1);
+  const int last = static_cast<int>(ControlEventKind::kStalePlanApplied);
+  for (int k = 0; k <= last; ++k) {
+    const auto kind = static_cast<ControlEventKind>(k);
+    for (uint64_t b : {kMaxB, uint64_t{0}, uint64_t{0xA5A5A5A5A5A5A5}}) {
+      ControlEvent e;
+      e.time = 1234.5;
+      e.a = kMaxA;
+      e.b = b;
+      e.kind = kind;
+      EXPECT_EQ(e.time, 1234.5);
+      EXPECT_EQ(e.a, kMaxA);
+      EXPECT_EQ(static_cast<uint64_t>(e.b), b) << "kind " << k;
+      EXPECT_EQ(e.kind, kind) << "b " << b;
+      // Writing the other field afterwards leaves this one as it was.
+      e.b = kMaxB - b;
+      EXPECT_EQ(e.kind, kind);
+      e.kind = static_cast<ControlEventKind>(last - k);
+      EXPECT_EQ(static_cast<uint64_t>(e.b), kMaxB - b);
+      EXPECT_EQ(e.a, kMaxA);
+    }
+  }
+
+  // The same widths through Record, by the two notes that carry a job seed.
+  Simulator sim;
+  ControlChannel channel(&sim, CleanOptions());
+  channel.NotePlanFenced(kMaxA, kMaxB);
+  channel.NoteStalePlanApplied(kMaxA, kMaxB - 1);
+  ASSERT_EQ(channel.log().size(), 2u);
+  EXPECT_EQ(channel.log()[0].kind, ControlEventKind::kPlanFencedStale);
+  EXPECT_EQ(channel.log()[0].a, kMaxA);
+  EXPECT_EQ(static_cast<uint64_t>(channel.log()[0].b), kMaxB);
+  EXPECT_EQ(channel.log()[1].kind, ControlEventKind::kStalePlanApplied);
+  EXPECT_EQ(channel.log()[1].a, kMaxA);
+  EXPECT_EQ(static_cast<uint64_t>(channel.log()[1].b), kMaxB - 1);
+}
+
+// A `b` of 2^56 would lose its top bit in the packed record; Record aborts
+// instead, in every build type.
+TEST(ControlChannelDeathTest, RecordRejectsDetailPast56Bits) {
+  Simulator sim;
+  ControlChannel channel(&sim, CleanOptions());
+  EXPECT_DEATH(channel.NotePlanFenced(1, ControlEvent::kMaxB + 1),
+               "does not fit in 56 bits");
 }
 
 TEST(ControlChannelTest, StatsMergeIsFieldwiseSum) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "harness/reporting.h"
+#include "sim/simulator.h"
 #include "trace/workload_gen.h"
 
 namespace dlrover {
@@ -139,6 +142,58 @@ TEST(HarnessTest, FleetDlroverOutperformsManual) {
   ASSERT_GE(dlrover_jct.count(), 5u);
   EXPECT_LT(dlrover_jct.Median(), manual_jct.Median());
   EXPECT_LT(dlrover_jct.Percentile(90), manual_jct.Percentile(90));
+}
+
+// Collect hands the fleet's audit logs to the result: the result holds the
+// very buffers the channel, the injector and the health tracker filled, so
+// no log is ever held twice.
+TEST(HarnessTest, CollectHandsOverTheAuditLogs) {
+  FleetScenario scenario;
+  scenario.seed = 5;
+  scenario.dlrover_fraction = 1.0;
+  scenario.workload.num_jobs = 24;
+  scenario.workload.arrival_span = Hours(4);
+  scenario.cluster.num_nodes = 30;
+  scenario.horizon = Hours(8);
+  scenario.enable_background = false;
+  scenario.failures.daily_node_flaky_rate = 1.0;
+  scenario.failures.daily_node_degraded_rate = 1.0;
+  scenario.failures.daily_node_partition_rate = 1.5;
+  scenario.failures.daily_master_crash_rate = 0.3;
+  scenario.cluster.enable_node_health = true;
+  scenario.control.enabled = true;
+  scenario.control.drop_prob = 0.02;
+  scenario.control.duplicate_prob = 0.05;
+
+  Simulator sim;
+  WorkloadOptions workload = scenario.workload;
+  workload.seed = scenario.seed * 1009 + 4;
+  FleetSimulation fleet(&sim, scenario,
+                        WorkloadGenerator(workload).Generate());
+  sim.RunUntil(scenario.horizon);
+  const std::vector<ControlEvent>& control = fleet.channel()->log();
+  const std::vector<FaultRecord>& faults = fleet.injector()->fault_log();
+  const std::vector<NodeHealthEvent>& health = fleet.cluster().health()->log();
+  ASSERT_FALSE(control.empty());
+  ASSERT_FALSE(faults.empty());
+  ASSERT_FALSE(health.empty());
+  const ControlEvent* control_data = control.data();
+  const FaultRecord* fault_data = faults.data();
+  const NodeHealthEvent* health_data = health.data();
+  const size_t control_size = control.size();
+  const size_t fault_size = faults.size();
+  const size_t health_size = health.size();
+
+  const FleetResult result = fleet.Collect();
+  EXPECT_EQ(result.control_log.data(), control_data);
+  EXPECT_EQ(result.fault_log.data(), fault_data);
+  EXPECT_EQ(result.health_log.data(), health_data);
+  EXPECT_EQ(result.control_log.size(), control_size);
+  EXPECT_EQ(result.fault_log.size(), fault_size);
+  EXPECT_EQ(result.health_log.size(), health_size);
+  EXPECT_TRUE(control.empty());
+  EXPECT_TRUE(faults.empty());
+  EXPECT_TRUE(health.empty());
 }
 
 TEST(HarnessTest, SeededHistoryWarmStartsNearTuned) {
